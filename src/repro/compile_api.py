@@ -18,12 +18,12 @@ from repro.analysis.metrics import CircuitMetrics, collect_metrics
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.chains import ChainReuse
 from repro.core.profile import ReuseEvalStats
-from repro.core.qs_caqr import QSCaQR
-from repro.core.qs_commuting import QSCaQRCommuting
 from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
 from repro.core.tradeoff import (
     assess_reuse_benefit,
+    benefit_floor,
+    budget_point,
     select_point,
     sweep_commuting,
     sweep_regular,
@@ -52,9 +52,10 @@ class CompileReport:
         qubit_saving: fraction of qubits saved vs. the input.
         route_stats: the SR router's counter/timer sink (``"min_swap"``
             mode only; ``None`` otherwise).
-        eval_stats: the QS evaluation engine's counter/timer sink,
-            accumulated over every sweep/reduction this compile ran
-            (cache hit-rate, candidate evaluations, greedy steps).
+        eval_stats: the QS evaluation engine's counter/timer sink for
+            the one sweep this compile ran, which stops as soon as the
+            report has what it reads (cache hit-rate, candidate
+            evaluations, greedy steps).
             Observability only — like the route-stats timers, excluded
             from determinism contracts.  Feeds the ``caqr_reuse_eval_*``
             prefix on ``GET /v1/metrics``.
@@ -259,129 +260,96 @@ def caqr_compile(
             # the commuting pipeline sees strictly more reuse freedom
             target = structure.graph
             angles = (structure.uniform_gamma(), structure.uniform_beta())
-    is_graph = isinstance(target, nx.Graph)
+    original_width = (
+        target.number_of_nodes()
+        if isinstance(target, nx.Graph)
+        else target.num_qubits
+    )
+    eval_stats = ReuseEvalStats()
+
+    def sweep(min_qubits=1, mapped=False):
+        return _sweep(target, backend if mapped else None, reset_style,
+                      seed, angles, incremental=incremental,
+                      parallel=parallel, stats=eval_stats,
+                      min_qubits=min_qubits)
+
+    # each mode runs only the work its report reads: ``reuse_beneficial``
+    # needs the sweep only down to the benefit floor, and only min_depth
+    # reads compiled sweep metrics (see docs/ARCHITECTURE.md)
+    route_stats = point = None
     if mode == "min_swap":
         if backend is None:
             raise ReuseError("min_swap mode needs a backend")
-        # caqr_compile's ``parallel`` means "allow": map it onto the SR
-        # router's tri-state knob (None = auto-detect, False = serial)
-        sr_parallel = None if parallel else False
-        if is_graph:
-            sr_kwargs = {}
-            if angles is not None:
-                sr_kwargs = {"gamma": angles[0], "beta": angles[1]}
-            sr = SRCaQRCommuting(
-                backend,
-                reset_style=reset_style,
-                incremental=incremental,
-                parallel=sr_parallel,
-                **sr_kwargs,
-            )
-            result = sr.run(target, qubit_limit=qubit_limit)
-            compiled = result.circuit
-            route_stats = sr.stats
-            original_width = target.number_of_nodes()
-        else:
-            sr = SRCaQR(
-                backend,
-                reset_style=reset_style,
-                incremental=incremental,
-                parallel=sr_parallel,
-            )
-            compiled = sr.run(target).circuit
-            route_stats = sr.stats
-            original_width = target.num_qubits
-        baseline = _baseline_metrics(target, backend, seed, angles)
-        eval_stats = ReuseEvalStats()
-        sweep = _sweep(target, None, reset_style, seed,
-                       incremental=incremental, parallel=parallel,
-                       stats=eval_stats)
-        metrics = collect_metrics(
-            compiled, backend.calibration if backend else None
+        compiled, route_stats = _route(
+            target, backend, angles, qubit_limit, reset_style, incremental,
+            parallel,
         )
-        return CompileReport(
-            circuit=compiled,
-            mode=mode,
-            metrics=metrics,
-            baseline_metrics=baseline,
-            reuse_beneficial=assess_reuse_benefit(sweep).beneficial,
-            qubit_saving=1.0 - metrics.qubits_used / original_width,
-            route_stats=route_stats,
-            eval_stats=eval_stats,
-            sim_stats=_esp_stats(compiled, backend),
-        )
-
-    if mode == "qubit_budget":
+        points = sweep(min_qubits=benefit_floor(original_width))
+    elif mode == "qubit_budget":
         if qubit_limit is None:
             raise ReuseError("qubit_budget mode needs qubit_limit")
-        eval_stats = ReuseEvalStats()
-        if is_graph:
-            qs_kwargs = {}
-            if angles is not None:
-                qs_kwargs = {"gamma": angles[0], "beta": angles[1]}
-            engine = QSCaQRCommuting(
-                target, reset_style=reset_style, stats=eval_stats, **qs_kwargs
-            )
-            point = engine.reduce_to(qubit_limit)
-            original_width = target.number_of_nodes()
-        else:
-            engine = QSCaQR(
-                reset_style=reset_style,
-                incremental=incremental,
-                parallel=parallel,
-            )
-            point = engine.reduce_to(target, qubit_limit)
-            eval_stats.merge(engine.stats)
-            original_width = target.num_qubits
-        if not point.feasible:
-            raise ReuseError(
-                f"cannot compile to {qubit_limit} qubits "
-                f"(reached {point.qubits})"
-            )
-        logical = point.circuit
+        points = sweep(
+            min_qubits=min(qubit_limit, benefit_floor(original_width))
+        )
+        point = budget_point(points, qubit_limit)
         compiled = (
-            transpile(logical, backend, optimization_level=3, seed=seed).circuit
+            transpile(
+                point.circuit, backend, optimization_level=3, seed=seed
+            ).circuit
             if backend is not None
-            else logical
+            else point.circuit
         )
-        sweep = _sweep(target, None, reset_style, seed, angles,
-                       incremental=incremental, parallel=parallel,
-                       stats=eval_stats)
-        return CompileReport(
-            circuit=compiled,
-            mode=mode,
-            metrics=collect_metrics(
-                compiled, backend.calibration if backend else None
-            ),
-            baseline_metrics=_baseline_metrics(target, backend, seed, angles),
-            reuse_beneficial=assess_reuse_benefit(sweep).beneficial,
-            qubit_saving=1.0 - point.qubits / original_width,
-            eval_stats=eval_stats,
-            sim_stats=_esp_stats(compiled, backend),
-        )
-
-    if mode not in ("max_reuse", "min_depth"):
+    elif mode in ("max_reuse", "min_depth"):
+        points = sweep(mapped=mode == "min_depth")
+        point = select_point(points, mode)
+        compiled = point.circuit
+    else:
         raise ReuseError(f"unknown compile mode {mode!r}")
-    eval_stats = ReuseEvalStats()
-    sweep = _sweep(target, backend, reset_style, seed, angles,
-                   incremental=incremental, parallel=parallel,
-                   stats=eval_stats)
-    point = select_point(sweep, mode)
-    original_width = (
-        target.number_of_nodes() if is_graph else target.num_qubits
+    metrics = collect_metrics(
+        compiled, backend.calibration if backend else None
     )
+    # SR-CaQR picks its width while routing: read it off the mapped circuit
+    width = metrics.qubits_used if point is None else point.qubits
     return CompileReport(
-        circuit=point.circuit,
+        circuit=compiled,
         mode=mode,
-        metrics=collect_metrics(
-            point.circuit, backend.calibration if backend else None
+        metrics=metrics,
+        baseline_metrics=_baseline_metrics(
+            target, backend, seed, angles, points[0]
         ),
-        baseline_metrics=_baseline_metrics(target, backend, seed, angles),
-        reuse_beneficial=assess_reuse_benefit(sweep).beneficial,
-        qubit_saving=1.0 - point.qubits / original_width,
+        reuse_beneficial=assess_reuse_benefit(points).beneficial,
+        qubit_saving=1.0 - width / original_width,
+        route_stats=route_stats,
         eval_stats=eval_stats,
-        sim_stats=_esp_stats(point.circuit, backend),
+        sim_stats=_esp_stats(compiled, backend),
     )
+
+
+def _route(target, backend, angles, qubit_limit, reset_style, incremental,
+           parallel):
+    """SR-CaQR for ``min_swap``: the routed circuit and the router's stats."""
+    # caqr_compile's ``parallel`` means "allow": map it onto the SR
+    # router's tri-state knob (None = auto-detect, False = serial)
+    sr_parallel = None if parallel else False
+    if isinstance(target, nx.Graph):
+        sr_kwargs = {}
+        if angles is not None:
+            sr_kwargs = {"gamma": angles[0], "beta": angles[1]}
+        sr = SRCaQRCommuting(
+            backend,
+            reset_style=reset_style,
+            incremental=incremental,
+            parallel=sr_parallel,
+            **sr_kwargs,
+        )
+        return sr.run(target, qubit_limit=qubit_limit).circuit, sr.stats
+    sr = SRCaQR(
+        backend,
+        reset_style=reset_style,
+        incremental=incremental,
+        parallel=sr_parallel,
+    )
+    return sr.run(target).circuit, sr.stats
 
 
 def _all_to_all(backend) -> bool:
@@ -463,7 +431,7 @@ def _chain_compile(
 
 
 def _sweep(target, backend, reset_style, seed, angles=None,
-           incremental=True, parallel=True, stats=None):
+           incremental=True, parallel=True, stats=None, min_qubits=1):
     if isinstance(target, nx.Graph):
         gamma, beta = angles if angles is not None else (None, None)
         return sweep_commuting(
@@ -471,6 +439,7 @@ def _sweep(target, backend, reset_style, seed, angles=None,
             backend=backend,
             reset_style=reset_style,
             seed=seed,
+            min_qubits=min_qubits,
             gamma=gamma,
             beta=beta,
             parallel=parallel,
@@ -484,6 +453,7 @@ def _sweep(target, backend, reset_style, seed, angles=None,
         incremental=incremental,
         parallel=parallel,
         stats=stats,
+        min_qubits=min_qubits,
     )
 
 
@@ -508,7 +478,17 @@ def _esp_stats(circuit, backend) -> Optional[SimStats]:
     return stats
 
 
-def _baseline_metrics(target, backend, seed, angles=None) -> Optional[CircuitMetrics]:
+def _baseline_metrics(
+    target, backend, seed, angles=None, first_point=None
+) -> Optional[CircuitMetrics]:
+    """Metrics of the no-reuse opt-3 compile of *target*.
+
+    A hardware-mapped sweep already compiled its first point with the
+    same options; that compile is reused whenever the point is
+    gate-for-gate the baseline circuit (always for a circuit target; for
+    a graph only when the commuting schedule matches the textbook QAOA
+    circuit).
+    """
     if backend is None:
         return None
     if isinstance(target, nx.Graph):
@@ -522,5 +502,14 @@ def _baseline_metrics(target, backend, seed, angles=None) -> Optional[CircuitMet
             circuit = qaoa_maxcut_circuit(target)
     else:
         circuit = target
-    compiled = transpile(circuit, backend, optimization_level=3, seed=seed)
-    return collect_metrics(compiled.circuit, backend.calibration)
+    if (
+        first_point is not None
+        and first_point.compiled_circuit is not None
+        and first_point.circuit == circuit
+    ):
+        compiled = first_point.compiled_circuit
+    else:
+        compiled = transpile(
+            circuit, backend, optimization_level=3, seed=seed
+        ).circuit
+    return collect_metrics(compiled, backend.calibration)

@@ -27,9 +27,14 @@ __all__ = [
     "sweep_regular",
     "sweep_commuting",
     "select_point",
+    "budget_point",
     "ReuseBenefitReport",
     "assess_reuse_benefit",
+    "benefit_floor",
 ]
+
+#: The saving :func:`assess_reuse_benefit` calls beneficial by default.
+MIN_SAVING = 0.2
 
 
 @dataclass
@@ -37,7 +42,10 @@ class TradeoffPoint:
     """One (qubit budget, metrics) point of the tradeoff curve.
 
     Logical metrics always present; compiled metrics filled in when a
-    backend was supplied to the sweep.
+    backend was supplied to the sweep.  ``compiled_circuit`` is the
+    mapped circuit itself, which a sweep keeps on its first point only:
+    that point is the untouched input, so its compile is the no-reuse
+    baseline, and one mapped circuit per point would only cost memory.
     """
 
     qubits: int
@@ -48,15 +56,39 @@ class TradeoffPoint:
     compiled_duration_dt: Optional[int] = None
     swap_count: Optional[int] = None
     two_qubit_count: Optional[int] = None
+    compiled_circuit: Optional[QuantumCircuit] = None
 
 
-def _compile_point(point: TradeoffPoint, backend: Backend, seed: int) -> TradeoffPoint:
+def _compile_point(
+    point: TradeoffPoint, backend: Backend, seed: int, keep: bool = False
+) -> TradeoffPoint:
+    """Map *point* onto *backend* at opt-3 and fill its compiled metrics;
+    *keep* also stores the mapped circuit on the point."""
     result = transpile(point.circuit, backend, optimization_level=3, seed=seed)
     point.compiled_depth = result.depth
     point.compiled_duration_dt = result.duration_dt
     point.swap_count = result.swap_count
     point.two_qubit_count = result.two_qubit_count
+    if keep:
+        point.compiled_circuit = result.circuit
     return point
+
+
+def _points(results, backend: Optional[Backend], seed: int) -> List[TradeoffPoint]:
+    """Engine sweep results as tradeoff points, mapped when *backend* is
+    given (the first point keeps its compiled circuit)."""
+    points: List[TradeoffPoint] = []
+    for result in results:
+        point = TradeoffPoint(
+            qubits=result.qubits,
+            logical_depth=result.depth,
+            logical_duration_dt=result.duration_dt,
+            circuit=result.circuit,
+        )
+        if backend is not None:
+            _compile_point(point, backend, seed, keep=not points)
+        points.append(point)
+    return points
 
 
 def sweep_regular(
@@ -68,10 +100,13 @@ def sweep_regular(
     incremental: bool = True,
     parallel: bool = True,
     stats=None,
+    min_qubits: int = 1,
 ) -> List[TradeoffPoint]:
     """QS-CaQR sweep for a regular circuit, optionally hardware-mapped.
 
-    Returns one point per achievable qubit count, original width first.
+    Returns one point per achievable qubit count, original width first,
+    stopping once a point is at most *min_qubits* wide (a prefix of the
+    full sweep).
     ``incremental``/``parallel`` select the evaluation engine (see
     :class:`~repro.core.qs_caqr.QSCaQR`); both engines yield the same
     points.  *stats* is an optional
@@ -84,17 +119,7 @@ def sweep_regular(
         incremental=incremental,
         parallel=parallel,
     )
-    points: List[TradeoffPoint] = []
-    for result in compiler.sweep(circuit):
-        point = TradeoffPoint(
-            qubits=result.qubits,
-            logical_depth=result.depth,
-            logical_duration_dt=result.duration_dt,
-            circuit=result.circuit,
-        )
-        if backend is not None:
-            _compile_point(point, backend, seed)
-        points.append(point)
+    points = _points(compiler.sweep(circuit, min_qubits), backend, seed)
     if stats is not None:
         stats.merge(compiler.stats)
     return points
@@ -136,17 +161,7 @@ def sweep_commuting(
         results = compiler.sweep(min_qubits=min_qubits)
     else:
         raise ReuseError(f"unknown sweep strategy {strategy!r}")
-    points: List[TradeoffPoint] = []
-    for result in results:
-        point = TradeoffPoint(
-            qubits=result.qubits,
-            logical_depth=result.depth,
-            logical_duration_dt=result.duration_dt,
-            circuit=result.circuit,
-        )
-        if backend is not None:
-            _compile_point(point, backend, seed)
-        points.append(point)
+    points = _points(results, backend, seed)
     if stats is not None:
         stats.merge(compiler.stats)
     return points
@@ -195,6 +210,25 @@ def select_point(points: List[TradeoffPoint], mode: str) -> TradeoffPoint:
     raise ReuseError(f"unknown selection mode {mode!r}")
 
 
+def budget_point(points: List[TradeoffPoint], qubit_limit: int) -> TradeoffPoint:
+    """The first sweep point at most *qubit_limit* wide.
+
+    A greedy sweep passes through exactly the circuit ``reduce_to``
+    returns for the same limit, so this is ``reduce_to`` read off a sweep
+    that reached *qubit_limit*; raises :class:`ReuseError` when no point
+    fits.
+    """
+    if qubit_limit < 1:
+        raise ReuseError("qubit limit must be positive")
+    for point in points:
+        if point.qubits <= qubit_limit:
+            return point
+    raise ReuseError(
+        f"cannot compile to {qubit_limit} qubits "
+        f"(reached {min(p.qubits for p in points)})"
+    )
+
+
 @dataclass
 class ReuseBenefitReport:
     """Answer to "will qubit reuse benefit this application?".
@@ -218,9 +252,28 @@ class ReuseBenefitReport:
     beneficial: bool
 
 
+def _saves_enough(qubits: int, original_qubits: int, min_saving: float) -> bool:
+    return 1.0 - qubits / original_qubits >= min_saving - 1e-9
+
+
+def benefit_floor(original_qubits: int, min_saving: float = MIN_SAVING) -> int:
+    """The widest width that already passes the benefit test.
+
+    A sweep run with ``min_qubits=benefit_floor(width)`` gives
+    :func:`assess_reuse_benefit` the same ``beneficial`` verdict as the
+    full sweep: it either reaches this width, which passes, or gets stuck
+    earlier, and then it is the full sweep.  Returns 1 (sweep to the end)
+    when no width passes.
+    """
+    for qubits in range(original_qubits, 1, -1):
+        if _saves_enough(qubits, original_qubits, min_saving):
+            return qubits
+    return 1
+
+
 def assess_reuse_benefit(
     points: List[TradeoffPoint],
-    min_saving: float = 0.2,
+    min_saving: float = MIN_SAVING,
     knee_tolerance: float = 0.25,
 ) -> ReuseBenefitReport:
     """Classify an application as reuse-friendly or not.
@@ -251,5 +304,5 @@ def assess_reuse_benefit(
         depth_overhead_at_max=overhead_max,
         knee_qubits=knee.qubits,
         knee_depth_overhead=knee_overhead,
-        beneficial=saving >= min_saving - 1e-9,
+        beneficial=_saves_enough(floor.qubits, base.qubits, min_saving),
     )

@@ -67,7 +67,11 @@ from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
 from repro.core.tradeoff import (
     TradeoffPoint,
+    _compile_point,
+    _points,
     assess_reuse_benefit,
+    benefit_floor,
+    budget_point,
     select_point,
     sweep_commuting,
     sweep_regular,
@@ -156,40 +160,6 @@ class StrategyOutcome:
 # -- strategy execution (module-level: runs inside pool workers) ---------------
 
 
-def _sweep_points(
-    results, backend: Optional[Backend], seed: int
-) -> List[TradeoffPoint]:
-    points = []
-    for result in results:
-        point = TradeoffPoint(
-            qubits=result.qubits,
-            logical_depth=result.depth,
-            logical_duration_dt=result.duration_dt,
-            circuit=result.circuit,
-        )
-        if backend is not None:
-            compiled = transpile(
-                point.circuit, backend, optimization_level=3, seed=seed
-            )
-            point.compiled_depth = compiled.depth
-            point.compiled_duration_dt = compiled.duration_dt
-            point.swap_count = compiled.swap_count
-            point.two_qubit_count = compiled.two_qubit_count
-        points.append(point)
-    return points
-
-
-def _pick_budget_point(points: List[TradeoffPoint], qubit_limit: int):
-    """Mirror ``reduce_to``: the first sweep point inside the budget."""
-    eligible = [p for p in points if p.qubits <= qubit_limit]
-    if not eligible:
-        raise ReuseError(
-            f"cannot compile to {qubit_limit} qubits "
-            f"(sweep floor is {min(p.qubits for p in points)})"
-        )
-    return max(eligible, key=lambda p: p.qubits)
-
-
 def _finalize_logical(
     logical: QuantumCircuit, backend: Optional[Backend], seed: int
 ) -> QuantumCircuit:
@@ -220,6 +190,28 @@ def _run_caqr_strategy(spec, request, extracted) -> StrategyOutcome:
     )
 
 
+def _sweep_lane_circuit(points: List[TradeoffPoint], request) -> QuantumCircuit:
+    """The circuit a sweep lane reports from its logical *points*.
+
+    The budget point and the ``max_reuse`` pick read logical metrics
+    only, so points are mapped onto the backend just under ``min_depth``
+    (compiled depth) and ``min_swap`` (SWAP count).  Sweep modes report
+    logical circuits (the greedy path's contract); only ``min_swap``
+    promises hardware-mapped output, and it reuses the mapping of the
+    point it selects.
+    """
+    backend, seed = request.backend, request.seed
+    if request.mode == "qubit_budget":
+        point = budget_point(points, request.qubit_limit)
+        return _finalize_logical(point.circuit, backend, seed)
+    min_swap = request.mode == "min_swap"
+    if backend is not None and (min_swap or request.mode == "min_depth"):
+        for point in points:
+            _compile_point(point, backend, seed, keep=min_swap)
+    point = select_point(points, request.mode)
+    return point.compiled_circuit if min_swap else point.circuit
+
+
 def _run_qs_strategy(spec, request, extracted) -> StrategyOutcome:
     options = spec.options()
     compiler = QSCaQR(
@@ -229,22 +221,10 @@ def _run_qs_strategy(spec, request, extracted) -> StrategyOutcome:
         incremental=request.incremental,
         parallel=False,
     )
-    results = compiler.sweep(request.target)
-    if request.mode == "qubit_budget":
-        points = _sweep_points(results, None, request.seed)
-        point = _pick_budget_point(points, request.qubit_limit)
-        circuit = _finalize_logical(point.circuit, request.backend, request.seed)
-    else:
-        points = _sweep_points(results, request.backend, request.seed)
-        point = select_point(points, request.mode)
-        # sweep points keep logical circuits (the greedy path's contract);
-        # only min_swap reports promise hardware-mapped output
-        circuit = (
-            _finalize_logical(point.circuit, request.backend, request.seed)
-            if request.mode == "min_swap"
-            else point.circuit
-        )
-    return StrategyOutcome(name=spec.name, circuit=circuit)
+    points = _points(compiler.sweep(request.target), None, request.seed)
+    return StrategyOutcome(
+        name=spec.name, circuit=_sweep_lane_circuit(points, request)
+    )
 
 
 def _sr_lane_seed_base(request, lane: str) -> int:
@@ -311,7 +291,6 @@ def _run_commuting_strategy(spec, request, extracted) -> StrategyOutcome:
     )
     points = sweep_commuting(
         graph,
-        backend=None if request.mode == "qubit_budget" else request.backend,
         reset_style=request.reset_style,
         seed=request.seed,
         candidate_evaluation=options.get("candidate_evaluation", "schedule"),
@@ -320,17 +299,9 @@ def _run_commuting_strategy(spec, request, extracted) -> StrategyOutcome:
         beta=beta,
         parallel=False,
     )
-    if request.mode == "qubit_budget":
-        point = _pick_budget_point(points, request.qubit_limit)
-        circuit = _finalize_logical(point.circuit, request.backend, request.seed)
-    else:
-        point = select_point(points, request.mode)
-        circuit = (
-            _finalize_logical(point.circuit, request.backend, request.seed)
-            if request.mode == "min_swap"
-            else point.circuit
-        )
-    return StrategyOutcome(name=spec.name, circuit=circuit)
+    return StrategyOutcome(
+        name=spec.name, circuit=_sweep_lane_circuit(points, request)
+    )
 
 
 def _run_chain_strategy(spec, request, extracted) -> StrategyOutcome:
@@ -869,9 +840,9 @@ class PortfolioCompileService:
             )
             points = sweep_commuting(
                 graph,
-                backend=None,
                 reset_style=request.reset_style,
                 seed=request.seed,
+                min_qubits=benefit_floor(graph.number_of_nodes()),
                 gamma=gamma,
                 beta=beta,
                 parallel=False,
@@ -889,11 +860,11 @@ class PortfolioCompileService:
         else:
             points = sweep_regular(
                 request.target,
-                backend=None,
                 reset_style=request.reset_style,
                 seed=request.seed,
                 incremental=request.incremental,
                 parallel=False,
+                min_qubits=benefit_floor(request.target.num_qubits),
             )
             baseline_circuit = (
                 request.target if request.backend is not None else None
