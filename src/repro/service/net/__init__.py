@@ -1,18 +1,21 @@
 """Networked front-end for the compile service.
 
-Five modules, strictly layered:
+Six modules, strictly layered:
 
 * :mod:`repro.service.net.wire` — schema-versioned JSON envelopes and
   typed error codes (shared vocabulary; imports neither peer);
 * :mod:`repro.service.net.http1` — minimal HTTP/1.1 framing shared by
   everything asyncio-side (head parsing, response formatting, pooled
   request/response round-trips);
-* :mod:`repro.service.net.server` — stdlib asyncio HTTP/1.1 server
+* :mod:`repro.service.net.app` — the asyncio HTTP/1.1 app base both
+  front-ends subclass: lifecycle and drain, the keep-alive connection
+  loop, dispatch counters and histograms, auth and the route prelude;
+* :mod:`repro.service.net.server` — the compile server on that base,
   fronting one :class:`~repro.service.service.CompileService`;
 * :mod:`repro.service.net.client` — blocking ``http.client`` client
   exposing the same compile surface as the local service;
-* :mod:`repro.service.net.gateway` — consistent-hash fleet gateway
-  routing the wire protocol across N servers with health-driven
+* :mod:`repro.service.net.gateway` — consistent-hash fleet gateway on
+  the same base, routing the wire protocol across N servers with health-driven
   membership, retry-on-next-replica, and peer cache fill.
 
 ``caqr_compile(cache="http://host:port")`` resolves to a

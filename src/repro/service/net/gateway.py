@@ -52,29 +52,31 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 import ssl
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServiceError
 from repro.service.fleet import DEFAULT_VNODES, FleetState, ring_key
 from repro.service.metrics import render_prometheus
-from repro.service.net.http1 import (
-    MAX_HEADER_BYTES,
-    format_response,
-    parse_head,
-    read_response,
-    send_request,
+from repro.service.net.app import (
+    DEFAULT_DRAIN_TIMEOUT,
+    DEFAULT_MAX_BODY,
+    AppHandle,
+    HttpApp,
+    Reply,
+    json_body,
+    start_app_thread,
 )
+from repro.service.net.http1 import MAX_HEADER_BYTES, read_response, send_request
 from repro.service.net.server import CACHE_ONLY_HEADER
 from repro.service.net.wire import (
     WIRE_SCHEMA_VERSION,
     WireError,
+    batch_from_wire,
     error_to_wire,
     request_from_wire,
 )
@@ -95,9 +97,7 @@ DEFAULT_PROBE_TIMEOUT = 3.0
 DEFAULT_REQUEST_TIMEOUT = 600.0
 DEFAULT_KEY_CACHE_ENTRIES = 4096
 _LAST_SERVED_ENTRIES = 65536
-_KEEPALIVE_TIMEOUT = 75.0
 _PROBER_TICK = 0.25
-_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Backend answers worth walking to the next replica: admission-control
 #: and drain rejections (the next server may have room) plus ``5xx``
@@ -212,11 +212,8 @@ class _BackendPool:
             self._discard(self._idle.pop())
 
 
-# dispatch result: (status, JSON payload or raw body bytes, extra headers)
-_Reply = Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]
 
-
-class GatewayServer:
+class GatewayServer(HttpApp):
     """The consistent-hash fleet gateway (see the module docstring).
 
     Args:
@@ -236,7 +233,13 @@ class GatewayServer:
         tls_cert / tls_key: TLS for the gateway's own listener.
         backend_ca / backend_tls_insecure: verification knobs for
             ``https://`` backends.
+
+    Request bodies are capped at the server's ``DEFAULT_MAX_BODY``
+    (``413``), and shutdown drains in-flight requests for up to
+    ``DEFAULT_DRAIN_TIMEOUT`` seconds, exactly as ``repro serve`` does.
     """
+
+    kind = "gateway"
 
     def __init__(
         self,
@@ -264,22 +267,26 @@ class GatewayServer:
             raise ServiceError("gateway needs at least one --backend URL")
         if len(set(cleaned)) != len(cleaned):
             raise ServiceError("duplicate backend URLs")
-        if bool(tls_cert) != bool(tls_key):
-            raise ServiceError("TLS needs both tls_cert and tls_key")
+        super().__init__(
+            routes={
+                "/v1/stats": ("GET", self._handle_stats),
+                "/v1/compile": ("POST", self._handle_compile),
+                "/v1/compile_batch": ("POST", self._handle_batch),
+                "/v1/cache/invalidate": ("POST", self._handle_invalidate),
+            },
+            stats=stats if stats is not None else ServiceStats(),
+            host=host,
+            port=port,
+            max_body=DEFAULT_MAX_BODY,
+            drain_timeout=DEFAULT_DRAIN_TIMEOUT,
+            auth_token=auth_token,
+            tls_cert=tls_cert,
+            tls_key=tls_key,
+        )
         self.backends = tuple(cleaned)
-        self.host = host
-        self.port = port
         self.request_timeout = request_timeout
         self.probe_timeout = probe_timeout
-        self.auth_token = (
-            auth_token
-            if auth_token is not None
-            else os.environ.get("CAQR_AUTH_TOKEN") or None
-        )
         self.backend_token = backend_token
-        self.tls_cert = tls_cert
-        self.tls_key = tls_key
-        self.stats = stats if stats is not None else ServiceStats()
         self.fleet = FleetState(
             cleaned,
             vnodes=vnodes,
@@ -307,77 +314,22 @@ class GatewayServer:
         )
         self._counted_ring_moves = 0
         self._counted_marked_down: Dict[str, int] = {url: 0 for url in cleaned}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
         self._prober_task: Optional[asyncio.Task] = None
-        self._connections: set = set()
-        self._started_monotonic: Optional[float] = None
-
-    @property
-    def scheme(self) -> str:
-        return "https" if self.tls_cert else "http"
-
-    def uptime_s(self) -> float:
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> "GatewayServer":
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        sslctx = None
-        if self.tls_cert:
-            sslctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            sslctx.load_cert_chain(self.tls_cert, self.tls_key)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_HEADER_BYTES,
-            ssl=sslctx,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_monotonic = time.monotonic()
+        await super().start()
         self._prober_task = self._loop.create_task(self._prober())
         return self
 
-    async def serve(self, install_signal_handlers: bool = True) -> None:
-        if self._server is None:
-            await self.start()
-        if install_signal_handlers:
-            import signal
-
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        await self._stop_event.wait()
-        await self._shutdown()
-
-    def request_shutdown(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def request_shutdown_threadsafe(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.request_shutdown)
-
-    async def _shutdown(self) -> None:
+    async def _close(self) -> None:
         if self._prober_task is not None:
             self._prober_task.cancel()
             try:
                 await self._prober_task
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._connections):
-            writer.close()
         for pool in self._pools.values():
             pool.close()
         self._fingerprint_pool.shutdown(wait=False)
@@ -429,193 +381,16 @@ class GatewayServer:
                 self.stats.count(f"marked_down:{url}", delta)
                 self._counted_marked_down[url] = lifetime
 
-    # -- request plumbing (mirror of CompileServer's loop) ---------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        self.stats.count("http_connections")
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            # asyncio.run teardown cancels in-flight handlers; the
-            # finally below closes the socket, nothing else to unwind
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (Exception, asyncio.CancelledError):
-                pass
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), _KEEPALIVE_TIMEOUT
-                )
-            except (
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-                asyncio.TimeoutError,
-                ConnectionError,
-            ):
-                return
-            parsed = parse_head(head)
-            if parsed is None:
-                await self._write(
-                    writer,
-                    400,
-                    error_to_wire("bad_request", "malformed HTTP request"),
-                    {},
-                    keep_alive=False,
-                )
-                return
-            method, path, headers = parsed
-            try:
-                content_length = int(headers.get("content-length", "0"))
-            except ValueError:
-                content_length = -1
-            if content_length < 0:
-                await self._write(
-                    writer,
-                    400,
-                    error_to_wire("bad_request", "bad Content-Length"),
-                    {},
-                    keep_alive=False,
-                )
-                return
-            body = b""
-            if content_length:
-                try:
-                    body = await reader.readexactly(content_length)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-            status, payload, extra = await self._dispatch(
-                method, path, headers, body
-            )
-            keep_alive = (
-                headers.get("connection", "keep-alive").lower() != "close"
-            )
-            try:
-                await self._write(writer, status, payload, extra, keep_alive)
-            except ConnectionError:
-                return
-            if not keep_alive:
-                return
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[Dict[str, Any], bytes],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-        else:
-            body = json.dumps(payload).encode()
-        content_type = "application/json"
-        passthrough = {}
-        for name, value in extra_headers.items():
-            if name.lower() == "content-type":
-                content_type = value
-            else:
-                passthrough[name] = value
-        writer.write(
-            format_response(status, body, content_type, passthrough, keep_alive)
-        )
-        await writer.drain()
-
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        start = time.perf_counter()
-        self.stats.count("http_requests")
-        self.stats.count(f"http:{path}")
-        try:
-            reply = await self._route(method, path, headers, body)
-        except WireError as exc:
-            reply = 400, error_to_wire("bad_request", str(exc)), {}
-        except Exception as exc:  # never leak a traceback as a hung socket
-            reply = (
-                500,
-                error_to_wire("internal", f"{type(exc).__name__}: {exc}"),
-                {},
-            )
-        if reply[0] >= 400:
-            self.stats.count("http_errors")
-        elapsed = time.perf_counter() - start
-        self.stats.observe("request_latency", elapsed)
-        return reply
-
     # -- routing ---------------------------------------------------------------
 
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        if path == "/v1/health":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "status": "ok",
-                    "gateway": True,
-                    "uptime_s": self.uptime_s(),
-                    "fleet": self.fleet.summary(),
-                },
-                {},
-            )
-        if self.auth_token is not None:
-            if headers.get("authorization", "") != f"Bearer {self.auth_token}":
-                self.stats.count("http_unauthorized")
-                return (
-                    401,
-                    error_to_wire(
-                        "unauthorized", "missing or invalid bearer token"
-                    ),
-                    {},
-                )
-        if path == "/v1/metrics":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                self._metrics_body(),
-                {"Content-Type": _PROMETHEUS_CONTENT_TYPE},
-            )
-        if path == "/v1/stats":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return await self._handle_stats(headers)
-        if path == "/v1/compile":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_compile(headers, body)
-        if path == "/v1/compile_batch":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_batch(headers, body)
-        if path == "/v1/cache/invalidate":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_invalidate(headers, body)
-        return 404, error_to_wire("not_found", f"no route {method} {path}"), {}
-
-    @staticmethod
-    def _method_not_allowed(method: str, path: str) -> _Reply:
-        return (
-            405,
-            error_to_wire("method_not_allowed", f"{method} not allowed on {path}"),
-            {},
-        )
+    def _health_payload(self) -> Dict[str, Any]:
+        return {
+            "schema": WIRE_SCHEMA_VERSION,
+            "status": "ok",
+            "gateway": True,
+            "uptime_s": self.uptime_s(),
+            "fleet": self.fleet.summary(),
+        }
 
     def _backend_headers(self, headers: Dict[str, str]) -> Dict[str, str]:
         """Headers the gateway presents to a backend."""
@@ -655,11 +430,7 @@ class GatewayServer:
 
     @staticmethod
     def _derive_key(body: bytes) -> Tuple[str, str]:
-        try:
-            payload = json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"request body is not JSON: {exc}") from exc
-        request = request_from_wire(payload)
+        request = request_from_wire(json_body(body))
         return request.fingerprint(), request.shard()
 
     def _note_served(self, rk: str, backend: str) -> None:
@@ -690,18 +461,16 @@ class GatewayServer:
                 self.stats.count(f"backend_retries:{backend}")
             started = time.perf_counter()
             try:
-                status, resp_headers, resp_body = await self._pools[
-                    backend
-                ].request(method, path, headers, body)
+                status, resp_headers, resp_body = await self._call(
+                    backend, method, path, headers, body
+                )
             except _BackendDown as exc:
                 self.stats.count(f"backend_errors:{backend}")
-                self._record_outcome(backend, False)
                 last_error = exc
                 continue
             self.stats.add_time(
                 f"backend_latency:{backend}", time.perf_counter() - started
             )
-            self._record_outcome(backend, True)
             if status in _RETRY_STATUSES and index + 1 < len(replicas):
                 self.stats.count(f"backend_errors:{backend}")
                 continue
@@ -710,13 +479,57 @@ class GatewayServer:
             "no replica produced a response"
         )
 
+    async def _call(
+        self,
+        url: str,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: Optional[bytes],
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One backend round-trip whose outcome feeds the membership machine."""
+        try:
+            answer = await self._pools[url].request(method, path, headers, body)
+        except _BackendDown:
+            self._record_outcome(url, False)
+            raise
+        self._record_outcome(url, True)
+        return answer
+
+    async def _broadcast(
+        self, method: str, path: str, headers: Dict[str, str], body: Optional[bytes]
+    ) -> Dict[str, Any]:
+        """Send one request to every live backend at once.
+
+        Returns ``{url: decoded 200 body, or an error string}``.
+        """
+        fwd_headers = self._backend_headers(headers)
+
+        async def _one(url):
+            try:
+                status, _, resp_body = await self._call(
+                    url, method, path, fwd_headers, body
+                )
+                if status != 200:
+                    return url, f"status {status}"
+                return url, json.loads(resp_body)
+            except (_BackendDown, ValueError) as exc:
+                return url, str(exc)
+
+        up = self.fleet.up_members()
+        return dict(await asyncio.gather(*(_one(url) for url in up)))
+
     def _replicas_for(self, rk: str) -> List[str]:
         return self.fleet.ring().replicas(rk)
+
+    def _no_backend(self, message: str = "every backend is marked down") -> Reply:
+        self.stats.count("no_backend")
+        return 503, error_to_wire("no_backend", message), {"Retry-After": "1"}
 
     @staticmethod
     def _client_reply(
         status: int, resp_headers: Dict[str, str], resp_body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         extra: Dict[str, str] = {}
         content_type = resp_headers.get("content-type")
         if content_type:
@@ -731,16 +544,11 @@ class GatewayServer:
 
     async def _handle_compile(
         self, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         _, shard, rk = await self._placement(body)
         replicas = self._replicas_for(rk)
         if not replicas:
-            self.stats.count("no_backend")
-            return (
-                503,
-                error_to_wire("no_backend", "every backend is marked down"),
-                {"Retry-After": "1"},
-            )
+            return self._no_backend()
         fwd_headers = self._backend_headers(headers)
         if headers.get(CACHE_ONLY_HEADER):
             fwd_headers[CACHE_ONLY_HEADER] = headers[CACHE_ONLY_HEADER]
@@ -753,12 +561,7 @@ class GatewayServer:
                 replicas, "POST", "/v1/compile", fwd_headers, body
             )
         except _BackendDown as exc:
-            self.stats.count("no_backend")
-            return (
-                503,
-                error_to_wire("no_backend", str(exc)),
-                {"Retry-After": "1"},
-            )
+            return self._no_backend(str(exc))
         if status == 200:
             self._note_served(rk, backend)
             cache_status = resp_headers.get("x-caqr-cache", "")
@@ -776,7 +579,7 @@ class GatewayServer:
         owner: str,
         fwd_headers: Dict[str, str],
         body: bytes,
-    ) -> Optional[_Reply]:
+    ) -> Optional[Reply]:
         """Serve a re-homed key from its previous holder's warm cache.
 
         When the ring owner changed since the key was last served (a
@@ -796,13 +599,11 @@ class GatewayServer:
         probe_headers = dict(fwd_headers)
         probe_headers[CACHE_ONLY_HEADER] = "1"
         try:
-            status, resp_headers, resp_body = await self._pools[previous].request(
-                "POST", "/v1/compile", probe_headers, body
+            status, resp_headers, resp_body = await self._call(
+                previous, "POST", "/v1/compile", probe_headers, body
             )
         except _BackendDown:
-            self._record_outcome(previous, False)
             return None
-        self._record_outcome(previous, True)
         if status != 200:
             # the peer lost the entry too (evicted, TTL) — compile fresh
             self._note_served(rk, owner)
@@ -831,29 +632,16 @@ class GatewayServer:
             "envelope": envelope,
         }
         try:
-            status, _, _ = await self._pools[owner].request(
-                "POST",
-                "/v1/cache/fill",
-                fwd_headers,
-                json.dumps(fill).encode(),
+            status, _, _ = await self._call(
+                owner, "POST", "/v1/cache/fill", fwd_headers, json.dumps(fill).encode()
             )
         except _BackendDown:
-            self._record_outcome(owner, False)
             return
-        self._record_outcome(owner, True)
         if status == 200:
             self._note_served(rk, owner)
 
-    async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> _Reply:
-        payload = json.loads(body) if body else None
-        if not isinstance(payload, dict):
-            raise WireError("batch envelope must be a JSON object")
-        if payload.get("schema") != WIRE_SCHEMA_VERSION:
-            raise WireError(f"unsupported wire schema {payload.get('schema')!r}")
-        members = payload.get("requests")
-        if not isinstance(members, list):
-            raise WireError("batch envelope needs a requests list")
-        parallel = bool(payload.get("parallel", True))
+    async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> Reply:
+        members, parallel = batch_from_wire(json.loads(body) if body else None)
         fwd_headers = self._backend_headers(headers)
         # place every member, then split the batch by ring owner so each
         # sub-batch lands where its entries colocate
@@ -868,12 +656,7 @@ class GatewayServer:
         for index, member, rk in placements:
             replicas = self._replicas_for(rk)
             if not replicas:
-                self.stats.count("no_backend")
-                return (
-                    503,
-                    error_to_wire("no_backend", "every backend is marked down"),
-                    {"Retry-After": "1"},
-                )
+                return self._no_backend()
             groups.setdefault(replicas[0], []).append((index, member, rk))
 
         async def _one_group(owner, entries):
@@ -935,12 +718,7 @@ class GatewayServer:
                 *(_one_group(owner, entries) for owner, entries in groups.items())
             )
         except _BackendDown as exc:
-            self.stats.count("no_backend")
-            return (
-                503,
-                error_to_wire("no_backend", str(exc)),
-                {"Retry-After": "1"},
-            )
+            return self._no_backend(str(exc))
         results: List[Optional[Dict[str, Any]]] = [None] * len(members)
         for entries, backend, status, _, resp_body in outcomes:
             if status != 200:
@@ -963,64 +741,37 @@ class GatewayServer:
 
     async def _handle_invalidate(
         self, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
+    ) -> Reply:
         """Broadcast an invalidation to every live backend."""
-        fwd_headers = self._backend_headers(headers)
-        up = self.fleet.up_members()
-        if not up:
-            return (
-                503,
-                error_to_wire("no_backend", "every backend is marked down"),
-                {"Retry-After": "1"},
-            )
-
-        async def _one(url):
-            try:
-                status, _, resp_body = await self._pools[url].request(
-                    "POST", "/v1/cache/invalidate", fwd_headers, body
-                )
-                self._record_outcome(url, True)
-                if status != 200:
-                    return False
-                payload = json.loads(resp_body)
-                return bool(
-                    payload.get("invalidated") or payload.get("cleared")
-                )
-            except (_BackendDown, ValueError):
-                self._record_outcome(url, False)
-                return False
-
-        answers = await asyncio.gather(*(_one(url) for url in up))
+        if not self.fleet.up_members():
+            return self._no_backend()
+        answers = await self._broadcast(
+            "POST", "/v1/cache/invalidate", headers, body
+        )
+        removed = any(
+            isinstance(answer, dict)
+            and bool(answer.get("invalidated") or answer.get("cleared"))
+            for answer in answers.values()
+        )
         return (
             200,
             {
                 "schema": WIRE_SCHEMA_VERSION,
-                "invalidated": any(answers),
-                "cleared": any(answers),
-                "backends": len(up),
+                "invalidated": removed,
+                "cleared": removed,
+                "backends": len(answers),
             },
             {},
         )
 
-    async def _handle_stats(self, headers: Dict[str, str]) -> _Reply:
+    async def _handle_stats(self, headers: Dict[str, str], body: bytes) -> Reply:
         """Aggregate ``/v1/stats``: gateway + per-backend + summed fleet."""
-        fwd_headers = self._backend_headers(headers)
-
-        async def _one(url):
-            try:
-                status, _, resp_body = await self._pools[url].request(
-                    "GET", "/v1/stats", fwd_headers, None
-                )
-                self._record_outcome(url, True)
-                if status != 200:
-                    return url, {"error": f"status {status}"}
-                return url, json.loads(resp_body)
-            except (_BackendDown, ValueError) as exc:
-                self._record_outcome(url, False)
-                return url, {"error": str(exc)}
-
-        up = self.fleet.up_members()
-        per_backend = dict(await asyncio.gather(*(_one(url) for url in up)))
+        per_backend = {
+            url: answer if isinstance(answer, dict) else {"error": answer}
+            for url, answer in (
+                await self._broadcast("GET", "/v1/stats", headers, None)
+            ).items()
+        }
         fleet_counters: Dict[str, float] = {}
         for payload in per_backend.values():
             counters = payload.get("stats", {}).get("counters", {})
@@ -1062,98 +813,27 @@ class GatewayServer:
         ).encode()
 
 
-class GatewayHandle:
+class GatewayHandle(AppHandle):
     """A :class:`GatewayServer` running on a daemon thread (tests)."""
 
-    def __init__(self, gateway: GatewayServer, thread: threading.Thread):
-        self.gateway = gateway
-        self.thread = thread
-
     @property
-    def url(self) -> str:
-        return f"{self.gateway.scheme}://{self.gateway.host}:{self.gateway.port}"
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.gateway.request_shutdown_threadsafe()
-        self.thread.join(timeout)
+    def gateway(self) -> GatewayServer:
+        return self.app
 
 
 def start_gateway_thread(ready_timeout: float = 30.0, **kwargs) -> GatewayHandle:
     """Run a :class:`GatewayServer` on a background thread; wait until bound."""
-    kwargs.setdefault("port", 0)
-    ready = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def _run() -> None:
-        async def _main() -> None:
-            gateway = GatewayServer(**kwargs)
-            await gateway.start()
-            box["gateway"] = gateway
-            ready.set()
-            await gateway.serve(install_signal_handlers=False)
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            box.setdefault("error", exc)
-            ready.set()
-
-    thread = threading.Thread(target=_run, daemon=True, name="caqr-gateway")
-    thread.start()
-    if not ready.wait(ready_timeout):
-        raise ServiceError("gateway did not start in time")
-    if "error" in box:
-        raise ServiceError(f"gateway failed to start: {box['error']}")
-    return GatewayHandle(box["gateway"], thread)
+    return start_app_thread(GatewayServer, GatewayHandle, ready_timeout, kwargs)
 
 
-def run_gateway(
-    backends: Sequence[str],
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_GATEWAY_PORT,
-    vnodes: int = DEFAULT_VNODES,
-    mark_down_after: int = 3,
-    probe_interval: float = DEFAULT_PROBE_INTERVAL,
-    pool_size: int = DEFAULT_POOL_SIZE,
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    auth_token: Optional[str] = None,
-    backend_token: Optional[str] = None,
-    tls_cert: Optional[str] = None,
-    tls_key: Optional[str] = None,
-    backend_ca: Optional[str] = None,
-    backend_tls_insecure: bool = False,
-) -> int:
+def run_gateway(backends: Sequence[str], **kwargs: Any) -> int:
     """Blocking entry point behind ``repro gateway``.
 
+    Keyword arguments go to the :class:`GatewayServer` constructor.
     Prints ``serving on <host>:<port>`` once bound (same machine-readable
-    line as ``repro serve``), then runs until SIGTERM/SIGINT.
+    line as ``repro serve``), then runs until SIGTERM/SIGINT and drains.
     """
-    gateway = GatewayServer(
-        backends,
-        host=host,
-        port=port,
-        vnodes=vnodes,
-        mark_down_after=mark_down_after,
-        probe_interval=probe_interval,
-        pool_size=pool_size,
-        request_timeout=request_timeout,
-        auth_token=auth_token,
-        backend_token=backend_token,
-        tls_cert=tls_cert,
-        tls_key=tls_key,
-        backend_ca=backend_ca,
-        backend_tls_insecure=backend_tls_insecure,
+    gateway = GatewayServer(backends, **kwargs)
+    return gateway.run_until_signal(
+        f" ({len(gateway.backends)} backends)", "gateway stopped"
     )
-
-    async def _main() -> None:
-        await gateway.start()
-        print(
-            f"serving on {gateway.host}:{gateway.port} "
-            f"({len(gateway.backends)} backends)",
-            flush=True,
-        )
-        await gateway.serve(install_signal_handlers=True)
-        print("gateway stopped", flush=True)
-
-    asyncio.run(_main())
-    return 0

@@ -1,13 +1,14 @@
-"""Minimal HTTP/1.1 primitives shared by the server and the gateway.
+"""Minimal HTTP/1.1 primitives under the server and the gateway.
 
+:mod:`repro.service.net.app` — the app base that
 :mod:`repro.service.net.server` and :mod:`repro.service.net.gateway`
-both speak plain HTTP/1.1 over asyncio streams (keep-alive,
+subclass — speaks plain HTTP/1.1 over asyncio streams (keep-alive,
 ``Content-Length`` bodies, no chunked encoding).  This module holds the
-pieces they share so the two never drift:
+framing, free of any service semantics:
 
-* :func:`parse_head` — request-line + header block parsing (server side);
+* :func:`parse_head` — request-line + header block parsing (app side);
 * :func:`format_response` — response serialization with the repo's
-  keep-alive/Content-Type conventions (server side);
+  keep-alive/Content-Type conventions (app side);
 * :func:`send_request` / :func:`read_response` — the *client* half used
   by the gateway's pooled backend connections (and by nothing else: the
   blocking :class:`~repro.service.net.client.RemoteCompileService` rides

@@ -4,9 +4,11 @@ One ``repro serve`` process owns one compile cache and one in-flight
 dedup table; any number of client processes
 (:class:`~repro.service.net.client.RemoteCompileService`, or anything
 speaking the :mod:`repro.service.net.wire` protocol) share them — the
-multi-process upgrade of PR 4's in-process service.  Stdlib only: the
-server is ``asyncio.start_server`` plus a minimal HTTP/1.1 read loop
-(keep-alive, ``Content-Length`` bodies; no chunked encoding).
+multi-process form of the in-process service.  Stdlib only: the
+listener, connection loop, route prelude, and drain come from the
+:class:`~repro.service.net.app.HttpApp` base shared with the gateway;
+this module adds the compile endpoints, the worker pool, admission
+control, and the encoded-envelope cache.
 
 Endpoints
 ---------
@@ -72,24 +74,26 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
-import ssl
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.exceptions import ReproError, ServiceError
 from repro.service.metrics import render_prometheus
-from repro.service.net.http1 import (
-    MAX_HEADER_BYTES as _MAX_HEADER_BYTES,
-    REASONS as _REASONS,
-    parse_head,
+from repro.service.net.app import (
+    DEFAULT_DRAIN_TIMEOUT,
+    DEFAULT_MAX_BODY,
+    AppHandle,
+    HttpApp,
+    Reply,
+    json_body,
+    start_app_thread,
 )
 from repro.service.net.wire import (
     WIRE_SCHEMA_VERSION,
     WireError,
+    batch_from_wire,
     error_to_wire,
     request_from_wire,
     response_from_wire,
@@ -110,25 +114,9 @@ __all__ = [
 ]
 
 DEFAULT_PORT = 8787
-DEFAULT_MAX_BODY = 32 * 1024 * 1024
 DEFAULT_MAX_CONCURRENCY = 32
 DEFAULT_REQUEST_TIMEOUT = 600.0
-DEFAULT_DRAIN_TIMEOUT = 30.0
 DEFAULT_ENVELOPE_ENTRIES = 1024
-_KEEPALIVE_TIMEOUT = 75.0
-_PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Routes that get their own latency histogram (bounding label
-#: cardinality: arbitrary 404 paths only feed the overall histogram).
-_ROUTES = (
-    "/v1/health",
-    "/v1/stats",
-    "/v1/metrics",
-    "/v1/compile",
-    "/v1/compile_batch",
-    "/v1/cache/invalidate",
-    "/v1/cache/fill",
-)
 
 #: Gateway peer-fill probe: a ``/v1/compile`` carrying this header must
 #: answer from the cache only — a warm envelope or ``404 cache_miss`` —
@@ -148,9 +136,6 @@ _REPORT_STAT_DOMAINS = (
     ("reuse_eval", "eval_stats"),
     ("chain", "chain_stats"),
 )
-
-# dispatch result: (status, JSON payload or pre-encoded body bytes, extra headers)
-_Reply = Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]
 
 
 class _EnvelopeCache:
@@ -197,7 +182,7 @@ class _EnvelopeCache:
             self._entries.clear()
 
 
-class CompileServer:
+class CompileServer(HttpApp):
     """HTTP/1.1 front-end sharing one :class:`CompileService` across processes.
 
     Args:
@@ -226,6 +211,8 @@ class CompileServer:
             handle's URL scheme is ``https``.
     """
 
+    kind = "compile server"
+
     def __init__(
         self,
         service: Optional[CompileService] = None,
@@ -248,31 +235,26 @@ class CompileServer:
             raise ServiceError("server needs max_body >= 1")
         if envelope_cache_entries < 0:
             raise ServiceError("server needs envelope_cache_entries >= 0")
-        if bool(tls_cert) != bool(tls_key):
-            raise ServiceError("TLS needs both tls_cert and tls_key")
-        self.auth_token = (
-            auth_token
-            if auth_token is not None
-            else os.environ.get("CAQR_AUTH_TOKEN") or None
-        )
-        self.tls_cert = tls_cert
-        self.tls_key = tls_key
         self.service = service if service is not None else CompileService()
-        self.stats = self.service.stats
-        self.host = host
-        self.port = port
-        self.max_workers = max_workers or self.service.max_workers
-        self.max_concurrency = max_concurrency
-        self.max_body = max_body
-        self.request_timeout = request_timeout
-        self.drain_timeout = drain_timeout
-        self._envelope = (
-            _EnvelopeCache(envelope_cache_entries)
-            if envelope_cache_entries
-            else None
+        super().__init__(
+            routes={
+                "/v1/stats": ("GET", self._handle_stats),
+                "/v1/compile": ("POST", self._handle_compile),
+                "/v1/compile_batch": ("POST", self._handle_batch),
+                "/v1/cache/invalidate": ("POST", self._handle_invalidate),
+                "/v1/cache/fill": ("POST", self._handle_fill),
+            },
+            stats=self.service.stats,
+            host=host,
+            port=port,
+            max_body=max_body,
+            drain_timeout=drain_timeout,
+            auth_token=auth_token,
+            tls_cert=tls_cert,
+            tls_key=tls_key,
         )
         if isinstance(request_log, RequestLog):
-            self._request_log: Optional[RequestLog] = request_log
+            self._request_log = request_log
             self._owns_log = False
         elif isinstance(request_log, str):
             self._request_log = RequestLog(request_log)
@@ -280,365 +262,42 @@ class CompileServer:
         else:
             self._request_log = RequestLog.from_env()
             self._owns_log = self._request_log is not None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._idle_event: Optional[asyncio.Event] = None
-        self._connections: set = set()
-        self._inflight = 0
-        self._active_compiles = 0
-        self._draining = False
-        self._started_monotonic: Optional[float] = None
-        self._domain_stats: Dict[str, ServiceStats] = {}
-        self._domain_lock = threading.Lock()
-
-    @property
-    def scheme(self) -> str:
-        return "https" if self.tls_cert else "http"
-
-    # -- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> "CompileServer":
-        """Bind the listening socket (resolving ``port=0``) and the pool."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._idle_event = asyncio.Event()
-        self._idle_event.set()
+        self.max_workers = max_workers or self.service.max_workers
+        self.max_concurrency = max_concurrency
+        self.request_timeout = request_timeout
+        self._envelope = (
+            _EnvelopeCache(envelope_cache_entries)
+            if envelope_cache_entries
+            else None
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="caqr-compile"
         )
-        sslctx = None
-        if self.tls_cert:
-            sslctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            sslctx.load_cert_chain(self.tls_cert, self.tls_key)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=_MAX_HEADER_BYTES,
-            ssl=sslctx,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_monotonic = time.monotonic()
-        return self
+        self._active_compiles = 0
+        self._domain_stats: Dict[str, ServiceStats] = {}
+        self._domain_lock = threading.Lock()
 
-    def uptime_s(self) -> float:
-        """Seconds since the listening socket bound (0.0 before start)."""
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
-
-    async def serve(self, install_signal_handlers: bool = True) -> None:
-        """Serve until :meth:`request_shutdown` fires, then drain and stop."""
-        if self._server is None:
-            await self.start()
-        if install_signal_handlers:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    pass  # non-unix event loops
-        await self._stop_event.wait()
-        await self.drain()
-
-    def request_shutdown(self) -> None:
-        """Begin graceful shutdown (call from the loop thread / a signal)."""
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def request_shutdown_threadsafe(self) -> None:
-        """Thread-safe :meth:`request_shutdown` (for embedding threads)."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.request_shutdown)
-
-    async def drain(self) -> None:
-        """Stop accepting, let in-flight requests finish, close everything."""
-        if self._draining:
-            return
-        self._draining = True
-        self.stats.count("drains")
-        if self._server is not None:
-            self._server.close()
-        try:
-            await asyncio.wait_for(self._idle_event.wait(), self.drain_timeout)
-        except asyncio.TimeoutError:
-            self.stats.count("drain_timeouts")
-        for writer in list(self._connections):
-            writer.close()
-        if self._server is not None:
-            try:
-                # 3.12+ wait_closed also waits for connection handlers;
-                # the writers above are closed, so this is quick — but
-                # never let a stuck handler wedge the shutdown
-                await asyncio.wait_for(self._server.wait_closed(), 2.0)
-            except asyncio.TimeoutError:
-                pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+    async def _close(self) -> None:
+        self._pool.shutdown(wait=False)
         self.service.close()
-        if self._owns_log and self._request_log is not None:
+        if self._owns_log:
             self._request_log.close()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        self.stats.count("http_connections")
-        try:
-            while True:
-                try:
-                    head = await asyncio.wait_for(
-                        reader.readuntil(b"\r\n\r\n"), _KEEPALIVE_TIMEOUT
-                    )
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    asyncio.TimeoutError,
-                    ConnectionError,
-                ):
-                    break
-                parsed = self._parse_head(head)
-                if parsed is None:
-                    await self._write(
-                        writer,
-                        400,
-                        error_to_wire("bad_request", "malformed HTTP request"),
-                        {},
-                        keep_alive=False,
-                    )
-                    break
-                method, path, headers = parsed
-                try:
-                    content_length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    content_length = -1
-                if content_length < 0:
-                    await self._write(
-                        writer,
-                        400,
-                        error_to_wire("bad_request", "bad Content-Length"),
-                        {},
-                        keep_alive=False,
-                    )
-                    break
-                if content_length > self.max_body:
-                    self.stats.count("http_rejected")
-                    await self._write(
-                        writer,
-                        413,
-                        error_to_wire(
-                            "payload_too_large",
-                            f"body of {content_length} bytes exceeds the "
-                            f"{self.max_body}-byte limit",
-                        ),
-                        {},
-                        keep_alive=False,
-                    )
-                    break
-                body = b""
-                if content_length:
-                    try:
-                        body = await reader.readexactly(content_length)
-                    except (asyncio.IncompleteReadError, ConnectionError):
-                        break
-                status, payload, extra = await self._dispatch(
-                    method, path, headers, body
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                    and not self._draining
-                )
-                try:
-                    await self._write(writer, status, payload, extra, keep_alive)
-                except ConnectionError:
-                    break
-                if not keep_alive:
-                    break
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    # shared with the gateway (repro.service.net.http1)
-    _parse_head = staticmethod(parse_head)
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[Dict[str, Any], bytes],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        # payload is either a JSON-compatible dict or a pre-encoded body
-        # (the envelope fast path and the Prometheus text endpoint)
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-        else:
-            body = json.dumps(payload).encode()
-        content_type = "application/json"
-        passthrough = []
-        for name, value in extra_headers.items():
-            if name.lower() == "content-type":
-                content_type = value
-            else:
-                passthrough.append((name, value))
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: " + ("keep-alive" if keep_alive else "close"),
-        ]
-        lines.extend(f"{name}: {value}" for name, value in passthrough)
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
 
     # -- routing ---------------------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        start = time.perf_counter()
-        self._inflight += 1
-        self._idle_event.clear()
-        self.stats.count("http_requests")
-        self.stats.count(f"http:{path}")
-        try:
-            reply = await self._route(method, path, headers, body)
-        except WireError as exc:
-            self.stats.count("http_errors")
-            reply = 400, error_to_wire("bad_request", str(exc)), {}
-        except Exception as exc:  # never leak a traceback as a hung socket
-            self.stats.count("http_errors")
-            reply = (
-                500,
-                error_to_wire("internal", f"{type(exc).__name__}: {exc}"),
-                {},
-            )
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle_event.set()
-        if reply[0] >= 400:
-            self.stats.count("http_errors")
-        elapsed = time.perf_counter() - start
-        self.stats.observe("request_latency", elapsed)
-        if path in _ROUTES:
-            self.stats.observe(f"request_latency:{path}", elapsed)
-        self._log_request(method, path, reply, elapsed)
-        return reply
+    def _health_payload(self) -> Dict[str, Any]:
+        return {
+            "schema": WIRE_SCHEMA_VERSION,
+            "status": "draining" if self._draining else "ok",
+            "draining": self._draining,
+            "uptime_s": self.uptime_s(),
+            "inflight": self._inflight,
+        }
 
-    def _log_request(
-        self, method: str, path: str, reply: _Reply, elapsed: float
-    ) -> None:
-        log = self._request_log
-        if log is None:
-            return
-        status, payload, extra = reply
-        error = None
-        if status >= 400 and isinstance(payload, dict):
-            detail = payload.get("error")
-            if isinstance(detail, dict):
-                error = detail.get("code")
-        log.log(
-            method=method,
-            path=path,
-            status=status,
-            latency_ms=round(elapsed * 1000.0, 3),
-            fingerprint=extra.get("X-CaQR-Fingerprint"),
-            cache=extra.get("X-CaQR-Cache"),
-            strategy=extra.get("X-CaQR-Strategy"),
-            error=error,
-        )
-
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> _Reply:
-        if path == "/v1/health":
-            # auth-exempt: load balancers and the gateway's membership
-            # prober must see liveness without holding credentials
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "status": "draining" if self._draining else "ok",
-                    "draining": self._draining,
-                    "uptime_s": self.uptime_s(),
-                    "inflight": self._inflight,
-                },
-                {},
-            )
-        if self.auth_token is not None:
-            supplied = headers.get("authorization", "")
-            if supplied != f"Bearer {self.auth_token}":
-                self.stats.count("http_unauthorized")
-                return (
-                    401,
-                    error_to_wire(
-                        "unauthorized", "missing or invalid bearer token"
-                    ),
-                    {},
-                )
-        if path == "/v1/metrics":
-            # answered mid-drain too: scrapes must survive a rollout
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return (
-                200,
-                self._metrics_body(),
-                {"Content-Type": _PROMETHEUS_CONTENT_TYPE},
-            )
-        if self._draining:
-            self.stats.count("http_rejected")
-            return (
-                503,
-                error_to_wire("shutting_down", "server is draining"),
-                {},
-            )
-        if path == "/v1/stats":
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return 200, self._stats_payload(), {}
-        if path == "/v1/compile":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            cache_only = headers.get(CACHE_ONLY_HEADER, "") not in ("", "0")
-            return await self._handle_compile(body, cache_only=cache_only)
-        if path == "/v1/compile_batch":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_batch(body)
-        if path == "/v1/cache/invalidate":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return self._handle_invalidate(body)
-        if path == "/v1/cache/fill":
-            if method != "POST":
-                return self._method_not_allowed(method, path)
-            return await self._handle_fill(body)
-        return 404, error_to_wire("not_found", f"no route {method} {path}"), {}
-
-    @staticmethod
-    def _method_not_allowed(method: str, path: str) -> _Reply:
-        return (
-            405,
-            error_to_wire("method_not_allowed", f"{method} not allowed on {path}"),
-            {},
-        )
-
-    def _stats_payload(self) -> Dict[str, Any]:
+    async def _handle_stats(self, headers: Dict[str, str], body: bytes) -> Reply:
         disk = self.service.cache.disk
         shards = disk.refresh_shard_gauges() if disk is not None else {}
-        return {
+        payload = {
             "schema": WIRE_SCHEMA_VERSION,
             "stats": self.stats.to_dict(),
             "shards": shards,
@@ -646,6 +305,7 @@ class CompileServer:
             "inflight": self._inflight,
             "draining": self._draining,
         }
+        return 200, payload, {}
 
     def _metrics_body(self) -> bytes:
         """The ``GET /v1/metrics`` Prometheus exposition body."""
@@ -686,51 +346,25 @@ class CompileServer:
         copy.merge(sink)
         return copy
 
-    @staticmethod
-    def _json_body(body: bytes) -> Any:
-        try:
-            return json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"request body is not JSON: {exc}") from exc
-
     # -- compile endpoints -----------------------------------------------------
 
-    async def _handle_compile(self, body: bytes, cache_only: bool = False) -> _Reply:
-        request = request_from_wire(self._json_body(body))
-        if cache_only:
+    async def _handle_compile(self, headers: Dict[str, str], body: bytes) -> Reply:
+        request = request_from_wire(json_body(body))
+        if headers.get(CACHE_ONLY_HEADER, "") not in ("", "0"):
             # gateway peer-fill probe: warm envelope or 404, never a
             # compile (and never an admission slot — this is a lookup)
             outcome, reply = await self._offload(self._cache_only_encoded, request)
-            if outcome is None:
-                return reply
-            encoded, key = outcome
-            if encoded is None:
-                self.stats.count("cache_only_misses")
-                return (
-                    404,
-                    error_to_wire("cache_miss", f"no cached entry for {key}"),
-                    {"X-CaQR-Fingerprint": key},
-                )
-            self.stats.count("cache_only_hits")
-            return (
-                200,
-                encoded,
-                {
-                    "X-CaQR-Fingerprint": key,
-                    "X-CaQR-Cache": "hit",
-                    "X-CaQR-Strategy": request.strategy,
-                },
-            )
-        admitted, reply = self._admit()
-        if not admitted:
+        else:
+            outcome, reply = await self._admitted(self._compile_encoded, request)
+        if outcome is None:
             return reply
-        try:
-            outcome, reply = await self._offload(self._compile_encoded, request)
-            if outcome is None:
-                return reply
-            encoded, key, status = outcome
-        finally:
-            self._active_compiles -= 1
+        encoded, key, status = outcome
+        if encoded is None:
+            return (
+                404,
+                error_to_wire("cache_miss", f"no cached entry for {key}"),
+                {"X-CaQR-Fingerprint": key},
+            )
         headers = {
             "X-CaQR-Fingerprint": key,
             "X-CaQR-Cache": status,
@@ -738,27 +372,38 @@ class CompileServer:
         }
         return 200, encoded, headers
 
-    def _cache_only_encoded(self, request) -> Tuple[Optional[bytes], str]:
-        """Worker-thread cache probe: ``(encoded hit body | None, key)``."""
+    def _cache_only_encoded(self, request) -> Tuple[Optional[bytes], str, str]:
+        """Worker-thread cache probe: ``(encoded hit body | None, key, "hit")``."""
         with self.stats.timed("fingerprint"):
             key = request.fingerprint()
         shard = request.shard()
+        body = self._warm_envelope(key, shard)
+        if body is None:
+            entry = self.service._lookup_entry(key, shard)
+            if entry is None:
+                self.stats.count("cache_only_misses")
+                return None, key, "hit"
+            _, report = entry
+            with self.stats.timed("serialize"):
+                body = json.dumps(response_to_wire(key, "hit", report)).encode()
+            if self._envelope is not None:
+                self._envelope.put(key, body)
+        self.stats.count("cache_only_hits")
+        return body, key, "hit"
+
+    def _warm_envelope(self, key: str, shard: str) -> Optional[bytes]:
+        """The cached envelope for *key*, dropped if its entry is gone.
+
+        The envelope is only as alive as the cache entry behind it (TTL
+        expiry, invalidation, clear).
+        """
         envelope = self._envelope
-        if envelope is not None:
-            body = envelope.get(key)
-            if body is not None:
-                if self.service.cache.get(key, shard) is not None:
-                    return body, key
-                envelope.invalidate(key)
-        entry = self.service._lookup_entry(key, shard)
-        if entry is None:
-            return None, key
-        _, report = entry
-        with self.stats.timed("serialize"):
-            body = json.dumps(response_to_wire(key, "hit", report)).encode()
-        if envelope is not None:
-            envelope.put(key, body)
-        return body, key
+        body = envelope.get(key) if envelope is not None else None
+        if body is not None:
+            if self.service.cache.get(key, shard) is not None:
+                return body
+            envelope.invalidate(key)
+        return None
 
     def _compile_encoded(self, request) -> Tuple[bytes, str, str]:
         """Worker-thread compile returning the encoded response body.
@@ -774,16 +419,12 @@ class CompileServer:
         if envelope is not None:
             with self.stats.timed("fingerprint"):
                 key = request.fingerprint()
-            body = envelope.get(key)
+            body = self._warm_envelope(key, request.shard())
             if body is not None:
-                # the envelope is only as alive as the cache entry
-                # behind it (TTL expiry, invalidation, clear)
-                if self.service.cache.get(key, request.shard()) is not None:
-                    self.stats.count("requests")
-                    self.stats.count("hits")
-                    self.stats.count("envelope_hits")
-                    return body, key, "hit"
-                envelope.invalidate(key)
+                self.stats.count("requests")
+                self.stats.count("hits")
+                self.stats.count("envelope_hits")
+                return body, key, "hit"
         report, key, status = self.service.compile_classified(
             request, fingerprint=key
         )
@@ -798,30 +439,14 @@ class CompileServer:
             self.stats.count("envelope_stores")
         return body, key, status
 
-    async def _handle_batch(self, body: bytes) -> _Reply:
-        payload = self._json_body(body)
-        if not isinstance(payload, dict):
-            raise WireError("batch envelope must be a JSON object")
-        if payload.get("schema") != WIRE_SCHEMA_VERSION:
-            raise WireError(
-                f"unsupported wire schema {payload.get('schema')!r}"
-            )
-        members = payload.get("requests")
-        if not isinstance(members, list):
-            raise WireError("batch envelope needs a requests list")
+    async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> Reply:
+        members, parallel = batch_from_wire(json_body(body))
         requests = [request_from_wire(member) for member in members]
-        parallel = bool(payload.get("parallel", True))
-        admitted, reply = self._admit()
-        if not admitted:
+        outcome, reply = await self._admitted(
+            self.service.compile_batch, requests, parallel
+        )
+        if outcome is None:
             return reply
-        try:
-            outcome, reply = await self._offload(
-                self.service.compile_batch, requests, parallel
-            )
-            if outcome is None:
-                return reply
-        finally:
-            self._active_compiles -= 1
         results = []
         for request, report in zip(requests, outcome):
             status = "hit" if report.from_cache else "miss"
@@ -832,11 +457,13 @@ class CompileServer:
             )
         return 200, {"schema": WIRE_SCHEMA_VERSION, "results": results}, {}
 
-    def _admit(self) -> Tuple[bool, Optional[_Reply]]:
-        """Admission control: one slot per compile/batch request."""
+    async def _admitted(
+        self, func, *args
+    ) -> Tuple[Optional[Any], Optional[Reply]]:
+        """:meth:`_offload` under admission control (one slot per request)."""
         if self._active_compiles >= self.max_concurrency:
             self.stats.count("http_rejected")
-            return False, (
+            return None, (
                 429,
                 error_to_wire(
                     "overloaded",
@@ -846,9 +473,12 @@ class CompileServer:
                 {"Retry-After": "1"},
             )
         self._active_compiles += 1
-        return True, None
+        try:
+            return await self._offload(func, *args)
+        finally:
+            self._active_compiles -= 1
 
-    async def _offload(self, func, *args) -> Tuple[Optional[Any], Optional[_Reply]]:
+    async def _offload(self, func, *args) -> Tuple[Optional[Any], Optional[Reply]]:
         """Run *func* on the worker pool under the request timeout."""
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(self._pool, func, *args)
@@ -874,7 +504,7 @@ class CompileServer:
             # deterministic compiler rejection (e.g. infeasible budget)
             return None, (422, error_to_wire("compile_error", str(exc)), {})
 
-    async def _handle_fill(self, body: bytes) -> _Reply:
+    async def _handle_fill(self, headers: Dict[str, str], body: bytes) -> Reply:
         """``POST /v1/cache/fill``: replay a peer's encoded envelope.
 
         The gateway calls this after a peer-fill so the entry's *new*
@@ -883,7 +513,7 @@ class CompileServer:
         envelope is validated through the normal response codec, so a
         corrupt peer body is a ``bad_request``, never a poisoned cache.
         """
-        payload = self._json_body(body)
+        payload = json_body(body)
         if not isinstance(payload, dict):
             raise WireError("fill envelope must be a JSON object")
         if payload.get("schema") != WIRE_SCHEMA_VERSION:
@@ -933,11 +563,15 @@ class CompileServer:
                     sink.count(name, value)
                 for name, value in getattr(source, "timers", {}).items():
                     sink.add_time(name, value)
+                # gauges are point readings (an ESP, a ratio): the
+                # latest compile's value, never a running sum
                 for name, value in getattr(source, "values", {}).items():
-                    sink.add_value(name, value)
+                    sink.set_value(name, value)
 
-    def _handle_invalidate(self, body: bytes) -> _Reply:
-        payload = self._json_body(body)
+    async def _handle_invalidate(
+        self, headers: Dict[str, str], body: bytes
+    ) -> Reply:
+        payload = json_body(body)
         if not isinstance(payload, dict):
             raise WireError("invalidate envelope must be a JSON object")
         if payload.get("all"):
@@ -963,21 +597,12 @@ class CompileServer:
         )
 
 
-class ServerHandle:
+class ServerHandle(AppHandle):
     """A :class:`CompileServer` running on a daemon thread (tests, benches)."""
 
-    def __init__(self, server: CompileServer, thread: threading.Thread):
-        self.server = server
-        self.thread = thread
-
     @property
-    def url(self) -> str:
-        return f"{self.server.scheme}://{self.server.host}:{self.server.port}"
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain the server and join its thread."""
-        self.server.request_shutdown_threadsafe()
-        self.thread.join(timeout)
+    def server(self) -> CompileServer:
+        return self.app
 
 
 def start_server_thread(ready_timeout: float = 30.0, **kwargs) -> ServerHandle:
@@ -987,53 +612,21 @@ def start_server_thread(ready_timeout: float = 30.0, **kwargs) -> ServerHandle:
     ``port=0`` to grab a free port (the handle's :attr:`~ServerHandle.url`
     reflects the real one).
     """
-    kwargs.setdefault("port", 0)
-    ready = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def _run() -> None:
-        async def _main() -> None:
-            server = CompileServer(**kwargs)
-            await server.start()
-            box["server"] = server
-            ready.set()
-            await server.serve(install_signal_handlers=False)
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:  # surface startup failures to the caller
-            box.setdefault("error", exc)
-            ready.set()
-
-    thread = threading.Thread(target=_run, daemon=True, name="caqr-server")
-    thread.start()
-    if not ready.wait(ready_timeout):
-        raise ServiceError("compile server did not start in time")
-    if "error" in box:
-        raise ServiceError(f"compile server failed to start: {box['error']}")
-    return ServerHandle(box["server"], thread)
+    return start_app_thread(CompileServer, ServerHandle, ready_timeout, kwargs)
 
 
 def run_server(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
     cache_dir: Optional[str] = None,
     ttl: Optional[float] = None,
-    max_workers: Optional[int] = None,
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-    max_body: int = DEFAULT_MAX_BODY,
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
     workers_mode: Optional[str] = None,
     disk_entries: Optional[int] = None,
     disk_bytes: Optional[int] = None,
-    request_log: Optional[str] = None,
-    auth_token: Optional[str] = None,
-    tls_cert: Optional[str] = None,
-    tls_key: Optional[str] = None,
+    **kwargs: Any,
 ) -> int:
     """Blocking entry point behind ``repro serve``.
 
+    The named arguments configure the :class:`CompileService`; every
+    other keyword goes to the :class:`CompileServer` constructor.
     Prints ``serving on <host>:<port>`` once bound (machine-parseable —
     the CI smoke script and process supervisors key on it), then runs
     until SIGTERM/SIGINT, drains, and returns 0.  With a ``cache_dir``
@@ -1056,26 +649,5 @@ def run_server(
                 "portfolio_state.json",
             )
         )
-    server = CompileServer(
-        service=service,
-        host=host,
-        port=port,
-        max_workers=max_workers,
-        max_concurrency=max_concurrency,
-        max_body=max_body,
-        request_timeout=request_timeout,
-        drain_timeout=drain_timeout,
-        request_log=request_log,
-        auth_token=auth_token,
-        tls_cert=tls_cert,
-        tls_key=tls_key,
-    )
-
-    async def _main() -> None:
-        await server.start()
-        print(f"serving on {server.host}:{server.port}", flush=True)
-        await server.serve(install_signal_handlers=True)
-        print("server drained and stopped", flush=True)
-
-    asyncio.run(_main())
-    return 0
+    server = CompileServer(service=service, **kwargs)
+    return server.run_until_signal("", "server drained and stopped")

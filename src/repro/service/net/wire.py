@@ -26,7 +26,7 @@ Anything malformed raises :class:`WireError` — the server maps it to a
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import networkx as nx
 
@@ -50,6 +50,7 @@ __all__ = [
     "graph_from_dict",
     "request_to_wire",
     "request_from_wire",
+    "batch_from_wire",
     "response_to_wire",
     "response_from_wire",
     "error_to_wire",
@@ -223,6 +224,22 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
         raise
     except Exception as exc:  # malformed circuit/backend/knob records
         raise WireError(f"malformed request envelope: {exc}") from exc
+
+
+def batch_from_wire(payload: Any) -> Tuple[List[Any], bool]:
+    """Batch envelope -> ``(member request envelopes, parallel)``.
+
+    Members stay undecoded: the server decodes each with
+    :func:`request_from_wire`, the gateway places them by body digest.
+    """
+    if not isinstance(payload, dict):
+        raise WireError("batch envelope must be a JSON object")
+    if payload.get("schema") != WIRE_SCHEMA_VERSION:
+        raise WireError(f"unsupported wire schema {payload.get('schema')!r}")
+    members = payload.get("requests")
+    if not isinstance(members, list):
+        raise WireError("batch envelope needs a requests list")
+    return members, bool(payload.get("parallel", True))
 
 
 def response_to_wire(

@@ -36,9 +36,13 @@ persisted to the disk tier; ``shard_entries:<id>`` / ``shard_bytes:<id>``
 — per-shard disk usage, refreshed by ``DiskCache.refresh_shard_gauges``
 (the ``/v1/stats`` endpoint and ``repro cache stats`` trigger a refresh).
 
-The HTTP front-end (:mod:`repro.service.net.server`) adds
-``http_requests`` / ``http_errors`` / ``http_rejected`` /
-``http_timeouts`` counters and per-endpoint ``http:<path>`` counters.
+The HTTP app base (:mod:`repro.service.net.app`, under both the server
+and the gateway) adds ``http_connections``, ``http_requests``,
+``http_errors`` (one per reply with status >= 400), ``http_rejected``
+(``413`` bodies, ``503`` mid-drain; on the server also ``429``),
+``http_unauthorized``, ``drains`` / ``drain_timeouts``, and
+per-endpoint ``http:<path>`` counters; the server adds
+``http_timeouts``.
 
 Time buckets (seconds): ``fingerprint`` (cache-key derivation), ``lookup``
 (tier probes), ``compile`` (cold ``caqr_compile`` runs), ``serialize`` /
@@ -47,7 +51,7 @@ Time buckets (seconds): ``fingerprint`` (cache-key derivation), ``lookup``
 The persistent worker pool (:mod:`repro.service.workers`) adds
 ``worker_pool_spawns`` / ``worker_respawns`` / ``worker_tasks`` /
 ``worker_records_shipped`` / ``worker_record_misses`` counters, and the
-HTTP server adds latency *histograms* (``request_latency`` plus
+HTTP app base adds latency *histograms* (``request_latency`` plus
 per-endpoint ``request_latency:<path>``) — fixed-bucket
 :class:`~repro.service.metrics.LatencyHistogram` objects fed through
 :meth:`ServiceStats.observe` and exported by ``GET /v1/metrics``.

@@ -435,6 +435,22 @@ class TestMetricsEndpoint:
             == before
         )
 
+    def test_sim_gauges_report_the_latest_compile(self, client):
+        from repro.hardware import ibm_mumbai
+
+        # gauges (ESP, ratios) are point readings: the export holds the
+        # last cold compile's value, never a sum across compiles
+        for width in (5, 6, 7):
+            report = client.compile_request(
+                CompileRequest(
+                    target=bv_circuit(width), backend=ibm_mumbai(), mode="min_swap"
+                )
+            )
+        _, samples = parse_prometheus(client.metrics())
+        esp = sample_value(samples, "caqr_sim_esp")
+        assert esp == pytest.approx(report.sim_stats.values["esp"])
+        assert 0.0 <= esp <= 1.0
+
     def test_request_log_lines_are_schema_complete(self, logged_server, client):
         request = CompileRequest(target=bv_circuit(4))
         client.compile_classified(request)

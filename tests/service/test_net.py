@@ -5,10 +5,17 @@ Everything runs in-process — the server on a background thread
 suite exercises real sockets without fixed ports or subprocesses.  The
 cross-*process* acceptance path (many client processes, SIGTERM drain)
 lives in ``scripts/server_smoke.py`` and the CI smoke job.
+
+:class:`TestScaffold` runs the shared HTTP contract (routing errors,
+body cap, auth, drain) against both apps built on
+:class:`~repro.service.net.app.HttpApp`: a compile server, and a
+gateway fronting one.
 """
 
+import contextlib
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -22,6 +29,7 @@ from repro.service import (
     CompileService,
     RemoteCompileService,
     WireError,
+    start_gateway_thread,
     start_server_thread,
 )
 from repro.service.net.wire import (
@@ -202,37 +210,169 @@ class TestServerRoundtrip:
         assert resolve_cache(spec) is spec
 
 
-class TestServerErrors:
-    def _raw(self, server, method, path, body=b"", headers=None):
-        conn = http.client.HTTPConnection(server.server.host, server.server.port)
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = json.loads(response.read() or b"null")
-            return response.status, payload
-        finally:
-            conn.close()
+APPS = ("server", "gateway")
 
-    def test_unknown_route(self, server):
-        status, payload = self._raw(server, "GET", "/nope")
+
+@contextlib.contextmanager
+def _serving(kind, **kwargs):
+    """A compile server, or a gateway over one; *kwargs* go to the front."""
+    server = start_server_thread(
+        service=CompileService(), **(kwargs if kind == "server" else {})
+    )
+    try:
+        if kind == "server":
+            yield server
+            return
+        gateway = start_gateway_thread(
+            backends=[server.url], probe_interval=0.2, **kwargs
+        )
+        try:
+            yield gateway
+        finally:
+            gateway.stop()
+    finally:
+        server.stop()
+
+
+def _request(handle, method, path, body=b"", headers=None):
+    conn = http.client.HTTPConnection(handle.app.host, handle.app.port)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"null")
+    finally:
+        conn.close()
+
+
+def _raw_exchange(handle, blob):
+    """Send raw bytes, read until the app closes: ``(status, headers, body)``."""
+    with socket.create_connection(
+        (handle.app.host, handle.app.port), timeout=30
+    ) as sock:
+        sock.sendall(blob)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in header_lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split(" ")[1]), headers, json.loads(body)
+
+
+@pytest.fixture(params=APPS)
+def front(request):
+    with _serving(request.param) as handle:
+        yield handle
+
+
+class TestScaffold:
+    def test_unknown_route(self, front):
+        status, payload = _request(front, "GET", "/nope")
         assert status == 404
         assert payload["error"]["code"] == "not_found"
 
-    def test_method_not_allowed(self, server):
-        status, payload = self._raw(server, "POST", "/v1/health")
+    def test_method_not_allowed(self, front):
+        status, payload = _request(front, "POST", "/v1/health")
         assert status == 405
         assert payload["error"]["code"] == "method_not_allowed"
-        status, payload = self._raw(server, "GET", "/v1/compile")
+        status, payload = _request(front, "GET", "/v1/compile")
         assert status == 405
 
-    def test_bad_json_body(self, server):
-        status, payload = self._raw(server, "POST", "/v1/compile", b"not json")
+    def test_bad_json_body(self, front):
+        status, payload = _request(front, "POST", "/v1/compile", b"not json")
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
+        # one error reply, one error count
+        assert front.app.stats.counters["http_errors"] == 1
 
+    def test_payload_too_large(self, front):
+        # only the head is sent: the 413 must come before any body read
+        status, headers, payload = _raw_exchange(
+            front,
+            b"POST /v1/compile HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100000000\r\n\r\n",
+        )
+        assert status == 413
+        assert payload["error"]["code"] == "payload_too_large"
+        assert headers["connection"] == "close"
+
+    def test_malformed_head(self, front):
+        status, headers, payload = _raw_exchange(front, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert headers["connection"] == "close"
+
+    @pytest.mark.parametrize("kind", APPS)
+    def test_auth_required_except_health(self, kind):
+        with _serving(kind, auth_token="s3cret") as handle:
+            status, payload = _request(handle, "GET", "/v1/health")
+            assert status == 200
+            for path in ("/v1/stats", "/v1/metrics", "/nope"):
+                status, payload = _request(handle, "GET", path)
+                assert status == 401
+                assert payload["error"]["code"] == "unauthorized"
+            status, _ = _request(
+                handle, "GET", "/v1/stats", headers={"Authorization": "Bearer s3cret"}
+            )
+            assert status == 200
+
+    @pytest.mark.parametrize("kind", APPS)
+    def test_drain_finishes_inflight_and_rejects_new(self, kind, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+        _slow_cold_compile(monkeypatch, started, release)
+        body = json.dumps(
+            request_to_wire(CompileRequest(target=bv_circuit(7)))
+        ).encode()
+        with _serving(kind) as handle:
+            # a keep-alive connection opened before the drain: the
+            # listener closes, so only such a connection sees the 503
+            conn = http.client.HTTPConnection(handle.app.host, handle.app.port)
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().read()
+            outcome = {}
+
+            def inflight():
+                with RemoteCompileService(
+                    handle.url, timeout=60, retries=0
+                ) as remote:
+                    outcome["report"] = remote.compile_request(
+                        CompileRequest(target=bv_circuit(6))
+                    )
+
+            worker = threading.Thread(target=inflight)
+            try:
+                worker.start()
+                assert started.wait(30)
+                handle.app.request_shutdown_threadsafe()
+                deadline = time.monotonic() + 10
+                while not handle.app._draining and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                conn.request("POST", "/v1/compile", body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 503
+                assert payload["error"]["code"] == "shutting_down"
+            finally:
+                conn.close()
+                release.set()
+                worker.join(60)
+            assert not worker.is_alive()
+            # the request already in flight completed despite the drain
+            assert outcome["report"].metrics is not None
+            handle.thread.join(30)
+            assert not handle.thread.is_alive(), f"{kind} failed to drain"
+
+
+class TestServerErrors:
     def test_schema_mismatch_is_bad_request(self, server):
         body = json.dumps({"schema": 999}).encode()
-        status, payload = self._raw(server, "POST", "/v1/compile", body)
+        status, payload = _request(server, "POST", "/v1/compile", body)
         assert status == 400
 
     def test_payload_too_large(self):
@@ -240,7 +380,7 @@ class TestServerErrors:
             service=CompileService(), max_body=128
         )
         try:
-            status, payload = self._raw(handle, "POST", "/v1/compile", b"x" * 1024)
+            status, payload = _request(handle, "POST", "/v1/compile", b"x" * 1024)
             assert status == 413
             assert payload["error"]["code"] == "payload_too_large"
         finally:
