@@ -1,26 +1,41 @@
-"""Top-level one-call API: ``caqr_compile``.
+"""Top-level one-call API: ``caqr_compile``, and the lane registry behind it.
 
 The paper's tool takes a circuit (or QAOA problem graph), a backend, and
 user intent (save qubits to a budget / minimise depth / minimise SWAPs)
 and returns a compiled dynamic circuit plus a report.  This module wires
 the QS/SR passes, the tradeoff explorer, and the baseline transpiler into
 that single entry point.
+
+Every engine is wired up once, as a *lane* of :data:`LANES`: a function
+of the request (a :class:`~repro.service.service.CompileRequest`, or
+anything with its compile fields) and a :class:`StrategySpec` that
+returns one :class:`LaneResult`.  ``caqr_compile`` runs the ``caqr`` lane
+(``strategy="auto"``) or the ``chain`` lane (``strategy="chain"``)
+in-process; :class:`~repro.service.portfolio.PortfolioCompileService`
+races a roster of lanes over its pool.  Both go through
+:func:`run_lane` and build the report with :func:`assemble_report`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from types import SimpleNamespace
+from typing import Any, Dict, Optional, Tuple, Union
 
 import networkx as nx
 
 from repro.analysis.metrics import CircuitMetrics, collect_metrics
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.chains import ChainReuse
+from repro.core.exact import ExactReuse
 from repro.core.profile import ReuseEvalStats
+from repro.core.qs_caqr import QSCaQR
 from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
 from repro.core.tradeoff import (
+    _compile_point,
+    _points,
     assess_reuse_benefit,
     benefit_floor,
     budget_point,
@@ -28,13 +43,91 @@ from repro.core.tradeoff import (
     sweep_commuting,
     sweep_regular,
 )
+from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.sim.stats import SimStats
 from repro.transpiler.pipeline import transpile
 from repro.transpiler.stats import RouteStats
 
-__all__ = ["CompileReport", "caqr_compile"]
+__all__ = [
+    "MODES",
+    "LANES",
+    "CompileReport",
+    "LaneResult",
+    "StrategySpec",
+    "assemble_report",
+    "caqr_compile",
+    "check_request",
+    "commuting_view",
+    "run_lane",
+]
+
+#: The compile modes (user intents) every strategy accepts.
+MODES = ("qubit_budget", "max_reuse", "min_depth", "min_swap")
+
+#: Modes whose output is mapped onto the backend.  The sweep modes report
+#: logical circuits, so the lanes of a race compare on equal terms.
+MAPPED_MODES = ("qubit_budget", "min_swap")
+
+#: Default node budget of the exact tier (anytime: past this many search
+#: states the oracle reports best-so-far with ``optimal=False``).
+DEFAULT_EXACT_MAX_NODES = 200_000
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """One named lane: ``kind`` selects the :data:`LANES` entry, ``params``
+    its knob overrides:
+
+    * ``"caqr"`` — the canonical mode-selected pipeline of
+      :func:`caqr_compile` (mode may be overridden via ``params["mode"]``);
+    * ``"qs"`` — a QS-CaQR sweep variant (``objective``,
+      ``lookahead_width``);
+    * ``"sr"`` — an SR-CaQR router variant (``trials``, ``objective``);
+      requires a backend;
+    * ``"commuting"`` — a commuting-pipeline sweep variant
+      (``candidate_evaluation``, ``strategy``); graph targets only;
+    * ``"chain"`` — the beam-searched chain engine
+      (:class:`~repro.core.chains.ChainReuse`; ``dual``, ``beam_width``,
+      ``objective``); circuit targets only;
+    * ``"exact"`` — the branch-and-bound oracle (``max_nodes``).
+    """
+
+    name: str
+    kind: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+
+    @staticmethod
+    def make(name: str, kind: str, **params: Any) -> "StrategySpec":
+        return StrategySpec(name, kind, tuple(sorted(params.items())))
+
+    def options(self) -> Dict[str, Any]:
+        return dict(self.params)
+
+
+@dataclass
+class LaneResult:
+    """What one lane computed: the circuit and the lane-side report fields.
+
+    ``mapped`` marks a circuit already on the backend (SR-CaQR's routing,
+    a ``min_swap`` sweep pick); :func:`run_lane` maps the others under
+    :data:`MAPPED_MODES`.  ``width`` is the logical width the lane
+    reached, when the report's saving reads it instead of the output
+    metrics.  ``baseline`` and ``beneficial`` are the input's no-reuse
+    metrics and benefit verdict, from the lanes that compute them.
+    """
+
+    circuit: QuantumCircuit
+    mapped: bool = False
+    width: Optional[int] = None
+    baseline: Optional[CircuitMetrics] = None
+    beneficial: Optional[bool] = None
+    route_stats: Optional[RouteStats] = None
+    eval_stats: Optional[ReuseEvalStats] = None
+    chain_stats: Optional[ReuseEvalStats] = None
+    exact_qubits: Optional[int] = None
+    exact_optimal: Optional[bool] = None
 
 
 @dataclass
@@ -183,6 +276,12 @@ def caqr_compile(
         raise ReuseError(f"unknown compile strategy {strategy!r}")
     if objective is not None and strategy not in ("portfolio", "chain"):
         raise ReuseError("objective requires strategy='portfolio' or 'chain'")
+    if strategy == "chain" and isinstance(target, nx.Graph):
+        raise ReuseError(
+            "strategy='chain' needs a QuantumCircuit target "
+            "(build the QAOA circuit first)"
+        )
+    check_request(mode, backend, qubit_limit)
     if cache:
         from repro.service.service import resolve_cache
 
@@ -233,123 +332,243 @@ def caqr_compile(
             if ephemeral_service is not None:
                 # a one-call service must not leak its worker pool
                 ephemeral_service.close()
-    if strategy == "chain":
-        return _chain_compile(
-            target,
-            backend=backend,
-            mode=mode,
-            qubit_limit=qubit_limit,
-            reset_style=reset_style,
-            seed=seed,
-            objective=objective,
-        )
-    angles = None
-    if (
-        auto_commuting
-        and isinstance(target, QuantumCircuit)
-        and not isinstance(target, nx.Graph)
-    ):
-        from repro.core.structure import extract_commuting_structure
-
-        structure = extract_commuting_structure(target)
-        if (
-            structure is not None
-            and structure.uniform_gamma() is not None
-            and structure.uniform_beta() is not None
-        ):
-            # the commuting pipeline sees strictly more reuse freedom
-            target = structure.graph
-            angles = (structure.uniform_gamma(), structure.uniform_beta())
-    original_width = (
-        target.number_of_nodes()
-        if isinstance(target, nx.Graph)
-        else target.num_qubits
+    request = SimpleNamespace(
+        target=target,
+        backend=backend,
+        mode=mode,
+        qubit_limit=qubit_limit,
+        reset_style=reset_style,
+        seed=seed,
+        incremental=incremental,
     )
+    if strategy == "chain":
+        # dual-register cost model on all-to-all (trapped-ion) backends;
+        # unlike the chain lane of a race, this path maps its circuit
+        # under every mode, and its verdict is whether the engine found
+        # any reuse (docs/CHAINS.md)
+        params = {"dual": backend is not None and _all_to_all(backend)}
+        if objective is not None:
+            params["objective"] = objective
+        spec = StrategySpec.make("chain", "chain", **params)
+        result = run_lane(spec, request, map_always=True)
+        result.baseline = _baseline_metrics(request)
+        return assemble_report(request, result, strategy="chain")
+    view = commuting_view(target, auto_commuting)
+    spec = StrategySpec("caqr", "caqr")
+    return assemble_report(request, run_lane(spec, request, view, parallel))
+
+
+def check_request(mode: str, backend, qubit_limit) -> None:
+    """Reject a mode outside :data:`MODES` or missing what it needs."""
+    if mode not in MODES:
+        raise ReuseError(f"unknown compile mode {mode!r}")
+    if mode == "min_swap" and backend is None:
+        raise ReuseError("min_swap mode needs a backend")
+    if mode == "qubit_budget" and qubit_limit is None:
+        raise ReuseError("qubit_budget mode needs qubit_limit")
+
+
+def commuting_view(target, auto_commuting: bool = True):
+    """``(graph, gamma, beta)`` when *target* takes the commuting pipeline.
+
+    A problem graph always does (default angles); a circuit does when
+    *auto_commuting* recognises it as uniform-angle QAOA, since the
+    commuting pipeline sees strictly more reuse freedom.  ``None``
+    otherwise: the regular pipeline handles everything soundly.
+    """
+    if isinstance(target, nx.Graph):
+        return target, None, None
+    if not auto_commuting:
+        return None
+    from repro.core.structure import extract_commuting_structure
+
+    structure = extract_commuting_structure(target)
+    if structure is None:
+        return None
+    gamma, beta = structure.uniform_gamma(), structure.uniform_beta()
+    if gamma is None or beta is None:
+        return None
+    return structure.graph, gamma, beta
+
+
+# -- the lane registry ---------------------------------------------------------
+
+
+def run_lane(spec, request, view=None, parallel=False, map_always=False) -> LaneResult:
+    """Run the :data:`LANES` entry of ``spec.kind`` on *request*.
+
+    *view* is the request's :func:`commuting_view`; *parallel* allows
+    process-pool scoring (race lanes run serially: workers must not nest
+    pools).  This is the one map-onto-backend rule: a lane's logical
+    circuit is mapped at opt-3 under :data:`MAPPED_MODES`, or under every
+    mode with *map_always* (``strategy="chain"``).
+    """
+    lane = LANES.get(spec.kind)
+    if lane is None:
+        raise ReuseError(f"unknown strategy kind {spec.kind!r}")
+    mode = request.mode
+    if spec.kind == "caqr":
+        mode = spec.options().get("mode", mode)
+    check_request(mode, request.backend, request.qubit_limit)
+    result = lane(spec, request, mode, view, parallel)
+    backend = request.backend
+    if backend is not None and not result.mapped and (
+        map_always or mode in MAPPED_MODES
+    ):
+        result.circuit = transpile(
+            result.circuit, backend, optimization_level=3, seed=request.seed
+        ).circuit
+    return result
+
+
+def _caqr_lane(spec, request, mode, view, parallel) -> LaneResult:
+    """The paper's mode-selected pipeline (``strategy="auto"``).
+
+    Each mode runs only the work its report reads: ``reuse_beneficial``
+    needs the sweep only down to the benefit floor, and only
+    ``min_depth`` reads compiled sweep metrics (see
+    docs/ARCHITECTURE.md).  The baseline and verdict are computed here,
+    so a race's canonical lane pays for them inside its own worker.
+    """
     eval_stats = ReuseEvalStats()
-
-    def sweep(min_qubits=1, mapped=False):
-        return _sweep(target, backend if mapped else None, reset_style,
-                      seed, angles, incremental=incremental,
-                      parallel=parallel, stats=eval_stats,
-                      min_qubits=min_qubits)
-
-    # each mode runs only the work its report reads: ``reuse_beneficial``
-    # needs the sweep only down to the benefit floor, and only min_depth
-    # reads compiled sweep metrics (see docs/ARCHITECTURE.md)
+    floor = benefit_floor(_width(request.target))
     route_stats = point = None
     if mode == "min_swap":
-        if backend is None:
-            raise ReuseError("min_swap mode needs a backend")
-        compiled, route_stats = _route(
-            target, backend, angles, qubit_limit, reset_style, incremental,
-            parallel,
-        )
-        points = sweep(min_qubits=benefit_floor(original_width))
-    elif mode == "qubit_budget":
-        if qubit_limit is None:
-            raise ReuseError("qubit_budget mode needs qubit_limit")
-        points = sweep(
-            min_qubits=min(qubit_limit, benefit_floor(original_width))
-        )
-        point = budget_point(points, qubit_limit)
-        compiled = (
-            transpile(
-                point.circuit, backend, optimization_level=3, seed=seed
-            ).circuit
-            if backend is not None
-            else point.circuit
-        )
-    elif mode in ("max_reuse", "min_depth"):
-        points = sweep(mapped=mode == "min_depth")
-        point = select_point(points, mode)
-        compiled = point.circuit
+        circuit, route_stats = _route(request, view, parallel)
+        points = _sweep(request, view, parallel, eval_stats, min_qubits=floor)
     else:
-        raise ReuseError(f"unknown compile mode {mode!r}")
-    metrics = collect_metrics(
-        compiled, backend.calibration if backend else None
-    )
-    # SR-CaQR picks its width while routing: read it off the mapped circuit
-    width = metrics.qubits_used if point is None else point.qubits
-    return CompileReport(
-        circuit=compiled,
-        mode=mode,
-        metrics=metrics,
-        baseline_metrics=_baseline_metrics(
-            target, backend, seed, angles, points[0]
-        ),
-        reuse_beneficial=assess_reuse_benefit(points).beneficial,
-        qubit_saving=1.0 - width / original_width,
+        stop = min(request.qubit_limit, floor) if mode == "qubit_budget" else 1
+        points = _sweep(request, view, parallel, eval_stats, min_qubits=stop,
+                        mapped=mode == "min_depth")
+        point, circuit = _pick(points, request, mode)
+    baseline, beneficial = _ancillary(request, view, parallel, points)
+    return LaneResult(
+        circuit,
+        mapped=mode == "min_swap",
+        # SR-CaQR picks its width while routing: the report reads it off
+        # the mapped circuit
+        width=None if point is None else point.qubits,
+        baseline=baseline,
+        beneficial=beneficial,
         route_stats=route_stats,
         eval_stats=eval_stats,
-        sim_stats=_esp_stats(compiled, backend),
     )
 
 
-def _route(target, backend, angles, qubit_limit, reset_style, incremental,
-           parallel):
-    """SR-CaQR for ``min_swap``: the routed circuit and the router's stats."""
-    # caqr_compile's ``parallel`` means "allow": map it onto the SR
-    # router's tri-state knob (None = auto-detect, False = serial)
-    sr_parallel = None if parallel else False
-    if isinstance(target, nx.Graph):
-        sr_kwargs = {}
-        if angles is not None:
-            sr_kwargs = {"gamma": angles[0], "beta": angles[1]}
-        sr = SRCaQRCommuting(
-            backend,
-            reset_style=reset_style,
-            incremental=incremental,
-            parallel=sr_parallel,
-            **sr_kwargs,
+def _qs_lane(spec, request, mode, view, parallel) -> LaneResult:
+    options = spec.options()
+    compiler = QSCaQR(
+        objective=options.get("objective", "depth"),
+        reset_style=request.reset_style,
+        lookahead_width=options.get("lookahead_width"),
+        incremental=request.incremental,
+        parallel=parallel,
+    )
+    points = _points(compiler.sweep(request.target), None, request.seed)
+    return LaneResult(_pick(points, request, mode)[1], mapped=mode == "min_swap")
+
+
+def _commuting_lane(spec, request, mode, view, parallel) -> LaneResult:
+    options = spec.options()
+    points = _sweep(
+        request,
+        view,
+        parallel,
+        candidate_evaluation=options.get("candidate_evaluation", "schedule"),
+        strategy=options.get("strategy", "greedy"),
+    )
+    return LaneResult(_pick(points, request, mode)[1], mapped=mode == "min_swap")
+
+
+def _sr_lane(spec, request, mode, view, parallel) -> LaneResult:
+    options = spec.options()
+    circuit, route_stats = _route(
+        request,
+        view,
+        parallel,
+        trials=options.get("trials", 3),
+        objective=options.get("objective", "swaps"),
+        seed_base=_sr_seed_base(request, spec.name),
+    )
+    return LaneResult(circuit, mapped=True, route_stats=route_stats)
+
+
+def _chain_lane(spec, request, mode, view, parallel) -> LaneResult:
+    options = spec.options()
+    if isinstance(request.target, nx.Graph):
+        raise ReuseError(
+            "chain lane needs a QuantumCircuit target "
+            "(the commuting lanes cover graph inputs)"
         )
-        return sr.run(target, qubit_limit=qubit_limit).circuit, sr.stats
-    sr = SRCaQR(
-        backend,
-        reset_style=reset_style,
-        incremental=incremental,
-        parallel=sr_parallel,
+    budget = request.qubit_limit if mode == "qubit_budget" else None
+    chain_stats = ReuseEvalStats()
+    engine = ChainReuse(
+        objective=options.get(
+            "objective", "depth" if mode == "min_depth" else "qubits"
+        ),
+        reset_style=request.reset_style,
+        beam_width=options.get("beam_width", 8),
+        register_budget=budget,
+        dual_register=bool(options.get("dual", False)),
+        stats=chain_stats,
     )
-    return sr.run(target).circuit, sr.stats
+    result = engine.run(request.target)
+    if not result.feasible:
+        raise ReuseError(
+            f"chain lane cannot reach {budget} qubits (reached {result.qubits})"
+        )
+    return LaneResult(
+        result.circuit,
+        width=result.qubits,
+        beneficial=bool(result.pairs),
+        chain_stats=chain_stats,
+    )
+
+
+def _exact_lane(spec, request, mode, view, parallel) -> LaneResult:
+    solver = ExactReuse(
+        reset_style=request.reset_style,
+        max_nodes=spec.options().get("max_nodes", DEFAULT_EXACT_MAX_NODES),
+    )
+    result = solver.run(request.target)
+    circuit = result.circuit
+    if mode == "qubit_budget":
+        limit = request.qubit_limit
+        if result.qubits > limit:
+            raise ReuseError(
+                f"exact tier cannot reach {limit} qubits "
+                f"(optimum is {result.qubits})"
+                if result.optimal
+                else f"exact tier hit its budget above {limit} qubits"
+            )
+        prefix = result.pairs[: max(0, request.target.num_qubits - limit)]
+        circuit = apply_reuse_chain(
+            request.target, prefix, reset_style=request.reset_style
+        )
+    return LaneResult(
+        circuit, exact_qubits=result.qubits, exact_optimal=result.optimal
+    )
+
+
+#: ``StrategySpec.kind`` -> lane.  A lane takes ``(spec, request, mode,
+#: view, parallel)`` and returns a :class:`LaneResult`.
+LANES = {
+    "caqr": _caqr_lane,
+    "qs": _qs_lane,
+    "sr": _sr_lane,
+    "commuting": _commuting_lane,
+    "chain": _chain_lane,
+    "exact": _exact_lane,
+}
+
+
+# -- shared lane machinery -----------------------------------------------------
+
+
+def _width(target) -> int:
+    if isinstance(target, nx.Graph):
+        return target.number_of_nodes()
+    return target.num_qubits
 
 
 def _all_to_all(backend) -> bool:
@@ -358,103 +577,79 @@ def _all_to_all(backend) -> bool:
     return len(backend.coupling.edges) == n * (n - 1) // 2
 
 
-def _chain_compile(
-    target,
-    backend,
-    mode,
-    qubit_limit,
-    reset_style,
-    seed,
-    objective,
-) -> CompileReport:
-    """The ``strategy="chain"`` pipeline: beam-searched reuse chains.
-
-    All four compile modes map onto the chain engine: ``max_reuse`` /
-    ``min_depth`` merge to exhaustion under the matching-floor-guided
-    beam, ``qubit_budget`` stops merging the moment the budget fits
-    (fewest inserted dynamic ops that reach it), and ``min_swap``
-    compiles the chain plan and routes it onto the backend.  On an
-    all-to-all backend the engine switches to the dual-register
-    trapped-ion cost model: routing is free there, so the objective
-    becomes minimising the mid-circuit measure/reset count the reuse
-    inserts (see ``docs/CHAINS.md``).
-    """
-    if isinstance(target, nx.Graph):
-        raise ReuseError(
-            "strategy='chain' needs a QuantumCircuit target "
-            "(build the QAOA circuit first)"
-        )
-    if mode not in ("max_reuse", "min_depth", "qubit_budget", "min_swap"):
-        raise ReuseError(f"unknown compile mode {mode!r}")
-    if mode == "min_swap" and backend is None:
-        raise ReuseError("min_swap mode needs a backend")
-    chain_stats = ReuseEvalStats()
-    dual = backend is not None and _all_to_all(backend)
-    chain_objective = objective or ("depth" if mode == "min_depth" else "qubits")
-    budget = None
-    if mode == "qubit_budget":
-        if qubit_limit is None:
-            raise ReuseError("qubit_budget mode needs qubit_limit")
-        budget = qubit_limit
-    engine = ChainReuse(
-        objective=chain_objective,
-        reset_style=reset_style,
-        register_budget=budget,
-        dual_register=dual,
-        stats=chain_stats,
-    )
-    result = engine.run(target)
-    if budget is not None and not result.feasible:
-        raise ReuseError(
-            f"cannot compile to {qubit_limit} qubits (reached {result.qubits})"
-        )
-    logical = result.circuit
-    compiled = (
-        transpile(logical, backend, optimization_level=3, seed=seed).circuit
-        if backend is not None
-        else logical
-    )
-    metrics = collect_metrics(
-        compiled, backend.calibration if backend else None
-    )
-    return CompileReport(
-        circuit=compiled,
-        mode=mode,
-        metrics=metrics,
-        baseline_metrics=_baseline_metrics(target, backend, seed),
-        reuse_beneficial=bool(result.pairs),
-        qubit_saving=1.0 - result.qubits / target.num_qubits,
-        sim_stats=_esp_stats(compiled, backend),
-        strategy="chain",
-        chain_stats=chain_stats,
-    )
-
-
-def _sweep(target, backend, reset_style, seed, angles=None,
-           incremental=True, parallel=True, stats=None, min_qubits=1):
-    if isinstance(target, nx.Graph):
-        gamma, beta = angles if angles is not None else (None, None)
-        return sweep_commuting(
-            target,
-            backend=backend,
-            reset_style=reset_style,
-            seed=seed,
-            min_qubits=min_qubits,
-            gamma=gamma,
-            beta=beta,
-            parallel=parallel,
-            stats=stats,
-        )
-    return sweep_regular(
-        target,
-        backend=backend,
-        reset_style=reset_style,
-        seed=seed,
-        incremental=incremental,
+def _sweep(request, view, parallel, stats=None, min_qubits=1, mapped=False,
+           **engine):
+    """The QS-CaQR sweep of the request's target (commuting on a *view*),
+    hardware-mapped when *mapped*; *engine* holds commuting sweep knobs."""
+    common = dict(
+        backend=request.backend if mapped else None,
+        reset_style=request.reset_style,
+        seed=request.seed,
+        min_qubits=min_qubits,
         parallel=parallel,
         stats=stats,
-        min_qubits=min_qubits,
     )
+    if view is not None:
+        graph, gamma, beta = view
+        return sweep_commuting(graph, gamma=gamma, beta=beta, **common, **engine)
+    return sweep_regular(request.target, incremental=request.incremental, **common)
+
+
+def _pick(points, request, mode):
+    """The mode's point of a sweep, and the circuit reported for it.
+
+    The budget point and the ``max_reuse`` pick read logical metrics
+    only, so points are mapped onto the backend only under ``min_depth``
+    (compiled depth) and ``min_swap`` (SWAP count), unless the sweep
+    already mapped them.  A ``min_swap`` pick reports the mapping of the
+    point it selects; every other pick reports the logical circuit.
+    """
+    if mode == "qubit_budget":
+        point = budget_point(points, request.qubit_limit)
+        return point, point.circuit
+    min_swap = mode == "min_swap"
+    if request.backend is not None and mode in ("min_depth", "min_swap"):
+        for point in points:
+            if point.compiled_depth is None:
+                _compile_point(point, request.backend, request.seed, keep=min_swap)
+    point = select_point(points, mode)
+    return point, point.compiled_circuit if min_swap else point.circuit
+
+
+def _route(request, view, parallel, **run):
+    """SR-CaQR (commuting on a *view*): the routed circuit and the
+    router's stats; *run* holds the router's per-run knobs."""
+    # ``parallel`` means "allow": map it onto the SR router's tri-state
+    # knob (None = auto-detect, False = serial)
+    options = dict(
+        reset_style=request.reset_style,
+        incremental=request.incremental,
+        parallel=None if parallel else False,
+    )
+    if view is not None:
+        graph, gamma, beta = view
+        if gamma is not None:
+            options.update(gamma=gamma, beta=beta)
+        router = SRCaQRCommuting(request.backend, **options)
+        result = router.run(graph, qubit_limit=request.qubit_limit, **run)
+    else:
+        router = SRCaQR(request.backend, **options)
+        result = router.run(request.target, **run)
+    return result.circuit, router.stats
+
+
+def _sr_seed_base(request, lane: str) -> int:
+    """Per-lane hint-seed anchor, derived from the request fingerprint.
+
+    Each SR lane explores a distinct placement-seed stream (instead of
+    varying only trial counts/objectives), yet stays a pure function of
+    (request, lane name) — so serial and pooled races, and every replica
+    of a fingerprint, derive identical seeds.
+    """
+    digest = hashlib.sha256(
+        f"{request.fingerprint()}:{lane}".encode()
+    ).hexdigest()
+    return int(digest[:8], 16)
 
 
 def _esp_stats(circuit, backend) -> Optional[SimStats]:
@@ -478,30 +673,28 @@ def _esp_stats(circuit, backend) -> Optional[SimStats]:
     return stats
 
 
-def _baseline_metrics(
-    target, backend, seed, angles=None, first_point=None
-) -> Optional[CircuitMetrics]:
-    """Metrics of the no-reuse opt-3 compile of *target*.
+def _baseline_metrics(request, view=None, first_point=None):
+    """Metrics of the no-reuse opt-3 compile of the request's target.
 
-    A hardware-mapped sweep already compiled its first point with the
-    same options; that compile is reused whenever the point is
-    gate-for-gate the baseline circuit (always for a circuit target; for
-    a graph only when the commuting schedule matches the textbook QAOA
-    circuit).
+    A graph (or QAOA *view*) compiles its textbook QAOA circuit.  A
+    hardware-mapped sweep already compiled its first point with the same
+    options; that compile is reused whenever the point is gate-for-gate
+    the baseline circuit (always for a circuit target; for a graph only
+    when the commuting schedule matches the textbook QAOA circuit).
     """
+    backend = request.backend
     if backend is None:
         return None
-    if isinstance(target, nx.Graph):
+    if view is not None:
         from repro.workloads.qaoa import qaoa_maxcut_circuit
 
-        if angles is not None:
-            circuit = qaoa_maxcut_circuit(
-                target, gammas=[angles[0]], betas=[angles[1]]
-            )
+        graph, gamma, beta = view
+        if gamma is not None:
+            circuit = qaoa_maxcut_circuit(graph, gammas=[gamma], betas=[beta])
         else:
-            circuit = qaoa_maxcut_circuit(target)
+            circuit = qaoa_maxcut_circuit(graph)
     else:
-        circuit = target
+        circuit = request.target
     if (
         first_point is not None
         and first_point.compiled_circuit is not None
@@ -510,6 +703,48 @@ def _baseline_metrics(
         compiled = first_point.compiled_circuit
     else:
         compiled = transpile(
-            circuit, backend, optimization_level=3, seed=seed
+            circuit, backend, optimization_level=3, seed=request.seed
         ).circuit
     return collect_metrics(compiled, backend.calibration)
+
+
+def _ancillary(request, view, parallel, points=None):
+    """The input's baseline metrics and benefit verdict.
+
+    Reads the caller's sweep when given one; otherwise sweeps to the
+    benefit floor, which gives the full sweep's verdict.
+    """
+    if points is None:
+        floor = benefit_floor(_width(request.target))
+        points = _sweep(request, view, parallel, min_qubits=floor)
+    return (
+        _baseline_metrics(request, view, points[0]),
+        assess_reuse_benefit(points).beneficial,
+    )
+
+
+def assemble_report(
+    request, result: LaneResult, metrics=None, **fields
+) -> CompileReport:
+    """The report of *result*: metrics (unless the caller has them), the
+    saving, and analytic ESP under a backend; *fields* carry the
+    strategy fields of a race or the chain path."""
+    backend = request.backend
+    if metrics is None:
+        metrics = collect_metrics(
+            result.circuit, backend.calibration if backend else None
+        )
+    width = metrics.qubits_used if result.width is None else result.width
+    return CompileReport(
+        circuit=result.circuit,
+        mode=request.mode,
+        metrics=metrics,
+        baseline_metrics=result.baseline,
+        reuse_beneficial=result.beneficial,
+        qubit_saving=1.0 - width / _width(request.target),
+        route_stats=result.route_stats,
+        eval_stats=result.eval_stats,
+        sim_stats=_esp_stats(result.circuit, backend),
+        chain_stats=result.chain_stats,
+        **fields,
+    )

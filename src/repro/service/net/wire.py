@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Tuple
 
 import networkx as nx
 
-from repro.compile_api import CompileReport
+from repro.compile_api import MODES, CompileReport
 from repro.exceptions import ServiceError
 from repro.hardware.serialization import backend_from_json, backend_to_json
 from repro.service.serialization import (
@@ -197,6 +197,9 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
             else None
         )
         knobs = payload.get("knobs") or {}
+        mode = str(knobs.get("mode", "min_depth"))
+        if mode not in MODES:
+            raise WireError(f"unknown compile mode {mode!r}")
         qubit_limit = knobs.get("qubit_limit")
         objective = knobs.get("objective")
         portfolio_workers = knobs.get("portfolio_workers")
@@ -204,7 +207,7 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
         return CompileRequest(
             target=target,
             backend=backend,
-            mode=str(knobs.get("mode", "min_depth")),
+            mode=mode,
             qubit_limit=int(qubit_limit) if qubit_limit is not None else None,
             reset_style=str(knobs.get("reset_style", "cif")),
             seed=int(knobs.get("seed", 11)),

@@ -4,11 +4,12 @@ CaQR's engines embody different heuristics — QS-CaQR's depth-greedy pair
 selection, its duration objective, narrow-lookahead variants, SR-CaQR's
 trial seeds, the commuting-gate pipeline's degree/lifetime sweeps — and
 none dominates on every circuit.  :class:`PortfolioCompileService` runs a
-deterministic roster of them concurrently over the repo's process-pool
-idiom, adds the **exact tier** (:class:`~repro.core.exact.ExactReuse`,
-gated on circuit size and a node budget) when the circuit is small enough
-to solve to optimality, and declares a winner under a user-declared
-objective:
+deterministic roster of them (lanes of :data:`repro.compile_api.LANES`,
+the registry ``caqr_compile`` runs too) concurrently over the repo's
+process-pool idiom, adds the **exact tier**
+(:class:`~repro.core.exact.ExactReuse`, gated on circuit size and a node
+budget) when the circuit is small enough to solve to optimality, and
+declares a winner under a user-declared objective:
 
 * ``"qubits"`` — fewest active qubits (ties: depth);
 * ``"depth"`` — smallest depth (ties: qubits);
@@ -44,13 +45,12 @@ See ``docs/PORTFOLIO.md`` for the full contract and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -58,33 +58,24 @@ import networkx as nx
 
 from repro.analysis.metrics import collect_metrics
 from repro.circuit.circuit import QuantumCircuit
-from repro.compile_api import CompileReport, _all_to_all, caqr_compile
-from repro.core.chains import ChainReuse
-from repro.core.exact import ExactReuse
-from repro.core.profile import ReuseEvalStats
-from repro.core.qs_caqr import QSCaQR
-from repro.core.sr_caqr import SRCaQR
-from repro.core.sr_commuting import SRCaQRCommuting
-from repro.core.tradeoff import (
-    TradeoffPoint,
-    _compile_point,
-    _points,
-    assess_reuse_benefit,
-    benefit_floor,
-    budget_point,
-    select_point,
-    sweep_commuting,
-    sweep_regular,
+from repro.compile_api import (
+    DEFAULT_EXACT_MAX_NODES,
+    CompileReport,
+    LaneResult,
+    StrategySpec,
+    _all_to_all,
+    _ancillary,
+    assemble_report,
+    check_request,
+    commuting_view,
+    run_lane,
 )
-from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.service.service import CompileRequest
 from repro.service.stats import ServiceStats
 from repro.service.workers import WorkerPool, resolve_workers_mode
 from repro.sim.metrics import estimated_success_probability
-from repro.transpiler.pipeline import transpile
-from repro.transpiler.stats import RouteStats
 
 __all__ = [
     "OBJECTIVES",
@@ -100,318 +91,38 @@ __all__ = [
 #: The objectives a portfolio compile may optimise.
 OBJECTIVES = ("qubits", "depth", "est_error")
 
-#: Default node budget of the exact tier (anytime: past this many search
-#: states the oracle reports best-so-far with ``optimal=False``).
-DEFAULT_EXACT_MAX_NODES = 200_000
-
 #: Default width gate of the exact tier: circuits wider than this skip
 #: the oracle entirely (branch-and-bound cost grows super-exponentially
 #: with width; the greedy strategies still race).
 DEFAULT_EXACT_MAX_QUBITS = 10
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """One named entry of the portfolio roster.
-
-    ``kind`` selects the engine family, ``params`` its knob overrides:
-
-    * ``"caqr"`` — the canonical :func:`~repro.compile_api.caqr_compile`
-      path (mode may be overridden via ``params["mode"]``);
-    * ``"qs"`` — a QS-CaQR sweep variant (``objective``,
-      ``lookahead_width``);
-    * ``"sr"`` — an SR-CaQR router variant (``trials``, ``objective``);
-      requires a backend;
-    * ``"commuting"`` — a commuting-pipeline sweep variant
-      (``candidate_evaluation``, ``strategy``); graph targets only;
-    * ``"chain"`` — the beam-searched chain engine
-      (:class:`~repro.core.chains.ChainReuse`; ``dual``, ``beam_width``,
-      ``objective``); circuit targets only;
-    * ``"exact"`` — the branch-and-bound oracle.
-    """
-
-    name: str
-    kind: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @staticmethod
-    def make(name: str, kind: str, **params: Any) -> "StrategySpec":
-        return StrategySpec(name, kind, tuple(sorted(params.items())))
-
-    def options(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-
 @dataclass
 class StrategyOutcome:
-    """What one strategy brought back from the race (or how it died)."""
+    """What one lane brought back from the race (or how it died)."""
 
     name: str
     elapsed: float = 0.0
     error: Optional[str] = None
-    report: Optional[CompileReport] = None
-    circuit: Optional[QuantumCircuit] = None
-    route_stats: Optional[RouteStats] = None
-    exact_qubits: Optional[int] = None
-    exact_optimal: Optional[bool] = None
-    chain_stats: Optional[ReuseEvalStats] = None
-
-
-# -- strategy execution (module-level: runs inside pool workers) ---------------
-
-
-def _finalize_logical(
-    logical: QuantumCircuit, backend: Optional[Backend], seed: int
-) -> QuantumCircuit:
-    if backend is None:
-        return logical
-    return transpile(logical, backend, optimization_level=3, seed=seed).circuit
-
-
-def _run_caqr_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    report = caqr_compile(
-        request.target,
-        backend=request.backend,
-        mode=options.get("mode", request.mode),
-        qubit_limit=request.qubit_limit,
-        reset_style=request.reset_style,
-        seed=request.seed,
-        auto_commuting=request.auto_commuting,
-        incremental=request.incremental,
-        parallel=False,
-        cache=None,
-    )
-    return StrategyOutcome(
-        name=spec.name,
-        report=report,
-        circuit=report.circuit,
-        route_stats=report.route_stats,
-    )
-
-
-def _sweep_lane_circuit(points: List[TradeoffPoint], request) -> QuantumCircuit:
-    """The circuit a sweep lane reports from its logical *points*.
-
-    The budget point and the ``max_reuse`` pick read logical metrics
-    only, so points are mapped onto the backend just under ``min_depth``
-    (compiled depth) and ``min_swap`` (SWAP count).  Sweep modes report
-    logical circuits (the greedy path's contract); only ``min_swap``
-    promises hardware-mapped output, and it reuses the mapping of the
-    point it selects.
-    """
-    backend, seed = request.backend, request.seed
-    if request.mode == "qubit_budget":
-        point = budget_point(points, request.qubit_limit)
-        return _finalize_logical(point.circuit, backend, seed)
-    min_swap = request.mode == "min_swap"
-    if backend is not None and (min_swap or request.mode == "min_depth"):
-        for point in points:
-            _compile_point(point, backend, seed, keep=min_swap)
-    point = select_point(points, request.mode)
-    return point.compiled_circuit if min_swap else point.circuit
-
-
-def _run_qs_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    compiler = QSCaQR(
-        objective=options.get("objective", "depth"),
-        reset_style=request.reset_style,
-        lookahead_width=options.get("lookahead_width"),
-        incremental=request.incremental,
-        parallel=False,
-    )
-    points = _points(compiler.sweep(request.target), None, request.seed)
-    return StrategyOutcome(
-        name=spec.name, circuit=_sweep_lane_circuit(points, request)
-    )
-
-
-def _sr_lane_seed_base(request, lane: str) -> int:
-    """Per-lane hint-seed anchor, derived from the request fingerprint.
-
-    Each SR lane explores a distinct placement-seed stream (instead of
-    varying only trial counts/objectives), yet stays a pure function of
-    (request, lane name) — so serial and pooled races, and every replica
-    of a fingerprint, derive identical seeds.
-    """
-    digest = hashlib.sha256(
-        f"{request.fingerprint()}:{lane}".encode()
-    ).hexdigest()
-    return int(digest[:8], 16)
-
-
-def _run_sr_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    seed_base = _sr_lane_seed_base(request, spec.name)
-    if isinstance(request.target, nx.Graph) or extracted is not None:
-        graph, gamma, beta = (
-            extracted
-            if extracted is not None
-            else (request.target, None, None)
-        )
-        kwargs = {}
-        if gamma is not None:
-            kwargs = {"gamma": gamma, "beta": beta}
-        router = SRCaQRCommuting(
-            request.backend,
-            reset_style=request.reset_style,
-            incremental=request.incremental,
-            parallel=False,
-            **kwargs,
-        )
-        result = router.run(
-            graph,
-            qubit_limit=request.qubit_limit,
-            trials=options.get("trials", 3),
-            seed_base=seed_base,
-        )
-    else:
-        router = SRCaQR(
-            request.backend,
-            reset_style=request.reset_style,
-            incremental=request.incremental,
-            parallel=False,
-        )
-        result = router.run(
-            request.target,
-            trials=options.get("trials", 3),
-            objective=options.get("objective", "swaps"),
-            seed_base=seed_base,
-        )
-    return StrategyOutcome(
-        name=spec.name, circuit=result.circuit, route_stats=router.stats
-    )
-
-
-def _run_commuting_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    graph, gamma, beta = (
-        extracted if extracted is not None else (request.target, None, None)
-    )
-    points = sweep_commuting(
-        graph,
-        reset_style=request.reset_style,
-        seed=request.seed,
-        candidate_evaluation=options.get("candidate_evaluation", "schedule"),
-        strategy=options.get("strategy", "greedy"),
-        gamma=gamma,
-        beta=beta,
-        parallel=False,
-    )
-    return StrategyOutcome(
-        name=spec.name, circuit=_sweep_lane_circuit(points, request)
-    )
-
-
-def _run_chain_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    if isinstance(request.target, nx.Graph):
-        raise ReuseError(
-            "chain lane needs a QuantumCircuit target "
-            "(the commuting lanes cover graph inputs)"
-        )
-    chain_stats = ReuseEvalStats()
-    engine = ChainReuse(
-        objective=options.get(
-            "objective", "depth" if request.mode == "min_depth" else "qubits"
-        ),
-        reset_style=request.reset_style,
-        beam_width=options.get("beam_width", 8),
-        register_budget=(
-            request.qubit_limit if request.mode == "qubit_budget" else None
-        ),
-        dual_register=bool(options.get("dual", False)),
-        stats=chain_stats,
-    )
-    result = engine.run(request.target)
-    if request.mode == "qubit_budget":
-        if not result.feasible:
-            raise ReuseError(
-                f"chain lane cannot reach {request.qubit_limit} qubits "
-                f"(reached {result.qubits})"
-            )
-        circuit = _finalize_logical(result.circuit, request.backend, request.seed)
-    elif request.mode == "min_swap":
-        circuit = _finalize_logical(result.circuit, request.backend, request.seed)
-    else:
-        # sweep modes report logical circuits, matching the greedy contract
-        circuit = result.circuit
-    return StrategyOutcome(name=spec.name, circuit=circuit, chain_stats=chain_stats)
-
-
-def _run_exact_strategy(spec, request, extracted) -> StrategyOutcome:
-    options = spec.options()
-    solver = ExactReuse(
-        reset_style=request.reset_style,
-        max_nodes=options.get("max_nodes", DEFAULT_EXACT_MAX_NODES),
-    )
-    result = solver.run(request.target)
-    if request.mode == "qubit_budget":
-        width = request.target.num_qubits
-        if result.qubits > request.qubit_limit:
-            raise ReuseError(
-                f"exact tier cannot reach {request.qubit_limit} qubits "
-                f"(optimum is {result.qubits})"
-                if result.optimal
-                else f"exact tier hit its budget above {request.qubit_limit} qubits"
-            )
-        prefix = result.pairs[: max(0, width - request.qubit_limit)]
-        logical = apply_reuse_chain(
-            request.target, prefix, reset_style=request.reset_style
-        )
-        circuit = _finalize_logical(logical, request.backend, request.seed)
-    elif request.mode == "min_swap":
-        circuit = _finalize_logical(result.circuit, request.backend, request.seed)
-    else:
-        # sweep modes report logical circuits even under a backend —
-        # match the greedy contract so metrics stay comparable
-        circuit = result.circuit
-    return StrategyOutcome(
-        name=spec.name,
-        circuit=circuit,
-        exact_qubits=result.qubits,
-        exact_optimal=result.optimal,
-    )
-
-
-_STRATEGY_RUNNERS = {
-    "caqr": _run_caqr_strategy,
-    "qs": _run_qs_strategy,
-    "sr": _run_sr_strategy,
-    "commuting": _run_commuting_strategy,
-    "chain": _run_chain_strategy,
-    "exact": _run_exact_strategy,
-}
+    result: Optional[LaneResult] = None
 
 
 def _run_strategy_worker(payload) -> StrategyOutcome:
-    """Pool worker: run one strategy, never raise.
+    """Pool worker: run one lane, never raise.
 
-    A failing strategy is *data* — the per-strategy error channel the
+    A failing lane is *data* — the per-strategy error channel the
     poisoned-strategy test pins — so the portfolio loses one lane, not
-    the race.  Engines run with ``parallel=False`` in here (workers must
+    the race.  Lanes run with ``parallel=False`` in here (workers must
     not nest process pools), and the serial path calls this very
     function, so both paths compute identical results.
     """
-    spec, request, extracted = payload
-    runner = _STRATEGY_RUNNERS.get(spec.kind)
+    spec, request, view = payload
     start = time.perf_counter()
-    if runner is None:
-        return StrategyOutcome(
-            name=spec.name,
-            error=f"ReuseError: unknown strategy kind {spec.kind!r}",
-        )
     try:
-        outcome = runner(spec, request, extracted)
+        result, error = run_lane(spec, request, view), None
     except Exception as exc:
-        return StrategyOutcome(
-            name=spec.name,
-            elapsed=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    outcome.elapsed = time.perf_counter() - start
-    return outcome
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return StrategyOutcome(spec.name, time.perf_counter() - start, error, result)
 
 
 # -- the service ---------------------------------------------------------------
@@ -540,18 +251,17 @@ class PortfolioCompileService:
 
     # -- roster ----------------------------------------------------------------
 
-    def roster(
-        self, request: CompileRequest, extracted=None
-    ) -> List[StrategySpec]:
+    def roster(self, request: CompileRequest, view=None) -> List[StrategySpec]:
         """The deterministic strategy roster for *request*.
 
         Depends only on request content (target kind/width, backend,
         mode), never on machine state, so every replica of a request —
-        local, pooled, or remote — races the same lanes.
+        local, pooled, or remote — races the same lanes.  *view* is the
+        request's :func:`~repro.compile_api.commuting_view`.
         """
         if self.strategies is not None:
             return list(self.strategies)
-        commuting = isinstance(request.target, nx.Graph) or extracted is not None
+        commuting = isinstance(request.target, nx.Graph) or view is not None
         specs: List[StrategySpec] = [StrategySpec.make("greedy", "caqr")]
         if commuting:
             specs.append(
@@ -618,10 +328,7 @@ class PortfolioCompileService:
             )
         if objective == "est_error" and backend is None:
             raise ReuseError("est_error objective needs a backend")
-        if mode == "qubit_budget" and qubit_limit is None:
-            raise ReuseError("qubit_budget mode needs qubit_limit")
-        if mode == "min_swap" and backend is None:
-            raise ReuseError("min_swap mode needs a backend")
+        check_request(mode, backend, qubit_limit)
         request = CompileRequest(
             target=target,
             backend=backend,
@@ -633,51 +340,24 @@ class PortfolioCompileService:
             incremental=incremental,
             parallel=parallel,
         )
-        extracted = self._extract_commuting(request)
-        specs = self.roster(request, extracted)
+        view = commuting_view(target, auto_commuting)
+        specs = self.roster(request, view)
         if not specs:
             raise ReuseError("empty portfolio roster")
         ordered = sorted(
             specs, key=lambda spec: (-self._win_rate(spec.name), spec.name)
         )
-        outcomes = self._run_all(ordered, request, extracted, parallel)
-        return self._select(request, extracted, outcomes, objective)
-
-    @staticmethod
-    def _extract_commuting(request: CompileRequest):
-        """Mirror ``caqr_compile``'s QAOA recognition for the roster.
-
-        Returns ``(graph, gamma, beta)`` when the circuit target is a
-        uniform-angle QAOA circuit (the commuting variants then sweep
-        the graph), else ``None``.  Graph targets need no extraction.
-        """
-        if not request.auto_commuting:
-            return None
-        if isinstance(request.target, nx.Graph):
-            return None
-        from repro.core.structure import extract_commuting_structure
-
-        structure = extract_commuting_structure(request.target)
-        if (
-            structure is not None
-            and structure.uniform_gamma() is not None
-            and structure.uniform_beta() is not None
-        ):
-            return (
-                structure.graph,
-                structure.uniform_gamma(),
-                structure.uniform_beta(),
-            )
-        return None
+        outcomes = self._run_all(ordered, request, view, parallel)
+        return self._select(request, view, ordered, outcomes, objective)
 
     def _run_all(
         self,
         specs: List[StrategySpec],
         request: CompileRequest,
-        extracted,
+        view,
         parallel: bool,
     ) -> List[StrategyOutcome]:
-        payloads = [(spec, request, extracted) for spec in specs]
+        payloads = [(spec, request, view) for spec in specs]
         workers = min(self.max_workers, len(payloads))
         if parallel and workers > 1 and len(payloads) > 1:
             self.stats.count("portfolio_parallel_races")
@@ -704,7 +384,8 @@ class PortfolioCompileService:
     def _select(
         self,
         request: CompileRequest,
-        extracted,
+        view,
+        specs: List[StrategySpec],
         outcomes: List[StrategyOutcome],
         objective: str,
     ) -> CompileReport:
@@ -719,11 +400,11 @@ class PortfolioCompileService:
         for outcome in outcomes:
             timings[outcome.name] = outcome.elapsed
             stats.add_time(f"portfolio_strategy:{outcome.name}", outcome.elapsed)
-            if outcome.error is not None or outcome.circuit is None:
+            if outcome.result is None:
                 errors[outcome.name] = outcome.error or "strategy returned nothing"
                 stats.count(f"portfolio_errors:{outcome.name}")
                 continue
-            metrics = collect_metrics(outcome.circuit, calibration)
+            metrics = collect_metrics(outcome.result.circuit, calibration)
             if (
                 request.mode == "qubit_budget"
                 and metrics.qubits_used > request.qubit_limit
@@ -743,7 +424,8 @@ class PortfolioCompileService:
         _, winner, winner_metrics = candidates[0]
         stats.count(f"portfolio_wins:{winner.name}")
 
-        exact = next((o for o in outcomes if o.exact_qubits is not None), None)
+        results = [o.result for o in outcomes if o.result is not None]
+        exact = next((r for r in results if r.exact_qubits is not None), None)
         optimality_gap: Optional[int] = None
         exact_optimal: Optional[bool] = None
         if exact is not None:
@@ -756,20 +438,39 @@ class PortfolioCompileService:
             if exact.exact_optimal:
                 optimality_gap = winner_metrics.qubits_used - exact.exact_qubits
 
-        report = self._assemble_report(
-            request, extracted, winner, winner_metrics, outcomes
+        result = winner.result
+        kinds = {spec.name: spec.kind for spec in specs}
+        if kinds[winner.name] != "caqr":
+            # the baseline and verdict are properties of the *input*:
+            # borrow the canonical lane's, and recompute only when it died
+            canonical = next(
+                (o.result for o in outcomes
+                 if o.result is not None and kinds[o.name] == "caqr"),
+                None,
+            )
+            if canonical is not None:
+                baseline, beneficial = canonical.baseline, canonical.beneficial
+            else:
+                baseline, beneficial = _ancillary(request, view, parallel=False)
+            # the saving reads the winner's output metrics
+            result = replace(
+                result, width=None, baseline=baseline, beneficial=beneficial
+            )
+        # chain-engine observability survives even when another lane
+        # wins the race: the first chain lane's counters ride along
+        result.chain_stats = next(
+            (r.chain_stats for r in results if r.chain_stats is not None), None
         )
-        if report.chain_stats is None:
-            # chain-engine observability survives even when another lane
-            # wins the race: the first chain lane's counters ride along
-            chain = next((o for o in outcomes if o.chain_stats is not None), None)
-            if chain is not None:
-                report.chain_stats = chain.chain_stats
-        report.strategy = winner.name
-        report.strategy_timings = timings
-        report.strategy_errors = errors
-        report.optimality_gap = optimality_gap
-        report.exact_optimal = exact_optimal
+        report = assemble_report(
+            request,
+            result,
+            winner_metrics,
+            strategy=winner.name,
+            strategy_timings=timings,
+            strategy_errors=errors,
+            optimality_gap=optimality_gap,
+            exact_optimal=exact_optimal,
+        )
         self._save_state()
         return report
 
@@ -786,101 +487,12 @@ class PortfolioCompileService:
             head = (metrics.depth, metrics.qubits_used)
         else:  # est_error
             error = 1.0 - estimated_success_probability(
-                outcome.circuit, request.backend.calibration
+                outcome.result.circuit, request.backend.calibration
             )
             head = (error, metrics.qubits_used, metrics.depth)
         # the strategy name is the final tie-break: fully deterministic,
         # independent of completion order and worker count
         return head + (outcome.name,)
-
-    def _assemble_report(
-        self,
-        request: CompileRequest,
-        extracted,
-        winner: StrategyOutcome,
-        winner_metrics,
-        outcomes: List[StrategyOutcome],
-    ) -> CompileReport:
-        if winner.report is not None:
-            return winner.report
-        # non-canonical winner: rebuild the ancillary fields.  The
-        # benefit verdict and baseline metrics are properties of the
-        # *input*, so borrow them from the canonical strategy's report
-        # when it survived, and recompute only as a fallback.
-        canonical = next(
-            (o for o in outcomes if o.report is not None), None
-        )
-        if canonical is not None:
-            baseline = canonical.report.baseline_metrics
-            beneficial = canonical.report.reuse_beneficial
-        else:
-            baseline, beneficial = self._ancillary(request, extracted)
-        if isinstance(request.target, nx.Graph):
-            original_width = request.target.number_of_nodes()
-        else:
-            original_width = request.target.num_qubits
-        return CompileReport(
-            circuit=winner.circuit,
-            mode=request.mode,
-            metrics=winner_metrics,
-            baseline_metrics=baseline,
-            reuse_beneficial=beneficial,
-            qubit_saving=1.0 - winner_metrics.qubits_used / original_width,
-            route_stats=winner.route_stats,
-        )
-
-    def _ancillary(self, request: CompileRequest, extracted):
-        """Recompute baseline metrics + benefit verdict from scratch
-        (only reached when the canonical greedy strategy itself died)."""
-        if isinstance(request.target, nx.Graph) or extracted is not None:
-            graph, gamma, beta = (
-                extracted
-                if extracted is not None
-                else (request.target, None, None)
-            )
-            points = sweep_commuting(
-                graph,
-                reset_style=request.reset_style,
-                seed=request.seed,
-                min_qubits=benefit_floor(graph.number_of_nodes()),
-                gamma=gamma,
-                beta=beta,
-                parallel=False,
-            )
-            baseline_circuit = None
-            if request.backend is not None:
-                from repro.workloads.qaoa import qaoa_maxcut_circuit
-
-                if gamma is not None:
-                    baseline_circuit = qaoa_maxcut_circuit(
-                        graph, gammas=[gamma], betas=[beta]
-                    )
-                else:
-                    baseline_circuit = qaoa_maxcut_circuit(graph)
-        else:
-            points = sweep_regular(
-                request.target,
-                reset_style=request.reset_style,
-                seed=request.seed,
-                incremental=request.incremental,
-                parallel=False,
-                min_qubits=benefit_floor(request.target.num_qubits),
-            )
-            baseline_circuit = (
-                request.target if request.backend is not None else None
-            )
-        baseline = None
-        if baseline_circuit is not None:
-            compiled = transpile(
-                baseline_circuit,
-                request.backend,
-                optimization_level=3,
-                seed=request.seed,
-            )
-            baseline = collect_metrics(
-                compiled.circuit, request.backend.calibration
-            )
-        return baseline, assess_reuse_benefit(points).beneficial
 
 
 # -- process-wide default (win-rate history accumulates across calls) ----------

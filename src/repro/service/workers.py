@@ -101,12 +101,12 @@ def _decode_record(record: Tuple[str, Any]):
 @dataclass
 class _CachedRequest:
     request: Any
-    extracted: Any = None
-    extracted_known: bool = False
+    view: Any = None
+    view_known: bool = False
 
 
-#: Per-worker decoded-request cache (fingerprint -> request + extracted
-#: QAOA structure), LRU-capped so long-lived workers stay bounded.
+#: Per-worker decoded-request cache (fingerprint -> request + its
+#: commuting view), LRU-capped so long-lived workers stay bounded.
 _DECODED_CAP = 128
 _decoded: "OrderedDict[str, _CachedRequest]" = OrderedDict()
 
@@ -146,17 +146,14 @@ def _worker_task(task: WorkerTask) -> Tuple[str, Any]:
         report = _cold_compile(cached.request, allow_parallel=False)
         return "ok", dumps_entry(fingerprint, report)
     if kind == "strategy":
-        from repro.service.portfolio import (
-            PortfolioCompileService,
-            _run_strategy_worker,
-        )
+        from repro.compile_api import commuting_view
+        from repro.service.portfolio import _run_strategy_worker
 
-        if not cached.extracted_known:
-            cached.extracted = PortfolioCompileService._extract_commuting(
-                cached.request
-            )
-            cached.extracted_known = True
-        return "ok", _run_strategy_worker((extra, cached.request, cached.extracted))
+        if not cached.view_known:
+            request = cached.request
+            cached.view = commuting_view(request.target, request.auto_commuting)
+            cached.view_known = True
+        return "ok", _run_strategy_worker((extra, cached.request, cached.view))
     raise ServiceError(f"unknown worker task kind {kind!r}")
 
 

@@ -388,6 +388,15 @@ class TestPeerFill:
             other_url = urls[1]
             width = by_owner[owner_url]
 
+            # every member starts due for a probe, so the prober's
+            # startup round is in flight now; let it land first, or its
+            # late success would rejoin the owner marked down below
+            fleet = gateway.gateway.fleet
+            deadline = time.monotonic() + 30.0
+            while any(fleet.health[url].next_probe == 0.0 for url in urls):
+                assert time.monotonic() < deadline, "startup probes never landed"
+                time.sleep(0.01)
+
             # take the real owner out of the ring: three failures.
             # Timestamps must be real monotonic time — the prober
             # compares next_probe against time.monotonic(), and a fake

@@ -386,6 +386,17 @@ class TestServerErrors:
         finally:
             handle.stop()
 
+    def test_unknown_mode_is_bad_request_and_never_stored(self, server):
+        request = CompileRequest(
+            target=bv_circuit(5), mode="bogus", strategy="portfolio"
+        )
+        body = json.dumps(request_to_wire(request)).encode()
+        status, payload = _request(server, "POST", "/v1/compile", body)
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "bogus" in payload["error"]["message"]
+        assert server.server.service.stats.counters.get("stores", 0) == 0
+
     def test_infeasible_budget_is_compile_error(self, client):
         request = CompileRequest(
             target=bv_circuit(5), mode="qubit_budget", qubit_limit=1

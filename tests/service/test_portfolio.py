@@ -12,6 +12,7 @@ the wire protocol.
 import json
 
 import pytest
+from networkx import random_regular_graph
 
 from repro.circuit.random import random_circuit
 from repro.compile_api import caqr_compile
@@ -101,7 +102,7 @@ def test_repeated_compiles_are_identical():
 def test_sr_lanes_derive_distinct_deterministic_seed_bases():
     """Each SR lane gets its own fingerprint-derived hint-seed stream,
     and the derivation is a pure function of (request, lane name)."""
-    from repro.service.portfolio import _sr_lane_seed_base
+    from repro.compile_api import _sr_seed_base
     from repro.service.service import CompileRequest
 
     def request():
@@ -109,16 +110,16 @@ def test_sr_lanes_derive_distinct_deterministic_seed_bases():
             target=bv_circuit(4), backend=ibm_mumbai(), mode="min_swap"
         )
 
-    trials_base = _sr_lane_seed_base(request(), "sr-trials-5")
-    esp_base = _sr_lane_seed_base(request(), "sr-esp")
+    trials_base = _sr_seed_base(request(), "sr-trials-5")
+    esp_base = _sr_seed_base(request(), "sr-esp")
     assert trials_base != esp_base
     # deterministic across replicas of the same request
-    assert trials_base == _sr_lane_seed_base(request(), "sr-trials-5")
+    assert trials_base == _sr_seed_base(request(), "sr-trials-5")
     # and sensitive to the request fingerprint, not just the lane name
     other = CompileRequest(
         target=bv_circuit(5), backend=ibm_mumbai(), mode="min_swap"
     )
-    assert trials_base != _sr_lane_seed_base(other, "sr-trials-5")
+    assert trials_base != _sr_seed_base(other, "sr-trials-5")
 
 
 def test_sr_seed_diversity_keeps_serial_pooled_determinism():
@@ -249,6 +250,35 @@ def test_all_strategies_failing_raises_with_details():
         service.compile(bv_circuit(4), objective="qubits", parallel=False)
 
 
+@pytest.mark.parametrize(
+    "target, lane",
+    [
+        (bv_circuit(6), StrategySpec.make("qs-narrow", "qs", lookahead_width=1)),
+        (
+            random_regular_graph(3, 6, seed=7),
+            StrategySpec.make(
+                "commuting-degree", "commuting", candidate_evaluation="degree"
+            ),
+        ),
+    ],
+    ids=["circuit", "graph"],
+)
+def test_dead_canonical_lane_recomputes_baseline_and_verdict(target, lane):
+    """Without a surviving canonical lane to borrow from, the race
+    recomputes the input's baseline and verdict, and they match the
+    single-strategy path's."""
+    backend = ibm_mumbai()
+    service = PortfolioCompileService(
+        strategies=[StrategySpec.make("poison", "caqr", mode="bogus"), lane]
+    )
+    report = service.compile(target, backend, mode="max_reuse", parallel=False)
+    canonical = caqr_compile(target, backend, mode="max_reuse", parallel=False)
+    assert report.strategy == lane.name
+    assert "poison" in report.strategy_errors
+    assert report.baseline_metrics == canonical.baseline_metrics
+    assert report.reuse_beneficial == canonical.reuse_beneficial
+
+
 def test_unknown_strategy_kind_is_an_error_not_a_crash():
     service = PortfolioCompileService(
         strategies=[
@@ -369,6 +399,34 @@ def test_remote_equals_local_portfolio():
         _assert_same_report(warm, local, "remote hit")
     finally:
         handle.stop()
+
+
+@pytest.mark.parametrize("strategy", ["auto", "chain", "portfolio"])
+def test_unknown_mode_rejected_for_every_strategy(strategy):
+    """A bad mode is rejected before any lane runs, and never cached."""
+    rejected = "^unknown compile mode 'bogus'$"  # not a failed race
+    service = CompileService()
+    with pytest.raises(ReuseError, match=rejected):
+        service.compile(bv_circuit(5), mode="bogus", strategy=strategy)
+    with pytest.raises(ReuseError, match=rejected):
+        PortfolioCompileService().compile(bv_circuit(5), mode="bogus")
+    assert service.stats.counters.get("stores", 0) == 0
+
+
+def test_non_greedy_winner_carries_sim_stats():
+    """The report assembly attaches analytic ESP whichever lane wins."""
+    from repro.compile_api import _esp_stats
+
+    backend = ibm_mumbai()
+    report = caqr_compile(
+        bv_circuit(16), backend, strategy="portfolio", objective="depth",
+        parallel=False, portfolio_workers=1,
+    )
+    assert report.strategy != "greedy"
+    assert report.sim_stats is not None
+    esp = report.sim_stats.values["esp"]
+    assert esp == _esp_stats(report.circuit, backend).values["esp"]
+    assert 0.0 <= esp <= 1.0
 
 
 def test_unknown_strategy_rejected_at_the_api():

@@ -7,6 +7,7 @@ import repro.compile_api as compile_api
 import repro.core.tradeoff as tradeoff
 from repro.core import QSCaQR
 from repro.hardware import ibm_mumbai
+from repro.service.service import CompileRequest
 from repro.workloads import bv_circuit
 
 WIDTH = 6
@@ -86,16 +87,12 @@ def test_min_depth_reuses_point_zero_as_baseline(backend, calls):
     report = _compile(backend, "min_depth")
     # one transpile per sweep point, none for the baseline
     assert calls == {"transpile": points, "sweep": 1, "reduce_to": 0}
-    assert report.baseline_metrics == compile_api._baseline_metrics(
-        bv_circuit(WIDTH), backend, seed=11
-    )
+    request = CompileRequest(target=bv_circuit(WIDTH), backend=backend, seed=11)
+    assert report.baseline_metrics == compile_api._baseline_metrics(request)
 
 
 @pytest.mark.parametrize("mode", ["max_reuse", "min_depth", "min_swap"])
 def test_portfolio_qs_lane_maps_points_only_when_read(backend, monkeypatch, mode):
-    from repro.service import portfolio
-    from repro.service.service import CompileRequest
-
     counts = {"transpile": 0}
     original = tradeoff.transpile
 
@@ -104,10 +101,10 @@ def test_portfolio_qs_lane_maps_points_only_when_read(backend, monkeypatch, mode
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tradeoff, "transpile", counting)
-    monkeypatch.setattr(portfolio, "transpile", counting)
+    monkeypatch.setattr(compile_api, "transpile", counting)
     request = CompileRequest(target=bv_circuit(WIDTH), backend=backend, mode=mode)
-    spec = portfolio.StrategySpec.make("qs-duration", "qs", objective="duration")
-    outcome = portfolio._run_qs_strategy(spec, request, None)
+    spec = compile_api.StrategySpec.make("qs-duration", "qs", objective="duration")
+    outcome = compile_api.run_lane(spec, request)
     points = len(tradeoff.sweep_regular(bv_circuit(WIDTH), objective="duration"))
     # max_reuse reads logical metrics only; min_swap reuses the selected
     # point's mapping instead of transpiling it again
