@@ -28,6 +28,7 @@ from repro.compile_api import caqr_compile
 from repro.core import ChainReuse, QSCaQR
 from repro.hardware.topologies import get_device
 from repro.workloads import bv_circuit, qaoa_maxcut_circuit, random_graph
+from tests.oracles import ReferenceQSCaQR
 
 WORKLOADS = [
     ("bv16", lambda: bv_circuit(16)),
@@ -98,14 +99,12 @@ def _measure():
             f"{name}: chain reached {chain.qubits}, pinned {chain_width}"
         )
         assert not chain.from_greedy, f"{name}: win must come from the beam"
-        for incremental in (True, False):
+        for engine in (QSCaQR, ReferenceQSCaQR):
             start = time.perf_counter()
-            greedy = QSCaQR(
-                incremental=incremental, parallel=False
-            ).minimum_qubits(circuit)
+            greedy = engine(parallel=False).minimum_qubits(circuit)
             t_greedy = time.perf_counter() - start
             assert greedy == greedy_width, (
-                f"{name} incremental={incremental}: greedy reached "
+                f"{name} {engine.__name__}: greedy reached "
                 f"{greedy}, pinned {greedy_width}"
             )
         rows.append(

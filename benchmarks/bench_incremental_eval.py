@@ -2,9 +2,10 @@
 
 The tentpole claim: one shared DAG + bitset cache, batched candidate
 costs, and the closure-free lookahead make the Fig. 13-style greedy
-sweep several times faster than re-analysing the circuit every step —
-while selecting the *identical* pair sequence (pinned here and, across
-hundreds of random circuits, in ``tests/property/test_equivalence_diff.py``).
+sweep several times faster than re-analysing the circuit every step (the
+``ReferenceQSCaQR`` oracle in ``tests/oracles.py``) — while selecting the
+*identical* pair sequence (pinned here and, across hundreds of random
+circuits, in ``tests/property/test_equivalence_diff.py``).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_incremental_eval.py``.
 """
@@ -16,6 +17,7 @@ from conftest import emit, once
 from repro.analysis import format_table
 from repro.core import QSCaQR
 from repro.workloads import bv_circuit
+from tests.oracles import ReferenceQSCaQR
 
 # the acceptance bar: the incremental engine must beat the reference by
 # at least this factor on the 40-qubit sweep (measured ~4x in CI-class
@@ -25,8 +27,8 @@ HEADLINE_WIDTH = 40
 SCALING_WIDTHS = [16, 24, 32, 40]
 
 
-def _time_sweep(circuit, **kwargs):
-    compiler = QSCaQR(**kwargs)
+def _time_sweep(circuit, engine=QSCaQR):
+    compiler = engine()
     start = time.perf_counter()
     points = compiler.sweep(circuit)
     return time.perf_counter() - start, points, compiler.stats
@@ -38,7 +40,7 @@ def _measure():
     for width in SCALING_WIDTHS:
         circuit = bv_circuit(width)
         t_inc, inc_points, stats = _time_sweep(circuit)
-        t_ref, ref_points, _ = _time_sweep(circuit, incremental=False)
+        t_ref, ref_points, _ = _time_sweep(circuit, ReferenceQSCaQR)
         assert [p.pairs for p in inc_points] == [p.pairs for p in ref_points], (
             f"engines diverged on bv({width})"
         )

@@ -11,8 +11,9 @@ pre-optimisation router produced.
 Arms:
 
 * **legacy** — the from-scratch reference scheduler
-  (``SRCaQR(incremental=False)``) with the networkx lookahead kernel
-  (``CAQR_LOOKAHEAD_KERNEL=nx``): the pre-PR hot path.
+  (``ReferenceSRCaQR``) with the networkx lookahead kernel
+  (``nx_lookahead_kernel()``), both from ``tests/oracles.py``: the
+  pre-optimisation hot path.
 * **optimized** — the defaults: incremental scheduler + bitset kernel.
 * **parallel** — the optimized router with the trial grid fanned over the
   process pool, to pin the seed-keyed reduction against the same
@@ -23,8 +24,8 @@ Gate: >= 3x end-to-end on bv(40) at trials=3 with QS assistance.
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_routing_throughput.py``.
 """
 
+import contextlib
 import hashlib
-import os
 import time
 
 from conftest import emit, once
@@ -33,6 +34,7 @@ from repro.analysis import format_table
 from repro.core import SRCaQR, SRCaQRCommuting
 from repro.hardware import generic_backend, grid, ibm_mumbai
 from repro.workloads import bv_circuit, random_graph
+from tests.oracles import ReferenceSRCaQR, nx_lookahead_kernel
 
 # acceptance bar (measured ~7x for bv40 and ~5x for QAOA-64 in CI-class
 # containers; 3x leaves margin)
@@ -60,20 +62,21 @@ def _fingerprint(circuit):
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _bv40_run(incremental, kernel, parallel=False):
-    os.environ["CAQR_LOOKAHEAD_KERNEL"] = kernel
-    try:
-        router = SRCaQR(
+def _kernel(legacy):
+    """The lookahead kernel of one arm (the legacy arm runs networkx)."""
+    return nx_lookahead_kernel() if legacy else contextlib.nullcontext()
+
+
+def _bv40_run(legacy, parallel=False):
+    with _kernel(legacy):
+        router = (ReferenceSRCaQR if legacy else SRCaQR)(
             ibm_mumbai(),
-            incremental=incremental,
             parallel=parallel,
             max_workers=2 if parallel else None,
         )
         start = time.perf_counter()
         result = router.run(bv_circuit(40), trials=TRIALS, qs_assist=True)
         elapsed = time.perf_counter() - start
-    finally:
-        os.environ.pop("CAQR_LOOKAHEAD_KERNEL", None)
     observed = {
         "swaps": result.swap_count,
         "reuses": result.reuse_count,
@@ -84,16 +87,15 @@ def _bv40_run(incremental, kernel, parallel=False):
     return elapsed, observed, router.stats
 
 
-def _qaoa64_run(incremental, kernel):
-    os.environ["CAQR_LOOKAHEAD_KERNEL"] = kernel
-    try:
+def _qaoa64_run(legacy):
+    with _kernel(legacy):
         backend = generic_backend(grid(8, 8), seed=5)
-        compiler = SRCaQRCommuting(backend, incremental=incremental, parallel=False)
+        compiler = SRCaQRCommuting(backend, parallel=False)
+        if legacy:
+            compiler.router = ReferenceSRCaQR(backend, parallel=False)
         start = time.perf_counter()
         result = compiler.run(random_graph(64, 0.08, seed=7))
         elapsed = time.perf_counter() - start
-    finally:
-        os.environ.pop("CAQR_LOOKAHEAD_KERNEL", None)
     observed = {
         "swaps": result.swap_count,
         "qubits": result.qubits_used,
@@ -105,9 +107,9 @@ def _qaoa64_run(incremental, kernel):
 
 def _measure():
     # bv(40): the paper's headline swap-free workload, QS-assisted
-    t_legacy, legacy, _ = _bv40_run(incremental=False, kernel="nx")
-    t_fast, fast, fast_stats = _bv40_run(incremental=True, kernel="bitset")
-    t_par, par, _ = _bv40_run(incremental=True, kernel="bitset", parallel=True)
+    t_legacy, legacy, _ = _bv40_run(legacy=True)
+    t_fast, fast, fast_stats = _bv40_run(legacy=False)
+    t_par, par, _ = _bv40_run(legacy=False, parallel=True)
     for name, observed in (("legacy", legacy), ("optimized", fast), ("parallel", par)):
         assert observed == BV40_BASELINE, (
             f"bv40 {name} arm diverged from the pinned baseline: {observed}"
@@ -115,8 +117,8 @@ def _measure():
     bv_speedup = t_legacy / t_fast
 
     # QAOA-64: the commuting pipeline on an 8x8 grid device
-    tq_legacy, q_legacy, _ = _qaoa64_run(incremental=False, kernel="nx")
-    tq_fast, q_fast, q_stats = _qaoa64_run(incremental=True, kernel="bitset")
+    tq_legacy, q_legacy, _ = _qaoa64_run(legacy=True)
+    tq_fast, q_fast, q_stats = _qaoa64_run(legacy=False)
     for name, observed in (("legacy", q_legacy), ("optimized", q_fast)):
         assert observed == QAOA64_BASELINE, (
             f"qaoa64 {name} arm diverged from the pinned baseline: {observed}"

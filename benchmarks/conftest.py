@@ -8,8 +8,14 @@ series, and archives the text under ``benchmarks/results/``.
 from __future__ import annotations
 
 import os
+import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# the legacy (reference) arms import their engines from tests/oracles.py
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def emit(name: str, text: str) -> None:

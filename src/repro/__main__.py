@@ -17,8 +17,8 @@ CLI section mirrors these and ``tests/test_docs.py`` parses both)::
     python -m repro backends                       # list the device registry
     python -m repro drift-replay bv_5 --device ibm_mumbai --steps 12 --bands 2
     python -m repro serve --port 8787 --cache-dir /tmp/caqr-cache
-    python -m repro serve --port 8787 --workers-mode persistent \
-        --disk-entries 10000 --request-log /tmp/caqr-requests.jsonl
+    python -m repro serve --port 8787 --disk-entries 10000 \
+        --request-log /tmp/caqr-requests.jsonl
     python -m repro serve --port 8787 --auth-token secret \
         --tls-cert cert.pem --tls-key key.pem
     python -m repro gateway --backend http://127.0.0.1:8787 \
@@ -334,7 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_concurrency=args.max_concurrency,
         request_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
-        workers_mode=args.workers_mode,
         disk_entries=args.disk_entries,
         disk_bytes=args.disk_bytes,
         request_log=args.request_log,
@@ -562,11 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="seconds to wait for in-flight requests on shutdown",
-    )
-    serve_parser.add_argument(
-        "--workers-mode", default=None, choices=["persistent", "ephemeral"],
-        help="batch/portfolio process-pool mode (default: $CAQR_WORKERS_MODE, "
-        "else persistent)",
     )
     serve_parser.add_argument(
         "--disk-entries", type=int, default=None, metavar="N",

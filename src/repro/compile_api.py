@@ -207,7 +207,6 @@ def caqr_compile(
     reset_style: str = "cif",
     seed: int = 11,
     auto_commuting: bool = True,
-    incremental: bool = True,
     parallel: bool = True,
     cache=None,
     strategy: str = "auto",
@@ -234,9 +233,6 @@ def caqr_compile(
         auto_commuting: recognise QAOA-shaped circuits and dispatch them to
             the commuting-gate pipeline (uniform-angle circuits only; the
             regular pipeline handles everything else soundly).
-        incremental: drive QS-CaQR through the incremental evaluation
-            session (default; ``False`` selects the from-scratch reference
-            engine — both pick identical reuse pairs).
         parallel: allow process-pool candidate scoring on large circuits.
         cache: route the request through the content-addressed compile
             cache (:mod:`repro.service`): ``True`` uses the process-wide
@@ -292,7 +288,6 @@ def caqr_compile(
             reset_style=reset_style,
             seed=seed,
             auto_commuting=auto_commuting,
-            incremental=incremental,
             parallel=parallel,
             strategy=strategy,
             objective=objective,
@@ -324,7 +319,6 @@ def caqr_compile(
                 reset_style=reset_style,
                 seed=seed,
                 auto_commuting=auto_commuting,
-                incremental=incremental,
                 parallel=parallel,
                 objective=objective if objective is not None else "qubits",
             )
@@ -339,7 +333,6 @@ def caqr_compile(
         qubit_limit=qubit_limit,
         reset_style=reset_style,
         seed=seed,
-        incremental=incremental,
     )
     if strategy == "chain":
         # dual-register cost model on all-to-all (trapped-ion) backends;
@@ -461,7 +454,6 @@ def _qs_lane(spec, request, mode, view, parallel) -> LaneResult:
         objective=options.get("objective", "depth"),
         reset_style=request.reset_style,
         lookahead_width=options.get("lookahead_width"),
-        incremental=request.incremental,
         parallel=parallel,
     )
     points = _points(compiler.sweep(request.target), None, request.seed)
@@ -592,7 +584,7 @@ def _sweep(request, view, parallel, stats=None, min_qubits=1, mapped=False,
     if view is not None:
         graph, gamma, beta = view
         return sweep_commuting(graph, gamma=gamma, beta=beta, **common, **engine)
-    return sweep_regular(request.target, incremental=request.incremental, **common)
+    return sweep_regular(request.target, **common)
 
 
 def _pick(points, request, mode):
@@ -623,7 +615,6 @@ def _route(request, view, parallel, **run):
     # knob (None = auto-detect, False = serial)
     options = dict(
         reset_style=request.reset_style,
-        incremental=request.incremental,
         parallel=None if parallel else False,
     )
     if view is not None:

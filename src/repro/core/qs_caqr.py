@@ -11,16 +11,14 @@ The driver greedily reduces qubit usage one wire at a time:
 ``sweep`` records every intermediate circuit so callers can explore the
 full qubit-usage / depth tradeoff curve (Figs. 3, 13, 14).
 
-Two execution engines produce identical pair sequences:
-
-* the **incremental engine** (default) drives a
-  :class:`~repro.core.session.ReuseSession` — one DAG + descendants-bitset
-  cache for the whole sweep, batched candidate costs through
-  :class:`~repro.core.evaluate.PairScorer` (process-pool fan-out on large
-  circuits), and a closure-free reuse-potential lookahead;
-* the **reference engine** (``incremental=False``) re-analyses the
-  materialised circuit from scratch at every step — the paper-literal
-  path the differential tests pin the fast engine against.
+The loop drives a :class:`~repro.core.session.ReuseSession` — one DAG +
+descendants-bitset cache for the whole sweep, batched candidate costs
+through :class:`~repro.core.evaluate.PairScorer` (process-pool fan-out on
+large circuits), and a closure-free reuse-potential lookahead.  It picks
+the same pair sequence as the paper-literal loop that re-analyses the
+materialised circuit at every step, ``ReferenceQSCaQR`` in
+``tests/oracles.py``, which ``tests/property/test_equivalence_diff.py``
+pins it against.
 """
 
 from __future__ import annotations
@@ -29,15 +27,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.core.conditions import ReuseAnalysis, ReusePair
-from repro.core.evaluate import (
-    PairScorer,
-    evaluate_pair_depth,
-    evaluate_pair_duration,
-)
+from repro.core.conditions import ReusePair
+from repro.core.evaluate import PairScorer
 from repro.core.profile import ReuseEvalStats
 from repro.core.session import ReuseSession
-from repro.core.transform import apply_reuse_pair
 from repro.exceptions import ReuseError
 from repro.transpiler.scheduling import circuit_duration_dt
 
@@ -85,10 +78,6 @@ class QSCaQR:
         lookahead_width: cap on how many of the cheapest candidates get the
             reuse-potential lookahead (None = all of them, exact for the
             paper's benchmark sizes).
-        incremental: drive the sweep through a persistent
-            :class:`~repro.core.session.ReuseSession` instead of
-            re-analysing the circuit from scratch each step.  Both engines
-            select identical pair sequences.
         parallel: allow process-pool fan-out of candidate scoring and the
             lookahead on large circuits (small ones stay serial — see the
             workload thresholds in :mod:`repro.core.evaluate` and
@@ -106,7 +95,6 @@ class QSCaQR:
         objective: str = "depth",
         reset_style: str = "cif",
         lookahead_width: Optional[int] = None,
-        incremental: bool = True,
         parallel: bool = True,
         parallel_threshold: Optional[int] = None,
         max_workers: Optional[int] = None,
@@ -119,7 +107,6 @@ class QSCaQR:
         # (exact for the paper's benchmark sizes); set an int to cap the
         # window on very wide circuits.
         self.lookahead_width = lookahead_width
-        self.incremental = incremental
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
         self.max_workers = max_workers
@@ -127,72 +114,20 @@ class QSCaQR:
 
     # -- single greedy step ---------------------------------------------------
 
-    @staticmethod
-    def _reuse_potential(circuit: QuantumCircuit) -> int:
-        """Upper bound on further merges: max bipartite matching over the
-        valid-pair relation (each qubit once as source, once as target).
-
-        A pair that looks cheap by critical path can still destroy future
-        reuse (e.g. pairing BV's first data qubit with its *last* one
-        breaks the chain that reaches the 2-qubit floor); this bound is
-        the lookahead that prevents such dead ends.
-        """
-        import networkx as nx
-
-        pairs = ReuseAnalysis(circuit).valid_pairs()
-        if not pairs:
-            return 0
-        graph = nx.Graph()
-        sources = {("s", p.source) for p in pairs}
-        for pair in pairs:
-            graph.add_edge(("s", pair.source), ("t", pair.target))
-        matching = nx.algorithms.bipartite.hopcroft_karp_matching(graph, sources)
-        return len(matching) // 2
-
-    def best_pair(self, circuit: QuantumCircuit) -> Optional[ReusePair]:
+    def _best_pair_session(
+        self, session: ReuseSession, scorer: PairScorer
+    ) -> Optional[ReusePair]:
         """The cheapest valid pair that preserves maximal reuse potential.
 
         Candidates are ranked by the critical path of the DAG with the
         dummy node inserted (paper Fig. 9); among the ``lookahead_width``
         cheapest, the pair whose application leaves the largest remaining
-        reuse-matching bound wins (cost breaks ties).
-
-        This is the from-scratch reference evaluation; the incremental
-        engine reproduces its choices without rebuilding the analysis.
+        reuse-matching bound wins (cost breaks ties).  The bound — max
+        bipartite matching over the post-merge valid-pair relation — is
+        the lookahead that keeps a cheap pair from destroying future
+        reuse (pairing BV's first data qubit with its *last* one breaks
+        the chain that reaches the 2-qubit floor).
         """
-        analysis = ReuseAnalysis(circuit)
-        candidates = analysis.valid_pairs()
-        if not candidates:
-            return None
-
-        def _cost(pair: ReusePair):
-            if self.objective == "depth":
-                value = evaluate_pair_depth(analysis.dag, pair)
-            else:
-                value = evaluate_pair_duration(analysis.dag, pair, self.reset_style)
-            return (value, pair.source, pair.target)
-
-        ranked = sorted(candidates, key=_cost)
-        if self.lookahead_width is not None:
-            ranked = ranked[: max(1, self.lookahead_width)]
-        window = ranked
-        best_pair: Optional[ReusePair] = None
-        best_key = None
-        for pair in window:
-            transformed = apply_reuse_pair(
-                circuit, pair, reset_style=self.reset_style, validate=False
-            ).circuit
-            potential = self._reuse_potential(transformed)
-            key = (-potential, _cost(pair))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = pair
-        return best_pair
-
-    def _best_pair_session(
-        self, session: ReuseSession, scorer: PairScorer
-    ) -> Optional[ReusePair]:
-        """Incremental replica of :meth:`best_pair` on the live session."""
         candidates = session.valid_pairs()
         if not candidates:
             return None
@@ -273,8 +208,6 @@ class QSCaQR:
         Returns one result per width; the first entry is the untouched
         input, the last is the maximal-reuse circuit.
         """
-        if not self.incremental:
-            return self._sweep_reference(circuit, min_qubits)
         points = [self._point(circuit, [])]
         with self._session(circuit) as session, self._scorer() as scorer:
             while session.num_qubits > min_qubits:
@@ -285,23 +218,6 @@ class QSCaQR:
                     session.apply(pair)
                 scorer.invalidate()
                 points.append(self._point(session.circuit, session.pairs))
-        return points
-
-    def _sweep_reference(
-        self, circuit: QuantumCircuit, min_qubits: int = 1
-    ) -> List[QSCaQRResult]:
-        points = [self._point(circuit, [])]
-        current = circuit
-        pairs: List[ReusePair] = []
-        while current.num_qubits > min_qubits:
-            pair = self.best_pair(current)
-            if pair is None:
-                break
-            current = apply_reuse_pair(
-                current, pair, reset_style=self.reset_style, validate=False
-            ).circuit
-            pairs.append(pair)
-            points.append(self._point(current, pairs))
         return points
 
     def minimum_qubits(self, circuit: QuantumCircuit) -> int:
@@ -319,8 +235,6 @@ class QSCaQR:
             raise ReuseError("qubit limit must be positive")
         if circuit.num_qubits <= qubit_limit:
             return self._point(circuit, [])
-        if not self.incremental:
-            return self._reduce_to_reference(circuit, qubit_limit)
         with self._session(circuit) as session, self._scorer() as scorer:
             while session.num_qubits > qubit_limit:
                 pair = self._best_pair_session(session, scorer)
@@ -331,17 +245,3 @@ class QSCaQR:
                 scorer.invalidate()
             return self._point(session.circuit, session.pairs)
 
-    def _reduce_to_reference(
-        self, circuit: QuantumCircuit, qubit_limit: int
-    ) -> QSCaQRResult:
-        current = circuit
-        pairs: List[ReusePair] = []
-        while current.num_qubits > qubit_limit:
-            pair = self.best_pair(current)
-            if pair is None:
-                return self._point(current, pairs, feasible=False)
-            current = apply_reuse_pair(
-                current, pair, reset_style=self.reset_style, validate=False
-            ).circuit
-            pairs.append(pair)
-        return self._point(current, pairs)

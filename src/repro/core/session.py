@@ -47,19 +47,6 @@ __all__ = ["ReuseSession", "POTENTIAL_WORKLOAD_THRESHOLD"]
 POTENTIAL_WORKLOAD_THRESHOLD = 200_000
 
 
-def _lookahead_kernel() -> str:
-    """Which lookahead kernel to run: ``"bitset"`` (default) or ``"nx"``.
-
-    ``CAQR_LOOKAHEAD_KERNEL=nx`` selects the original networkx-based
-    reference kernel; anything else (including unset) selects the
-    vectorised bitset kernel.  Both return identical potentials — the
-    maximum-matching size is unique — so the knob exists for differential
-    testing and as the pre-optimisation benchmark arm.
-    """
-    kernel = os.environ.get("CAQR_LOOKAHEAD_KERNEL", "bitset").strip().lower()
-    return "nx" if kernel == "nx" else "bitset"
-
-
 class _WireGroup:
     """One physical wire of the evolving circuit: the original qubits
     merged onto it, their DAG nodes in wire order, and Condition-1 state."""
@@ -73,86 +60,13 @@ class _WireGroup:
         self.interacts: Set[int] = set()
 
 
-def _potential_for_candidate(state: dict, pair: ReusePair) -> int:
-    """Reuse-potential of the circuit after *pair*, from bitset state only.
-
-    Mirrors ``QSCaQR._reuse_potential(apply_reuse_pair(...).circuit)``:
-    the candidate's merge is simulated by (a) giving every wire that
-    reaches the source wire the target wire's closure plus the new
-    measure/reset bits, and (b) merging the two wires' masks, then the
-    valid-pair relation is rebuilt and its maximum bipartite matching
-    sized.  Bit positions ``next_id``/``next_id + 1`` stand in for the
-    not-yet-inserted measure and reset nodes.
-    """
-    import networkx as nx
-
-    a, b = pair.source, pair.target
-    reach_op = state["reach_op"]
-    reach_all = state["reach_all"]
-    selfop = state["selfop"]
-    gids = state["gids"]
-    interacts = state["interacts"]
-    nm = state["next_id"]
-    # the reset node is always new; the measure node is only new when the
-    # source wire has no terminal measurement to take over
-    new_bits = 1 << (nm + 1)
-    if not state["tmeasure"][a]:
-        new_bits |= 1 << nm
-    tr = reach_all[b] | new_bits
-    smask = state["selfall"][a]
-
-    labels = [i for i in range(state["n"]) if i != b]
-    reach2: Dict[int, int] = {}
-    self2: Dict[int, int] = {}
-    used2: Dict[int, bool] = {}
-    merged_interacts = interacts[a] | interacts[b]
-    for i in labels:
-        if i == a:
-            reach2[i] = reach_op[a] | reach_op[b] | tr
-            self2[i] = selfop[a] | selfop[b] | new_bits
-            used2[i] = True
-        else:
-            reach = reach_op[i]
-            if reach & smask:
-                reach |= tr
-            reach2[i] = reach
-            self2[i] = selfop[i]
-            used2[i] = state["used"][i]
-
-    def _interacting(x: int, y: int) -> bool:
-        if x == a:
-            return gids[y] in merged_interacts
-        if y == a:
-            return gids[x] in merged_interacts
-        return gids[y] in interacts[x]
-
-    graph = nx.Graph()
-    sources = set()
-    for x in labels:
-        if not used2[x]:
-            continue
-        for y in labels:
-            if x == y or not used2[y]:
-                continue
-            if _interacting(x, y):
-                continue  # Condition 1
-            if reach2[y] & self2[x]:
-                continue  # Condition 2: a gate on y precedes a gate on x
-            graph.add_edge(("s", x), ("t", y))
-            sources.add(("s", x))
-    if not graph.number_of_edges():
-        return 0
-    matching = nx.algorithms.bipartite.hopcroft_karp_matching(graph, sources)
-    return len(matching) // 2
-
-
 def _derive_np_state(state: dict) -> dict:
     """Precompute the per-step overlap matrices the bitset kernel reads.
 
-    The candidate-dependent bitset expressions in
-    :func:`_potential_for_candidate` all factor through three label×label
-    overlap relations, so the word-level work is done once per step here
-    and each candidate evaluation degrades to (n, n) boolean algebra:
+    The post-merge Condition-2 relation of every candidate factors
+    through three label×label overlap relations of the step's bitset
+    masks, so the word-level work is done once per step here and each
+    candidate evaluation degrades to (n, n) boolean algebra:
 
     * ``op_overlap[x, y]``  — ``selfop[x] & reach_op[y]`` is non-zero
       (Condition 2 of the unmodified wires);
@@ -168,7 +82,7 @@ def _derive_np_state(state: dict) -> dict:
     merged source wire's self-mask, so their only effect — forcing
     Condition 2 between the merged wire and every wire that inherits
     ``tr`` — is folded into the closed-form update in
-    :func:`_potential_for_candidate_fast`.
+    :func:`_potential_for_candidate`.
     """
     n = state["n"]
     num_words = max(1, (state["next_id"] + 63) // 64)
@@ -198,13 +112,16 @@ def _derive_np_state(state: dict) -> dict:
     }
 
 
-def _potential_for_candidate_fast(np_state: dict, pair: ReusePair) -> int:
-    """Bitset-kernel twin of :func:`_potential_for_candidate`.
+def _potential_for_candidate(np_state: dict, pair: ReusePair) -> int:
+    """Reuse-potential of the circuit after *pair*, from bitset state only.
 
-    Evaluates the same post-merge Condition-1/2 relation from the
-    precomputed overlap matrices and sizes the same maximum matching
-    (Kuhn instead of Hopcroft–Karp; the size is unique), so the returned
-    potential is identical bit for bit.
+    The candidate's merge is simulated on the precomputed overlap
+    matrices: every wire that reaches the source wire inherits the target
+    wire's closure plus the new measure/reset nodes, and the two wires'
+    masks merge.  The post-merge Condition-1/2 relation is then rebuilt
+    and its maximum bipartite matching sized (Kuhn).  The result equals
+    the networkx matching bound of the materialised transformed circuit
+    (``nx_potential`` in ``tests/oracles.py``; the size is unique).
     """
     a, b = pair.source, pair.target
     n = np_state["n"]
@@ -238,10 +155,8 @@ def _potential_for_candidate_fast(np_state: dict, pair: ReusePair) -> int:
 def _potential_chunk_worker(payload):
     """Process-pool entry point: lookahead for one chunk of candidates."""
     state, pairs = payload
-    if _lookahead_kernel() == "nx":
-        return [_potential_for_candidate(state, pair) for pair in pairs]
     np_state = _derive_np_state(state)
-    return [_potential_for_candidate_fast(np_state, pair) for pair in pairs]
+    return [_potential_for_candidate(np_state, pair) for pair in pairs]
 
 
 class ReuseSession:
@@ -445,16 +360,11 @@ class ReuseSession:
                 values: List[int] = []
                 for part in self._pool().map(_potential_chunk_worker, payloads):
                     values.extend(part)
-            elif _lookahead_kernel() == "nx":
-                self.stats.count("serial_batches")
-                values = [
-                    _potential_for_candidate(state, pair) for pair in missing
-                ]
             else:
                 self.stats.count("serial_batches")
                 np_state = self._np_state()
                 values = [
-                    _potential_for_candidate_fast(np_state, pair)
+                    _potential_for_candidate(np_state, pair)
                     for pair in missing
                 ]
             self._potential_cache.update(zip(missing, values))

@@ -22,20 +22,16 @@ A physical qubit is only released for reuse when its logical qubit's final
 operation was a measurement (the paper's setting: reused qubits are
 measured first — their outcome is still needed).
 
-Two interchangeable scheduler engines are provided (``incremental=``):
-
-* the default **incremental** engine maintains slack, the frontier, and
-  per-qubit gate counts under node-resolution deltas — ALAP tail depths
-  are fixed once (scheduled nodes are always frontier nodes, so the
-  unscheduled set is an up-set and a node's successor chain never
-  changes), ASAP labels are repaired by a worklist, and placement / SWAP
-  scoring is vectorised against shared read-only distance matrices;
-* the **reference** engine re-derives everything from the full DAG each
-  round with scalar scoring — the pre-optimisation router, kept as the
-  differential-testing and benchmarking baseline.
-
-Both engines emit bit-identical circuits; ``tests/property`` pins them
-against each other.  ``SRCaQR.run`` can fan its candidate × hint-seed
+The scheduler is incremental: it maintains slack, the frontier, and
+per-qubit gate counts under node-resolution deltas — ALAP tail depths
+are fixed once (scheduled nodes are always frontier nodes, so the
+unscheduled set is an up-set and a node's successor chain never
+changes), ASAP labels are repaired by a worklist, and placement / SWAP
+scoring is vectorised against shared read-only distance matrices.  It
+emits bit-identical circuits to the from-scratch scheduler it replaced,
+``ReferenceSRCaQR`` in ``tests/oracles.py``, which the differential
+harness in ``tests/property/test_router_determinism.py`` pins it
+against.  ``SRCaQR.run`` can fan its candidate × hint-seed
 trial grid out to a process pool (``parallel=`` / ``CAQR_ROUTE_WORKERS``)
 with a grid-ordered reduction that keeps the selection bit-identical to
 the serial sweep (see ``docs/ROUTER.md``).
@@ -107,9 +103,6 @@ class SRCaQR:
         noise_aware: weight SWAP paths and placement by calibration errors
             (when off, plain hop distance is used — the ablation knob).
         reset_style: reset idiom used at reuse points.
-        incremental: use the incremental scheduler engine (default); the
-            from-scratch reference engine is kept for differential testing
-            and benchmarking.
         parallel: ``True`` forces the trial grid onto a process pool,
             ``False`` forces the serial sweep, ``None`` (default) uses the
             pool only when more than one worker (``CAQR_ROUTE_WORKERS``)
@@ -123,14 +116,12 @@ class SRCaQR:
         backend: Backend,
         noise_aware: bool = True,
         reset_style: str = "cif",
-        incremental: bool = True,
         parallel: Optional[bool] = None,
         max_workers: Optional[int] = None,
     ):
         self.backend = backend
         self.noise_aware = noise_aware
         self.reset_style = reset_style
-        self.incremental = incremental
         self.parallel = parallel
         self.max_workers = max_workers
         self.stats = RouteStats()
@@ -324,16 +315,9 @@ class SRCaQR:
             return {}
         return hint_layout.as_dict()
 
+    # -- the scheduler -------------------------------------------------------------
+
     def _run_once(
-        self, circuit: QuantumCircuit, hint_seed: Optional[int]
-    ) -> SRCaQRResult:
-        if self.incremental:
-            return self._run_once_incremental(circuit, hint_seed)
-        return self._run_once_reference(circuit, hint_seed)
-
-    # -- incremental engine --------------------------------------------------------
-
-    def _run_once_incremental(
         self, circuit: QuantumCircuit, hint_seed: Optional[int]
     ) -> SRCaQRResult:
         flat = decompose_to_two_qubit(circuit)
@@ -791,369 +775,6 @@ class SRCaQR:
         stats.count("slack_recomputes_avoided", avoided)
         stats.count("slack_node_updates", node_updates)
         stats.count("swap_candidates_scored", candidates_scored)
-        stats.count("swaps_inserted", swap_count)
-        return SRCaQRResult(
-            circuit=out,
-            swap_count=swap_count,
-            reuse_count=reuse_count,
-            qubits_used=len(ever_used),
-            depth=out.depth(),
-            duration_dt=circuit_duration_dt(out, self.backend.calibration),
-        )
-
-    # -- reference engine ----------------------------------------------------------
-
-    def _run_once_reference(
-        self, circuit: QuantumCircuit, hint_seed: Optional[int]
-    ) -> SRCaQRResult:
-        """The pre-optimisation router: slack, frontier, and reclaim are
-        re-derived from the full DAG every round with scalar scoring.  Kept
-        bit-identical to the incremental engine (``tests/property`` pins
-        them against each other) as the differential/benchmark baseline."""
-        flat = decompose_to_two_qubit(circuit)
-        dag = DAGCircuit.from_circuit(flat)
-        coupling = self.backend.coupling
-        stats = self.stats
-        stats.count("distance_cache_hits")
-
-        hints = self._hints(flat, hint_seed)
-
-        in_degree: Dict[int, int] = {n: dag.in_degree(n) for n in dag.nodes}
-        unscheduled: Set[int] = set(dag.nodes)
-        remaining_gates: Dict[int, int] = {q: 0 for q in range(flat.num_qubits)}
-        last_op: Dict[int, Optional[Instruction]] = {
-            q: None for q in range(flat.num_qubits)
-        }
-        for node_id in dag.op_nodes(include_directives=True):
-            instruction = dag.nodes[node_id].instruction
-            for q in instruction.qubits:
-                remaining_gates[q] += 1
-
-        layout = Layout(flat.num_qubits, self.backend.num_qubits)
-        out = QuantumCircuit(self.backend.num_qubits, flat.num_clbits, flat.name)
-        wire_state: Dict[int, Tuple[str, Optional[int]]] = {
-            p: _FRESH for p in range(self.backend.num_qubits)
-        }
-        ever_used: Set[int] = set()
-        swap_count = 0
-        reuse_count = 0
-        force_map = False
-        # bounded patience per logical qubit when waiting for a wire to free
-        wait_budget: Dict[int, int] = {q: 16 for q in range(flat.num_qubits)}
-
-        # -- inner helpers ---------------------------------------------------------
-
-        def _slack() -> Dict[int, int]:
-            """Unit-weight slack over the unscheduled sub-DAG."""
-            stats.count("slack_recomputes")
-            order = [n for n in dag.topological_order() if n in unscheduled]
-            asap: Dict[int, int] = {}
-            for node_id in order:
-                start = max(
-                    (
-                        asap[p]
-                        for p in dag.predecessors(node_id)
-                        if p in unscheduled
-                    ),
-                    default=0,
-                )
-                asap[node_id] = start + 1
-            horizon = max(asap.values(), default=0)
-            alap: Dict[int, int] = {}
-            for node_id in reversed(order):
-                successors = [s for s in dag.successors(node_id) if s in unscheduled]
-                if not successors:
-                    alap[node_id] = horizon
-                else:
-                    alap[node_id] = min(alap[s] - 1 for s in successors)
-            return {n: alap[n] - asap[n] for n in order}
-
-        def _frontier() -> List[int]:
-            return [n for n in dag._order if n in unscheduled and in_degree[n] == 0]
-
-        def _mark_scheduled(node_id: int) -> None:
-            unscheduled.discard(node_id)
-            instruction = dag.nodes[node_id].instruction
-            for successor in dag.successors(node_id):
-                in_degree[successor] -= 1
-            if instruction is None:
-                return
-            for q in instruction.qubits:
-                remaining_gates[q] -= 1
-                last_op[q] = instruction
-            _reclaim()
-
-        def _reclaim() -> None:
-            """Release finished logical qubits back to the physical pool."""
-            for q in range(flat.num_qubits):
-                if remaining_gates[q] == 0 and layout.is_mapped(q):
-                    final = last_op[q]
-                    physical = layout.release(q)
-                    if final is not None and final.name == "measure":
-                        wire_state[physical] = ("measured", final.clbits[0])
-                    else:
-                        wire_state[physical] = _DIRTY
-
-        def _emit(node_id: int) -> None:
-            instruction = dag.nodes[node_id].instruction
-            mapped = instruction.remapped(lambda q: layout.physical(q))
-            out.append(mapped)
-            ever_used.update(mapped.qubits)
-            _mark_scheduled(node_id)
-
-        def _prepare_wire(physical: int) -> None:
-            """Reset a reused wire before its new logical qubit starts."""
-            nonlocal reuse_count
-            state, clbit = wire_state[physical]
-            if state == "fresh":
-                return
-            reuse_count += 1
-            if state == "dirty":
-                clbit = out.num_clbits
-                out.add_clbits(1)
-                out.measure(physical, clbit)
-            if self.reset_style == "cif":
-                out.x(physical).c_if(clbit, 1)
-            else:
-                out.reset(physical)
-            wire_state[physical] = _FRESH
-
-        def _future_partners(logical: int) -> List[int]:
-            """Physical positions of already-mapped future gate partners."""
-            partners: List[int] = []
-            for node_id in dag.nodes_on_qubit(logical):
-                if node_id not in unscheduled:
-                    continue
-                instruction = dag.nodes[node_id].instruction
-                for other in instruction.qubits:
-                    if other != logical and layout.is_mapped(other):
-                        partners.append(layout.physical(other))
-            return partners
-
-        def _free_degree(physical: int) -> int:
-            return sum(
-                1
-                for neighbor in coupling.neighbors(physical)
-                if layout.logical(neighbor) is None
-            )
-
-        def _map_first(logical: int) -> bool:
-            free = layout.free_physical()
-            if not free:
-                return False  # pool exhausted; retry after wires are freed
-            partners = _future_partners(logical)
-            distance = coupling.distance_matrix()
-            # wait for an imminently-freed wire next to a mapped partner
-            # rather than settling for a distant placement (paper Fig. 5)
-            if partners and not force_map and wait_budget[logical] > 0:
-                best_free = min(
-                    distance[p][f] for p in partners for f in free
-                )
-                if best_free > 1:
-                    for partner_physical in partners:
-                        for neighbor in coupling.neighbors(partner_physical):
-                            occupant = layout.logical(neighbor)
-                            if occupant is not None and _finishing_soon(occupant):
-                                wait_budget[logical] -= 1
-                                return False
-
-            def score(physical: int):
-                partner_cost = sum(distance[physical][p] for p in partners)
-                readout = (
-                    self.backend.calibration.get_readout_error(physical)
-                    if self.noise_aware
-                    else 0.0
-                )
-                off_hint = 0 if hints.get(logical) == physical else 1
-                return (
-                    partner_cost,
-                    off_hint,
-                    -_free_degree(physical),
-                    readout,
-                    physical,
-                )
-
-            physical = min(free, key=score)
-            _prepare_wire(physical)
-            layout.assign(logical, physical)
-            return True
-
-        def _finishing_soon(occupant: int) -> bool:
-            """Occupant is in its 1Q/measure tail: the wire frees shortly."""
-            if remaining_gates[occupant] > 3:
-                return False
-            return all(
-                len(dag.nodes[n].instruction.qubits) == 1
-                for n in dag.nodes_on_qubit(occupant)
-                if n in unscheduled
-            )
-
-        def _map_second(logical: int, partner_physical: int) -> bool:
-            free = layout.free_physical()
-            if not free:
-                return False  # pool exhausted; retry after wires are freed
-            distance = coupling.distance_matrix()
-            # Prefer *waiting* over a distant placement when a neighbour of
-            # the partner is about to be released — the released wire is a
-            # SWAP-free reuse spot (the crux of SR-CaQR, paper Fig. 5).
-            if not force_map and wait_budget[logical] > 0:
-                best_free = min(distance[partner_physical][p] for p in free)
-                if best_free > 1:
-                    for neighbor in coupling.neighbors(partner_physical):
-                        occupant = layout.logical(neighbor)
-                        if occupant is not None and _finishing_soon(occupant):
-                            wait_budget[logical] -= 1
-                            return False
-
-            def score(physical: int):
-                hops = distance[partner_physical][physical]
-                if self.noise_aware:
-                    readout = self.backend.calibration.get_readout_error(physical)
-                    link = (
-                        self.backend.calibration.get_cx_error(physical, partner_physical)
-                        if coupling.are_adjacent(physical, partner_physical)
-                        else 1.0
-                    )
-                else:
-                    readout = link = 0.0
-                off_hint = 0 if hints.get(logical) == physical else 1
-                return (hops, off_hint, readout + link, physical)
-
-            physical = min(free, key=score)
-            _prepare_wire(physical)
-            layout.assign(logical, physical)
-            return True
-
-        def _map_gate_qubits(instruction: Instruction) -> bool:
-            unmapped = [q for q in instruction.qubits if not layout.is_mapped(q)]
-            if len(unmapped) == 2:
-                # the qubit with more gates on it is placed first (Step 2)
-                first, second = sorted(
-                    unmapped, key=lambda q: -remaining_gates[q]
-                )
-                if not _map_first(first):
-                    return False
-                return _map_second(second, layout.physical(first))
-            if len(unmapped) == 1 and len(instruction.qubits) == 2:
-                other = next(
-                    q for q in instruction.qubits if q != unmapped[0]
-                )
-                return _map_second(unmapped[0], layout.physical(other))
-            if unmapped:
-                return _map_first(unmapped[0])
-            return True
-
-        def _lookahead_gates(blocked: List[int]) -> List[int]:
-            """Nearest fully-mapped 2Q descendants of the blocked gates."""
-            result: List[int] = []
-            queue = list(blocked)
-            seen = set(queue)
-            while queue and len(result) < 20:
-                node_id = queue.pop(0)
-                for successor in sorted(dag.successors(node_id)):
-                    if successor in seen:
-                        continue
-                    seen.add(successor)
-                    instruction = dag.nodes[successor].instruction
-                    if (
-                        instruction is not None
-                        and len(instruction.qubits) == 2
-                        and all(layout.is_mapped(q) for q in instruction.qubits)
-                    ):
-                        result.append(successor)
-                    queue.append(successor)
-            return result
-
-        last_swap: List[Optional[Tuple[int, int]]] = [None]
-
-        def _insert_swap_toward(blocked: List[int]) -> None:
-            """SABRE-style scoring: pick the swap minimising the summed
-            error-weighted distance of every blocked gate, plus a damped
-            look-ahead term over upcoming mapped gates."""
-            nonlocal swap_count
-            ahead = _lookahead_gates(blocked)
-            candidates: Set[Tuple[int, int]] = set()
-            for node_id in blocked:
-                for q in dag.nodes[node_id].instruction.qubits:
-                    physical = layout.physical(q)
-                    for neighbor in coupling.neighbors(physical):
-                        candidates.add(tuple(sorted((physical, neighbor))))
-            if len(candidates) > 1:
-                candidates.discard(last_swap[0])  # don't undo the last swap
-
-            def _pair_cost(node_id: int, swap: Tuple[int, int]) -> float:
-                a, b = swap
-                pa, pb = (layout.physical(q) for q in dag.nodes[node_id].instruction.qubits)
-                pa = b if pa == a else a if pa == b else pa
-                pb = b if pb == a else a if pb == b else pb
-                return self._error_distance[pa][pb]
-
-            def _score(swap: Tuple[int, int]) -> float:
-                front = sum(_pair_cost(node_id, swap) for node_id in blocked)
-                future = sum(_pair_cost(node_id, swap) for node_id in ahead)
-                return front / len(blocked) + (
-                    0.5 * future / len(ahead) if ahead else 0.0
-                )
-
-            if not candidates:
-                raise ReuseError("no SWAP candidates for blocked gates")
-            stats.count("swap_candidates_scored", len(candidates))
-            a, b = min(candidates, key=lambda swap: (_score(swap), swap))
-            out.swap(a, b)
-            ever_used.update((a, b))
-            layout.swap_physical(a, b)
-            wire_state[a], wire_state[b] = wire_state[b], wire_state[a]
-            last_swap[0] = (a, b)
-            swap_count += 1
-
-        # -- main loop -----------------------------------------------------------------
-
-        while unscheduled:
-            slack = _slack()
-            scheduled_any = False
-            mapping_starved = False
-            blocked: List[int] = []
-            # critical gates first so they grab free wires before delayable
-            # ones (and wires reclaimed mid-round serve later gates)
-            frontier = sorted(_frontier(), key=lambda n: slack.get(n, 0))
-            for node_id in frontier:
-                instruction = dag.nodes[node_id].instruction
-                if instruction is None or instruction.is_directive():
-                    _mark_scheduled(node_id)
-                    scheduled_any = True
-                    continue
-                fully_mapped = all(layout.is_mapped(q) for q in instruction.qubits)
-                if not fully_mapped:
-                    if slack.get(node_id, 0) > 0 and not force_map:
-                        continue  # delay off-critical gates (Step 2)
-                    if not _map_gate_qubits(instruction):
-                        mapping_starved = True
-                        continue  # no free wire yet; retry next round
-                if len(instruction.qubits) == 2:
-                    pa, pb = (layout.physical(q) for q in instruction.qubits)
-                    if not coupling.are_adjacent(pa, pb):
-                        blocked.append(node_id)
-                        continue
-                _emit(node_id)
-                scheduled_any = True
-            if scheduled_any:
-                force_map = False
-                continue
-            if blocked:
-                # bring the blocked frontier one SWAP closer (SABRE scoring)
-                _insert_swap_toward(blocked)
-                force_map = False
-                continue
-            if force_map:
-                if mapping_starved:
-                    raise ReuseError(
-                        "device too small: all physical qubits are live and "
-                        "no wire can be freed (circuit needs more concurrent "
-                        "qubits than the device has)"
-                    )
-                raise ReuseError("SR-CaQR made no progress (internal error)")
-            force_map = True
-
         stats.count("swaps_inserted", swap_count)
         return SRCaQRResult(
             circuit=out,

@@ -90,9 +90,8 @@ class SRCaQRCommuting:
         gamma / beta: QAOA angles (single round).
         depth_tolerance: sweet-spot depth budget over the no-reuse depth.
         noise_aware: forwarded to the SR router.
-        incremental / parallel / max_workers: forwarded to the SR router
-            (engine choice and trial-grid fan-out; the routed circuit is
-            identical either way).
+        parallel / max_workers: forwarded to the SR router (trial-grid
+            fan-out; the routed circuit is identical either way).
 
     The underlying router's :class:`~repro.transpiler.RouteStats` sink is
     exposed as ``self.stats`` and accumulates across ``run`` calls.
@@ -106,7 +105,6 @@ class SRCaQRCommuting:
         depth_tolerance: float = 0.25,
         noise_aware: bool = True,
         reset_style: str = "cif",
-        incremental: bool = True,
         parallel: Optional[bool] = None,
         max_workers: Optional[int] = None,
     ):
@@ -120,7 +118,6 @@ class SRCaQRCommuting:
             backend,
             noise_aware=noise_aware,
             reset_style=reset_style,
-            incremental=incremental,
             parallel=parallel,
             max_workers=max_workers,
         )

@@ -97,7 +97,6 @@ def sweep_regular(
     objective: str = "depth",
     reset_style: str = "cif",
     seed: int = 11,
-    incremental: bool = True,
     parallel: bool = True,
     stats=None,
     min_qubits: int = 1,
@@ -107,16 +106,15 @@ def sweep_regular(
     Returns one point per achievable qubit count, original width first,
     stopping once a point is at most *min_qubits* wide (a prefix of the
     full sweep).
-    ``incremental``/``parallel`` select the evaluation engine (see
-    :class:`~repro.core.qs_caqr.QSCaQR`); both engines yield the same
-    points.  *stats* is an optional
+    ``parallel`` allows the engine's process-pool fan-out (see
+    :class:`~repro.core.qs_caqr.QSCaQR`); it never changes the points.
+    *stats* is an optional
     :class:`~repro.core.profile.ReuseEvalStats` sink the sweep's engine
     counters/timers are folded into.
     """
     compiler = QSCaQR(
         objective=objective,
         reset_style=reset_style,
-        incremental=incremental,
         parallel=parallel,
     )
     points = _points(compiler.sweep(circuit, min_qubits), backend, seed)

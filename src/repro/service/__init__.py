@@ -56,7 +56,7 @@ from repro.service.portfolio import (
     set_default_portfolio_state_path,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.service.workers import WorkerPool
 from repro.service.fleet import FleetState, HashRing, ring_key
 from repro.service.net import (
     CACHE_STATUSES,
@@ -85,7 +85,6 @@ __all__ = [
     "reset_default_portfolio_service",
     "set_default_portfolio_state_path",
     "WorkerPool",
-    "resolve_workers_mode",
     "LatencyHistogram",
     "DEFAULT_BUCKETS",
     "render_prometheus",

@@ -23,13 +23,13 @@ compiled result.  This module derives that digest:
 * :func:`request_fingerprint` — the cache key: SHA-256 over the canonical
   JSON of the target digest, backend digest, and every semantic knob.
 
-The key deliberately **excludes** the engine-selection knobs
-(``incremental``/``parallel``/``portfolio_workers``): the differential
-property harnesses pin both engines — and the portfolio race across any
-worker count — to identical outputs, so either engine may serve the
-other's cache entry.  ``strategy`` and ``objective`` are *semantic*
-knobs: a portfolio compile may return a different circuit than the
-single-strategy path (that is its job), so they feed the key.  See
+The key deliberately **excludes** the engine knobs ``parallel`` and
+``portfolio_workers``: the serial == pooled harnesses pin process-pool
+fan-out — and the portfolio race across any worker count — to identical
+outputs, so a serial compile may serve a pooled one's cache entry.
+``strategy`` and ``objective`` are *semantic* knobs: a portfolio compile
+may return a different circuit than the single-strategy path (that is
+its job), so they feed the key.  See
 ``docs/SERVICE.md`` for the full contract.
 """
 

@@ -248,7 +248,6 @@ class RemoteCompileService:
         reset_style: str = "cif",
         seed: int = 11,
         auto_commuting: bool = True,
-        incremental: bool = True,
         parallel: bool = True,
         strategy: str = "auto",
         objective: Optional[str] = None,
@@ -265,7 +264,6 @@ class RemoteCompileService:
                 reset_style=reset_style,
                 seed=seed,
                 auto_commuting=auto_commuting,
-                incremental=incremental,
                 parallel=parallel,
                 strategy=strategy,
                 objective=objective,

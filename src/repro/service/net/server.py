@@ -618,7 +618,6 @@ def start_server_thread(ready_timeout: float = 30.0, **kwargs) -> ServerHandle:
 def run_server(
     cache_dir: Optional[str] = None,
     ttl: Optional[float] = None,
-    workers_mode: Optional[str] = None,
     disk_entries: Optional[int] = None,
     disk_bytes: Optional[int] = None,
     **kwargs: Any,
@@ -636,7 +635,6 @@ def run_server(
     service = CompileService(
         cache_dir=cache_dir,
         ttl=ttl,
-        workers_mode=workers_mode,
         disk_entries=disk_entries,
         disk_bytes=disk_bytes,
     )

@@ -26,7 +26,7 @@ Anything malformed raises :class:`WireError` — the server maps it to a
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -160,9 +160,8 @@ def request_to_wire(request: CompileRequest) -> Dict[str, Any]:
             "qubit_limit": request.qubit_limit,
             "reset_style": request.reset_style,
             "seed": request.seed,
-            "auto_commuting": request.auto_commuting,
-            "incremental": request.incremental,
-            "parallel": request.parallel,
+            "auto_commuting": bool(request.auto_commuting),
+            "parallel": bool(request.parallel),
             "strategy": request.strategy,
             "objective": request.objective,
             "portfolio_workers": request.portfolio_workers,
@@ -172,6 +171,26 @@ def request_to_wire(request: CompileRequest) -> Dict[str, Any]:
             "calib_bands": request.resolved_calib_bands(),
         },
     }
+
+
+def _knob_bool(knobs: Dict[str, Any], name: str, default: bool) -> bool:
+    """A JSON-bool knob; ``"false"`` or ``0`` is a malformed request."""
+    value = knobs.get(name, default)
+    if not isinstance(value, bool):
+        raise WireError(f"knob {name!r} must be a JSON bool, got {value!r}")
+    return value
+
+
+def _knob_int(
+    knobs: Dict[str, Any], name: str, default: Optional[int]
+) -> Optional[int]:
+    """A JSON-int knob (``null`` allowed only where the default is ``None``)."""
+    value = knobs.get(name, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WireError(f"knob {name!r} must be a JSON int, got {value!r}")
+    return value
 
 
 def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
@@ -200,28 +219,26 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
         mode = str(knobs.get("mode", "min_depth"))
         if mode not in MODES:
             raise WireError(f"unknown compile mode {mode!r}")
-        qubit_limit = knobs.get("qubit_limit")
+        # older clients still send the retired engine switch; it never
+        # changed the result, so it is checked and ignored
+        _knob_bool(knobs, "incremental", True)
         objective = knobs.get("objective")
-        portfolio_workers = knobs.get("portfolio_workers")
-        calib_bands = knobs.get("calib_bands")
+        calib_bands = _knob_int(knobs, "calib_bands", None)
         return CompileRequest(
             target=target,
             backend=backend,
             mode=mode,
-            qubit_limit=int(qubit_limit) if qubit_limit is not None else None,
+            qubit_limit=_knob_int(knobs, "qubit_limit", None),
             reset_style=str(knobs.get("reset_style", "cif")),
-            seed=int(knobs.get("seed", 11)),
-            auto_commuting=bool(knobs.get("auto_commuting", True)),
-            incremental=bool(knobs.get("incremental", True)),
-            parallel=bool(knobs.get("parallel", True)),
+            seed=_knob_int(knobs, "seed", 11),
+            auto_commuting=_knob_bool(knobs, "auto_commuting", True),
+            parallel=_knob_bool(knobs, "parallel", True),
             strategy=str(knobs.get("strategy", "auto")),
             objective=str(objective) if objective is not None else None,
-            portfolio_workers=(
-                int(portfolio_workers) if portfolio_workers is not None else None
-            ),
+            portfolio_workers=_knob_int(knobs, "portfolio_workers", None),
             # the sender resolved its environment already; an absent value
             # means "banding off", never "re-resolve against *our* env"
-            calib_bands=int(calib_bands) if calib_bands is not None else 0,
+            calib_bands=0 if calib_bands is None else calib_bands,
         )
     except WireError:
         raise
@@ -242,7 +259,7 @@ def batch_from_wire(payload: Any) -> Tuple[List[Any], bool]:
     members = payload.get("requests")
     if not isinstance(members, list):
         raise WireError("batch envelope needs a requests list")
-    return members, bool(payload.get("parallel", True))
+    return members, _knob_bool(payload, "parallel", True)
 
 
 def response_to_wire(

@@ -49,7 +49,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -74,7 +73,7 @@ from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.service.service import CompileRequest
 from repro.service.stats import ServiceStats
-from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.service.workers import WorkerPool
 from repro.sim.metrics import estimated_success_probability
 
 __all__ = [
@@ -132,8 +131,10 @@ class PortfolioCompileService:
     """Race the engine roster; return the objective-best report.
 
     Args:
-        max_workers: process-pool cap for the strategy fan-out (default:
-            the repo-wide ``min(cpu_count, 8)`` idiom).
+        max_workers: width of the persistent
+            :class:`~repro.service.workers.WorkerPool` the lanes race on
+            (default: the repo-wide ``min(cpu_count, 8)`` idiom); the
+            request ships once per worker.
         stats: optional shared :class:`ServiceStats` sink for win-rate /
             error counters and per-strategy timers.
         exact_max_nodes: anytime node budget handed to the exact tier.
@@ -142,11 +143,6 @@ class PortfolioCompileService:
             :class:`StrategySpec`); ``None`` builds the default roster
             per request.  The override replaces the roster wholesale —
             tests use it to inject poisoned strategies.
-        workers_mode: ``"persistent"`` (default; ``$CAQR_WORKERS_MODE``)
-            races lanes over a long-lived
-            :class:`~repro.service.workers.WorkerPool` with the request
-            shipped once per worker; ``"ephemeral"`` keeps the per-race
-            pool.
         state_path: optional JSON file persisting the win-rate counters
             (the self-tuned submission order) across restarts — loaded
             on construction, rewritten atomically after every race.
@@ -159,7 +155,6 @@ class PortfolioCompileService:
         exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
         exact_max_qubits: int = DEFAULT_EXACT_MAX_QUBITS,
         strategies: Optional[List[StrategySpec]] = None,
-        workers_mode: Optional[str] = None,
         state_path: Optional[str] = None,
     ):
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
@@ -167,7 +162,6 @@ class PortfolioCompileService:
         self.exact_max_nodes = exact_max_nodes
         self.exact_max_qubits = exact_max_qubits
         self.strategies = strategies
-        self.workers_mode = resolve_workers_mode(workers_mode)
         self.state_path = state_path
         self._worker_pool: Optional[WorkerPool] = None
         self._pool_lock = Lock()
@@ -310,7 +304,6 @@ class PortfolioCompileService:
         reset_style: str = "cif",
         seed: int = 11,
         auto_commuting: bool = True,
-        incremental: bool = True,
         parallel: bool = True,
         objective: str = "qubits",
     ) -> CompileReport:
@@ -337,7 +330,6 @@ class PortfolioCompileService:
             reset_style=reset_style,
             seed=seed,
             auto_commuting=auto_commuting,
-            incremental=incremental,
             parallel=parallel,
         )
         view = commuting_view(target, auto_commuting)
@@ -357,27 +349,19 @@ class PortfolioCompileService:
         view,
         parallel: bool,
     ) -> List[StrategyOutcome]:
-        payloads = [(spec, request, view) for spec in specs]
-        workers = min(self.max_workers, len(payloads))
-        if parallel and workers > 1 and len(payloads) > 1:
+        if parallel and self.max_workers > 1 and len(specs) > 1:
             self.stats.count("portfolio_parallel_races")
             with self.stats.timed("portfolio_race"):
-                if self.workers_mode == "persistent":
-                    # one fingerprint for the whole race: every lane
-                    # shares the request, so warm workers decode it once
-                    fingerprint = request.fingerprint()
-                    tasks = [
-                        ("strategy", fingerprint, request, spec) for spec in specs
-                    ]
-                    outcomes = self.worker_pool().run(tasks)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(pool.map(_run_strategy_worker, payloads))
-        else:
-            self.stats.count("portfolio_serial_races")
-            with self.stats.timed("portfolio_race"):
-                outcomes = [_run_strategy_worker(p) for p in payloads]
-        return outcomes
+                # one fingerprint for the whole race: every lane shares
+                # the request, so warm workers decode it once
+                fingerprint = request.fingerprint()
+                tasks = [
+                    ("strategy", fingerprint, request, spec) for spec in specs
+                ]
+                return self.worker_pool().run(tasks)
+        self.stats.count("portfolio_serial_races")
+        with self.stats.timed("portfolio_race"):
+            return [_run_strategy_worker((spec, request, view)) for spec in specs]
 
     # -- winner selection ------------------------------------------------------
 

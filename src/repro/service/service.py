@@ -8,10 +8,9 @@ with the two-tier cache from :mod:`repro.service.cache`:
   in-flight compilation (thread-safe), and stores fresh results.
 * :meth:`CompileService.compile_batch` — many requests at once;
   deduplicates identical members by fingerprint, probes the cache per
-  unique key, fans the remaining cold keys over a
-  ``ProcessPoolExecutor`` (the same fan-out idiom as
-  :class:`repro.core.evaluate.PairScorer` and ``SRCaQR.run``), and
-  returns reports in **input order** regardless of completion order.
+  unique key, fans the remaining cold keys over the service's persistent
+  :class:`~repro.service.workers.WorkerPool`, and returns reports in
+  **input order** regardless of completion order.
 
 ``from_cache`` semantics: a report carries ``from_cache=True`` when it
 was served from an entry (or an in-flight compilation) that this request
@@ -24,7 +23,7 @@ object; nothing mutable is shared between callers or with the cache.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from threading import Lock
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -50,7 +49,7 @@ from repro.service.fingerprint import (
 )
 from repro.service.serialization import dumps_entry, loads_entry
 from repro.service.stats import ServiceStats
-from repro.service.workers import WorkerPool, resolve_workers_mode
+from repro.service.workers import WorkerPool
 
 __all__ = [
     "CompileRequest",
@@ -65,11 +64,11 @@ __all__ = [
 class CompileRequest:
     """One ``caqr_compile`` invocation, as data.
 
-    The semantic knobs (everything except ``incremental``/``parallel``/
-    ``portfolio_workers``) feed the fingerprint; the engine knobs only
-    select *how* a cold compile runs — the differential harnesses pin
-    both engines (and the portfolio race across worker counts) to
-    identical outputs, so they never invalidate a key.  ``strategy`` and
+    The semantic knobs (everything except ``parallel`` and
+    ``portfolio_workers``) feed the fingerprint; the two engine knobs
+    only select *how* a cold compile runs — the serial == pooled
+    harnesses pin process-pool fan-out (and the portfolio race across
+    worker counts) to identical outputs, so they never invalidate a key.  ``strategy`` and
     ``objective`` are semantic: a portfolio compile may legitimately
     return a different circuit than the single-strategy path.
 
@@ -87,7 +86,6 @@ class CompileRequest:
     reset_style: str = "cif"
     seed: int = 11
     auto_commuting: bool = True
-    incremental: bool = True
     parallel: bool = True
     strategy: str = "auto"
     objective: Optional[str] = None
@@ -137,7 +135,6 @@ def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileRepor
         reset_style=request.reset_style,
         seed=request.seed,
         auto_commuting=request.auto_commuting,
-        incremental=request.incremental,
         parallel=request.parallel and allow_parallel,
         cache=None,
         strategy=request.strategy,
@@ -149,16 +146,6 @@ def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileRepor
     )
 
 
-def _compile_entry_worker(args: Tuple[str, CompileRequest]) -> Tuple[str, str]:
-    """Pool worker: cold-compile one request, return its serialized entry.
-
-    Runs with ``parallel`` forced off so workers never nest process pools.
-    """
-    key, request = args
-    report = _cold_compile(request, allow_parallel=False)
-    return key, dumps_entry(key, report)
-
-
 class CompileService:
     """Content-addressed compile cache + batch engine (thread-safe).
 
@@ -166,17 +153,16 @@ class CompileService:
         cache_dir: directory for the persistent tier; ``None`` keeps the
             cache purely in-process.
         memory_entries / memory_bytes: LRU caps of the in-process tier.
-        max_workers: process-pool cap for batch fan-out (default:
-            ``os.cpu_count()`` capped at 8, the repo-wide pool idiom).
+        max_workers: width of the persistent
+            :class:`~repro.service.workers.WorkerPool` that batch calls
+            fan out over (default: ``os.cpu_count()`` capped at 8, the
+            repo-wide pool idiom).  The pool spawns lazily, is reused
+            across batch calls, and ships each request record to a
+            worker at most once.
         stats: optional shared :class:`ServiceStats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
             (groundwork for calibration-drift invalidation).
-        workers_mode: ``"persistent"`` (default; overridable via
-            ``$CAQR_WORKERS_MODE``) reuses one long-lived
-            :class:`~repro.service.workers.WorkerPool` across batch
-            calls with fingerprint-keyed zero-copy request records;
-            ``"ephemeral"`` keeps the old per-call pool.
         disk_entries / disk_bytes: optional per-shard LRU caps on the
             persistent tier (see :class:`~repro.service.cache.DiskCache`).
         ttl_by_bands: per-``calib_bands`` TTL overrides for the
@@ -194,7 +180,6 @@ class CompileService:
         max_workers: Optional[int] = None,
         stats: Optional[ServiceStats] = None,
         ttl: Optional[float] = None,
-        workers_mode: Optional[str] = None,
         disk_entries: Optional[int] = None,
         disk_bytes: Optional[int] = None,
         ttl_by_bands: Optional[Mapping[int, float]] = None,
@@ -217,7 +202,6 @@ class CompileService:
         )
         self.cache = TieredCache(memory, disk)
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self.workers_mode = resolve_workers_mode(workers_mode)
         self._lock = Lock()
         self._inflight: Dict[str, "Future[str]"] = {}
         self._worker_pool: Optional[WorkerPool] = None
@@ -248,7 +232,6 @@ class CompileService:
         reset_style: str = "cif",
         seed: int = 11,
         auto_commuting: bool = True,
-        incremental: bool = True,
         parallel: bool = True,
         strategy: str = "auto",
         objective: Optional[str] = None,
@@ -265,7 +248,6 @@ class CompileService:
                 reset_style=reset_style,
                 seed=seed,
                 auto_commuting=auto_commuting,
-                incremental=incremental,
                 parallel=parallel,
                 strategy=strategy,
                 objective=objective,
@@ -383,22 +365,12 @@ class CompileService:
                 workers = min(max_workers or self.max_workers, len(cold))
                 if parallel and len(cold) > 1 and workers > 1:
                     stats.count("parallel_compiles", len(cold))
+                    tasks = [("entry", key, request, None) for key, request in cold]
                     with stats.timed("compile"):
-                        if self.workers_mode == "persistent":
-                            tasks = [
-                                ("entry", key, request, None)
-                                for key, request in cold
-                            ]
-                            for (key, _), text in zip(
-                                cold, self.worker_pool().run(tasks)
-                            ):
-                                texts[key] = text
-                        else:
-                            with ProcessPoolExecutor(max_workers=workers) as pool:
-                                for key, text in pool.map(
-                                    _compile_entry_worker, cold
-                                ):
-                                    texts[key] = text
+                        for (key, _), text in zip(
+                            cold, self.worker_pool().run(tasks)
+                        ):
+                            texts[key] = text
                 else:
                     stats.count("serial_compiles", len(cold))
                     for key, request in cold:

@@ -1,8 +1,8 @@
 """Persistent compile worker pool with fingerprint-keyed request records.
 
-The batch engine and the portfolio race used to spawn a fresh
-``ProcessPoolExecutor`` per call and pickle the full circuit into every
-task.  :class:`WorkerPool` kills both taxes:
+The batch engine and the portfolio race run their process-pool work on a
+:class:`WorkerPool` instead of spawning a fresh ``ProcessPoolExecutor``
+per call and pickling the full circuit into every task:
 
 * **Persistent** — one pool per :class:`~repro.service.service.CompileService`
   (or :class:`~repro.service.portfolio.PortfolioCompileService`), spawned
@@ -24,9 +24,7 @@ entry), ``"strategy"`` (run one portfolio lane, return its
 ``StrategyOutcome``), ``"ping"`` (health check), ``"crash"`` (kill the
 worker — the respawn drill used by tests).
 
-``workers_mode="ephemeral"`` (or ``CAQR_WORKERS_MODE=ephemeral``) keeps
-the old per-call pool; the differential tests pin serial == pooled ==
-ephemeral bit-identical either way.
+The differential tests pin serial == pooled bit-identical.
 """
 
 from __future__ import annotations
@@ -43,28 +41,10 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.exceptions import ServiceError
 from repro.service.stats import ServiceStats
 
-__all__ = [
-    "DEFAULT_WORKERS_MODE",
-    "WORKERS_MODES",
-    "WorkerPool",
-    "resolve_workers_mode",
-]
-
-WORKERS_MODES = ("persistent", "ephemeral")
-DEFAULT_WORKERS_MODE = "persistent"
+__all__ = ["WorkerPool"]
 
 #: A worker task: ``(kind, fingerprint, request-or-record, extra)``.
 WorkerTask = Tuple[str, str, Any, Any]
-
-
-def resolve_workers_mode(mode: Optional[str] = None) -> str:
-    """Validate *mode*, falling back to ``$CAQR_WORKERS_MODE`` then default."""
-    resolved = mode or os.environ.get("CAQR_WORKERS_MODE") or DEFAULT_WORKERS_MODE
-    if resolved not in WORKERS_MODES:
-        raise ServiceError(
-            f"unknown workers mode {resolved!r}; expected one of {WORKERS_MODES}"
-        )
-    return resolved
 
 
 # -- request records -----------------------------------------------------------
@@ -75,14 +55,15 @@ def _encode_record(request) -> Tuple[str, Any]:
 
     Prefers the schema-versioned wire record (a plain JSON-compatible
     dict, cheap to pickle and identical to what the HTTP layer ships);
-    targets the wire codec cannot express (e.g. graphs with non-integer
-    nodes) fall back to the request object itself.
+    targets the wire codec cannot express (it raises ``WireError``, e.g.
+    for graphs with non-integer nodes) fall back to the request object
+    itself.  Any other error is a bug and propagates.
     """
-    try:
-        from repro.service.net.wire import request_to_wire
+    from repro.service.net.wire import WireError, request_to_wire
 
+    try:
         return "wire", request_to_wire(request)
-    except Exception:
+    except WireError:
         return "object", request
 
 
@@ -120,8 +101,7 @@ def _worker_task(task: WorkerTask) -> Tuple[str, Any]:
     """Run one pool task; returns ``(status, payload)``.
 
     ``("need_record", fp)`` asks the parent to resubmit with the request
-    record attached.  Compile errors propagate as exceptions, matching
-    the ephemeral ``pool.map`` semantics.
+    record attached.  Compile errors propagate as exceptions.
     """
     kind, fingerprint, record, extra = task
     if kind == "ping":
@@ -275,8 +255,8 @@ class WorkerPool:
 
         Resubmits tasks that answered ``need_record`` (with the record
         forced on) and tasks interrupted by a worker death (on a fresh
-        pool).  The first real task exception propagates, like the
-        ephemeral ``pool.map`` it replaces.
+        pool).  The first real task exception propagates, as from
+        ``Executor.map``.
         """
         results: List[Any] = [None] * len(tasks)
         pending = list(range(len(tasks)))

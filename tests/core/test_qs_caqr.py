@@ -163,7 +163,9 @@ class TestLazyDuration:
 
     def test_depth_reference_engine_never_schedules(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        QSCaQR(objective="depth", incremental=False).sweep(bv_circuit(5))
+        from tests.oracles import ReferenceQSCaQR
+
+        ReferenceQSCaQR(objective="depth").sweep(bv_circuit(5))
         assert calls["n"] == 0
 
     def test_duration_sweep_schedules_eagerly(self, monkeypatch):

@@ -141,8 +141,8 @@ class TestReuseSession:
         assert session.stats.counters["mask_updates"] > 0
 
     def test_potentials_match_reference_lookahead(self):
-        from repro.core.qs_caqr import QSCaQR
         from repro.core.transform import apply_reuse_pair
+        from tests.oracles import reuse_potential
 
         circuit = bv_circuit(5)
         session = ReuseSession(circuit)
@@ -152,7 +152,22 @@ class TestReuseSession:
             transformed = apply_reuse_pair(
                 circuit, pair, validate=False
             ).circuit
-            assert potentials[pair] == QSCaQR._reuse_potential(transformed), pair
+            assert potentials[pair] == reuse_potential(transformed), pair
+
+    def test_nx_oracle_kernel_scores_the_serial_lookahead(self):
+        from repro.core import session as session_module
+        from tests.oracles import nx_lookahead_kernel, nx_potential
+
+        bitset_kernel = session_module._potential_for_candidate
+        session = ReuseSession(bv_circuit(6), parallel=False)
+        pairs = session.valid_pairs()
+        fast = session.reuse_potentials(pairs)
+        with nx_lookahead_kernel():
+            assert session_module._potential_for_candidate is nx_potential
+            oracle = ReuseSession(bv_circuit(6), parallel=False)
+            slow = oracle.reuse_potentials(pairs)
+        assert session_module._potential_for_candidate is bitset_kernel
+        assert slow == fast
 
     def test_potentials_memoised_per_step(self):
         session = ReuseSession(bv_circuit(5))

@@ -79,7 +79,7 @@ class TestRouteStatsSurface:
         assert "sr_run" in router.stats.timers
 
     def test_incremental_engine_reports_slack_counters(self):
-        incremental = SRCaQR(ibm_mumbai(), parallel=False, incremental=True)
+        incremental = SRCaQR(ibm_mumbai(), parallel=False)
         incremental.run(bv_circuit(8), trials=1, qs_assist=False)
         assert incremental.stats.counters.get("slack_node_updates", 0) > 0
 

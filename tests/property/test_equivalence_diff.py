@@ -1,7 +1,8 @@
-"""Differential harness: incremental engine vs. the from-scratch reference.
+"""Differential harness: QS-CaQR vs. the from-scratch reference oracle.
 
-Every CaQR transform the incremental evaluation engine performs must be
-*indistinguishable* from the brute-force path it replaces:
+Every CaQR transform the session-driven evaluation engine performs must be
+*indistinguishable* from the brute-force path it replaces
+(``ReferenceQSCaQR`` in ``tests/oracles.py``):
 
 * the greedy sweep picks the exact same reuse-pair sequence,
 * every intermediate circuit is instruction-identical,
@@ -23,6 +24,7 @@ from repro.core.qs_caqr import QSCaQR
 from repro.core.qs_commuting import QSCaQRCommuting
 from repro.sim.verify import distributions_tvd
 from repro.workloads.bv import bv_circuit
+from tests.oracles import ReferenceQSCaQR
 
 DIFF_SAMPLES = int(os.environ.get("CAQR_DIFF_SAMPLES", "200"))
 
@@ -46,10 +48,8 @@ def _sample_circuit(seed: int):
 
 
 def _assert_engines_agree(circuit, seed, objective="depth", check_sim=False):
-    incremental = QSCaQR(objective=objective)
-    reference = QSCaQR(objective=objective, incremental=False)
-    fast = incremental.sweep(circuit)
-    slow = reference.sweep(circuit)
+    fast = QSCaQR(objective=objective).sweep(circuit)
+    slow = ReferenceQSCaQR(objective=objective).sweep(circuit)
     context = f"seed={seed} objective={objective}"
     assert len(fast) == len(slow), f"sweep length diverged ({context})"
     for step, (a, b) in enumerate(zip(fast, slow)):
@@ -113,7 +113,7 @@ def test_reduce_to_differential():
         circuit = _sample_circuit(seed)
         limit = max(2, circuit.num_qubits - 2)
         fast = QSCaQR().reduce_to(circuit, limit)
-        slow = QSCaQR(incremental=False).reduce_to(circuit, limit)
+        slow = ReferenceQSCaQR().reduce_to(circuit, limit)
         assert fast.feasible == slow.feasible, seed
         assert fast.pairs == slow.pairs, seed
         assert fast.circuit.data == slow.circuit.data, seed
@@ -121,7 +121,7 @@ def test_reduce_to_differential():
 
 def test_forced_parallel_path_matches_serial():
     """Drop the fan-out thresholds to zero so the process pool actually
-    runs, and pin its pair choices against the serial incremental path."""
+    runs, and pin its pair choices against the serial path."""
     circuit = bv_circuit(10)
     parallel = QSCaQR(parallel=True, parallel_threshold=0, max_workers=2)
     serial = QSCaQR(parallel=False)

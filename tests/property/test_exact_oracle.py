@@ -27,6 +27,7 @@ from repro.core.sr_caqr import SRCaQR
 from repro.hardware import ibm_mumbai
 from repro.sim.verify import assert_equivalent
 from repro.workloads import bv_circuit, ghz_measured
+from tests.oracles import ReferenceQSCaQR
 
 ORACLE_SAMPLES = int(os.environ.get("CAQR_ORACLE_SAMPLES", "200"))
 
@@ -87,12 +88,10 @@ def test_qs_engines_never_beat_the_oracle(seed):
     transform (or a broken oracle)."""
     circuit = _sample_circuit(seed)
     optimal = exact_minimum_qubits(circuit)
-    for incremental in (True, False):
-        greedy = QSCaQR(incremental=incremental, parallel=False).minimum_qubits(
-            circuit
-        )
+    for engine in (QSCaQR, ReferenceQSCaQR):
+        greedy = engine(parallel=False).minimum_qubits(circuit)
         assert greedy >= optimal, (
-            f"seed={seed} incremental={incremental}: greedy claims "
+            f"seed={seed} {engine.__name__}: greedy claims "
             f"{greedy} < proven optimum {optimal}"
         )
 

@@ -8,12 +8,13 @@ harness pins that promise on random circuits:
 * ``SRCaQR.run`` serial vs. process-pool parallel — identical swap
   count, reuse count, and emitted circuit;
 * ``sabre_layout`` serial vs. parallel — identical layout;
-* the incremental SR scheduler vs. its from-scratch reference twin;
+* the incremental SR scheduler vs. ``ReferenceSRCaQR``, the
+  from-scratch scheduler in ``tests/oracles.py``;
 * the bitset reuse-potential lookahead vs. the networkx reference
-  kernel (``CAQR_LOOKAHEAD_KERNEL=nx``).
+  kernel (``tests.oracles.nx_lookahead_kernel``).
 
-``CAQR_ROUTE_SAMPLES`` (default 25) scales the random-circuit pool for
-nightly runs.
+``CAQR_ROUTE_SAMPLES`` (default 25) scales the random-circuit pool; the
+nightly CI job runs 200.
 """
 
 import os
@@ -25,6 +26,7 @@ from repro.core.sr_caqr import SRCaQR
 from repro.exceptions import ReuseError
 from repro.hardware import generic_backend, grid, ibm_mumbai, line
 from repro.transpiler.sabre import sabre_layout
+from tests.oracles import ReferenceSRCaQR, nx_lookahead_kernel
 
 ROUTE_SAMPLES = int(os.environ.get("CAQR_ROUTE_SAMPLES", "25"))
 
@@ -99,8 +101,8 @@ def test_sr_incremental_matches_reference(seed):
     circuit = _sample_circuit(seed)
     backend = _backend(seed)
     engines = [
-        SRCaQR(backend, incremental=True, parallel=False),
-        SRCaQR(backend, incremental=False, parallel=False),
+        SRCaQR(backend, parallel=False),
+        ReferenceSRCaQR(backend, parallel=False),
     ]
     outcomes = []
     for engine in engines:
@@ -114,7 +116,7 @@ def test_sr_incremental_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, ROUTE_SAMPLES, 2))
-def test_lookahead_kernels_identical(seed, monkeypatch):
+def test_lookahead_kernels_identical(seed):
     """The bitset kernel and the networkx reference kernel must agree on
     every potential, hence on the full QS-assisted SR compilation."""
     circuit = _sample_circuit(seed)
@@ -125,14 +127,12 @@ def test_lookahead_kernels_identical(seed, monkeypatch):
             circuit, trials=1, qs_assist=True
         )
 
-    monkeypatch.setenv("CAQR_LOOKAHEAD_KERNEL", "bitset")
     try:
         fast = _result_signature(_compile())
     except ReuseError:
-        monkeypatch.setenv("CAQR_LOOKAHEAD_KERNEL", "nx")
-        with pytest.raises(ReuseError):
+        with nx_lookahead_kernel(), pytest.raises(ReuseError):
             _compile()
         return
-    monkeypatch.setenv("CAQR_LOOKAHEAD_KERNEL", "nx")
-    reference = _result_signature(_compile())
+    with nx_lookahead_kernel():
+        reference = _result_signature(_compile())
     assert fast == reference, seed

@@ -34,6 +34,7 @@ from repro.service import (
 )
 from repro.service.net.wire import (
     WIRE_SCHEMA_VERSION,
+    batch_from_wire,
     error_from_wire,
     error_to_wire,
     request_from_wire,
@@ -80,6 +81,46 @@ class TestWire:
             request_from_wire("not a dict")
         with pytest.raises(WireError):
             request_from_wire({"schema": WIRE_SCHEMA_VERSION, "target_kind": "x"})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("auto_commuting", "false"),
+            ("auto_commuting", 0),
+            ("parallel", "true"),
+            ("parallel", None),
+            ("incremental", "false"),
+            ("seed", "3"),
+            ("seed", True),
+            ("seed", None),
+            ("qubit_limit", 2.0),
+            ("qubit_limit", False),
+            ("portfolio_workers", "2"),
+            ("calib_bands", True),
+        ],
+    )
+    def test_knob_types_are_strict(self, knob, value):
+        payload = request_to_wire(CompileRequest(target=bv_circuit(5)))
+        payload["knobs"][knob] = value
+        with pytest.raises(WireError, match=knob):
+            request_from_wire(payload)
+
+    def test_encoder_omits_the_retired_incremental_knob(self):
+        payload = request_to_wire(CompileRequest(target=bv_circuit(5)))
+        assert "incremental" not in payload["knobs"]
+
+    def test_legacy_incremental_knob_is_ignored(self):
+        request = CompileRequest(target=bv_circuit(5), mode="max_reuse")
+        payload = request_to_wire(request)
+        payload["knobs"]["incremental"] = False
+        assert request_from_wire(payload).fingerprint() == request.fingerprint()
+
+    def test_batch_parallel_must_be_a_bool(self):
+        members = [request_to_wire(CompileRequest(target=bv_circuit(5)))]
+        envelope = {"schema": WIRE_SCHEMA_VERSION, "requests": members}
+        assert batch_from_wire(envelope) == (members, True)
+        with pytest.raises(WireError, match="parallel"):
+            batch_from_wire({**envelope, "parallel": "false"})
 
     def test_response_roundtrip_sets_from_cache(self):
         report = CompileService().compile(bv_circuit(5))
@@ -396,6 +437,45 @@ class TestServerErrors:
         assert payload["error"]["code"] == "bad_request"
         assert "bogus" in payload["error"]["message"]
         assert server.server.service.stats.counters.get("stores", 0) == 0
+
+    def test_string_bool_knob_is_bad_request_and_never_stored(self, server):
+        payload = request_to_wire(CompileRequest(target=bv_circuit(5)))
+        payload["knobs"]["auto_commuting"] = "false"
+        body = json.dumps(payload).encode()
+        status, reply = _request(server, "POST", "/v1/compile", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert "auto_commuting" in reply["error"]["message"]
+        assert server.server.service.stats.counters.get("stores", 0) == 0
+
+    def test_batch_string_parallel_is_bad_request(self, server):
+        member = request_to_wire(CompileRequest(target=bv_circuit(5)))
+        body = json.dumps(
+            {"schema": WIRE_SCHEMA_VERSION, "requests": [member], "parallel": "no"}
+        ).encode()
+        status, reply = _request(server, "POST", "/v1/compile_batch", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert server.server.service.stats.counters.get("stores", 0) == 0
+
+    def test_legacy_incremental_knob_shares_the_entry(self, server):
+        # older clients still send the retired engine switch; it never
+        # changed the result, so it must key the same cache entry
+        request = CompileRequest(target=bv_circuit(6), mode="max_reuse")
+        fresh = request_to_wire(request)
+        legacy = request_to_wire(request)
+        legacy["knobs"]["incremental"] = False
+        status, cold = _request(
+            server, "POST", "/v1/compile", json.dumps(fresh).encode()
+        )
+        assert status == 200 and cold["cache_status"] == "miss"
+        status, warm = _request(
+            server, "POST", "/v1/compile", json.dumps(legacy).encode()
+        )
+        assert status == 200 and warm["cache_status"] == "hit"
+        assert warm["fingerprint"] == cold["fingerprint"] == request.fingerprint()
+        assert warm["report"] == cold["report"]
+        assert server.server.service.stats.counters["stores"] == 1
 
     def test_infeasible_budget_is_compile_error(self, client):
         request = CompileRequest(

@@ -442,7 +442,7 @@ def test_persistent_pool_race_matches_serial():
     and the second race on the same request re-ships nothing."""
     circuit = _sample_circuit(3)
     serial = PortfolioCompileService(max_workers=1)
-    pooled = PortfolioCompileService(max_workers=2, workers_mode="persistent")
+    pooled = PortfolioCompileService(max_workers=2)
     try:
         base = serial.compile(circuit, objective="qubits", parallel=False)
         fast = pooled.compile(circuit, objective="qubits", parallel=True)
@@ -455,22 +455,6 @@ def test_persistent_pool_race_matches_serial():
         assert pooled.stats.counters["worker_records_shipped"] == shipped, (
             "a warm re-race must not re-ship the request record"
         )
-    finally:
-        serial.close()
-        pooled.close()
-
-
-def test_ephemeral_pool_race_matches_serial():
-    circuit = _sample_circuit(4)
-    serial = PortfolioCompileService(max_workers=1)
-    pooled = PortfolioCompileService(max_workers=2, workers_mode="ephemeral")
-    try:
-        _assert_same_report(
-            serial.compile(circuit, objective="qubits", parallel=False),
-            pooled.compile(circuit, objective="qubits", parallel=True),
-            "ephemeral pool",
-        )
-        assert "worker_pool_spawns" not in pooled.stats.counters
     finally:
         serial.close()
         pooled.close()

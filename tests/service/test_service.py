@@ -53,12 +53,12 @@ class TestSingleRequests:
         assert service.stats.counters["misses"] == 2
 
     def test_engine_knobs_share_one_entry(self):
-        # incremental/parallel select the engine, not the result; the
-        # differential harness pins both engines identical, so they hit
-        # the same cache entry
+        # parallel selects how the engine runs, not the result; the
+        # serial == pooled harnesses pin both identical, so they hit the
+        # same cache entry
         service = CompileService()
-        cold = service.compile(bv_circuit(6), incremental=True)
-        warm = service.compile(bv_circuit(6), incremental=False)
+        cold = service.compile(bv_circuit(6), parallel=True)
+        warm = service.compile(bv_circuit(6), parallel=False)
         assert warm.from_cache is True
         assert _report_fields(cold) == _report_fields(warm)
 

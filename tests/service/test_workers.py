@@ -4,15 +4,16 @@ The protocol tests drive ``_worker_task`` in-process (no subprocess
 spawn) after resetting the worker-side decoded cache; the pool tests
 spawn a real (small) pool and exercise the crash/respawn drill and the
 need_record round trip; the service tests pin the contract that matters
-most — a pooled ``compile_batch`` is identical to the serial path, in
-both ``persistent`` and ``ephemeral`` modes.  "Identical" means every
-compile output field-for-field; the stats *timer* maps riding on the
-report (``route_stats``/``eval_stats``/``sim_stats``) are wall-clock
-measurements and are normalised out before comparing two independent
-runs (they are only pinned warm-vs-primed, where the cache replays one
-run — see ``tests/property/test_cache_roundtrip.py``).
+most — a pooled ``compile_batch`` is identical to the serial path.
+"Identical" means every compile output field-for-field; the stats
+*timer* maps riding on the report (``route_stats``/``eval_stats``/
+``sim_stats``) are wall-clock measurements and are normalised out before
+comparing two independent runs (they are only pinned warm-vs-primed,
+where the cache replays one run — see
+``tests/property/test_cache_roundtrip.py``).
 """
 
+import networkx as nx
 import pytest
 
 from repro.exceptions import ServiceError
@@ -22,12 +23,9 @@ from repro.service import (
     WorkerPool,
     loads_entry,
     report_to_dict,
-    resolve_workers_mode,
 )
 from repro.service.service import CompileRequest, _cold_compile
 from repro.service.workers import (
-    DEFAULT_WORKERS_MODE,
-    WORKERS_MODES,
     _decode_record,
     _encode_record,
     _reset_worker_state,
@@ -51,29 +49,6 @@ def _entry_dict(text, fingerprint):
     return _normalized(report_to_dict(loads_entry(text, key=fingerprint)))
 
 
-class TestWorkersMode:
-    def test_default_is_persistent(self, monkeypatch):
-        monkeypatch.delenv("CAQR_WORKERS_MODE", raising=False)
-        assert DEFAULT_WORKERS_MODE == "persistent"
-        assert resolve_workers_mode(None) == "persistent"
-
-    def test_explicit_modes(self):
-        for mode in WORKERS_MODES:
-            assert resolve_workers_mode(mode) == mode
-
-    def test_env_fallback_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("CAQR_WORKERS_MODE", "ephemeral")
-        assert resolve_workers_mode(None) == "ephemeral"
-        assert resolve_workers_mode("persistent") == "persistent"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        with pytest.raises(ServiceError, match="unknown workers mode"):
-            resolve_workers_mode("forked")
-        monkeypatch.setenv("CAQR_WORKERS_MODE", "junk")
-        with pytest.raises(ServiceError, match="unknown workers mode"):
-            resolve_workers_mode(None)
-
-
 class TestRecordCodec:
     def test_wire_roundtrip(self):
         request = CompileRequest(target=bv_circuit(4), mode="max_reuse", seed=3)
@@ -83,10 +58,17 @@ class TestRecordCodec:
         assert decoded.fingerprint() == request.fingerprint()
 
     def test_object_fallback_for_wire_inexpressible_targets(self):
-        sentinel = object()  # not a CompileRequest: wire encoding fails
-        kind, payload = _encode_record(sentinel)
+        # the wire codec only expresses int-node graphs (WireError)
+        graph = nx.Graph([("a", "b"), ("b", "c")])
+        request = CompileRequest(target=graph, mode="max_reuse")
+        kind, payload = _encode_record(request)
         assert kind == "object"
-        assert _decode_record((kind, payload)) is sentinel
+        assert _decode_record((kind, payload)) is request
+
+    def test_other_encoding_errors_propagate(self):
+        # anything but WireError is a bug, not a fallback case
+        with pytest.raises(AttributeError):
+            _encode_record(object())
 
 
 class TestWorkerTaskProtocol:
@@ -204,7 +186,7 @@ class TestServiceIntegration:
     def test_persistent_batch_matches_serial_and_reuses_the_pool(self):
         requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5, 6)]
         serial = CompileService()
-        pooled = CompileService(max_workers=2, workers_mode="persistent")
+        pooled = CompileService(max_workers=2)
         try:
             base = self._batch_dicts(serial.compile_batch(requests, parallel=False))
             fast = self._batch_dicts(
@@ -224,23 +206,8 @@ class TestServiceIntegration:
             serial.close()
             pooled.close()
 
-    def test_ephemeral_mode_matches_serial(self):
-        requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5)]
-        serial = CompileService()
-        ephemeral = CompileService(max_workers=2, workers_mode="ephemeral")
-        try:
-            base = self._batch_dicts(serial.compile_batch(requests, parallel=False))
-            fast = self._batch_dicts(
-                ephemeral.compile_batch(requests, parallel=True, max_workers=2)
-            )
-            assert fast == base
-            assert "worker_pool_spawns" not in ephemeral.stats.counters
-        finally:
-            serial.close()
-            ephemeral.close()
-
     def test_close_is_idempotent_and_the_pool_respawns_lazily(self):
-        service = CompileService(max_workers=2, workers_mode="persistent")
+        service = CompileService(max_workers=2)
         requests = [CompileRequest(target=bv_circuit(n)) for n in (4, 5)]
         try:
             service.compile_batch(requests, parallel=True, max_workers=2)
