@@ -45,6 +45,7 @@ def _measure():
             f"engines diverged on bv({width})"
         )
         speedup = t_ref / t_inc
+        steps = stats.counters.get("steps", 0) or 1
         rows.append(
             [
                 width,
@@ -52,8 +53,8 @@ def _measure():
                 round(t_ref, 2),
                 round(t_inc, 2),
                 f"{speedup:.1f}x",
-                f"{1000 * stats.per_step_time('score'):.1f}",
-                f"{1000 * stats.per_step_time('lookahead'):.1f}",
+                f"{1000 * stats.timers.get('score', 0.0) / steps:.1f}",
+                f"{1000 * stats.timers.get('lookahead', 0.0) / steps:.1f}",
                 stats.counters.get("parallel_batches", 0),
             ]
         )
@@ -80,7 +81,10 @@ def test_incremental_eval_speedup(benchmark):
     )
     emit(
         "incremental_eval",
-        table + "\n\nheadline stats: " + stats.summary(),
+        table
+        + "\n\nheadline stats: "
+        + stats.summary()
+        + f", hit_rate={stats.rate('cache_hits', 'evaluations'):.1%}",
     )
     assert speedup >= MIN_SPEEDUP, (
         f"incremental engine only {speedup:.1f}x faster on "

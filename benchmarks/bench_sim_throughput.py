@@ -21,7 +21,8 @@ from conftest import emit, once
 
 from repro.analysis import format_table
 from repro.core import QSCaQR
-from repro.sim import NoiseModel, SimStats, run_counts
+from repro.sim import NoiseModel, run_counts
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 # acceptance bar (measured ~300x for the branch tree and ~40x for the
@@ -37,7 +38,7 @@ MAX_MARGINAL_TVD = 0.02
 
 
 def _timed_counts(circuit, engine, noise=None):
-    stats = SimStats()
+    stats = Stats()
     start = time.perf_counter()
     counts = run_counts(
         circuit, shots=SHOTS, seed=SEED, noise=noise, engine=engine, stats=stats

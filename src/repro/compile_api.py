@@ -29,7 +29,6 @@ from repro.analysis.metrics import CircuitMetrics, collect_metrics
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.chains import ChainReuse
 from repro.core.exact import ExactReuse
-from repro.core.profile import ReuseEvalStats
 from repro.core.qs_caqr import QSCaQR
 from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
@@ -44,11 +43,10 @@ from repro.core.tradeoff import (
     sweep_regular,
 )
 from repro.core.transform import apply_reuse_chain
-from repro.exceptions import ReuseError
+from repro.exceptions import ReproError, ReuseError
 from repro.hardware.backends import Backend
-from repro.sim.stats import SimStats
+from repro.stats import Stats
 from repro.transpiler.pipeline import transpile
-from repro.transpiler.stats import RouteStats
 
 __all__ = [
     "MODES",
@@ -123,9 +121,9 @@ class LaneResult:
     width: Optional[int] = None
     baseline: Optional[CircuitMetrics] = None
     beneficial: Optional[bool] = None
-    route_stats: Optional[RouteStats] = None
-    eval_stats: Optional[ReuseEvalStats] = None
-    chain_stats: Optional[ReuseEvalStats] = None
+    route_stats: Optional[Stats] = None
+    eval_stats: Optional[Stats] = None
+    chain_stats: Optional[Stats] = None
     exact_qubits: Optional[int] = None
     exact_optimal: Optional[bool] = None
 
@@ -187,16 +185,16 @@ class CompileReport:
     baseline_metrics: Optional[CircuitMetrics]
     reuse_beneficial: bool
     qubit_saving: float
-    route_stats: Optional[RouteStats] = None
-    eval_stats: Optional[ReuseEvalStats] = None
-    sim_stats: Optional[SimStats] = None
+    route_stats: Optional[Stats] = None
+    eval_stats: Optional[Stats] = None
+    sim_stats: Optional[Stats] = None
     from_cache: bool = False
     strategy: Optional[str] = None
     strategy_timings: Optional[Dict[str, float]] = None
     strategy_errors: Optional[Dict[str, str]] = None
     optimality_gap: Optional[int] = None
     exact_optimal: Optional[bool] = None
-    chain_stats: Optional[ReuseEvalStats] = None
+    chain_stats: Optional[Stats] = None
 
 
 def caqr_compile(
@@ -423,7 +421,7 @@ def _caqr_lane(spec, request, mode, view, parallel) -> LaneResult:
     docs/ARCHITECTURE.md).  The baseline and verdict are computed here,
     so a race's canonical lane pays for them inside its own worker.
     """
-    eval_stats = ReuseEvalStats()
+    eval_stats = Stats()
     floor = benefit_floor(_width(request.target))
     route_stats = point = None
     if mode == "min_swap":
@@ -493,7 +491,7 @@ def _chain_lane(spec, request, mode, view, parallel) -> LaneResult:
             "(the commuting lanes cover graph inputs)"
         )
     budget = request.qubit_limit if mode == "qubit_budget" else None
-    chain_stats = ReuseEvalStats()
+    chain_stats = Stats()
     engine = ChainReuse(
         objective=options.get(
             "objective", "depth" if mode == "min_depth" else "qubits"
@@ -643,23 +641,24 @@ def _sr_seed_base(request, lane: str) -> int:
     return int(digest[:8], 16)
 
 
-def _esp_stats(circuit, backend) -> Optional[SimStats]:
+def _esp_stats(circuit, backend) -> Optional[Stats]:
     """Analytic-ESP instrumentation for a hardware-mapped compile.
 
-    ``None`` without a backend, or when the circuit has gates the
-    calibration cannot score (logical-level output) — a report must never
-    fail over observability.
+    ``None`` without a backend, or when the calibration cannot score the
+    circuit (a :class:`~repro.exceptions.ReproError`, e.g. logical-level
+    output) — a report must never fail over observability.  Any other
+    error is a bug and propagates.
     """
     if backend is None:
         return None
     from repro.sim.metrics import estimated_success_probability
 
-    stats = SimStats()
+    stats = Stats()
     try:
         estimated_success_probability(
             circuit, backend.calibration, stats=stats
         )
-    except Exception:
+    except ReproError:
         return None
     return stats
 

@@ -29,12 +29,7 @@ from repro.core.lifetime_regular import (
     greedy_gate_order,
     lifetime_compile_regular,
 )
-from repro.core.profile import (
-    ReuseEvalStats,
-    ReuseProfile,
-    profile_circuit,
-    profile_graph,
-)
+from repro.core.profile import ReuseProfile, profile_circuit, profile_graph
 from repro.core.chains import ChainPlan, ChainReuse, ChainReuseResult
 from repro.core.exact import ExactReuse, ExactReuseResult, exact_minimum_qubits
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
@@ -76,7 +71,6 @@ __all__ = [
     "batch_pair_costs",
     "PairScorer",
     "ReuseSession",
-    "ReuseEvalStats",
     "apply_reuse_pair",
     "apply_reuse_chain",
     "ReuseTransformation",

@@ -51,10 +51,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.core.matching import max_bipartite_matching_size
-from repro.core.profile import ReuseEvalStats
 from repro.core.transform import apply_reuse_chain
 from repro.core.windows import Chain, State, WindowAnalysis
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["ChainPlan", "ChainReuseResult", "ChainReuse"]
@@ -154,7 +154,7 @@ class ChainReuse:
         greedy_guard: run the greedy QS sweep as a fallback candidate
             whenever the beam does not reach the matching floor, so the
             result is never wider than greedy QS.
-        stats: optional shared :class:`~repro.core.profile.ReuseEvalStats`
+        stats: optional shared :class:`~repro.stats.Stats`
             sink; a fresh one is created when omitted.
     """
 
@@ -167,7 +167,7 @@ class ChainReuse:
         dual_register: bool = False,
         materialize_top: int = 4,
         greedy_guard: bool = True,
-        stats: Optional[ReuseEvalStats] = None,
+        stats: Optional[Stats] = None,
     ):
         if objective not in _OBJECTIVES:
             raise ReuseError(f"unknown chain objective {objective!r}")
@@ -186,7 +186,7 @@ class ChainReuse:
         self.dual_register = dual_register
         self.materialize_top = materialize_top
         self.greedy_guard = greedy_guard
-        self.stats = stats if stats is not None else ReuseEvalStats()
+        self.stats = stats if stats is not None else Stats()
 
     # -- scoring ----------------------------------------------------------------
 

@@ -194,7 +194,7 @@ class PairScorer:
         parallel_threshold: minimum ``len(pairs) * len(dag)`` workload
             before fanning out.
         max_workers: pool size (default: ``os.cpu_count()`` capped at 8).
-        stats: optional :class:`~repro.core.profile.ReuseEvalStats` sink.
+        stats: optional :class:`~repro.stats.Stats` sink.
     """
 
     def __init__(

@@ -11,19 +11,11 @@ overall depth") turned into measurable quantities:
 * **hub dominance** and degree-tail statistics, and
 * the paper's depth lower bound (the maximum degree: that qubit's gates
   serialise).
-
-It also hosts :class:`ReuseEvalStats`, the counter/timer sink the
-incremental evaluation engine (see :mod:`repro.core.session` and
-:class:`repro.core.evaluate.PairScorer`) reports into, so benchmarks can
-print cache hit-rates and per-step evaluation time.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -35,7 +27,6 @@ __all__ = [
     "ReuseProfile",
     "profile_graph",
     "profile_circuit",
-    "ReuseEvalStats",
 ]
 
 
@@ -119,78 +110,3 @@ def profile_circuit(circuit: QuantumCircuit) -> ReuseProfile:
     # lifetime analysis expects vertices 0..n-1: relabel in sorted order
     graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
     return profile_graph(graph)
-
-
-@dataclass
-class ReuseEvalStats:
-    """Counters and wall-time buckets for one evaluation-engine run.
-
-    The incremental engine and the parallel scorer report into one of
-    these; benchmarks read it back to print cache hit-rate and per-step
-    evaluation time.  Counter names the engine uses:
-
-    * ``evaluations`` / ``cache_hits`` — candidate cost lookups that were
-      computed vs. served from the memo (cleared when a pair is applied);
-    * ``lookahead_evaluations`` — reuse-potential lookaheads computed;
-    * ``serial_batches`` / ``parallel_batches`` — scorer batches run
-      in-process vs. fanned out to the process pool;
-    * ``mask_updates`` — incremental descendants-bitset patches;
-    * ``steps`` — greedy reduction steps taken.
-
-    Time buckets (seconds): ``score``, ``lookahead``, ``apply``.
-    """
-
-    counters: Dict[str, int] = field(default_factory=dict)
-    timers: Dict[str, float] = field(default_factory=dict)
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Increment counter *name* by *amount*."""
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Add *seconds* to wall-time bucket *name*."""
-        self.timers[name] = self.timers.get(name, 0.0) + seconds
-
-    @contextmanager
-    def timed(self, name: str) -> Iterator[None]:
-        """Context manager timing its block into bucket *name*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of cost lookups served from the memo (0.0 when none)."""
-        hits = self.counters.get("cache_hits", 0)
-        total = hits + self.counters.get("evaluations", 0)
-        return hits / total if total else 0.0
-
-    def per_step_time(self, bucket: str) -> float:
-        """Average seconds spent in *bucket* per greedy step."""
-        steps = self.counters.get("steps", 0)
-        return self.timers.get(bucket, 0.0) / steps if steps else 0.0
-
-    def merge(self, other: "ReuseEvalStats") -> None:
-        """Fold *other*'s counters and timers into this instance."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, value in other.timers.items():
-            self.add_time(name, value)
-
-    def reset(self) -> None:
-        """Zero all counters and timers."""
-        self.counters.clear()
-        self.timers.clear()
-
-    def summary(self) -> str:
-        """One-paragraph report for benchmark output."""
-        parts = [
-            f"{name}={self.counters[name]}" for name in sorted(self.counters)
-        ]
-        parts.append(f"hit_rate={self.cache_hit_rate:.1%}")
-        parts.extend(
-            f"{name}_s={self.timers[name]:.3f}" for name in sorted(self.timers)
-        )
-        return ", ".join(parts)

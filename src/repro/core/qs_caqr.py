@@ -29,9 +29,9 @@ from typing import List, Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.core.evaluate import PairScorer
-from repro.core.profile import ReuseEvalStats
 from repro.core.session import ReuseSession
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["QSCaQRResult", "QSCaQR"]
@@ -86,7 +86,7 @@ class QSCaQR:
         max_workers: process-pool size.
 
     The instance's :attr:`stats` (a
-    :class:`~repro.core.profile.ReuseEvalStats`) accumulates evaluation
+    :class:`~repro.stats.Stats`) accumulates evaluation
     counters, cache hits, and wall-time buckets across runs.
     """
 
@@ -110,7 +110,7 @@ class QSCaQR:
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
         self.max_workers = max_workers
-        self.stats = ReuseEvalStats()
+        self.stats = Stats()
 
     # -- single greedy step ---------------------------------------------------
 

@@ -30,6 +30,7 @@ import networkx as nx
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
 
@@ -370,7 +371,7 @@ class QSCaQRCommuting:
         parallel_threshold: workload floor before fanning out (default
             :data:`COMMUTING_PARALLEL_THRESHOLD`).
         max_workers: pool size (default ``os.cpu_count()`` capped at 8).
-        stats: :class:`~repro.core.profile.ReuseEvalStats` sink (one is
+        stats: :class:`~repro.stats.Stats` sink (one is
             created when omitted).
     """
 
@@ -418,12 +419,7 @@ class QSCaQRCommuting:
             else COMMUTING_PARALLEL_THRESHOLD
         )
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        if stats is None:
-            # lazy import: repro.core.profile imports this module
-            from repro.core.profile import ReuseEvalStats
-
-            stats = ReuseEvalStats()
-        self.stats = stats
+        self.stats = stats if stats is not None else Stats()
         self._executor = None
 
     # -- lifecycle ---------------------------------------------------------------

@@ -35,11 +35,11 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.core.conditions import ReusePair
 from repro.core.matching import max_bipartite_matching_size
-from repro.core.profile import ReuseEvalStats
 from repro.core.transform import REUSE_LABEL, apply_reuse_pair
 from repro.dag.dagcircuit import DAGCircuit, _wires
 from repro.dag.reachability import descendants_bitsets, update_masks_for_node
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 
 __all__ = ["ReuseSession", "POTENTIAL_WORKLOAD_THRESHOLD"]
 
@@ -180,7 +180,7 @@ class ReuseSession:
         parallel: bool = False,
         parallel_threshold: int = POTENTIAL_WORKLOAD_THRESHOLD,
         max_workers: Optional[int] = None,
-        stats: Optional[ReuseEvalStats] = None,
+        stats: Optional[Stats] = None,
     ):
         if reset_style not in ("cif", "builtin"):
             raise ReuseError(f"unknown reset style {reset_style!r}")
@@ -188,7 +188,7 @@ class ReuseSession:
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self.stats = stats if stats is not None else ReuseEvalStats()
+        self.stats = stats if stats is not None else Stats()
         self.circuit = circuit
         self.dag = DAGCircuit.from_circuit(circuit)
         self.masks = descendants_bitsets(self.dag)

@@ -53,11 +53,11 @@ from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import HardwareError, ReuseError, TranspilerError
 from repro.hardware.backends import Backend
+from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout
 from repro.transpiler.sabre import _route_workers, sabre_layout
 from repro.transpiler.scheduling import circuit_duration_dt
-from repro.transpiler.stats import RouteStats
 
 __all__ = ["SRCaQRResult", "SRCaQR"]
 
@@ -90,7 +90,7 @@ def _sr_trial_worker(payload):
     """Module-level adapter: run one (candidate, hint-seed) grid cell in a
     worker process and ship its result + stats back for merging."""
     router, circuit, hint_seed = payload
-    router.stats = RouteStats()
+    router.stats = Stats()
     result = router._run_once(circuit, hint_seed=hint_seed)
     return result, router.stats
 
@@ -124,7 +124,7 @@ class SRCaQR:
         self.reset_style = reset_style
         self.parallel = parallel
         self.max_workers = max_workers
-        self.stats = RouteStats()
+        self.stats = Stats()
         self._error_graph = self._build_error_graph()
         # error-weighted all-pairs distances for SWAP scoring, packed into
         # a read-only ndarray shared across every trial (and, pickled, with

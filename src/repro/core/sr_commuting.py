@@ -26,7 +26,7 @@ from repro.core.qs_commuting import QSCaQRCommuting, QSCommutingResult
 from repro.core.sr_caqr import SRCaQR, SRCaQRResult
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
-from repro.transpiler.stats import RouteStats
+from repro.stats import Stats
 from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
 
 __all__ = ["SRCommutingResult", "SRCaQRCommuting", "find_sweet_spot"]
@@ -93,7 +93,7 @@ class SRCaQRCommuting:
         parallel / max_workers: forwarded to the SR router (trial-grid
             fan-out; the routed circuit is identical either way).
 
-    The underlying router's :class:`~repro.transpiler.RouteStats` sink is
+    The underlying router's :class:`~repro.stats.Stats` sink is
     exposed as ``self.stats`` and accumulates across ``run`` calls.
     """
 
@@ -123,7 +123,7 @@ class SRCaQRCommuting:
         )
 
     @property
-    def stats(self) -> RouteStats:
+    def stats(self) -> Stats:
         """The SR router's counter/timer sink (accumulates across runs)."""
         return self.router.stats
 

@@ -109,7 +109,7 @@ def sweep_regular(
     ``parallel`` allows the engine's process-pool fan-out (see
     :class:`~repro.core.qs_caqr.QSCaQR`); it never changes the points.
     *stats* is an optional
-    :class:`~repro.core.profile.ReuseEvalStats` sink the sweep's engine
+    :class:`~repro.stats.Stats` sink the sweep's engine
     counters/timers are folded into.
     """
     compiler = QSCaQR(

@@ -46,7 +46,7 @@ from repro.service.service import (
     reset_default_service,
     resolve_cache,
 )
-from repro.service.metrics import DEFAULT_BUCKETS, LatencyHistogram, render_prometheus
+from repro.service.metrics import render_prometheus
 from repro.service.portfolio import (
     PortfolioCompileService,
     StrategySpec,
@@ -73,7 +73,6 @@ from repro.service.net import (
     start_gateway_thread,
     start_server_thread,
 )
-from repro.service.stats import ServiceStats
 
 __all__ = [
     "CompileRequest",
@@ -85,8 +84,6 @@ __all__ = [
     "reset_default_portfolio_service",
     "set_default_portfolio_state_path",
     "WorkerPool",
-    "LatencyHistogram",
-    "DEFAULT_BUCKETS",
     "render_prometheus",
     "RequestLog",
     "CompileServer",
@@ -102,7 +99,6 @@ __all__ = [
     "HashRing",
     "FleetState",
     "ring_key",
-    "ServiceStats",
     "MemoryCache",
     "DiskCache",
     "TieredCache",

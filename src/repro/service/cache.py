@@ -44,7 +44,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ServiceError
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = ["DEFAULT_SHARD", "MemoryCache", "DiskCache", "TieredCache"]
 
@@ -68,7 +68,7 @@ class MemoryCache:
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
     ):
         if max_entries < 1:
@@ -80,7 +80,7 @@ class MemoryCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.ttl = ttl
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._stamps: Dict[str, float] = {}
         self._bytes = 0
@@ -183,7 +183,7 @@ class DiskCache:
     def __init__(
         self,
         directory: str,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
         max_entries_per_shard: Optional[int] = None,
         max_bytes_per_shard: Optional[int] = None,
@@ -202,7 +202,7 @@ class DiskCache:
                 if band_ttl <= 0:
                     raise ServiceError("ttl_by_bands needs ttl values > 0")
         self.directory = os.path.abspath(os.path.expanduser(directory))
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self.ttl = ttl
         self.ttl_by_bands = (
             {int(b): float(t) for b, t in ttl_by_bands.items()}
@@ -357,7 +357,7 @@ class DiskCache:
             except OSError:
                 pass
             raise
-        self.stats.add_value("disk_bytes_written", len(text.encode()))
+        self.stats.count("disk_bytes_written", len(text.encode()))
         if self.max_entries_per_shard or self.max_bytes_per_shard:
             self._evict_shard(shard_dir, keep=path)
 

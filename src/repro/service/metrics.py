@@ -1,18 +1,11 @@
-"""Latency histograms and the Prometheus text-format exporter.
+"""The Prometheus text-format exporter.
 
-Two pieces, both stdlib-only:
-
-* :class:`LatencyHistogram` — a fixed-bucket (log-spaced, seconds)
-  histogram in the classic Prometheus shape: per-bucket observation
-  counts plus a running sum.  Fixed buckets keep ``observe`` O(log B)
-  and make merging two histograms a plain element-wise add, which is
-  what :meth:`repro.service.stats.ServiceStats.merge` needs.
-* :func:`render_prometheus` — serializes a
-  :class:`~repro.service.stats.ServiceStats` snapshot into Prometheus
-  text exposition format 0.0.4 (the ``GET /v1/metrics`` payload).
-  Counters become ``caqr_<name>_total``, timers become
-  ``caqr_time_<name>_seconds_total``, gauges stay gauges, histograms
-  expand into ``_bucket{le=...}`` / ``_sum`` / ``_count`` series.
+:func:`render_prometheus` serializes a :class:`~repro.stats.Stats`
+snapshot into Prometheus text exposition format 0.0.4 (the
+``GET /v1/metrics`` payload).  Counters become ``caqr_<name>_total``,
+timers become ``caqr_time_<name>_seconds_total``, gauges stay gauges,
+histograms expand into ``_bucket{le=...}`` / ``_sum`` / ``_count``
+series.
 
 The stats objects use ``family:key`` compound names for per-entity
 series (``http:/v1/compile``, ``shard_bytes:<digest>``,
@@ -24,120 +17,11 @@ series (``http:/v1/compile``, ``shard_bytes:<digest>``,
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
-from repro.exceptions import ServiceError
+from repro.stats import Stats
 
-__all__ = ["DEFAULT_BUCKETS", "LatencyHistogram", "render_prometheus"]
-
-#: Upper bucket bounds in seconds: 1ms .. 60s, log-spaced, matching the
-#: range a compile request can plausibly take (warm hit to exact-tier race).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-    60.0,
-)
-
-
-class LatencyHistogram:
-    """Fixed-bucket histogram of seconds (Prometheus-classic shape).
-
-    ``counts[i]`` holds observations with ``value <= buckets[i]`` that
-    did not fit an earlier bucket; ``counts[-1]`` is the ``+Inf``
-    overflow bucket.  ``cumulative()`` produces the monotone
-    less-or-equal totals the text format wants.
-    """
-
-    __slots__ = ("buckets", "counts", "sum")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ServiceError(
-                "histogram buckets must be a non-empty strictly "
-                f"increasing sequence, got {buckets!r}"
-            )
-        self.buckets = bounds
-        self.counts: List[int] = [0] * (len(bounds) + 1)
-        self.sum = 0.0
-
-    @property
-    def count(self) -> int:
-        """Total number of observations."""
-        return sum(self.counts)
-
-    def observe(self, seconds: float) -> None:
-        """Record one observation of *seconds*."""
-        self.counts[bisect_left(self.buckets, float(seconds))] += 1
-        self.sum += float(seconds)
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, count_le)`` pairs; the last bound is ``inf``."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.buckets, self.counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self.counts[-1]))
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the *q* quantile (0..1)."""
-        total = self.count
-        if total == 0:
-            return 0.0
-        rank = q * total
-        running = 0
-        for bound, count in zip(self.buckets, self.counts):
-            running += count
-            if running >= rank:
-                return bound
-        return self.buckets[-1]
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Element-wise add *other* into this histogram (same buckets)."""
-        if other.buckets != self.buckets:
-            raise ServiceError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.sum += other.sum
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-compatible snapshot (``/v1/stats`` payload fragment)."""
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "LatencyHistogram":
-        hist = cls(payload["buckets"])  # type: ignore[arg-type]
-        counts = list(payload["counts"])  # type: ignore[call-overload]
-        if len(counts) != len(hist.counts):
-            raise ServiceError("histogram snapshot counts/buckets mismatch")
-        hist.counts = [int(c) for c in counts]
-        hist.sum = float(payload["sum"])  # type: ignore[arg-type]
-        return hist
-
-
-# -- Prometheus text rendering -------------------------------------------------
+__all__ = ["render_prometheus"]
 
 #: ``family:key`` stats names rendered with this label instead of an
 #: inlined key (anything not listed falls back to a generic ``key`` label).
@@ -217,11 +101,11 @@ class _Renderer:
 
 
 def render_prometheus(
-    stats,
+    stats: Stats,
     prefix: str = "caqr",
     extra_gauges: Optional[Mapping[str, float]] = None,
 ) -> str:
-    """Render a :class:`ServiceStats` snapshot as Prometheus text format.
+    """Render a :class:`~repro.stats.Stats` snapshot as Prometheus text format.
 
     *extra_gauges* lets the server inject process-level gauges the stats
     sink does not own (``uptime_seconds``, ``inflight``, ``draining``).
@@ -257,9 +141,8 @@ def render_prometheus(
         out.header(metric, "gauge", f"Current value of {name}.")
         out.sample(metric, [], value)
 
-    histograms = getattr(stats, "histograms", {})
-    for name in sorted(histograms):
-        hist = histograms[name]
+    for name in sorted(stats.histograms):
+        hist = stats.histograms[name]
         family, label, key = _split(name)
         metric = _metric_name(prefix, family, "_seconds")
         out.header(metric, "histogram", f"Latency distribution of {family}.")

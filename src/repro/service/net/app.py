@@ -26,7 +26,7 @@ from repro.exceptions import ServiceError
 from repro.service.net.http1 import MAX_HEADER_BYTES, format_response, parse_head
 from repro.service.net.wire import WireError, error_to_wire
 from repro.service.reqlog import RequestLog
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = [
     "DEFAULT_MAX_BODY",
@@ -77,7 +77,7 @@ class HttpApp:
     def __init__(
         self,
         routes: Dict[str, Tuple[str, Handler]],
-        stats: ServiceStats,
+        stats: Stats,
         host: str,
         port: int,
         max_body: int,
@@ -125,6 +125,18 @@ class HttpApp:
         if self._started_monotonic is None:
             return 0.0
         return time.monotonic() - self._started_monotonic
+
+    def _stats_payload(self) -> Dict[str, Any]:
+        """The ``/v1/stats`` ``stats`` object: the sink's snapshot plus
+        the cache hit rate and the share of requests folded onto an
+        identical one."""
+        requests = self.stats.counters.get("requests", 0)
+        folds = self.stats.counters.get("dedup_folds", 0)
+        return {
+            **self.stats.to_dict(),
+            "hit_rate": self.stats.rate("hits", "misses"),
+            "dedup_rate": folds / requests if requests else 0.0,
+        }
 
     # -- subclass hooks --------------------------------------------------------
 

@@ -336,7 +336,7 @@ class RemoteCompileService:
         return payload
 
     def stats(self) -> Dict[str, Any]:
-        """``GET /v1/stats`` payload: ServiceStats snapshot + shard usage."""
+        """``GET /v1/stats`` payload: stats snapshot + shard usage."""
         _, _, payload = self._exchange("GET", "/v1/stats")
         if not isinstance(payload, dict):
             raise RemoteServiceError("malformed stats payload", code="internal")

@@ -80,7 +80,7 @@ from repro.service.net.wire import (
     error_to_wire,
     request_from_wire,
 )
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = [
     "DEFAULT_GATEWAY_PORT",
@@ -260,7 +260,7 @@ class GatewayServer(HttpApp):
         tls_key: Optional[str] = None,
         backend_ca: Optional[str] = None,
         backend_tls_insecure: bool = False,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
     ):
         cleaned = [url.rstrip("/") for url in backends]
         if not cleaned:
@@ -274,7 +274,7 @@ class GatewayServer(HttpApp):
                 "/v1/compile_batch": ("POST", self._handle_batch),
                 "/v1/cache/invalidate": ("POST", self._handle_invalidate),
             },
-            stats=stats if stats is not None else ServiceStats(),
+            stats=stats if stats is not None else Stats(),
             host=host,
             port=port,
             max_body=DEFAULT_MAX_BODY,
@@ -784,7 +784,7 @@ class GatewayServer(HttpApp):
             {
                 "schema": WIRE_SCHEMA_VERSION,
                 "gateway": {
-                    "stats": self.stats.to_dict(),
+                    "stats": self._stats_payload(),
                     "uptime_s": self.uptime_s(),
                     "fleet": self.fleet.summary(),
                 },
@@ -795,7 +795,7 @@ class GatewayServer(HttpApp):
         )
 
     def _metrics_body(self) -> bytes:
-        snapshot = ServiceStats()
+        snapshot = Stats()
         snapshot.merge(self.stats)
         for url in self.backends:
             snapshot.set_value(

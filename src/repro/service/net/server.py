@@ -16,7 +16,7 @@ Endpoints
 ===========================  ======================================================
 ``GET  /v1/health``          liveness + ``uptime_s`` / ``inflight`` / ``draining``
                              gauges (always answered, even mid-drain)
-``GET  /v1/stats``           :class:`ServiceStats` snapshot + per-shard disk usage
+``GET  /v1/stats``           :class:`Stats` snapshot + per-shard disk usage
                              + the same process gauges
 ``GET  /v1/metrics``         Prometheus text format 0.0.4: counters, gauges,
                              timers, and request-latency histograms (answered
@@ -102,7 +102,7 @@ from repro.service.net.wire import (
 from repro.service.reqlog import RequestLog
 from repro.service.serialization import dumps_entry
 from repro.service.service import CompileService
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = [
     "DEFAULT_PORT",
@@ -274,7 +274,7 @@ class CompileServer(HttpApp):
             max_workers=self.max_workers, thread_name_prefix="caqr-compile"
         )
         self._active_compiles = 0
-        self._domain_stats: Dict[str, ServiceStats] = {}
+        self._domain_stats: Dict[str, Stats] = {}
         self._domain_lock = threading.Lock()
 
     async def _close(self) -> None:
@@ -299,7 +299,7 @@ class CompileServer(HttpApp):
         shards = disk.refresh_shard_gauges() if disk is not None else {}
         payload = {
             "schema": WIRE_SCHEMA_VERSION,
-            "stats": self.stats.to_dict(),
+            "stats": self._stats_payload(),
             "shards": shards,
             "uptime_s": self.uptime_s(),
             "inflight": self._inflight,
@@ -312,7 +312,7 @@ class CompileServer(HttpApp):
         disk = self.service.cache.disk
         if disk is not None:
             disk.refresh_shard_gauges()
-        snapshot = ServiceStats()
+        snapshot = Stats()
         snapshot.merge(self.stats)
         # fold in the process-wide portfolio service's win rates (the
         # strategy="portfolio" lanes report there) without creating it
@@ -330,21 +330,13 @@ class CompileServer(HttpApp):
             extra["envelope_entries"] = float(len(self._envelope))
         body = render_prometheus(snapshot, extra_gauges=extra)
         # engine stats carried by server-side cold compiles, one prefix
-        # per domain (caqr_route_*, caqr_sim_*, caqr_reuse_eval_*)
+        # per domain (caqr_route_*, caqr_sim_*, caqr_reuse_eval_*, caqr_chain_*)
         with self._domain_lock:
-            domains = {
-                domain: self._snapshot_domain(sink)
-                for domain, sink in self._domain_stats.items()
-            }
-        for domain in sorted(domains):
-            body += render_prometheus(domains[domain], prefix=f"caqr_{domain}")
+            for domain in sorted(self._domain_stats):
+                body += render_prometheus(
+                    self._domain_stats[domain], prefix=f"caqr_{domain}"
+                )
         return body.encode()
-
-    @staticmethod
-    def _snapshot_domain(sink: ServiceStats) -> ServiceStats:
-        copy = ServiceStats()
-        copy.merge(sink)
-        return copy
 
     # -- compile endpoints -----------------------------------------------------
 
@@ -551,22 +543,11 @@ class CompileServer(HttpApp):
 
     def _absorb_report_stats(self, report) -> None:
         """Fold a cold compile's engine stats into the metrics export."""
-        for domain, attr in _REPORT_STAT_DOMAINS:
-            source = getattr(report, attr, None)
-            if source is None:
-                continue
-            with self._domain_lock:
-                sink = self._domain_stats.get(domain)
-                if sink is None:
-                    sink = self._domain_stats[domain] = ServiceStats()
-                for name, value in getattr(source, "counters", {}).items():
-                    sink.count(name, value)
-                for name, value in getattr(source, "timers", {}).items():
-                    sink.add_time(name, value)
-                # gauges are point readings (an ESP, a ratio): the
-                # latest compile's value, never a running sum
-                for name, value in getattr(source, "values", {}).items():
-                    sink.set_value(name, value)
+        with self._domain_lock:
+            for domain, attr in _REPORT_STAT_DOMAINS:
+                source = getattr(report, attr)
+                if source is not None:
+                    self._domain_stats.setdefault(domain, Stats()).merge(source)
 
     async def _handle_invalidate(
         self, headers: Dict[str, str], body: bytes

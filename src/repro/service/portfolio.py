@@ -30,10 +30,10 @@ like the route-stats timers.
 the portfolio or silently vanish from the race: the worker catches the
 exception and returns it as data, the report's ``strategy_errors`` maps
 strategy name to the message, and ``portfolio_errors:<name>`` counts it
-in :class:`~repro.service.stats.ServiceStats`.  Only if *every*
+in :class:`~repro.stats.Stats`.  Only if *every*
 strategy fails does the portfolio raise.
 
-**Self-tuning.**  Per-strategy win counts live in ``ServiceStats``
+**Self-tuning.**  Per-strategy win counts live in the stats sink
 (``portfolio_wins:<name>`` / ``portfolio_compiles``); historically
 winning strategies are submitted to the pool first so their results are
 available earliest.  Scheduling order never changes the winner — only
@@ -72,9 +72,9 @@ from repro.compile_api import (
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.service.service import CompileRequest
-from repro.service.stats import ServiceStats
 from repro.service.workers import WorkerPool
 from repro.sim.metrics import estimated_success_probability
+from repro.stats import Stats
 
 __all__ = [
     "OBJECTIVES",
@@ -135,7 +135,7 @@ class PortfolioCompileService:
             :class:`~repro.service.workers.WorkerPool` the lanes race on
             (default: the repo-wide ``min(cpu_count, 8)`` idiom); the
             request ships once per worker.
-        stats: optional shared :class:`ServiceStats` sink for win-rate /
+        stats: optional shared :class:`Stats` sink for win-rate /
             error counters and per-strategy timers.
         exact_max_nodes: anytime node budget handed to the exact tier.
         exact_max_qubits: circuits wider than this skip the exact tier.
@@ -151,14 +151,14 @@ class PortfolioCompileService:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES,
         exact_max_qubits: int = DEFAULT_EXACT_MAX_QUBITS,
         strategies: Optional[List[StrategySpec]] = None,
         state_path: Optional[str] = None,
     ):
         self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self.exact_max_nodes = exact_max_nodes
         self.exact_max_qubits = exact_max_qubits
         self.strategies = strategies

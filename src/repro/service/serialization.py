@@ -8,7 +8,7 @@ so the codec round-trips every structure exactly:
   round-trip float params, condition, label) — the QASM exporter is
   *lossy* (labels, clbit register layout), so it is only embedded as a
   human-readable ``qasm`` sidecar, never parsed back;
-* metrics and router stats as plain dicts (JSON floats round-trip
+* metrics and engine stats sinks as plain dicts (JSON floats round-trip
   exactly via ``repr``-style shortest form);
 * a ``schema`` stamp (:data:`SCHEMA_VERSION`): any structural change to
   this codec bumps the version, and loaders treat a mismatched stamp as
@@ -25,10 +25,8 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.circuit.qasm.exporter import to_qasm
 from repro.compile_api import CompileReport
-from repro.core.profile import ReuseEvalStats
 from repro.exceptions import ServiceError
-from repro.sim.stats import SimStats
-from repro.transpiler.stats import RouteStats
+from repro.stats import Stats
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -114,59 +112,12 @@ def _metrics_from_dict(payload: Optional[Dict[str, Any]]) -> Optional[CircuitMet
     return CircuitMetrics(**payload)
 
 
-def _route_stats_to_dict(stats: Optional[RouteStats]) -> Optional[Dict[str, Any]]:
-    if stats is None:
-        return None
-    return {
-        "counters": dict(stats.counters),
-        "timers": dict(stats.timers),
-        "values": dict(stats.values),
-    }
+def _stats_to_dict(stats: Optional[Stats]) -> Optional[Dict[str, Any]]:
+    return None if stats is None else stats.to_dict()
 
 
-def _route_stats_from_dict(payload: Optional[Dict[str, Any]]) -> Optional[RouteStats]:
-    if payload is None:
-        return None
-    return RouteStats(
-        counters={k: int(v) for k, v in payload["counters"].items()},
-        timers={k: float(v) for k, v in payload["timers"].items()},
-        values={k: float(v) for k, v in payload["values"].items()},
-    )
-
-
-def _eval_stats_to_dict(stats: Optional[ReuseEvalStats]) -> Optional[Dict[str, Any]]:
-    if stats is None:
-        return None
-    return {"counters": dict(stats.counters), "timers": dict(stats.timers)}
-
-
-def _eval_stats_from_dict(payload: Optional[Dict[str, Any]]) -> Optional[ReuseEvalStats]:
-    if payload is None:
-        return None
-    return ReuseEvalStats(
-        counters={k: int(v) for k, v in payload["counters"].items()},
-        timers={k: float(v) for k, v in payload["timers"].items()},
-    )
-
-
-def _sim_stats_to_dict(stats: Optional[SimStats]) -> Optional[Dict[str, Any]]:
-    if stats is None:
-        return None
-    return {
-        "counters": dict(stats.counters),
-        "timers": dict(stats.timers),
-        "values": dict(stats.values),
-    }
-
-
-def _sim_stats_from_dict(payload: Optional[Dict[str, Any]]) -> Optional[SimStats]:
-    if payload is None:
-        return None
-    return SimStats(
-        counters={k: int(v) for k, v in payload["counters"].items()},
-        timers={k: float(v) for k, v in payload["timers"].items()},
-        values={k: float(v) for k, v in payload["values"].items()},
-    )
+def _stats_from_dict(payload: Optional[Dict[str, Any]]) -> Optional[Stats]:
+    return None if payload is None else Stats.from_dict(payload)
 
 
 def report_to_dict(report: CompileReport) -> Dict[str, Any]:
@@ -178,15 +129,15 @@ def report_to_dict(report: CompileReport) -> Dict[str, Any]:
         "baseline_metrics": _metrics_to_dict(report.baseline_metrics),
         "reuse_beneficial": report.reuse_beneficial,
         "qubit_saving": report.qubit_saving,
-        "route_stats": _route_stats_to_dict(report.route_stats),
-        "eval_stats": _eval_stats_to_dict(report.eval_stats),
-        "sim_stats": _sim_stats_to_dict(report.sim_stats),
+        "route_stats": _stats_to_dict(report.route_stats),
+        "eval_stats": _stats_to_dict(report.eval_stats),
+        "sim_stats": _stats_to_dict(report.sim_stats),
         "strategy": report.strategy,
         "strategy_timings": report.strategy_timings,
         "strategy_errors": report.strategy_errors,
         "optimality_gap": report.optimality_gap,
         "exact_optimal": report.exact_optimal,
-        "chain_stats": _eval_stats_to_dict(report.chain_stats),
+        "chain_stats": _stats_to_dict(report.chain_stats),
         # human-readable sidecar only — lossy, never parsed back
         "qasm": to_qasm(report.circuit),
     }
@@ -202,9 +153,9 @@ def report_from_dict(payload: Dict[str, Any]) -> CompileReport:
         baseline_metrics=_metrics_from_dict(payload["baseline_metrics"]),
         reuse_beneficial=bool(payload["reuse_beneficial"]),
         qubit_saving=float(payload["qubit_saving"]),
-        route_stats=_route_stats_from_dict(payload.get("route_stats")),
-        eval_stats=_eval_stats_from_dict(payload.get("eval_stats")),
-        sim_stats=_sim_stats_from_dict(payload.get("sim_stats")),
+        route_stats=_stats_from_dict(payload.get("route_stats")),
+        eval_stats=_stats_from_dict(payload.get("eval_stats")),
+        sim_stats=_stats_from_dict(payload.get("sim_stats")),
         from_cache=True,
         strategy=payload.get("strategy"),
         strategy_timings=(
@@ -227,7 +178,7 @@ def report_from_dict(payload: Dict[str, Any]) -> CompileReport:
             if payload.get("exact_optimal") is not None
             else None
         ),
-        chain_stats=_eval_stats_from_dict(payload.get("chain_stats")),
+        chain_stats=_stats_from_dict(payload.get("chain_stats")),
     )
 
 

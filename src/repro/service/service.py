@@ -48,8 +48,8 @@ from repro.service.fingerprint import (
     resolve_calib_bands,
 )
 from repro.service.serialization import dumps_entry, loads_entry
-from repro.service.stats import ServiceStats
 from repro.service.workers import WorkerPool
+from repro.stats import Stats
 
 __all__ = [
     "CompileRequest",
@@ -159,7 +159,7 @@ class CompileService:
             repo-wide pool idiom).  The pool spawns lazily, is reused
             across batch calls, and ships each request record to a
             worker at most once.
-        stats: optional shared :class:`ServiceStats` sink.
+        stats: optional shared :class:`Stats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
             (groundwork for calibration-drift invalidation).
@@ -178,13 +178,13 @@ class CompileService:
         memory_entries: int = DEFAULT_MAX_ENTRIES,
         memory_bytes: int = DEFAULT_MAX_BYTES,
         max_workers: Optional[int] = None,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
         disk_entries: Optional[int] = None,
         disk_bytes: Optional[int] = None,
         ttl_by_bands: Optional[Mapping[int, float]] = None,
     ):
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         memory = MemoryCache(
             memory_entries, memory_bytes, stats=self.stats, ttl=ttl
         )

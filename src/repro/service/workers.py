@@ -39,7 +39,7 @@ from threading import Lock
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ServiceError
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 
 __all__ = ["WorkerPool"]
 
@@ -145,7 +145,7 @@ class WorkerPool:
 
     Args:
         max_workers: pool width (fixed at construction).
-        stats: optional shared :class:`ServiceStats` sink — counts
+        stats: optional shared :class:`Stats` sink — counts
             ``worker_pool_spawns`` / ``worker_respawns`` /
             ``worker_tasks`` / ``worker_records_shipped`` /
             ``worker_record_misses``.
@@ -158,12 +158,12 @@ class WorkerPool:
     def __init__(
         self,
         max_workers: int,
-        stats: Optional[ServiceStats] = None,
+        stats: Optional[Stats] = None,
         record_cache_entries: int = 256,
         max_respawns: int = 3,
     ):
         self.max_workers = max(1, int(max_workers))
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = stats if stats is not None else Stats()
         self.record_cache_entries = max(1, int(record_cache_entries))
         self.max_respawns = max(0, int(max_respawns))
         self._lock = Lock()

@@ -18,7 +18,6 @@ from repro.sim.device import compacted_with_noise, run_physical_counts
 from repro.sim.noise import NoiseModel
 from repro.sim.mitigation import confusion_matrix, inverse_confusion, mitigate_counts
 from repro.sim.statevector import ENGINES, Statevector, final_statevector, run_counts
-from repro.sim.stats import SimStats
 from repro.sim.verify import assert_equivalent, distributions_tvd, marginal_counts
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "run_counts",
     "final_statevector",
     "ENGINES",
-    "SimStats",
     "run_physical_counts",
     "compacted_with_noise",
     "DensityMatrix",

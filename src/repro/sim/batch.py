@@ -64,7 +64,7 @@ from repro.sim.statevector import (
     OP_UNITARY,
     classify_instruction,
 )
-from repro.sim.stats import SimStats
+from repro.stats import Stats
 
 __all__ = [
     "run_batched_counts",
@@ -353,7 +353,7 @@ def run_batched_counts(
     shots: int,
     seed: Optional[int] = None,
     noise: Optional[NoiseModel] = None,
-    stats: Optional[SimStats] = None,
+    stats: Optional[Stats] = None,
     fuse: bool = True,
     parallel: bool = True,
     max_workers: Optional[int] = None,
@@ -375,7 +375,7 @@ def run_batched_counts(
             "the batch engine does not support T1/T2 relaxation; use "
             "engine='reference'"
         )
-    stats = stats if stats is not None else SimStats()
+    stats = stats if stats is not None else Stats()
     effective_noise = None if noise is None or noise.is_trivial() else noise
     if _fast_path_allowed(circuit, effective_noise):
         # static noiseless circuit: the terminal sampler (evolve once,

@@ -28,7 +28,7 @@ Key properties:
   would expand past it fall back to direct evolution from the capped
   node's cached state (still bit-exact).  Sub-``prune_threshold`` branches
   can optionally be pruned, with the dropped probability mass accumulated
-  in ``SimStats.values["dropped_mass"]`` and logged.
+  in the stats sink's ``values["dropped_mass"]`` and logged.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.sim.statevector import (
     classify_instruction,
     condition_blocks,
 )
-from repro.sim.stats import SimStats
+from repro.stats import Stats
 
 __all__ = ["BranchTreeSimulator", "run_branch_counts", "DEFAULT_MAX_NODES"]
 
@@ -124,7 +124,7 @@ class BranchTreeSimulator:
         max_nodes: int = DEFAULT_MAX_NODES,
         max_state_bytes: int = DEFAULT_MAX_STATE_BYTES,
         prune_threshold: float = 0.0,
-        stats: Optional[SimStats] = None,
+        stats: Optional[Stats] = None,
     ):
         if not 0.0 <= prune_threshold < 0.5:
             raise SimulationError("prune_threshold must be in [0, 0.5)")
@@ -132,7 +132,7 @@ class BranchTreeSimulator:
         self.max_nodes = max_nodes
         self.max_state_bytes = max_state_bytes
         self.prune_threshold = prune_threshold
-        self.stats = stats if stats is not None else SimStats()
+        self.stats = stats if stats is not None else Stats()
         self.dropped_mass = 0.0
         self._live = _live_condition_reads(circuit)
         self._suffix_cache: Dict[Tuple, _BranchNode] = {}
@@ -309,7 +309,7 @@ def run_branch_counts(
     circuit: QuantumCircuit,
     shots: int,
     seed: Optional[int] = None,
-    stats: Optional[SimStats] = None,
+    stats: Optional[Stats] = None,
     max_nodes: int = DEFAULT_MAX_NODES,
     max_state_bytes: int = DEFAULT_MAX_STATE_BYTES,
     prune_threshold: float = 0.0,
@@ -328,7 +328,7 @@ def run_branch_counts(
         # static circuit: the reference engine would sample the terminal
         # distribution (one draw per shot) rather than run the trajectory
         # loop; delegate so seeded counts stay bit-identical to it
-        local_stats = stats if stats is not None else SimStats()
+        local_stats = stats if stats is not None else Stats()
         local_stats.count("terminal_shots", shots)
         return _sample_terminal(circuit, shots, random.Random(seed))
     simulator = BranchTreeSimulator(

@@ -13,6 +13,7 @@ import math
 from typing import Dict, Iterable, Mapping
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.exceptions import HardwareError
 from repro.hardware.calibration import Calibration
 from repro.transpiler.scheduling import schedule_asap
 
@@ -80,7 +81,7 @@ def estimated_success_probability(
     is set, each qubit contributes exp(-(busy+idle time)/T1) over its
     active window, which penalises long-duration circuits.
 
-    *stats* is an optional :class:`~repro.sim.stats.SimStats` sink:
+    *stats* is an optional :class:`~repro.stats.Stats` sink:
     counters ``esp_two_qubit_evals`` / ``esp_readout_evals`` /
     ``esp_single_qubit_evals`` / ``esp_decoherence_qubits``, the ``esp``
     gauge (the returned value), and the ``esp`` time bucket.
@@ -102,7 +103,7 @@ def estimated_success_probability(
             a, b = instruction.qubits
             try:
                 error = calibration.get_cx_error(a, b)
-            except Exception:
+            except HardwareError:
                 error = _mean(calibration.cx_error.values())
             if instruction.name == "swap":
                 esp *= (1.0 - error) ** 3

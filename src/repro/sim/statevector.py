@@ -40,7 +40,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.exceptions import SimulationError
 from repro.sim.noise import NoiseModel
-from repro.sim.stats import SimStats
+from repro.stats import Stats
 
 __all__ = [
     "Statevector",
@@ -397,7 +397,7 @@ def run_counts(
     seed: Optional[int] = None,
     noise: Optional[NoiseModel] = None,
     engine: str = "auto",
-    stats: Optional[SimStats] = None,
+    stats: Optional[Stats] = None,
 ) -> Counter:
     """Execute *circuit* for *shots* and return classical-bit counts.
 
@@ -411,7 +411,7 @@ def run_counts(
             ``"branchtree"`` requires a noiseless (or trivially-noisy) run
             and produces seeded counts identical to the reference;
             ``"batch"`` requires a noise model without T1/T2 relaxation.
-        stats: optional :class:`~repro.sim.stats.SimStats` sink for engine
+        stats: optional :class:`~repro.stats.Stats` sink for engine
             counters and per-phase timers.
     """
     if shots <= 0:

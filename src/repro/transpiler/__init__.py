@@ -17,7 +17,6 @@ from repro.transpiler.commutation import (
 from repro.transpiler.timing import insert_delays, schedule_alap
 from repro.transpiler.translation import NATIVE_BASIS, is_in_basis, translate_to_basis
 from repro.transpiler.sabre import RoutingResult, sabre_layout, sabre_route
-from repro.transpiler.stats import RouteStats
 from repro.transpiler.scheduling import (
     Schedule,
     ScheduledInstruction,
@@ -32,7 +31,6 @@ __all__ = [
     "sabre_route",
     "sabre_layout",
     "RoutingResult",
-    "RouteStats",
     "Schedule",
     "ScheduledInstruction",
     "schedule_asap",

@@ -15,12 +15,12 @@ from typing import Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.exceptions import TranspilerError
 from repro.hardware.backends import Backend
+from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout, greedy_degree_layout, trivial_layout
 from repro.transpiler.optimization import optimize_circuit
 from repro.transpiler.sabre import sabre_layout, sabre_route
 from repro.transpiler.scheduling import circuit_duration_dt
-from repro.transpiler.stats import RouteStats
 
 __all__ = ["TranspileResult", "transpile"]
 
@@ -59,7 +59,7 @@ def transpile(
     seed: int = 11,
     initial_layout: Optional[Layout] = None,
     parallel: Optional[bool] = None,
-    stats: Optional[RouteStats] = None,
+    stats: Optional[Stats] = None,
 ) -> TranspileResult:
     """Compile *circuit* for *backend*.
 
@@ -74,7 +74,7 @@ def transpile(
 
     ``parallel`` fans the SABRE layout trials over the routing worker pool
     (``None`` auto-detects; results are bit-identical either way) and
-    ``stats`` collects :class:`RouteStats` counters — neither changes the
+    ``stats`` collects :class:`~repro.stats.Stats` counters — neither changes the
     emitted circuit.
     """
     if not 0 <= optimization_level <= 3:

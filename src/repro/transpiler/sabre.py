@@ -34,8 +34,8 @@ from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import TranspilerError
 from repro.hardware.coupling import CouplingMap
+from repro.stats import Stats
 from repro.transpiler.layout import Layout, trivial_layout
-from repro.transpiler.stats import RouteStats
 
 __all__ = ["sabre_route", "sabre_layout", "RoutingResult"]
 
@@ -92,7 +92,7 @@ def sabre_route(
     coupling: CouplingMap,
     initial_layout: Optional[Layout] = None,
     seed: int = 11,
-    stats: Optional[RouteStats] = None,
+    stats: Optional[Stats] = None,
 ) -> RoutingResult:
     """Insert SWAPs so every two-qubit gate touches coupled physical qubits.
 
@@ -101,7 +101,7 @@ def sabre_route(
         coupling: target connectivity.
         initial_layout: starting placement (trivial when omitted).
         seed: tie-breaking RNG seed.
-        stats: optional :class:`RouteStats` sink for counters.
+        stats: optional :class:`Stats` sink for counters.
 
     Returns:
         A :class:`RoutingResult` whose circuit indexes *physical* qubits.
@@ -277,10 +277,10 @@ def _layout_trial(
     iterations: int,
     physical_order: Sequence[int],
     seeds: Sequence[int],
-) -> Tuple[Layout, int, RouteStats]:
+) -> Tuple[Layout, int, Stats]:
     """One bidirectional layout trial, a pure function of its pre-drawn RNG
     material (*physical_order* and the routing *seeds*)."""
-    stats = RouteStats()
+    stats = Stats()
     layout = Layout(circuit.num_qubits, coupling.num_qubits)
     for logical in range(circuit.num_qubits):
         layout.assign(logical, physical_order[logical])
@@ -310,7 +310,7 @@ def sabre_layout(
     iterations: int = 3,
     trials: int = 4,
     parallel: Optional[bool] = None,
-    stats: Optional[RouteStats] = None,
+    stats: Optional[Stats] = None,
 ) -> Layout:
     """SABRE's bidirectional layout search.
 
@@ -329,7 +329,7 @@ def sabre_layout(
             in-process loop, ``None`` (default) uses the pool only when
             more than one worker (``CAQR_ROUTE_WORKERS``) and more than one
             trial are available.
-        stats: optional :class:`RouteStats` sink (worker-side counters are
+        stats: optional :class:`Stats` sink (worker-side counters are
             merged back in).
     """
     rng = random.Random(seed)
@@ -349,7 +349,7 @@ def sabre_layout(
     use_parallel = (
         parallel if parallel is not None else (workers > 1 and trials > 1)
     )
-    results: List[Tuple[Layout, int, RouteStats]]
+    results: List[Tuple[Layout, int, Stats]]
     if use_parallel and trials > 1:
         payloads = [
             (circuit, reverse, coupling, iterations, order, seeds)

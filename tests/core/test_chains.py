@@ -3,10 +3,11 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.core import ChainReuse, QSCaQR, ReuseEvalStats
+from repro.core import ChainReuse, QSCaQR
 from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.sim.verify import assert_equivalent
+from repro.stats import Stats
 from repro.workloads import bv_circuit, ghz_measured
 
 
@@ -73,7 +74,7 @@ class TestChainSearch:
         assert_equivalent(circuit, result.circuit)
 
     def test_stats_sink_is_shared(self):
-        stats = ReuseEvalStats()
+        stats = Stats()
         engine = ChainReuse(stats=stats)
         engine.run(bv_circuit(4))
         assert stats.counters["windows"] == 4
@@ -121,7 +122,7 @@ class TestBudgetedMode:
         assert_equivalent(circuit, result.circuit)
 
     def test_infeasible_budget_is_flagged_not_raised(self):
-        stats = ReuseEvalStats()
+        stats = Stats()
         result = ChainReuse(stats=stats).reduce_to(bv_circuit(5), 1)
         assert not result.feasible
         assert result.qubits == 2

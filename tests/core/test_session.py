@@ -20,11 +20,11 @@ from repro.core.evaluate import (
     evaluate_pair_duration,
     tail_path_lengths,
 )
-from repro.core.profile import ReuseEvalStats
 from repro.core.session import ReuseSession
 from repro.dag.analysis import critical_path_length, node_weight_depth
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import ReuseError
+from repro.stats import Stats
 from repro.workloads.bv import bv_circuit
 
 
@@ -74,7 +74,7 @@ class TestPairScorer:
         circuit = bv_circuit(5)
         analysis = ReuseAnalysis(circuit)
         pairs = analysis.valid_pairs()
-        stats = ReuseEvalStats()
+        stats = Stats()
         with PairScorer(stats=stats, parallel=False) as scorer:
             first = scorer.score_all(analysis.dag, pairs)
             again = scorer.score_all(analysis.dag, pairs)
@@ -89,7 +89,7 @@ class TestPairScorer:
         """Below the workload threshold no process pool is spawned."""
         circuit = bv_circuit(5)
         analysis = ReuseAnalysis(circuit)
-        stats = ReuseEvalStats()
+        stats = Stats()
         with PairScorer(stats=stats, parallel=True) as scorer:
             scorer.score_all(analysis.dag, analysis.valid_pairs())
             assert scorer._executor is None
@@ -100,7 +100,7 @@ class TestPairScorer:
         circuit = bv_circuit(8)
         analysis = ReuseAnalysis(circuit)
         pairs = analysis.valid_pairs()
-        stats = ReuseEvalStats()
+        stats = Stats()
         with PairScorer(
             stats=stats, parallel=True, parallel_threshold=0, max_workers=2
         ) as forced:

@@ -1,4 +1,4 @@
-"""Tests for SR-CaQR's trial grid, hint handling, and RouteStats wiring."""
+"""Tests for SR-CaQR's trial grid, hint handling, and route-stats wiring."""
 
 import pytest
 
@@ -6,7 +6,7 @@ import repro.core.sr_caqr as sr_caqr_module
 from repro.core import SRCaQR
 from repro.exceptions import ReuseError, TranspilerError
 from repro.hardware import ibm_mumbai
-from repro.transpiler import RouteStats
+from repro.stats import Stats
 from repro.workloads import bv_circuit, regular_benchmark
 
 
@@ -84,25 +84,27 @@ class TestRouteStatsSurface:
         assert incremental.stats.counters.get("slack_node_updates", 0) > 0
 
     def test_stats_merge_and_rates(self):
-        left = RouteStats()
+        left = Stats()
         left.count("slack_recomputes", 3)
         left.count("slack_recomputes_avoided", 1)
         left.add_time("route", 0.5)
-        right = RouteStats()
+        left.set_value("gauge", 5.0)
+        right = Stats()
         right.count("slack_recomputes_avoided", 4)
         right.add_time("route", 0.25)
         right.set_value("gauge", 2.0)
         left.merge(right)
         assert left.counters["slack_recomputes_avoided"] == 5
         assert left.timers["route"] == pytest.approx(0.75)
+        # a gauge present in both sinks takes the merged-in reading
         assert left.values["gauge"] == 2.0
-        assert left.slack_reuse_rate == pytest.approx(5 / 8)
-        left.reset()
-        assert left.slack_reuse_rate == 0.0
-        assert left.summary() == ""
+        rate = left.rate("slack_recomputes_avoided", "slack_recomputes")
+        assert rate == pytest.approx(5 / 8)
+        assert Stats().rate("slack_recomputes_avoided", "slack_recomputes") == 0.0
+        assert Stats().summary() == ""
 
     def test_summary_format(self):
-        stats = RouteStats()
+        stats = Stats()
         stats.count("swaps_inserted", 2)
         stats.add_time("route", 0.125)
         assert stats.summary() == "swaps_inserted=2, route_s=0.125"

@@ -34,12 +34,11 @@ FIELDS = [
 # pinned warm-vs-primed (the warm entry must replay the exact run that
 # populated the cache)
 
-#: (field, has a gauge/values dict) — the per-domain stats riding on the
-#: report since schema v3
-STATS_FIELDS = [("route_stats", True), ("eval_stats", False), ("sim_stats", True)]
+#: the per-domain stats riding on the report since schema v3
+STATS_FIELDS = ["route_stats", "eval_stats", "sim_stats"]
 
 
-def _assert_stats_field(report, cold, field, has_values, context):
+def _assert_stats_field(report, cold, field, context):
     cold_stats = getattr(cold, field)
     got = getattr(report, field)
     if cold_stats is None:
@@ -48,10 +47,7 @@ def _assert_stats_field(report, cold, field, has_values, context):
     assert got.counters == cold_stats.counters, (
         f"{context}: {field} counters drifted"
     )
-    if has_values:
-        assert got.values == cold_stats.values, (
-            f"{context}: {field} gauges drifted"
-        )
+    assert got.values == cold_stats.values, f"{context}: {field} gauges drifted"
 
 
 def _sample_circuit(seed: int):
@@ -90,8 +86,8 @@ def _assert_warm_equals_cold(target, context, service=None, **knobs):
             assert getattr(report, name) == getattr(cold, name), (
                 f"{context}: {label} field {name!r} drifted"
             )
-        for field, has_values in STATS_FIELDS:
-            _assert_stats_field(report, cold, field, has_values, f"{context}: {label}")
+        for field in STATS_FIELDS:
+            _assert_stats_field(report, cold, field, f"{context}: {label}")
     # the warm report replays the primed run exactly, timers included
     assert warm.route_stats == primed.route_stats, context
     assert warm.eval_stats == primed.eval_stats, context
@@ -229,8 +225,8 @@ def _assert_reports_match(remote, cold, context):
         assert getattr(remote, name) == getattr(cold, name), (
             f"{context}: field {name!r} drifted over the wire"
         )
-    for field, has_values in STATS_FIELDS:
-        _assert_stats_field(remote, cold, field, has_values, context)
+    for field in STATS_FIELDS:
+        _assert_stats_field(remote, cold, field, context)
 
 
 @pytest.mark.parametrize("seed", range(0, CACHE_SAMPLES, 5))

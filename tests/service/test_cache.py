@@ -6,13 +6,8 @@ import os
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import (
-    DEFAULT_SHARD,
-    DiskCache,
-    MemoryCache,
-    ServiceStats,
-    TieredCache,
-)
+from repro.service import DEFAULT_SHARD, DiskCache, MemoryCache, TieredCache
+from repro.stats import Stats
 
 
 class TestMemoryCache:
@@ -287,7 +282,7 @@ class TestTtlByBands:
 
 class TestTieredCache:
     def test_disk_hit_promoted_to_memory(self, tmp_path):
-        stats = ServiceStats()
+        stats = Stats()
         disk = DiskCache(str(tmp_path), stats=stats)
         disk.put("k", "v")
         tier = TieredCache(MemoryCache(stats=stats), disk)
@@ -321,26 +316,25 @@ class TestTieredCache:
 
 class TestStats:
     def test_rates_and_merge(self):
-        a = ServiceStats()
+        a = Stats()
         a.count("hits", 3)
         a.count("misses", 1)
-        a.count("requests", 8)
-        a.count("dedup_folds", 4)
-        assert a.hit_rate == pytest.approx(0.75)
-        assert a.dedup_rate == pytest.approx(0.5)
-        b = ServiceStats()
+        a.set_value("memory_bytes", 40.0)
+        assert a.rate("hits", "misses") == pytest.approx(0.75)
+        b = Stats()
         b.count("hits", 1)
         b.add_time("compile", 0.5)
         b.set_value("memory_bytes", 10.0)
         a.merge(b)
         assert a.counters["hits"] == 4
         assert a.timers["compile"] == pytest.approx(0.5)
+        # the memory tier's footprint is a reading: merged, never summed
+        assert a.values["memory_bytes"] == 10.0
         assert "hits=4" in a.summary()
-        a.reset()
-        assert a.hit_rate == 0.0 and a.summary() == ""
+        assert Stats().rate("hits", "misses") == 0.0
 
     def test_timed_context(self):
-        stats = ServiceStats()
+        stats = Stats()
         with stats.timed("lookup"):
             pass
         assert stats.timers["lookup"] >= 0.0

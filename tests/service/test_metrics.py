@@ -6,7 +6,8 @@ escaping, missing TYPE, non-monotone buckets) fails loudly.  The
 endpoint tests drive a real server thread: ``GET /v1/metrics`` must
 yield a parseable body whose counters/histograms reflect the requests
 just served, and the JSONL request log must carry the full stable
-schema per line.
+schema per line.  The lint tests scrape a server and a gateway twice
+around a cold compile and a warm hit.
 """
 
 import http.client
@@ -18,17 +19,18 @@ import re
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.hardware import generic_backend, line
 from repro.service import (
-    DEFAULT_BUCKETS,
     CompileService,
-    LatencyHistogram,
+    DiskCache,
     RemoteCompileService,
-    ServiceStats,
     render_prometheus,
+    start_gateway_thread,
     start_server_thread,
 )
 from repro.service.reqlog import RECORD_FIELDS, REQUEST_LOG_ENV, RequestLog
 from repro.service.service import CompileRequest
+from repro.stats import DEFAULT_BUCKETS, LatencyHistogram, Stats
 from repro.workloads import bv_circuit
 
 # -- a strict mini-parser for Prometheus text format 0.0.4 ---------------------
@@ -165,7 +167,7 @@ class TestLatencyHistogram:
 
 class TestStatsHistograms:
     def test_observe_creates_and_accumulates(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.observe("request_latency", 0.02)
         stats.observe("request_latency", 0.5)
         assert stats.histograms["request_latency"].count == 2
@@ -173,10 +175,10 @@ class TestStatsHistograms:
         assert snapshot["histograms"]["request_latency"]["count"] == 2
 
     def test_to_dict_omits_empty_histograms(self):
-        assert "histograms" not in ServiceStats().to_dict()
+        assert "histograms" not in Stats().to_dict()
 
     def test_merge_folds_histograms_and_keeps_counters(self):
-        a, b = ServiceStats(), ServiceStats()
+        a, b = Stats(), Stats()
         a.count("requests", 2)
         a.observe("request_latency", 0.01)
         b.count("requests", 3)
@@ -187,19 +189,13 @@ class TestStatsHistograms:
         assert a.histograms["request_latency"].count == 2
         assert a.histograms["serialize"].count == 1
 
-    def test_reset_clears_histograms(self):
-        stats = ServiceStats()
-        stats.observe("request_latency", 0.01)
-        stats.reset()
-        assert stats.histograms == {}
-
 
 # -- the Prometheus renderer ---------------------------------------------------
 
 
 class TestRenderPrometheus:
     def _stats(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count("requests", 3)
         stats.count("http:/v1/compile", 2)
         stats.count("portfolio_wins:qs_min_depth", 1)
@@ -257,7 +253,7 @@ class TestRenderPrometheus:
         assert labelled == 1
 
     def test_label_values_are_escaped(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count('http:/v1/"x"\\y\nz', 1)
         body = render_prometheus(stats)
         types, samples = parse_prometheus(body)
@@ -267,12 +263,24 @@ class TestRenderPrometheus:
         assert sample[1]["path"] == '/v1/\\"x\\"\\\\y\\nz'
 
     def test_unlabelled_families_fall_back_to_key_label(self):
-        stats = ServiceStats()
+        stats = Stats()
         stats.count("made_up_family:some_key", 4)
         _, samples = parse_prometheus(render_prometheus(stats))
         assert (
             sample_value(samples, "caqr_made_up_family_total", key="some_key") == 4
         )
+
+    def test_disk_bytes_written_is_a_counter(self, tmp_path):
+        stats = Stats()
+        disk = DiskCache(str(tmp_path), stats=stats)
+        disk.put("a", "first entry")
+        _, samples = parse_prometheus(render_prometheus(stats))
+        first = sample_value(samples, "caqr_disk_bytes_written_total")
+        disk.put("b", "second entry")
+        types, samples = parse_prometheus(render_prometheus(stats))
+        assert types["caqr_disk_bytes_written_total"] == "counter"
+        assert "caqr_disk_bytes_written" not in types
+        assert sample_value(samples, "caqr_disk_bytes_written_total") > first
 
 
 # -- the request log -----------------------------------------------------------
@@ -405,9 +413,7 @@ class TestMetricsEndpoint:
         assert status == "miss"
 
     def test_cold_compile_surfaces_engine_stats(self, client):
-        from repro.hardware import generic_backend, line
-
-        # min_swap runs the SR router, whose RouteStats ride the report;
+        # min_swap runs the SR router, whose route stats ride the report;
         # the server folds them into their own caqr_route_* prefix
         request = CompileRequest(
             target=bv_circuit(5),
@@ -472,3 +478,61 @@ class TestMetricsEndpoint:
             assert record["fingerprint"] == request.fingerprint()
             assert record["strategy"] == "auto"
             assert record["error"] is None
+
+
+# -- metrics lint: two scrapes around real traffic ------------------------------
+
+
+def lint_scrape(text):
+    """Strict-parse one scrape and check every family has HELP and TYPE."""
+    types, samples = parse_prometheus(text)
+    helped = [
+        line.split(" ")[2] for line in text.splitlines() if line.startswith("# HELP ")
+    ]
+    assert sorted(helped) == sorted(types), "a family lacks HELP or TYPE"
+    for name, _, _ in samples:
+        family_of(name, types)
+    return types, samples
+
+
+def counter_samples(types, samples):
+    return {
+        (name, tuple(sorted(labels.items()))): value
+        for name, labels, value in samples
+        if types.get(name) == "counter"
+    }
+
+
+def scrape_around_traffic(remote):
+    """Scrape, compile cold, hit warm, scrape again; no counter may fall."""
+    request = CompileRequest(
+        target=bv_circuit(5), backend=generic_backend(line(7), seed=7), mode="min_swap"
+    )
+    first = counter_samples(*lint_scrape(remote.metrics()))
+    assert remote.compile_classified(request)[2] == "miss"
+    assert remote.compile_classified(request)[2] == "hit"
+    types, samples = lint_scrape(remote.metrics())
+    second = counter_samples(types, samples)
+    for key, value in first.items():
+        assert key in second, f"counter {key} vanished between scrapes"
+        assert second[key] >= value, f"counter {key} went backwards"
+    return samples
+
+
+class TestMetricsLint:
+    def test_server_scrapes(self, client):
+        samples = scrape_around_traffic(client)
+        assert 0.0 <= sample_value(samples, "caqr_sim_esp") <= 1.0
+
+    def test_gateway_scrapes(self):
+        backend = start_server_thread(service=CompileService())
+        gateway = start_gateway_thread(backends=[backend.url], probe_interval=600.0)
+        try:
+            with RemoteCompileService(gateway.url, backoff=0.01) as remote:
+                scrape_around_traffic(remote)
+            with RemoteCompileService(backend.url, backoff=0.01) as remote:
+                _, samples = lint_scrape(remote.metrics())
+            assert 0.0 <= sample_value(samples, "caqr_sim_esp") <= 1.0
+        finally:
+            gateway.stop()
+            backend.stop()

@@ -228,6 +228,20 @@ class TestServerRoundtrip:
         assert payload["stats"]["counters"]["requests"] >= 1
         assert payload["stats"]["counters"]["http_requests"] >= 1
         assert "hit_rate" in payload["stats"]
+        assert "dedup_rate" in payload["stats"]
+
+    def test_stats_rates_are_served(self, server, client):
+        # a fresh server's sink, driven directly: a stats GET bumps
+        # neither the request nor the cache counters
+        stats = server.app.stats
+        stats.count("requests", 8)
+        stats.count("dedup_folds", 4)
+        stats.count("hits", 3)
+        stats.count("misses", 1)
+        served = client.stats()["stats"]
+        assert served["dedup_rate"] == pytest.approx(0.5)
+        assert served["hit_rate"] == pytest.approx(0.75)
+        assert server.app._stats_payload()["dedup_rate"] == pytest.approx(0.5)
 
     def test_invalidate_endpoint(self, client):
         request = CompileRequest(target=bv_circuit(5))

@@ -24,7 +24,7 @@ from repro.service import (
     PortfolioCompileService,
     StrategySpec,
 )
-from repro.service.stats import ServiceStats
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 SEMANTIC_FIELDS = [
@@ -295,7 +295,7 @@ def test_unknown_strategy_kind_is_an_error_not_a_crash():
 
 
 def test_win_rate_accounting():
-    stats = ServiceStats()
+    stats = Stats()
     service = PortfolioCompileService(stats=stats)
     first = service.compile(bv_circuit(4), objective="qubits", parallel=False)
     second = service.compile(bv_circuit(5), objective="qubits", parallel=False)

@@ -43,7 +43,7 @@ class TestSingleRequests:
         assert _report_fields(cold) == _report_fields(warm)
         assert service.stats.counters["misses"] == 1
         assert service.stats.counters["hits"] == 1
-        assert service.stats.hit_rate == pytest.approx(0.5)
+        assert service.stats.rate("hits", "misses") == pytest.approx(0.5)
 
     def test_different_knobs_are_different_entries(self):
         service = CompileService()

@@ -19,7 +19,6 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.service import (
     CompileService,
-    ServiceStats,
     WorkerPool,
     loads_entry,
     report_to_dict,
@@ -31,6 +30,7 @@ from repro.service.workers import (
     _reset_worker_state,
     _worker_task,
 )
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 
@@ -126,7 +126,7 @@ class TestWorkerTaskProtocol:
 
 class TestWorkerPool:
     def test_crash_respawn_drill(self):
-        stats = ServiceStats()
+        stats = Stats()
         pool = WorkerPool(1, stats=stats, max_respawns=1)
         try:
             assert pool.ping()
@@ -141,7 +141,7 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_need_record_roundtrip_then_zero_copy_redispatch(self):
-        stats = ServiceStats()
+        stats = Stats()
         pool = WorkerPool(1, stats=stats)
         request = CompileRequest(target=bv_circuit(4))
         fingerprint = request.fingerprint()

@@ -5,9 +5,10 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.core import QSCaQR
 from repro.exceptions import SimulationError
-from repro.sim import NoiseModel, SimStats, exact_distribution, run_counts
+from repro.sim import NoiseModel, exact_distribution, run_counts
 from repro.sim.batch import run_batched_counts
 from repro.sim.metrics import normalize_counts
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 NOISE = NoiseModel.uniform(
@@ -51,7 +52,7 @@ def test_terminal_circuits_delegate_to_fast_path():
     circuit.cx(0, 1)
     circuit.measure(0, 0)
     circuit.measure(1, 1)
-    stats = SimStats()
+    stats = Stats()
     batched = run_counts(circuit, shots=800, seed=3, engine="batch", stats=stats)
     reference = run_counts(circuit, shots=800, seed=3, engine="reference")
     assert batched == reference
@@ -96,7 +97,7 @@ def test_noisy_matches_reference_tvd():
 
 def test_fusion_counter_and_invariance():
     circuit = QSCaQR().sweep(bv_circuit(6))[-1].circuit
-    stats = SimStats()
+    stats = Stats()
     fused = run_batched_counts(circuit, 500, seed=7, stats=stats)
     unfused = run_batched_counts(circuit, 500, seed=7, fuse=False)
     assert fused == unfused
@@ -107,7 +108,7 @@ def test_parallel_matches_serial():
     """Force the process pool on and pin its counts against the serial
     path — sharding and seeding are independent of the worker count."""
     circuit = dynamic_circuit()
-    stats = SimStats()
+    stats = Stats()
     parallel = run_batched_counts(
         circuit,
         2000,
@@ -128,7 +129,7 @@ def test_parallel_matches_serial():
 
 def test_shard_remainder():
     circuit = dynamic_circuit()
-    stats = SimStats()
+    stats = Stats()
     counts = run_batched_counts(
         circuit, 1000, seed=1, shard_size=300, stats=stats
     )

@@ -5,8 +5,9 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.core import QSCaQR
 from repro.exceptions import SimulationError
-from repro.sim import SimStats, run_counts
+from repro.sim import run_counts
 from repro.sim.branchtree import BranchTreeSimulator, run_branch_counts
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 
@@ -47,17 +48,17 @@ def test_suffix_cache_shares_converging_histories():
     circuit.reset(0)
     circuit.h(0)
     circuit.measure(0, 0)
-    stats = SimStats()
+    stats = Stats()
     counts = run_branch_counts(circuit, 400, seed=2, stats=stats)
     assert sum(counts.values()) == 400
     assert stats.counters.get("suffix_cache_hits", 0) >= 1
-    assert stats.suffix_hit_rate > 0
+    assert stats.rate("suffix_cache_hits", "suffix_cache_misses") > 0
 
 
 def test_node_cap_fallback_stays_exact():
     circuit = dynamic_circuit()
     reference = run_counts(circuit, shots=500, seed=9, engine="reference")
-    stats = SimStats()
+    stats = Stats()
     capped = run_branch_counts(circuit, 500, seed=9, max_nodes=1, stats=stats)
     assert capped == reference
     assert stats.counters.get("cap_fallback_shots", 0) > 0
@@ -76,7 +77,7 @@ def test_pruning_drops_and_logs_mass():
     circuit.measure(0, 0)
     circuit.h(0)
     circuit.measure(0, 1)
-    stats = SimStats()
+    stats = Stats()
     counts = run_branch_counts(
         circuit, 500, seed=4, prune_threshold=0.05, stats=stats
     )
@@ -90,7 +91,7 @@ def test_pruning_off_by_default():
     circuit = QuantumCircuit(1, 1)
     circuit.ry(0.2, 0)
     circuit.measure(0, 0)
-    stats = SimStats()
+    stats = Stats()
     counts = run_branch_counts(circuit, 4000, seed=1, stats=stats)
     assert counts.get("1", 0) > 0  # rare branch still sampled
     assert "dropped_mass" not in stats.values
@@ -106,7 +107,7 @@ def test_lazy_growth_skips_dead_branches():
     """A deterministic 15-measure chain expands one node per measure —
     the dead sibling outcomes are never evolved."""
     circuit = QSCaQR().sweep(bv_circuit(16))[-1].circuit
-    stats = SimStats()
+    stats = Stats()
     counts = run_branch_counts(circuit, 256, seed=5, stats=stats)
     assert sum(counts.values()) == 256
     measures = sum(1 for i in circuit.data if i.name in ("measure", "reset"))

@@ -13,8 +13,9 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.core import QSCaQR
 from repro.exceptions import SimulationError
-from repro.sim import NoiseModel, SimStats, run_counts
+from repro.sim import NoiseModel, run_counts
 from repro.sim.statevector import ENGINES, _resolve_engine
+from repro.stats import Stats
 from repro.workloads import bv_circuit
 
 
@@ -137,13 +138,13 @@ def test_auto_routing():
 
 
 def test_auto_routing_reports_stats():
-    stats = SimStats()
+    stats = Stats()
     run_counts(branchy(), shots=50, seed=1, stats=stats)
     assert stats.counters.get("tree_shots") == 50
-    stats = SimStats()
+    stats = Stats()
     run_counts(branchy(), shots=50, seed=1, noise=NOISE, stats=stats)
     assert stats.counters.get("batch_shots") == 50
-    stats = SimStats()
+    stats = Stats()
     run_counts(ghz3(), shots=50, seed=1, stats=stats)
     assert stats.counters.get("terminal_shots") == 50
 

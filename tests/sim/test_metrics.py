@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.hardware import generic_backend, line
+from repro.hardware import Calibration, generic_backend, line
 from repro.sim import (
     estimated_success_probability,
     hellinger_fidelity,
@@ -11,6 +11,7 @@ from repro.sim import (
     success_rate,
     total_variation_distance,
 )
+from repro.stats import Stats
 
 
 class TestTVD:
@@ -60,6 +61,19 @@ class TestSuccessAndFidelity:
 class TestESP:
     def _backend(self):
         return generic_backend(line(4), seed=5)
+
+    def test_missing_cx_link_scores_the_mean_cx_error(self):
+        calibration = Calibration(
+            cx_error={frozenset({0, 1}): 0.01, frozenset({1, 2}): 0.03}
+        )
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 2)  # no calibrated (0, 2) link
+        stats = Stats()
+        esp = estimated_success_probability(
+            circuit, calibration, include_decoherence=False, stats=stats
+        )
+        assert esp == pytest.approx(1.0 - 0.02)
+        assert stats.counters["esp_two_qubit_evals"] == 1
 
     def test_empty_circuit_has_unit_esp(self):
         circuit = QuantumCircuit(2)

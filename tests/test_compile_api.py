@@ -2,11 +2,33 @@
 
 import pytest
 
+import repro.sim.metrics as sim_metrics
 from repro.compile_api import caqr_compile
-from repro.exceptions import ReuseError
+from repro.exceptions import HardwareError, ReuseError
 from repro.hardware import ibm_mumbai
 from repro.sim import run_counts
 from repro.workloads import bv_circuit, random_graph
+
+
+class TestESPStats:
+    def test_calibration_error_drops_sim_stats(self, monkeypatch):
+        report = caqr_compile(bv_circuit(4), backend=ibm_mumbai(), mode="min_swap")
+        assert 0.0 < report.sim_stats.values["esp"] <= 1.0
+
+        def unscorable(*args, **kwargs):
+            raise HardwareError("no readout calibration for qubit 99")
+
+        monkeypatch.setattr(sim_metrics, "estimated_success_probability", unscorable)
+        report = caqr_compile(bv_circuit(4), backend=ibm_mumbai(), mode="min_swap")
+        assert report.sim_stats is None
+
+    def test_bug_inside_esp_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(sim_metrics, "estimated_success_probability", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            caqr_compile(bv_circuit(4), backend=ibm_mumbai(), mode="min_swap")
 
 
 class TestRegularModes:
