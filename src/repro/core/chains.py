@@ -50,9 +50,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
-from repro.core.matching import max_bipartite_matching_size
 from repro.core.transform import apply_reuse_chain
-from repro.core.windows import Chain, State, WindowAnalysis
+from repro.core.windows import Chain, Reach, State, WindowAnalysis
 from repro.exceptions import ReuseError
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
@@ -126,6 +125,7 @@ class _BeamState:
     """One node of the beam: an abstract state plus its search bookkeeping."""
 
     wires: State
+    reach: Reach
     plan: Tuple[ReusePair, ...]
     inserted_measures: int
     options: List[Tuple[int, int]]
@@ -261,38 +261,32 @@ class ChainReuse:
 
     # -- the search --------------------------------------------------------------
 
-    def search(self, circuit: QuantumCircuit) -> List[ChainPlan]:
-        """Run the beam and return the top abstract candidates.
+    def search(self, analysis: WindowAnalysis) -> Tuple[List[ChainPlan], int]:
+        """Run the beam over *analysis*'s chain states.
 
-        The list is ordered best-first by the abstract key and holds at
-        most ``materialize_top`` plans; it always contains at least one
-        entry (the empty plan when nothing can merge).
+        Returns the top abstract candidates, ordered best-first by the
+        abstract key (at most ``materialize_top`` plans, at least one:
+        the empty plan when nothing can merge), and the root state's
+        matching floor.
         """
-        with self.stats.timed("analyze"):
-            analysis = WindowAnalysis(circuit)
-        self.stats.count("windows", circuit.num_qubits)
-        self.stats.count(
-            "mid_circuit_windows", len(analysis.mid_circuit_windows())
-        )
         ops = [w.num_ops for w in analysis.windows]
         terminal_measure = [w.terminal_measure for w in analysis.windows]
 
         def make_state(
-            wires: State, plan: Tuple[ReusePair, ...], measures: int
+            wires: State, reach: Reach, plan: Tuple[ReusePair, ...], measures: int
         ) -> _BeamState:
-            options, rows = analysis.chain_merges(wires)
-            floor = len(wires) - max_bipartite_matching_size(rows, len(wires))
+            options, rows = analysis.chain_merges(wires, reach)
             return _BeamState(
                 wires=wires,
+                reach=reach,
                 plan=plan,
                 inserted_measures=measures,
                 options=options,
-                floor=floor,
+                floor=analysis.chain_floor(wires, rows),
                 load=self._state_load(wires, ops),
             )
 
-        root = make_state(analysis.initial_state(), (), 0)
-        self._root_floor = root.floor
+        root = make_state(analysis.initial_state(), analysis.initial_reach(), (), 0)
         budget = self.register_budget
         if budget is None and self.dual_register:
             # dual-register without an explicit register size: stop at the
@@ -331,6 +325,7 @@ class ChainReuse:
                         )
                         child = make_state(
                             new_wires,
+                            analysis.merge_reach(state.reach, state.wires, u, v),
                             state.plan + (ReusePair(u, v),),
                             measures,
                         )
@@ -350,7 +345,7 @@ class ChainReuse:
                 beam = children[: self.beam_width]
         ranked = sorted(candidates.values(), key=self._abstract_key)
         top = ranked[: self.materialize_top] if ranked else [root]
-        return [
+        plans = [
             ChainPlan(
                 pairs=state.plan,
                 chains=state.wires,
@@ -360,10 +355,13 @@ class ChainReuse:
             )
             for state in top
         ]
+        return plans, root.floor
 
     # -- materialisation ---------------------------------------------------------
 
-    def _greedy_plan(self, circuit: QuantumCircuit) -> Optional[ChainPlan]:
+    def _greedy_plan(
+        self, circuit: QuantumCircuit, analysis: WindowAnalysis
+    ) -> Optional[ChainPlan]:
         """The greedy QS sweep's narrowest point, as a chain plan."""
         from repro.core.qs_caqr import QSCaQR
 
@@ -373,8 +371,7 @@ class ChainReuse:
         point = sweep[-1]
         if not point.pairs:
             return None
-        wires: State = tuple((q,) for q in range(circuit.num_qubits))
-        analysis = WindowAnalysis(circuit)
+        wires = analysis.initial_state()
         measures = 0
         for pair in point.pairs:
             source_tail = wires[pair.source][-1]
@@ -391,8 +388,13 @@ class ChainReuse:
 
     def run(self, circuit: QuantumCircuit) -> ChainReuseResult:
         """Search, materialise, and return the winning chain plan."""
-        plans = self.search(circuit)
-        floor = getattr(self, "_root_floor", circuit.num_qubits)
+        with self.stats.timed("analyze"):
+            analysis = WindowAnalysis(circuit)
+        self.stats.count("windows", circuit.num_qubits)
+        self.stats.count(
+            "mid_circuit_windows", len(analysis.mid_circuit_windows())
+        )
+        plans, floor = self.search(analysis)
         best_width = min(plan.width for plan in plans)
         guard: Optional[ChainPlan] = None
         if (
@@ -401,7 +403,7 @@ class ChainReuse:
             and self.register_budget is None
             and best_width > floor
         ):
-            guard = self._greedy_plan(circuit)
+            guard = self._greedy_plan(circuit, analysis)
             if guard is not None and guard.width < best_width:
                 plans = [guard] + list(plans)
                 self.stats.count("greedy_fallback")

@@ -12,21 +12,15 @@ exact tier.
 The search works on an **abstract wire state** instead of materialised
 circuits: a state is a tuple of *chains*, each chain the ordered original
 qubits that share one physical wire (``(3, 0)`` = "qubit 3 ran, was
-measured + reset, then qubit 0's gates replayed on its wire").  Validity
-of a candidate merge is decided with the original circuit's interaction
-sets and qubit dependency matrix plus a small reachability closure over
-the chain-internal measure/reset barriers — no circuit is rebuilt inside
-the search, which is what makes exhaustive enumeration affordable:
+measured + reset, then qubit 0's gates replayed on its wire").  The state
+machinery — valid-merge scan, per-merge reach-row update, matching
+floor, canonical form — is the chain-state kernel of
+:class:`~repro.core.windows.WindowAnalysis`, shared with the chain beam
+(:mod:`repro.core.chains`); see :mod:`repro.core.windows` for how both
+CaQR conditions lift to chains.  No circuit is rebuilt inside the
+search, which is what makes exhaustive enumeration affordable.
 
-* **Condition 1** lifts to chains member-wise: no member of the source
-  chain may share a gate with a member of the target chain.
-* **Condition 2** lifts through the merge graph: each chain adjacency
-  ``(a, b)`` acts as a barrier every op of ``a``'s wire precedes and
-  every op of ``b``'s wire follows, so "some op on chain Y reaches some
-  op on chain X" holds iff an original dependency does, or Y enters a
-  barrier whose (transitive) successor barrier exits into X.
-
-Search structure (the ISSUE's checklist):
+Search structure:
 
 * **reachability pruning** — only merges valid under Conditions 1 and 2
   in the *current* state are branched on (validity is monotone: a pair
@@ -59,23 +53,17 @@ model).
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
-from repro.core.matching import max_bipartite_matching_size
 from repro.core.transform import apply_reuse_chain, apply_reuse_pair
-from repro.dag.dagcircuit import DAGCircuit
-from repro.dag.reachability import qubit_dependency_matrix
+from repro.core.windows import Chain, Reach, State, WindowAnalysis
 from repro.exceptions import ReuseError
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["ExactReuseResult", "ExactReuse", "exact_minimum_qubits"]
-
-Chain = Tuple[int, ...]
-State = Tuple[Chain, ...]
 
 
 @dataclass
@@ -157,182 +145,22 @@ class ExactReuse:
         self.time_budget = time_budget
         self.max_tie_plans = max_tie_plans
 
-    # -- abstract-state machinery ----------------------------------------------
-
-    def _prepare(self, circuit: QuantumCircuit) -> None:
-        self._interacts: Dict[int, Set[int]] = {
-            q: set() for q in range(circuit.num_qubits)
-        }
-        for instruction in circuit.data:
-            if len(instruction.qubits) < 2:
-                continue
-            for a in instruction.qubits:
-                for b in instruction.qubits:
-                    if a != b:
-                        self._interacts[a].add(b)
-        dag = DAGCircuit.from_circuit(circuit)
-        self._dep = qubit_dependency_matrix(dag)
-        self._used = set(circuit.used_qubits())
-        self._class_of = self._symmetry_classes(circuit)
-
-    def _d0(self, a: int, b: int) -> bool:
-        return self._dep.get((a, b), False)
-
-    def _symmetry_classes(self, circuit: QuantumCircuit) -> Dict[int, int]:
-        """Partition qubits into interchangeable structural classes.
-
-        Qubits *q* and *r* land in one class when transposing them fixes
-        the interaction sets and the dependency matrix — then the swap is
-        an automorphism of the whole validity structure, and any
-        class-respecting relabelling of a search state yields an
-        isomorphic state.  Op counts are folded into the signature so the
-        depth tie-break stays meaningful across identified states.
-        """
-        ops = Counter(q for ins in circuit.data for q in ins.qubits)
-        qubits = list(range(circuit.num_qubits))
-
-        def swappable(q: int, r: int) -> bool:
-            return (
-                ops[q] == ops[r]
-                and (q in self._used) == (r in self._used)
-                and self._interacts[q] - {r} == self._interacts[r] - {q}
-                and self._d0(q, r) == self._d0(r, q)
-                and all(
-                    self._d0(q, s) == self._d0(r, s)
-                    and self._d0(s, q) == self._d0(s, r)
-                    for s in qubits
-                    if s != q and s != r
-                )
-            )
-
-        class_of: Dict[int, int] = {}
-        representatives: List[int] = []
-        for q in qubits:
-            for index, rep in enumerate(representatives):
-                if swappable(q, rep):
-                    class_of[q] = index
-                    break
-            else:
-                class_of[q] = len(representatives)
-                representatives.append(q)
-        return class_of
-
-    def _canonical(self, wires: State) -> FrozenSet[Tuple[Chain, int]]:
-        """State key modulo wire order and symmetric-qubit identity."""
-        counts = Counter(
-            tuple(self._class_of[q] for q in chain) for chain in wires
-        )
-        return frozenset(counts.items())
-
-    def _reach_matrix(self, wires: State) -> Dict[int, Set[int]]:
-        """``reach[y]`` = original qubits some op on *y*'s wire precedes.
-
-        Each chain adjacency ``(a, b)`` is a measure/reset barrier: all
-        ops of the wire up to ``a`` precede it, all ops from ``b`` on
-        follow it.  Barrier *i* feeds barrier *j* when ``i``'s released
-        qubit is (or depends into) ``j``'s retiring qubit; the closure
-        of that tiny digraph composes dependencies across chains.
-        """
-        merges: List[Tuple[int, int]] = []
-        for chain in wires:
-            for i in range(len(chain) - 1):
-                merges.append((chain[i], chain[i + 1]))
-        k = len(merges)
-        closure: List[int] = [0] * k  # bitmask of reachable barriers, incl. self
-        if k:
-            adjacency: List[int] = [0] * k
-            for i, (_, released) in enumerate(merges):
-                for j, (retiring, _) in enumerate(merges):
-                    if i != j and (released == retiring or self._d0(released, retiring)):
-                        adjacency[i] |= 1 << j
-            for i in range(k):
-                seen = 1 << i
-                stack = [i]
-                while stack:
-                    frontier = adjacency[stack.pop()] & ~seen
-                    while frontier:
-                        bit = frontier & -frontier
-                        frontier ^= bit
-                        seen |= bit
-                        stack.append(bit.bit_length() - 1)
-                closure[i] = seen
-            exits: List[Set[int]] = []
-            for _, released in merges:
-                out = {q for q in self._used if self._d0(released, q)}
-                out.add(released)
-                exits.append(out)
-        reach: Dict[int, Set[int]] = {}
-        for q in self._used:
-            row = {x for x in self._used if self._d0(q, x)}
-            for i, (retiring, _) in enumerate(merges):
-                if q == retiring or self._d0(q, retiring):
-                    mask = closure[i]
-                    while mask:
-                        bit = mask & -mask
-                        mask ^= bit
-                        row |= exits[bit.bit_length() - 1]
-            reach[q] = row
-        return reach
-
-    def _valid_merges(
-        self, wires: State
-    ) -> Tuple[List[Tuple[int, int]], List[int]]:
-        """All currently valid merges ``(source wire, target wire)`` plus
-        the per-source target bitmasks for the matching bound."""
-        reach = self._reach_matrix(wires)
-        active = [
-            index
-            for index, chain in enumerate(wires)
-            if all(q in self._used for q in chain)
-        ]
-        options: List[Tuple[int, int]] = []
-        rows = [0] * len(wires)
-        for u in active:
-            source_chain = wires[u]
-            for v in active:
-                if u == v:
-                    continue
-                target_chain = wires[v]
-                if any(
-                    b in self._interacts[a]
-                    for a in source_chain
-                    for b in target_chain
-                ):
-                    continue
-                if any(
-                    x in reach[y] for y in target_chain for x in source_chain
-                ):
-                    continue
-                options.append((u, v))
-                rows[u] |= 1 << v
-        return options, rows
-
-    @staticmethod
-    def _merge(wires: State, u: int, v: int) -> State:
-        """Apply merge ``(u -> v)`` to the label space: target wire *v*
-        is removed, its chain appended to *u*'s (matching the qubit map
-        of :func:`~repro.core.transform.apply_reuse_pair`)."""
-        merged = wires[u] + wires[v]
-        out = [chain for index, chain in enumerate(wires) if index != v]
-        out[u - (1 if u > v else 0)] = merged
-        return tuple(out)
-
     # -- the search ------------------------------------------------------------
 
     def run(self, circuit: QuantumCircuit) -> ExactReuseResult:
         """Find the minimum-width reuse plan for *circuit*."""
         start = time.monotonic()
         deadline = start + self.time_budget if self.time_budget else None
-        self._prepare(circuit)
-        initial: State = tuple((q,) for q in range(circuit.num_qubits))
+        analysis = WindowAnalysis(circuit)
+        initial = analysis.initial_state()
         visited: Set[FrozenSet[Tuple[Chain, int]]] = set()
         best_width = len(initial)
         best_plans: List[List[ReusePair]] = [[]]
         nodes = 0
 
-        def search(wires: State, plan: List[ReusePair]) -> None:
+        def search(wires: State, reach: Reach, plan: List[ReusePair]) -> None:
             nonlocal best_width, best_plans, nodes
-            key = self._canonical(wires)
+            key = analysis.canonical(wires)
             if key in visited:
                 return
             visited.add(key)
@@ -347,22 +175,26 @@ class ExactReuse:
                 best_plans = [list(plan)]
             elif width == best_width and plan and len(best_plans) < self.max_tie_plans:
                 best_plans.append(list(plan))
-            options, rows = self._valid_merges(wires)
+            options, rows = analysis.chain_merges(wires, reach)
             if not options:
                 return
-            floor = width - max_bipartite_matching_size(rows, width)
+            floor = analysis.chain_floor(wires, rows)
             if floor > best_width:
                 return
             if floor == best_width and len(best_plans) >= self.max_tie_plans:
                 return
             for u, v in options:
                 plan.append(ReusePair(u, v))
-                search(self._merge(wires, u, v), plan)
+                search(
+                    WindowAnalysis.merge(wires, u, v),
+                    analysis.merge_reach(reach, wires, u, v),
+                    plan,
+                )
                 plan.pop()
 
         optimal = True
         try:
-            search(initial, [])
+            search(initial, analysis.initial_reach(), [])
         except _Budget:
             optimal = False
 

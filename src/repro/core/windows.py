@@ -22,11 +22,18 @@ This module is the analysis half of the chain subsystem
   inserting a fresh one — the lever the dual-register cost model pulls).
 * :class:`WindowAnalysis` — computes every window from the dependency
   DAG, answers the pair-level compatibility question with the interval
-  prune in front of the reachability test, and lifts both CaQR validity
-  conditions to whole *chains* of merged windows (the same abstract
-  wire-state formulation :mod:`repro.core.exact` searches exhaustively,
-  exposed here so a beam search can reuse it without materialising
-  circuits).
+  prune in front of the reachability test, and owns the **chain-state
+  kernel**: both CaQR validity conditions lifted to whole *chains* of
+  merged windows, with per-state reach rows kept as bitsets and updated
+  per merge.  The beam (:mod:`repro.core.chains`) and the exact
+  branch-and-bound (:mod:`repro.core.exact`) search the same abstract
+  wire states through it, without materialising circuits.
+
+A chain adjacency ``(a, b)`` is a measure/reset barrier: every op of the
+wire up to ``a`` precedes it and every op from ``b`` on follows it, so
+"some op on qubit *y*'s wire precedes some op on *x*'s" holds iff an
+original dependency does, or *y* enters a barrier whose (transitive)
+successor barrier exits into *x*.
 
 Windows are *measure/reset-aware*: a terminal measurement belongs to the
 window (death layer includes it), resets and mid-circuit measurements
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
@@ -48,12 +55,14 @@ from repro.dag.dagcircuit import DAGCircuit
 from repro.dag.reachability import qubit_dependency_matrix
 from repro.exceptions import ReuseError
 
-__all__ = ["ReuseWindow", "WindowAnalysis", "Chain", "State"]
+__all__ = ["ReuseWindow", "WindowAnalysis", "Chain", "State", "Reach"]
 
 #: One physical wire's occupancy: the ordered original qubits sharing it.
 Chain = Tuple[int, ...]
 #: An abstract merge state: one chain per live wire.
 State = Tuple[Chain, ...]
+#: Per original qubit, the bitset of qubits some op on its wire precedes.
+Reach = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,16 @@ class WindowAnalysis:
                         self._interacts[a].add(b)
         self._dep = qubit_dependency_matrix(dag)
         self._used: Set[int] = set(circuit.used_qubits())
+        self._imask = [
+            sum(1 << b for b in self._interacts[q]) for q in range(self.num_qubits)
+        ]
+        self._dep_rows = [0] * self.num_qubits
+        for (a, b), depends in self._dep.items():
+            if depends:
+                self._dep_rows[a] |= 1 << b
+        self._unused_mask = sum(
+            1 << q for q in range(self.num_qubits) if q not in self._used
+        )
         self.windows: List[ReuseWindow] = self._build_windows(circuit, dag)
         self._class_of = self._symmetry_classes(circuit)
 
@@ -269,94 +288,78 @@ class WindowAnalysis:
                     rows[source] |= 1 << target
         return max_bipartite_matching_size(rows, self.num_qubits)
 
-    # -- chain-level compatibility ------------------------------------------------
+    # -- chain states ---------------------------------------------------------------
+    #
+    # A state is a tuple of chains plus its reach rows: ``reach[q]`` is the
+    # bitset of original qubits some op on *q*'s wire precedes, through the
+    # state's measure/reset barriers.  Rows are built once at the root from
+    # the dependency matrix and updated per merge (:meth:`merge_reach`);
+    # the beam (:mod:`repro.core.chains`) and the branch-and-bound
+    # (:mod:`repro.core.exact`) both search with this one kernel.
 
     def initial_state(self) -> State:
         """The untouched state: every wire holds its own qubit."""
         return tuple((q,) for q in range(self.num_qubits))
 
-    def _reach_matrix(self, wires: State) -> Dict[int, Set[int]]:
-        """``reach[y]`` = original qubits some op on *y*'s wire precedes.
+    def initial_reach(self) -> Reach:
+        """Reach rows of :meth:`initial_state`: the dependency matrix."""
+        return tuple(self._dep_rows)
 
-        Chain adjacency ``(a, b)`` is a measure/reset barrier: all ops
-        up to ``a`` precede it, all ops from ``b`` on follow it.  The
-        closure over the barrier digraph composes dependencies across
-        chains; see :mod:`repro.core.exact` for the derivation.
+    @staticmethod
+    def merge_reach(reach: Reach, wires: State, u: int, v: int) -> Reach:
+        """Reach rows after merge ``(u -> v)`` of *wires*.
+
+        The merge adds one barrier ``a -> b`` (*u*'s tail retires, *v*'s
+        head starts), so every row that reaches ``a`` (or is ``a``'s)
+        gains ``b`` and ``b``'s row.  The update is exact because the
+        merge is valid: ``b`` never reaches ``a`` (Condition 2), so no
+        new path crosses the new barrier twice.
         """
-        merges: List[Tuple[int, int]] = []
-        for chain in wires:
-            for i in range(len(chain) - 1):
-                merges.append((chain[i], chain[i + 1]))
-        k = len(merges)
-        closure: List[int] = [0] * k
-        if k:
-            adjacency: List[int] = [0] * k
-            for i, (_, released) in enumerate(merges):
-                for j, (retiring, _) in enumerate(merges):
-                    if i != j and (
-                        released == retiring or self._d0(released, retiring)
-                    ):
-                        adjacency[i] |= 1 << j
-            for i in range(k):
-                seen = 1 << i
-                stack = [i]
-                while stack:
-                    frontier = adjacency[stack.pop()] & ~seen
-                    while frontier:
-                        bit = frontier & -frontier
-                        frontier ^= bit
-                        seen |= bit
-                        stack.append(bit.bit_length() - 1)
-                closure[i] = seen
-            exits: List[Set[int]] = []
-            for _, released in merges:
-                out = {q for q in self._used if self._d0(released, q)}
-                out.add(released)
-                exits.append(out)
-        reach: Dict[int, Set[int]] = {}
-        for q in self._used:
-            row = {x for x in self._used if self._d0(q, x)}
-            for i, (retiring, _) in enumerate(merges):
-                if q == retiring or self._d0(q, retiring):
-                    mask = closure[i]
-                    while mask:
-                        bit = mask & -mask
-                        mask ^= bit
-                        row |= exits[bit.bit_length() - 1]
-            reach[q] = row
-        return reach
+        a, b = wires[u][-1], wires[v][0]
+        a_bit = 1 << a
+        gain = reach[b] | (1 << b)
+        return tuple(
+            row | gain if q == a or row & a_bit else row
+            for q, row in enumerate(reach)
+        )
 
-    def chain_merges(self, wires: State) -> Tuple[List[Tuple[int, int]], List[int]]:
+    def chain_merges(
+        self, wires: State, reach: Reach
+    ) -> Tuple[List[Tuple[int, int]], List[int]]:
         """All valid merges ``(source wire, target wire)`` in *wires*,
         plus per-source target bitmasks for the matching bound.
 
         Condition 1 lifts member-wise (no member of the source chain may
         share a gate with a member of the target chain); Condition 2
-        lifts through the barrier closure of :meth:`_reach_matrix`.
+        lifts through the reach rows (no op on the target chain may
+        precede an op on the source chain).
         """
-        reach = self._reach_matrix(wires)
-        active = [
-            index
-            for index, chain in enumerate(wires)
-            if all(q in self._used for q in chain)
-        ]
+        unused, imask = self._unused_mask, self._imask
+        masks: List[int] = []
+        imasks: List[int] = []
+        rmasks: List[int] = []
+        active: List[int] = []
+        for index, chain in enumerate(wires):
+            mask = interacts = reaches = 0
+            for q in chain:
+                mask |= 1 << q
+                interacts |= imask[q]
+                reaches |= reach[q]
+            masks.append(mask)
+            imasks.append(interacts)
+            rmasks.append(reaches)
+            if not mask & unused:
+                active.append(index)
         options: List[Tuple[int, int]] = []
         rows = [0] * len(wires)
         for u in active:
-            source_chain = wires[u]
+            source_mask, source_interacts = masks[u], imasks[u]
             for v in active:
                 if u == v:
                     continue
-                target_chain = wires[v]
-                if any(
-                    b in self._interacts[a]
-                    for a in source_chain
-                    for b in target_chain
-                ):
+                if source_interacts & masks[v]:  # Condition 1
                     continue
-                if any(
-                    x in reach[y] for y in target_chain for x in source_chain
-                ):
+                if rmasks[v] & source_mask:  # Condition 2
                     continue
                 options.append((u, v))
                 rows[u] |= 1 << v
@@ -372,18 +375,27 @@ class WindowAnalysis:
         out[u - (1 if u > v else 0)] = merged
         return tuple(out)
 
-    def chain_floor(self, wires: State, rows: Optional[List[int]] = None) -> int:
-        """Optimistic width floor reachable from *wires*."""
-        if rows is None:
-            _, rows = self.chain_merges(wires)
+    @staticmethod
+    def chain_floor(wires: State, rows: List[int]) -> int:
+        """Optimistic width floor reachable from *wires*, given the
+        target bitmasks :meth:`chain_merges` returned for it: applying a
+        merge only ever shrinks the valid-merge relation, so a maximum
+        matching over it bounds the merges any descendant can make."""
         return len(wires) - max_bipartite_matching_size(rows, len(wires))
 
     # -- state interning -----------------------------------------------------------
 
     def _symmetry_classes(self, circuit: QuantumCircuit) -> Dict[int, int]:
-        """Partition qubits into interchangeable structural classes
-        (identical windows, interaction sets, and dependency rows), so
-        states that differ only by a symmetric-qubit swap intern alike."""
+        """Partition qubits into interchangeable structural classes.
+
+        Qubits *q* and *r* land in one class when transposing them fixes
+        the interaction sets and the dependency matrix — then the swap is
+        an automorphism of the whole validity structure, and any
+        class-respecting relabelling of a search state yields an
+        isomorphic state with an isomorphic subtree.  Op counts are
+        folded into the signature so depth tie-breaks stay meaningful
+        across identified states.
+        """
         ops = Counter(q for ins in circuit.data for q in ins.qubits)
         qubits = list(range(circuit.num_qubits))
 

@@ -109,17 +109,42 @@ class TestChainLifting:
 
     def test_chain_merges_shrink_after_each_merge(self):
         analysis = WindowAnalysis(_ladder(4))
-        wires = analysis.initial_state()
-        options, rows = analysis.chain_merges(wires)
+        wires, reach = analysis.initial_state(), analysis.initial_reach()
+        options, rows = analysis.chain_merges(wires, reach)
         # adjacent qubits share a CX (Condition 1), so merges skip a rung
         assert (0, 2) in options and (0, 1) not in options
         merged = WindowAnalysis.merge(wires, 0, 2)
-        fewer, _ = analysis.chain_merges(merged)
+        fewer, _ = analysis.chain_merges(
+            merged, analysis.merge_reach(reach, wires, 0, 2)
+        )
         assert len(fewer) < len(options)
 
     def test_chain_floor_matches_pair_floor_at_root(self):
         analysis = WindowAnalysis(bv_circuit(5))
-        assert analysis.chain_floor(analysis.initial_state()) == 2
+        wires = analysis.initial_state()
+        _, rows = analysis.chain_merges(wires, analysis.initial_reach())
+        assert analysis.chain_floor(wires, rows) == 2
+
+    def test_initial_reach_is_the_dependency_matrix(self):
+        """Root rows carry exactly the original qubit dependencies."""
+        analysis = WindowAnalysis(_ladder(4))
+        reach = analysis.initial_reach()
+        for a in range(4):
+            for b in range(4):
+                assert bool(reach[a] >> b & 1) == analysis._dep.get((a, b), False)
+
+    def test_merge_reach_adds_the_barrier(self):
+        """Merging q0 -> q2 on the ladder puts a barrier after q0: q0's
+        row and every row reaching q0 gain q2 and q2's row; rows that
+        do not reach q0 keep theirs."""
+        analysis = WindowAnalysis(_ladder(4))
+        wires, reach = analysis.initial_state(), analysis.initial_reach()
+        after = analysis.merge_reach(reach, wires, 0, 2)
+        gain = reach[2] | 1 << 2
+        assert after[0] == reach[0] | gain
+        assert after[1] == reach[1] | gain  # q1 shares q0's CX
+        assert after[3] == reach[3]  # q3 never touches q0
+        assert after[2] == reach[2]  # q2 cannot reach q0 (Condition 2)
 
     def test_chain_options_respect_pair_validity(self):
         """Chain merges lift the pair conditions member-wise: after a
@@ -127,8 +152,11 @@ class TestChainLifting:
         never pairs chains whose members share a gate."""
         circuit = _ladder(4)
         analysis = WindowAnalysis(circuit)
-        merged = WindowAnalysis.merge(analysis.initial_state(), 0, 2)
-        options, _ = analysis.chain_merges(merged)
+        wires = analysis.initial_state()
+        merged = WindowAnalysis.merge(wires, 0, 2)
+        options, _ = analysis.chain_merges(
+            merged, analysis.merge_reach(analysis.initial_reach(), wires, 0, 2)
+        )
         for u, v in options:
             for a in merged[u]:
                 for b in merged[v]:

@@ -18,6 +18,11 @@ for bit:
 * :func:`nx_potential` and :func:`nx_lookahead_kernel` — the networkx
   reuse-potential kernel and a context manager that installs it in
   :mod:`repro.core.session` in place of the bitset kernel.
+* :func:`reference_reach` and :func:`reference_chain_merges` — the
+  from-scratch barrier closure and valid-merge scan over a chain state.
+  They are the referees of :class:`~repro.core.windows.WindowAnalysis`'s
+  incremental chain-state kernel (per-merge bitset reach rows), which
+  the chain beam and the exact branch-and-bound share.
 
 The exact engine (:class:`~repro.core.exact.ExactReuse`) is the referee
 for *width* only; it does not replace any of these.
@@ -38,6 +43,7 @@ from repro.core.evaluate import evaluate_pair_depth, evaluate_pair_duration
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
 from repro.core.sr_caqr import _DIRTY, _FRESH, SRCaQR, SRCaQRResult
 from repro.core.transform import apply_reuse_pair
+from repro.core.windows import State, WindowAnalysis
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import ReuseError
 from repro.transpiler.basis import decompose_to_two_qubit
@@ -49,6 +55,8 @@ __all__ = [
     "ReferenceSRCaQR",
     "nx_lookahead_kernel",
     "nx_potential",
+    "reference_chain_merges",
+    "reference_reach",
     "reuse_potential",
 ]
 
@@ -614,3 +622,93 @@ class ReferenceSRCaQR(SRCaQR):
             depth=out.depth(),
             duration_dt=circuit_duration_dt(out, self.backend.calibration),
         )
+
+
+# -- chain-state kernel ----------------------------------------------------------
+
+
+def reference_reach(analysis: WindowAnalysis, wires: State) -> Dict[int, Set[int]]:
+    """``reach[y]`` = original qubits some op on *y*'s wire precedes.
+
+    Each chain adjacency ``(a, b)`` is a measure/reset barrier: all ops
+    of the wire up to ``a`` precede it, all ops from ``b`` on follow it.
+    Barrier *i* feeds barrier *j* when ``i``'s released qubit is (or
+    depends into) ``j``'s retiring qubit; the closure of that tiny
+    digraph composes dependencies across chains.  Rebuilt from scratch
+    for every state.
+    """
+    merges: List[Tuple[int, int]] = []
+    for chain in wires:
+        for i in range(len(chain) - 1):
+            merges.append((chain[i], chain[i + 1]))
+    k = len(merges)
+    closure: List[int] = [0] * k
+    if k:
+        adjacency: List[int] = [0] * k
+        for i, (_, released) in enumerate(merges):
+            for j, (retiring, _) in enumerate(merges):
+                if i != j and (
+                    released == retiring or analysis._d0(released, retiring)
+                ):
+                    adjacency[i] |= 1 << j
+        for i in range(k):
+            seen = 1 << i
+            stack = [i]
+            while stack:
+                frontier = adjacency[stack.pop()] & ~seen
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    seen |= bit
+                    stack.append(bit.bit_length() - 1)
+            closure[i] = seen
+        exits: List[Set[int]] = []
+        for _, released in merges:
+            out = {q for q in analysis._used if analysis._d0(released, q)}
+            out.add(released)
+            exits.append(out)
+    reach: Dict[int, Set[int]] = {}
+    for q in analysis._used:
+        row = {x for x in analysis._used if analysis._d0(q, x)}
+        for i, (retiring, _) in enumerate(merges):
+            if q == retiring or analysis._d0(q, retiring):
+                mask = closure[i]
+                while mask:
+                    bit = mask & -mask
+                    mask ^= bit
+                    row |= exits[bit.bit_length() - 1]
+        reach[q] = row
+    return reach
+
+
+def reference_chain_merges(
+    analysis: WindowAnalysis, wires: State
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """All valid merges ``(source wire, target wire)`` in *wires*, plus
+    per-source target bitmasks, with set-based member-wise scans over
+    :func:`reference_reach`."""
+    reach = reference_reach(analysis, wires)
+    active = [
+        index
+        for index, chain in enumerate(wires)
+        if all(q in analysis._used for q in chain)
+    ]
+    options: List[Tuple[int, int]] = []
+    rows = [0] * len(wires)
+    for u in active:
+        source_chain = wires[u]
+        for v in active:
+            if u == v:
+                continue
+            target_chain = wires[v]
+            if any(
+                b in analysis._interacts[a]
+                for a in source_chain
+                for b in target_chain
+            ):
+                continue
+            if any(x in reach[y] for y in target_chain for x in source_chain):
+                continue
+            options.append((u, v))
+            rows[u] |= 1 << v
+    return options, rows

@@ -1,0 +1,85 @@
+"""Differential harness: the incremental chain-state kernel vs. its referee.
+
+:class:`~repro.core.windows.WindowAnalysis` keeps each chain state's
+reach rows as bitsets and updates them per merge; the chain beam and
+the exact branch-and-bound both search through it.  This harness wraps
+``chain_merges`` so that at every state either engine scores it checks:
+
+* the incremental reach rows equal the from-scratch barrier closure
+  (:func:`tests.oracles.reference_reach`);
+* ``(options, rows)`` equal the set-based valid-merge scan
+  (:func:`tests.oracles.reference_chain_merges`).
+
+It runs on the benchmark circuits bv16, qaoa16-0.3 and qaoa-tree15 and
+on ``CAQR_CHAIN_SAMPLES`` random circuits from the chain harness's pool
+(default 200; the nightly ``chain-diff`` CI job runs 500).  The exact
+engine runs under a node budget here: every state it visits is checked,
+and the budget keeps the from-scratch referee affordable.
+"""
+
+from typing import Dict, Set
+
+import networkx as nx
+import pytest
+
+from repro.circuit.circuit import QuantumCircuit
+from repro.core.chains import ChainReuse
+from repro.core.exact import ExactReuse
+from repro.core.windows import Reach, State, WindowAnalysis
+from repro.workloads import bv_circuit, qaoa_maxcut_circuit, random_graph
+from tests.oracles import reference_chain_merges, reference_reach
+from tests.property.test_chain_windows import CHAIN_SAMPLES, _sample_circuit
+
+EXACT_NODES = 400
+
+NAMED = {
+    "bv16": lambda: bv_circuit(16),
+    "qaoa16-0.3": lambda: qaoa_maxcut_circuit(random_graph(16, 0.3, seed=7)),
+    "qaoa-tree15": lambda: qaoa_maxcut_circuit(nx.balanced_tree(2, 3)),
+}
+
+
+def _as_rows(reach: Dict[int, Set[int]], num_qubits: int) -> Reach:
+    return tuple(
+        sum(1 << x for x in reach.get(q, ())) for q in range(num_qubits)
+    )
+
+
+@pytest.fixture
+def checked_kernel(monkeypatch):
+    """Referee every ``chain_merges`` call; yields the list of states seen."""
+    kernel = WindowAnalysis.chain_merges
+    states = []
+
+    def chain_merges(self: WindowAnalysis, wires: State, reach: Reach):
+        expected = _as_rows(reference_reach(self, wires), self.num_qubits)
+        assert reach == expected, f"reach rows diverge at {wires}"
+        result = kernel(self, wires, reach)
+        assert result == reference_chain_merges(self, wires), (
+            f"valid merges diverge at {wires}"
+        )
+        states.append(wires)
+        return result
+
+    monkeypatch.setattr(WindowAnalysis, "chain_merges", chain_merges)
+    return states
+
+
+def _check_engines(circuit: QuantumCircuit, states) -> None:
+    ChainReuse().run(circuit)
+    beam_states = len(states)
+    assert beam_states >= 1
+    ExactReuse(max_nodes=EXACT_NODES).run(circuit)
+    assert len(states) > beam_states
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_kernel_matches_reference_on_benchmark_circuits(name, checked_kernel):
+    _check_engines(NAMED[name](), checked_kernel)
+    # the beam reaches merged states, so the update rule is exercised
+    assert any(len(wires) < len(checked_kernel[0]) for wires in checked_kernel)
+
+
+@pytest.mark.parametrize("seed", range(CHAIN_SAMPLES))
+def test_kernel_matches_reference_on_random_circuits(seed, checked_kernel):
+    _check_engines(_sample_circuit(seed), checked_kernel)

@@ -171,6 +171,51 @@ def test_pinned_optima(circuit, optimal):
     assert_equivalent(circuit, result.circuit)
 
 
+# (qubits, pairs, optimal, nodes_expanded): widths alone would not show a
+# change to the engine's branch order, pruning or state interning
+PINNED_RUNS = {
+    "bv4": (2, [(0, 1), (0, 1)], True, 5),
+    "ghz5": (2, [(0, 2), (0, 3), (1, 2)], True, 14),
+    "chain5": (2, [(0, 2), (0, 3), (1, 2)], True, 14),
+    0: (2, [(0, 2)], True, 2),
+    5: (4, [(0, 1), (0, 3), (1, 3), (4, 1)], True, 814),
+    17: (2, [(0, 2), (0, 2), (0, 4), (1, 3), (1, 2), (1, 2)], True, 20033),
+    22: (2, [(0, 2), (1, 0), (2, 1), (2, 1), (2, 1)], True, 1290),
+    29: (4, [(0, 1), (0, 2), (0, 1), (2, 3)], True, 1177),
+    41: (3, [(0, 2), (0, 2), (2, 1), (2, 4), (3, 2)], True, 4161),
+    47: (3, [(0, 4), (2, 6), (2, 1), (2, 3), (3, 2)], True, 738),
+    53: (3, [(0, 2), (0, 3), (1, 4), (1, 3), (1, 3)], True, 1102),
+    58: (2, [(0, 1), (0, 1), (0, 2), (0, 1), (1, 2)], True, 4489),
+    64: (2, [(0, 1), (0, 1), (0, 3), (1, 2), (1, 2)], True, 1712),
+    70: (3, [(0, 4), (1, 5), (3, 0), (3, 1)], True, 701),
+    77: (3, [(0, 1), (0, 2), (0, 4), (1, 0), (3, 2)], True, 4150),
+    93: (3, [(0, 3), (2, 0), (3, 0)], True, 147),
+    118: (2, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 2)], True, 4567),
+}
+PINNED_CIRCUITS = {
+    "bv4": lambda: bv_circuit(4),
+    "ghz5": lambda: ghz_measured(5),
+    "chain5": lambda: _reuse_chain(5),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_RUNS), ids=str)
+def test_pinned_search_is_deterministic(case):
+    """The whole search outcome is pinned, not just the width: the
+    same plan, proof flag and visited-state count on every run."""
+    circuit = (
+        PINNED_CIRCUITS[case]() if case in PINNED_CIRCUITS else _sample_circuit(case)
+    )
+    result = ExactReuse().run(circuit)
+    got = (
+        result.qubits,
+        [(p.source, p.target) for p in result.pairs],
+        result.optimal,
+        result.nodes_expanded,
+    )
+    assert got == PINNED_RUNS[case]
+
+
 def test_anytime_budget_returns_best_so_far():
     """A starved node budget still yields a sound (if unproven) plan."""
     circuit = _reuse_chain(8)
