@@ -4,8 +4,8 @@ The two perf claims of the zero-copy hot path, each measured and gated:
 
 * **warm-batch re-dispatch** — the same 3-member batch dispatched
   repeatedly (cache cleared between rounds, so every round recompiles)
-  through a service whose batch runs on a fresh ``ProcessPoolExecutor``
-  per round with the full request pickled into every task (the baseline
+  through a service whose batch runs on a fresh process pool
+  (:func:`repro.parallel.new_pool`) per round with the full request pickled into every task (the baseline
   arm, defined here) vs. the real service's persistent
   :class:`~repro.service.WorkerPool` (long-lived pool, request records
   shipped once, then fingerprint-only tasks).  Both arms run the same
@@ -26,11 +26,11 @@ Run with
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from conftest import emit, once
 
 from repro.analysis import format_table
+from repro.parallel import new_pool
 from repro.service import (
     CompileRequest,
     CompileService,
@@ -58,7 +58,7 @@ WARM_HITS = 150
 def _compile_entry(args):
     """Baseline-arm task: cold-compile one pickled request into its entry."""
     key, request = args
-    return dumps_entry(key, _cold_compile(request, allow_parallel=False))
+    return dumps_entry(key, _cold_compile(request))
 
 
 class _PoolPerRound:
@@ -70,7 +70,7 @@ class _PoolPerRound:
 
     def run(self, tasks):
         payloads = [(key, request) for _, key, request, _ in tasks]
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+        with new_pool(self.max_workers) as pool:
             return list(pool.map(_compile_entry, payloads))
 
 

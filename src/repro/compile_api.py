@@ -341,8 +341,8 @@ def caqr_compile(
         if objective is not None:
             params["objective"] = objective
         spec = StrategySpec.make("chain", "chain", **params)
-        result = run_lane(spec, request, map_always=True)
-        result.baseline = _baseline_metrics(request)
+        result = run_lane(spec, request, parallel=parallel, map_always=True)
+        result.baseline = _baseline_metrics(request, parallel=parallel)
         return assemble_report(request, result, strategy="chain")
     view = commuting_view(target, auto_commuting)
     spec = StrategySpec("caqr", "caqr")
@@ -389,8 +389,8 @@ def run_lane(spec, request, view=None, parallel=False, map_always=False) -> Lane
     """Run the :data:`LANES` entry of ``spec.kind`` on *request*.
 
     *view* is the request's :func:`commuting_view`; *parallel* allows
-    process-pool scoring (race lanes run serially: workers must not nest
-    pools).  This is the one map-onto-backend rule: a lane's logical
+    process-pool fan-out, scoring and layout search alike (race lanes
+    run serially).  This is the one map-onto-backend rule: a lane's logical
     circuit is mapped at opt-3 under :data:`MAPPED_MODES`, or under every
     mode with *map_always* (``strategy="chain"``).
     """
@@ -407,7 +407,8 @@ def run_lane(spec, request, view=None, parallel=False, map_always=False) -> Lane
         map_always or mode in MAPPED_MODES
     ):
         result.circuit = transpile(
-            result.circuit, backend, optimization_level=3, seed=request.seed
+            result.circuit, backend, optimization_level=3, seed=request.seed,
+            parallel=None if parallel else False,
         ).circuit
     return result
 
@@ -431,7 +432,7 @@ def _caqr_lane(spec, request, mode, view, parallel) -> LaneResult:
         stop = min(request.qubit_limit, floor) if mode == "qubit_budget" else 1
         points = _sweep(request, view, parallel, eval_stats, min_qubits=stop,
                         mapped=mode == "min_depth")
-        point, circuit = _pick(points, request, mode)
+        point, circuit = _pick(points, request, mode, parallel)
     baseline, beneficial = _ancillary(request, view, parallel, points)
     return LaneResult(
         circuit,
@@ -455,7 +456,8 @@ def _qs_lane(spec, request, mode, view, parallel) -> LaneResult:
         parallel=parallel,
     )
     points = _points(compiler.sweep(request.target), None, request.seed)
-    return LaneResult(_pick(points, request, mode)[1], mapped=mode == "min_swap")
+    circuit = _pick(points, request, mode, parallel)[1]
+    return LaneResult(circuit, mapped=mode == "min_swap")
 
 
 def _commuting_lane(spec, request, mode, view, parallel) -> LaneResult:
@@ -467,7 +469,8 @@ def _commuting_lane(spec, request, mode, view, parallel) -> LaneResult:
         candidate_evaluation=options.get("candidate_evaluation", "schedule"),
         strategy=options.get("strategy", "greedy"),
     )
-    return LaneResult(_pick(points, request, mode)[1], mapped=mode == "min_swap")
+    circuit = _pick(points, request, mode, parallel)[1]
+    return LaneResult(circuit, mapped=mode == "min_swap")
 
 
 def _sr_lane(spec, request, mode, view, parallel) -> LaneResult:
@@ -585,14 +588,15 @@ def _sweep(request, view, parallel, stats=None, min_qubits=1, mapped=False,
     return sweep_regular(request.target, **common)
 
 
-def _pick(points, request, mode):
+def _pick(points, request, mode, parallel):
     """The mode's point of a sweep, and the circuit reported for it.
 
     The budget point and the ``max_reuse`` pick read logical metrics
     only, so points are mapped onto the backend only under ``min_depth``
     (compiled depth) and ``min_swap`` (SWAP count), unless the sweep
-    already mapped them.  A ``min_swap`` pick reports the mapping of the
-    point it selects; every other pick reports the logical circuit.
+    already mapped them; *parallel* allows their layout pools.  A
+    ``min_swap`` pick reports the mapping of the point it selects; every
+    other pick reports the logical circuit.
     """
     if mode == "qubit_budget":
         point = budget_point(points, request.qubit_limit)
@@ -601,7 +605,8 @@ def _pick(points, request, mode):
     if request.backend is not None and mode in ("min_depth", "min_swap"):
         for point in points:
             if point.compiled_depth is None:
-                _compile_point(point, request.backend, request.seed, keep=min_swap)
+                _compile_point(point, request.backend, request.seed,
+                               keep=min_swap, parallel=parallel)
     point = select_point(points, mode)
     return point, point.compiled_circuit if min_swap else point.circuit
 
@@ -663,7 +668,7 @@ def _esp_stats(circuit, backend) -> Optional[Stats]:
     return stats
 
 
-def _baseline_metrics(request, view=None, first_point=None):
+def _baseline_metrics(request, view=None, first_point=None, parallel=True):
     """Metrics of the no-reuse opt-3 compile of the request's target.
 
     A graph (or QAOA *view*) compiles its textbook QAOA circuit.  A
@@ -671,6 +676,7 @@ def _baseline_metrics(request, view=None, first_point=None):
     options; that compile is reused whenever the point is gate-for-gate
     the baseline circuit (always for a circuit target; for a graph only
     when the commuting schedule matches the textbook QAOA circuit).
+    *parallel* allows the layout search's process pool.
     """
     backend = request.backend
     if backend is None:
@@ -693,7 +699,8 @@ def _baseline_metrics(request, view=None, first_point=None):
         compiled = first_point.compiled_circuit
     else:
         compiled = transpile(
-            circuit, backend, optimization_level=3, seed=request.seed
+            circuit, backend, optimization_level=3, seed=request.seed,
+            parallel=None if parallel else False,
         ).circuit
     return collect_metrics(compiled, backend.calibration)
 
@@ -708,7 +715,7 @@ def _ancillary(request, view, parallel, points=None):
         floor = benefit_floor(_width(request.target))
         points = _sweep(request, view, parallel, min_qubits=floor)
     return (
-        _baseline_metrics(request, view, points[0]),
+        _baseline_metrics(request, view, points[0], parallel),
         assess_reuse_benefit(points).beneficial,
     )
 

@@ -12,12 +12,11 @@ trial DAG per pair — exact but O(n) each.  :func:`batch_pair_costs`
 computes the same numbers for *all* candidates from one ASAP/tail
 decomposition of the critical path (every path through ``D`` is
 ``finish(s) + w(D) + tail(t)``), and :class:`PairScorer` adds memoisation
-plus ``concurrent.futures`` fan-out for large circuits.
+plus process-pool fan-out (:mod:`repro.parallel`) for large circuits.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuit import gates
@@ -30,6 +29,7 @@ from repro.dag.analysis import (
 from repro.dag.dagcircuit import DAGCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
+from repro.parallel import PoolOwner, default_workers
 
 __all__ = [
     "reuse_node_duration_dt",
@@ -170,21 +170,22 @@ def batch_pair_costs(
 
 def _score_chunk_worker(payload):
     """Process-pool entry point: score one chunk of candidate pairs."""
-    dag, pairs, objective, reset_style, nodes_by_qubit = payload
+    (dag, objective, reset_style, nodes_by_qubit), pairs = payload
     return batch_pair_costs(
         dag, pairs, objective=objective, reset_style=reset_style,
         nodes_by_qubit=nodes_by_qubit,
     )
 
 
-class PairScorer:
+class PairScorer(PoolOwner):
     """Pluggable batched candidate scorer with optional process-pool fan-out.
 
     Scores are memoised until :meth:`invalidate` is called (the greedy
     drivers call it whenever a pair is applied, since every cost can shift
     with the DAG).  Batches whose workload (``candidates × nodes``) exceeds
-    *parallel_threshold* are chunked over a ``ProcessPoolExecutor``;
-    smaller batches run serially — pool startup would dominate.
+    *parallel_threshold* are chunked over the scorer's process pool
+    (:class:`repro.parallel.PoolOwner`); smaller batches run serially —
+    pool startup would dominate.
 
     Args:
         objective: ``"depth"`` or ``"duration"`` (matches
@@ -193,7 +194,7 @@ class PairScorer:
         parallel: master switch for the process pool.
         parallel_threshold: minimum ``len(pairs) * len(dag)`` workload
             before fanning out.
-        max_workers: pool size (default: ``os.cpu_count()`` capped at 8).
+        max_workers: pool size (default :func:`repro.parallel.default_workers`).
         stats: optional :class:`~repro.stats.Stats` sink.
     """
 
@@ -212,37 +213,17 @@ class PairScorer:
         self.reset_style = reset_style
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or default_workers()
         self.stats = stats
         self._cache: Dict[ReusePair, int] = {}
-        self._executor = None
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- memo --------------------------------------------------------------
 
     def invalidate(self) -> None:
         """Drop all memoised scores (a pair was applied; costs shifted)."""
         self._cache.clear()
 
-    def close(self) -> None:
-        """Shut down the process pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "PairScorer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- scoring -----------------------------------------------------------
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
 
     def score_all(
         self,
@@ -259,11 +240,7 @@ class PairScorer:
             if self.stats is not None:
                 self.stats.count("evaluations", len(missing))
             workload = len(missing) * max(1, len(dag))
-            if (
-                self.parallel
-                and len(missing) >= 2 * self.max_workers
-                and workload >= self.parallel_threshold
-            ):
+            if self.use_pool(len(missing), workload):
                 costs = self._score_parallel(dag, missing, nodes_by_qubit)
             else:
                 if self.stats is not None:
@@ -283,18 +260,5 @@ class PairScorer:
             self.stats.count("parallel_batches")
         if nodes_by_qubit is None:
             nodes_by_qubit = _nodes_by_qubit(dag)
-        chunk = max(1, -(-len(pairs) // self.max_workers))
-        payloads = [
-            (
-                dag,
-                pairs[i : i + chunk],
-                self.objective,
-                self.reset_style,
-                nodes_by_qubit,
-            )
-            for i in range(0, len(pairs), chunk)
-        ]
-        costs: List[int] = []
-        for part in self._pool().map(_score_chunk_worker, payloads):
-            costs.extend(part)
-        return costs
+        context = (dag, self.objective, self.reset_style, nodes_by_qubit)
+        return self.map_chunks(_score_chunk_worker, context, pairs)

@@ -174,30 +174,25 @@ class QSCaQR:
 
     # -- engine plumbing --------------------------------------------------------
 
-    def _session(self, circuit: QuantumCircuit) -> ReuseSession:
-        kwargs = {}
+    def _pool_knobs(self) -> dict:
+        """Fan-out knobs and the stats sink, shared by session and scorer."""
+        knobs = dict(
+            parallel=self.parallel, max_workers=self.max_workers, stats=self.stats
+        )
         if self.parallel_threshold is not None:
-            kwargs["parallel_threshold"] = self.parallel_threshold
+            knobs["parallel_threshold"] = self.parallel_threshold
+        return knobs
+
+    def _session(self, circuit: QuantumCircuit) -> ReuseSession:
         return ReuseSession(
-            circuit,
-            reset_style=self.reset_style,
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-            stats=self.stats,
-            **kwargs,
+            circuit, reset_style=self.reset_style, **self._pool_knobs()
         )
 
     def _scorer(self) -> PairScorer:
-        kwargs = {}
-        if self.parallel_threshold is not None:
-            kwargs["parallel_threshold"] = self.parallel_threshold
         return PairScorer(
             objective=self.objective,
             reset_style=self.reset_style,
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-            stats=self.stats,
-            **kwargs,
+            **self._pool_knobs(),
         )
 
     # -- public API -------------------------------------------------------------

@@ -21,7 +21,6 @@ quantifies the difference.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,6 +29,7 @@ import networkx as nx
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
+from repro.parallel import PoolOwner, default_workers
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
@@ -205,7 +205,7 @@ def _extension_cost_worker(payload):
     Returns ``None`` for candidates whose pair set stalls the scheduler
     (the commuting analogue of a Condition-2 cycle).
     """
-    graph, pairs, candidates, matching = payload
+    (graph, pairs, matching), candidates = payload
     costs: List[Optional[int]] = []
     for candidate in candidates:
         trial = pairs + [candidate]
@@ -354,7 +354,7 @@ class QSCommutingResult:
     feasible: bool = True
 
 
-class QSCaQRCommuting:
+class QSCaQRCommuting(PoolOwner):
     """Qubit-saving CaQR for commuting-gate (QAOA-style) applications.
 
     Args:
@@ -370,7 +370,7 @@ class QSCaQRCommuting:
             when the step workload (candidates × edges) is large enough.
         parallel_threshold: workload floor before fanning out (default
             :data:`COMMUTING_PARALLEL_THRESHOLD`).
-        max_workers: pool size (default ``os.cpu_count()`` capped at 8).
+        max_workers: pool size (default :func:`repro.parallel.default_workers`).
         stats: :class:`~repro.stats.Stats` sink (one is
             created when omitted).
     """
@@ -418,30 +418,8 @@ class QSCaQRCommuting:
             if parallel_threshold is not None
             else COMMUTING_PARALLEL_THRESHOLD
         )
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or default_workers()
         self.stats = stats if stats is not None else Stats()
-        self._executor = None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the candidate-scoring process pool, if one started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "QSCaQRCommuting":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
 
     # -- helpers -----------------------------------------------------------------
 
@@ -535,25 +513,12 @@ class QSCaQRCommuting:
         """Depth-estimate cost per candidate (None = infeasible/cyclic)."""
         self.stats.count("evaluations", len(candidates))
         workload = len(candidates) * max(1, self.graph.number_of_edges())
-        if (
-            self.parallel
-            and len(candidates) >= 2 * self.max_workers
-            and workload >= self.parallel_threshold
-        ):
+        context = (self.graph, list(pairs), self.matching)
+        if self.use_pool(len(candidates), workload):
             self.stats.count("parallel_batches")
-            chunk = max(1, -(-len(candidates) // self.max_workers))
-            payloads = [
-                (self.graph, list(pairs), candidates[i : i + chunk], self.matching)
-                for i in range(0, len(candidates), chunk)
-            ]
-            costs: List[Optional[int]] = []
-            for part in self._pool().map(_extension_cost_worker, payloads):
-                costs.extend(part)
-            return costs
+            return self.map_chunks(_extension_cost_worker, context, candidates)
         self.stats.count("serial_batches")
-        return _extension_cost_worker(
-            (self.graph, list(pairs), candidates, self.matching)
-        )
+        return _extension_cost_worker((context, candidates))
 
     def _best_extension(
         self, pairs: List[ReusePair]

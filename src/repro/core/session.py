@@ -26,7 +26,6 @@ coordinates as the from-scratch path — the differential harness in
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -39,6 +38,7 @@ from repro.core.transform import REUSE_LABEL, apply_reuse_pair
 from repro.dag.dagcircuit import DAGCircuit, _wires
 from repro.dag.reachability import descendants_bitsets, update_masks_for_node
 from repro.exceptions import ReuseError
+from repro.parallel import PoolOwner, default_workers
 from repro.stats import Stats
 
 __all__ = ["ReuseSession", "POTENTIAL_WORKLOAD_THRESHOLD"]
@@ -159,7 +159,7 @@ def _potential_chunk_worker(payload):
     return [_potential_for_candidate(np_state, pair) for pair in pairs]
 
 
-class ReuseSession:
+class ReuseSession(PoolOwner):
     """One DAG + bitset cache shared across a whole greedy reduction sweep.
 
     Args:
@@ -169,7 +169,7 @@ class ReuseSession:
             when the per-step workload is large enough.
         parallel_threshold: minimum ``candidates × labels²`` workload
             before fanning out.
-        max_workers: pool size (default ``os.cpu_count()`` capped at 8).
+        max_workers: pool size (default :func:`repro.parallel.default_workers`).
         stats: counter/timer sink (one is created when omitted).
     """
 
@@ -187,7 +187,7 @@ class ReuseSession:
         self.reset_style = reset_style
         self.parallel = parallel
         self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or default_workers()
         self.stats = stats if stats is not None else Stats()
         self.circuit = circuit
         self.dag = DAGCircuit.from_circuit(circuit)
@@ -195,7 +195,6 @@ class ReuseSession:
         self.generation = 0
         self.pairs: List[ReusePair] = []
         self._num_clbits = circuit.num_clbits
-        self._executor = None
         self._state_cache: Optional[dict] = None
         self._np_state_cache: Optional[dict] = None
         self._potential_cache: Dict[ReusePair, int] = {}
@@ -217,20 +216,6 @@ class ReuseSession:
             for kind, wire in _wires(self.dag.nodes[node_id].instruction):
                 if kind == "c":
                     self._clbit_last[wire] = node_id
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the lookahead process pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "ReuseSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- queries ---------------------------------------------------------------
 
@@ -327,13 +312,6 @@ class ReuseSession:
             self._np_state_cache = _derive_np_state(self._state())
         return self._np_state_cache
 
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
     def reuse_potentials(
         self, pairs: Sequence[ReusePair]
     ) -> Dict[ReusePair, int]:
@@ -346,20 +324,9 @@ class ReuseSession:
             self.stats.count("lookahead_evaluations", len(missing))
             state = self._state()
             workload = len(missing) * state["n"] * state["n"]
-            if (
-                self.parallel
-                and len(missing) >= 2 * self.max_workers
-                and workload >= self.parallel_threshold
-            ):
+            if self.use_pool(len(missing), workload):
                 self.stats.count("parallel_batches")
-                chunk = max(1, -(-len(missing) // self.max_workers))
-                payloads = [
-                    (state, missing[i : i + chunk])
-                    for i in range(0, len(missing), chunk)
-                ]
-                values: List[int] = []
-                for part in self._pool().map(_potential_chunk_worker, payloads):
-                    values.extend(part)
+                values = self.map_chunks(_potential_chunk_worker, state, missing)
             else:
                 self.stats.count("serial_batches")
                 np_state = self._np_state()

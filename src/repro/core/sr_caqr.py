@@ -32,7 +32,7 @@ emits bit-identical circuits to the from-scratch scheduler it replaced,
 ``ReferenceSRCaQR`` in ``tests/oracles.py``, which the differential
 harness in ``tests/property/test_router_determinism.py`` pins it
 against.  ``SRCaQR.run`` can fan its candidate × hint-seed
-trial grid out to a process pool (``parallel=`` / ``CAQR_ROUTE_WORKERS``)
+trial grid out to a process pool (``parallel=``, see :mod:`repro.parallel`)
 with a grid-ordered reduction that keeps the selection bit-identical to
 the serial sweep (see ``docs/ROUTER.md``).
 """
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -53,10 +52,11 @@ from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import HardwareError, ReuseError, TranspilerError
 from repro.hardware.backends import Backend
+from repro.parallel import default_workers, fans_out, pooled_map
 from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout
-from repro.transpiler.sabre import _route_workers, sabre_layout
+from repro.transpiler.sabre import sabre_layout
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["SRCaQRResult", "SRCaQR"]
@@ -105,10 +105,9 @@ class SRCaQR:
         reset_style: reset idiom used at reuse points.
         parallel: ``True`` forces the trial grid onto a process pool,
             ``False`` forces the serial sweep, ``None`` (default) uses the
-            pool only when more than one worker (``CAQR_ROUTE_WORKERS``)
-            and more than one grid cell are available.
-        max_workers: worker-pool size cap (default ``CAQR_ROUTE_WORKERS``
-            or ``min(cpu_count, 8)``).
+            pool only when more than one worker and more than one grid
+            cell are available (:func:`repro.parallel.fans_out`).
+        max_workers: pool size (default :func:`repro.parallel.default_workers`).
     """
 
     def __init__(
@@ -222,11 +221,14 @@ class SRCaQR:
             raise ReuseError(f"unknown SR objective {objective!r}")
         if trials < 1:
             raise ReuseError(f"SR-CaQR needs at least one trial, got {trials}")
+        requested = parallel if parallel is not None else self.parallel
         candidates = [circuit]
         if qs_assist and not circuit.has_dynamic_operations():
             from repro.core.qs_caqr import QSCaQR
 
-            sweep = QSCaQR(reset_style=self.reset_style).sweep(circuit)[1:]
+            sweep = QSCaQR(
+                reset_style=self.reset_style, parallel=requested is not False
+            ).sweep(circuit)[1:]
             if len(sweep) > 3:
                 step = len(sweep) / 3.0
                 sweep = [sweep[int(i * step)] for i in range(3)]
@@ -250,22 +252,13 @@ class SRCaQR:
         grid = [
             (candidate, seed) for candidate in candidates for seed in seeds
         ]
-        requested = parallel if parallel is not None else self.parallel
-        workers = self.max_workers or _route_workers()
-        use_parallel = (
-            requested
-            if requested is not None
-            else (workers > 1 and len(grid) > 1)
-        )
+        workers = self.max_workers or default_workers()
 
         results: List[SRCaQRResult]
         with self.stats.timed("sr_run"):
-            if use_parallel and len(grid) > 1:
+            if fans_out(requested, len(grid), workers):
                 payloads = [(self, candidate, seed) for candidate, seed in grid]
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(grid))
-                ) as pool:
-                    outcomes = list(pool.map(_sr_trial_worker, payloads))
+                outcomes = pooled_map(_sr_trial_worker, payloads, workers)
                 results = []
                 for result, trial_stats in outcomes:
                     self.stats.merge(trial_stats)

@@ -158,6 +158,7 @@ class SRCaQRCommuting:
             gamma=self.gamma,
             beta=self.beta,
             reset_style=self.reset_style,
+            parallel=self.router.parallel is not False,
         )
         router = self.router
         if qubit_limit is not None:

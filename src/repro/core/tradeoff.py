@@ -60,11 +60,19 @@ class TradeoffPoint:
 
 
 def _compile_point(
-    point: TradeoffPoint, backend: Backend, seed: int, keep: bool = False
+    point: TradeoffPoint,
+    backend: Backend,
+    seed: int,
+    keep: bool = False,
+    parallel: bool = True,
 ) -> TradeoffPoint:
     """Map *point* onto *backend* at opt-3 and fill its compiled metrics;
-    *keep* also stores the mapped circuit on the point."""
-    result = transpile(point.circuit, backend, optimization_level=3, seed=seed)
+    *keep* also stores the mapped circuit on the point, and *parallel*
+    allows the layout search's process pool."""
+    result = transpile(
+        point.circuit, backend, optimization_level=3, seed=seed,
+        parallel=None if parallel else False,
+    )
     point.compiled_depth = result.depth
     point.compiled_duration_dt = result.duration_dt
     point.swap_count = result.swap_count
@@ -74,7 +82,9 @@ def _compile_point(
     return point
 
 
-def _points(results, backend: Optional[Backend], seed: int) -> List[TradeoffPoint]:
+def _points(
+    results, backend: Optional[Backend], seed: int, parallel: bool = True
+) -> List[TradeoffPoint]:
     """Engine sweep results as tradeoff points, mapped when *backend* is
     given (the first point keeps its compiled circuit)."""
     points: List[TradeoffPoint] = []
@@ -86,7 +96,7 @@ def _points(results, backend: Optional[Backend], seed: int) -> List[TradeoffPoin
             circuit=result.circuit,
         )
         if backend is not None:
-            _compile_point(point, backend, seed, keep=not points)
+            _compile_point(point, backend, seed, keep=not points, parallel=parallel)
         points.append(point)
     return points
 
@@ -117,7 +127,7 @@ def sweep_regular(
         reset_style=reset_style,
         parallel=parallel,
     )
-    points = _points(compiler.sweep(circuit, min_qubits), backend, seed)
+    points = _points(compiler.sweep(circuit, min_qubits), backend, seed, parallel)
     if stats is not None:
         stats.merge(compiler.stats)
     return points
@@ -159,7 +169,7 @@ def sweep_commuting(
         results = compiler.sweep(min_qubits=min_qubits)
     else:
         raise ReuseError(f"unknown sweep strategy {strategy!r}")
-    points = _points(results, backend, seed)
+    points = _points(results, backend, seed, parallel)
     if stats is not None:
         stats.merge(compiler.stats)
     return points

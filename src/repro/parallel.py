@@ -1,0 +1,128 @@
+"""One process-pool layer: pool width, the fan-out rule, ordered maps, nesting.
+
+Every process pool of the compile passes (SABRE layout trials, the SR
+trial grid, QS candidate scoring and lookahead, commuting candidate
+schedules, simulator shards) comes from here:
+
+* **width** — :func:`default_workers`, ``os.cpu_count()`` capped at 8;
+* **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
+  ``True`` forces the pool, ``None`` allows it given more than one
+  worker, enough items (two per worker when chunked) and a workload at
+  the threshold;
+* **ordered maps** — :func:`pooled_map` (a per-call pool, one task per
+  item) and :meth:`PoolOwner.map_chunks` (ceil-div chunks on a pool the
+  owner keeps until :meth:`PoolOwner.close`) return results in input
+  order, so pooled equals serial;
+* **nesting** — a process started by one of the package's pools runs
+  every fan-out serial: the pools' ``initializer``
+  (:func:`mark_pool_worker`) sets a flag :func:`fans_out` reads.
+  Processes started any other way are unaffected.
+
+The service's persistent :class:`~repro.service.workers.WorkerPool`
+uses the same initializer.  The module imports only the standard
+library, so every layer can use it.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, List, Optional, Sequence
+
+__all__ = [
+    "default_workers", "mark_pool_worker", "new_pool",
+    "fans_out", "chunks", "pooled_map", "PoolOwner",
+]
+
+_pool_worker = False
+
+
+def default_workers() -> int:
+    return min(os.cpu_count() or 1, 8)
+
+
+def mark_pool_worker() -> None:
+    """Pool ``initializer``: fan-outs in this process run serial."""
+    global _pool_worker
+    _pool_worker = True
+
+
+def new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=mark_pool_worker)
+
+
+def fans_out(
+    parallel: Optional[bool],
+    items: int,
+    workers: int,
+    *,
+    chunked: bool = False,
+    workload: int = 0,
+    threshold: int = 0,
+) -> bool:
+    """Whether a map of *items* goes to a pool (see the module docstring)."""
+    if parallel is False or items < 2 or _pool_worker:
+        return False
+    if parallel:
+        return True
+    floor = 2 * workers if chunked else 2
+    return workers > 1 and items >= floor and workload >= threshold
+
+
+def chunks(items: Sequence[Any], parts: int) -> List[Sequence[Any]]:
+    """*items* as at most *parts* consecutive ceil-div chunks."""
+    size = max(1, -(-len(items) // max(1, parts)))
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def pooled_map(fn: Callable, payloads: Sequence[Any], workers: int) -> List[Any]:
+    """*fn* over *payloads* on a pool started for this call."""
+    with new_pool(min(workers, len(payloads))) as pool:
+        return list(pool.map(fn, payloads))
+
+
+class PoolOwner:
+    """Base for engines that own one lazily started pool.
+
+    The owner sets ``parallel`` (allow pooling), ``parallel_threshold``
+    and ``max_workers``; the pool starts on the first pooled batch and
+    lives until :meth:`close` or the end of a ``with`` block.
+    """
+
+    parallel: bool
+    parallel_threshold: int
+    max_workers: int
+    _executor: Optional[ProcessPoolExecutor] = None
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def use_pool(self, items: int, workload: int) -> bool:
+        """:func:`fans_out` for a chunked batch under the owner's knobs."""
+        return fans_out(
+            None if self.parallel else False,
+            items,
+            self.max_workers,
+            chunked=True,
+            workload=workload,
+            threshold=self.parallel_threshold,
+        )
+
+    def map_chunks(self, fn: Callable, context: Any, items: Sequence[Any]) -> list:
+        """``fn((context, chunk))`` per chunk of *items*, one chunk per
+        worker, on the owned pool; the chunk results concatenated."""
+        if self._executor is None:
+            self._executor = new_pool(self.max_workers)
+        payloads = [(context, chunk) for chunk in chunks(items, self.max_workers)]
+        results: list = []
+        for part in self._executor.map(fn, payloads):
+            results.extend(part)
+        return results

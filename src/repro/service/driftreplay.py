@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.hardware.backends import Backend
 from repro.hardware.drift import drift_series
 from repro.service.fingerprint import circuit_digest, resolve_calib_bands
@@ -114,12 +114,14 @@ class DriftReplayResult:
 
 
 def _esp_or_none(circuit: QuantumCircuit, backend: Backend) -> Optional[float]:
+    """Analytic ESP, or ``None`` when the calibration cannot score the
+    circuit (a :class:`~repro.exceptions.ReproError`, e.g. a logical-level
+    circuit).  Any other error is a bug and propagates."""
     from repro.sim.metrics import estimated_success_probability
 
     try:
         return estimated_success_probability(circuit, backend.calibration)
-    except Exception:
-        # logical-level circuits (no backend mapping) have no ESP
+    except ReproError:
         return None
 
 

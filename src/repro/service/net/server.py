@@ -190,7 +190,7 @@ class CompileServer(HttpApp):
         host / port: bind address; ``port=0`` picks a free port
             (:attr:`port` holds the real one after :meth:`start`).
         max_workers: compile worker threads (default: the service's
-            ``max_workers``, i.e. ``os.cpu_count()`` capped at 8).
+            ``max_workers``, i.e. :func:`repro.parallel.default_workers`).
         max_concurrency: admitted compile requests before ``429``.
         max_body: request body cap in bytes before ``413``.
         request_timeout: seconds before an admitted compile answers

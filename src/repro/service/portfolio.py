@@ -50,7 +50,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from threading import Lock
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
@@ -71,6 +70,7 @@ from repro.compile_api import (
 )
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
+from repro.parallel import default_workers, fans_out
 from repro.service.service import CompileRequest
 from repro.service.workers import WorkerPool
 from repro.sim.metrics import estimated_success_probability
@@ -111,9 +111,11 @@ def _run_strategy_worker(payload) -> StrategyOutcome:
 
     A failing lane is *data* — the per-strategy error channel the
     poisoned-strategy test pins — so the portfolio loses one lane, not
-    the race.  Lanes run with ``parallel=False`` in here (workers must
-    not nest process pools), and the serial path calls this very
-    function, so both paths compute identical results.
+    the race.  Lanes run with ``parallel=False``, and a pooled race runs
+    them in :class:`~repro.service.workers.WorkerPool` workers, where
+    :mod:`repro.parallel`'s nesting rule keeps every fan-out serial.
+    The serial path calls this very function, so both paths compute
+    identical results.
     """
     spec, request, view = payload
     start = time.perf_counter()
@@ -133,7 +135,7 @@ class PortfolioCompileService:
     Args:
         max_workers: width of the persistent
             :class:`~repro.service.workers.WorkerPool` the lanes race on
-            (default: the repo-wide ``min(cpu_count, 8)`` idiom); the
+            (default :func:`repro.parallel.default_workers`); the
             request ships once per worker.
         stats: optional shared :class:`Stats` sink for win-rate /
             error counters and per-strategy timers.
@@ -157,30 +159,23 @@ class PortfolioCompileService:
         strategies: Optional[List[StrategySpec]] = None,
         state_path: Optional[str] = None,
     ):
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or default_workers()
         self.stats = stats if stats is not None else Stats()
         self.exact_max_nodes = exact_max_nodes
         self.exact_max_qubits = exact_max_qubits
         self.strategies = strategies
         self.state_path = state_path
-        self._worker_pool: Optional[WorkerPool] = None
-        self._pool_lock = Lock()
+        self._workers = WorkerPool(self.max_workers, stats=self.stats)
         if state_path:
             self._load_state()
 
     def worker_pool(self) -> WorkerPool:
-        """The lazily spawned persistent race pool (shared stats sink)."""
-        with self._pool_lock:
-            if self._worker_pool is None:
-                self._worker_pool = WorkerPool(self.max_workers, stats=self.stats)
-            return self._worker_pool
+        """The persistent race pool; its processes spawn on first use."""
+        return self._workers
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
+        """Shut the pool down (idempotent; the next use respawns it)."""
+        self._workers.shutdown()
 
     # -- win-rate persistence --------------------------------------------------
 
@@ -349,7 +344,7 @@ class PortfolioCompileService:
         view,
         parallel: bool,
     ) -> List[StrategyOutcome]:
-        if parallel and self.max_workers > 1 and len(specs) > 1:
+        if fans_out(None if parallel else False, len(specs), self.max_workers):
             self.stats.count("portfolio_parallel_races")
             with self.stats.timed("portfolio_race"):
                 # one fingerprint for the whole race: every lane shares

@@ -34,6 +34,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import CompileReport, caqr_compile
 from repro.exceptions import ServiceError
 from repro.hardware.backends import Backend
+from repro.parallel import default_workers, fans_out
 from repro.service.cache import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAX_ENTRIES,
@@ -126,7 +127,7 @@ class CompileRequest:
         return digest[:16] if digest else DEFAULT_SHARD
 
 
-def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileReport:
+def _cold_compile(request: CompileRequest) -> CompileReport:
     return caqr_compile(
         request.target,
         backend=request.backend,
@@ -135,14 +136,11 @@ def _cold_compile(request: CompileRequest, allow_parallel: bool) -> CompileRepor
         reset_style=request.reset_style,
         seed=request.seed,
         auto_commuting=request.auto_commuting,
-        parallel=request.parallel and allow_parallel,
+        parallel=request.parallel,
         cache=None,
         strategy=request.strategy,
         objective=request.objective,
-        portfolio_workers=(
-            # batch workers must not nest the portfolio's process pool
-            request.portfolio_workers if allow_parallel else 1
-        ),
+        portfolio_workers=request.portfolio_workers,
     )
 
 
@@ -155,10 +153,9 @@ class CompileService:
         memory_entries / memory_bytes: LRU caps of the in-process tier.
         max_workers: width of the persistent
             :class:`~repro.service.workers.WorkerPool` that batch calls
-            fan out over (default: ``os.cpu_count()`` capped at 8, the
-            repo-wide pool idiom).  The pool spawns lazily, is reused
-            across batch calls, and ships each request record to a
-            worker at most once.
+            fan out over (default :func:`repro.parallel.default_workers`).
+            The pool spawns lazily, is reused across batch calls, and
+            ships each request record to a worker at most once.
         stats: optional shared :class:`Stats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
@@ -201,25 +198,18 @@ class CompileService:
             else None
         )
         self.cache = TieredCache(memory, disk)
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or default_workers()
         self._lock = Lock()
         self._inflight: Dict[str, "Future[str]"] = {}
-        self._worker_pool: Optional[WorkerPool] = None
-        self._pool_lock = Lock()
+        self._workers = WorkerPool(self.max_workers, stats=self.stats)
 
     def worker_pool(self) -> WorkerPool:
-        """The lazily spawned persistent pool (shared stats sink)."""
-        with self._pool_lock:
-            if self._worker_pool is None:
-                self._worker_pool = WorkerPool(self.max_workers, stats=self.stats)
-            return self._worker_pool
+        """The persistent batch pool; its processes spawn on first use."""
+        return self._workers
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
+        """Shut the pool down (idempotent; the next use respawns it)."""
+        self._workers.shutdown()
 
     # -- single-request path -------------------------------------------------
 
@@ -293,7 +283,7 @@ class CompileService:
         stats.count("misses")
         try:
             with stats.timed("compile"):
-                report = _cold_compile(request, allow_parallel=True)
+                report = _cold_compile(request)
             text = self._store(key, report, shard)
             future.set_result(text)
         except BaseException as exc:
@@ -362,8 +352,8 @@ class CompileService:
 
         try:
             if cold:
-                workers = min(max_workers or self.max_workers, len(cold))
-                if parallel and len(cold) > 1 and workers > 1:
+                workers = max_workers or self.max_workers
+                if fans_out(None if parallel else False, len(cold), workers):
                     stats.count("parallel_compiles", len(cold))
                     tasks = [("entry", key, request, None) for key, request in cold]
                     with stats.timed("compile"):
@@ -375,7 +365,7 @@ class CompileService:
                     stats.count("serial_compiles", len(cold))
                     for key, request in cold:
                         with stats.timed("compile"):
-                            report = _cold_compile(request, allow_parallel=True)
+                            report = _cold_compile(request)
                         texts[key] = dumps_entry(key, report)
                 for key, _ in cold:
                     with stats.timed("store"):

@@ -39,6 +39,7 @@ from threading import Lock
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ServiceError
+from repro.parallel import mark_pool_worker
 from repro.stats import Stats
 
 __all__ = ["WorkerPool"]
@@ -123,7 +124,7 @@ def _worker_task(task: WorkerTask) -> Tuple[str, Any]:
         from repro.service.serialization import dumps_entry
         from repro.service.service import _cold_compile
 
-        report = _cold_compile(cached.request, allow_parallel=False)
+        report = _cold_compile(cached.request)
         return "ok", dumps_entry(fingerprint, report)
     if kind == "strategy":
         from repro.compile_api import commuting_view
@@ -174,17 +175,14 @@ class WorkerPool:
         self._shipped: dict = {}
         self._records: "OrderedDict[str, Tuple[str, Any]]" = OrderedDict()
 
-    @property
-    def alive(self) -> bool:
-        """Whether a pool is currently spawned (it spawns lazily)."""
-        return self._pool is not None
-
     # -- pool lifecycle --------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         # caller holds self._lock
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers, initializer=mark_pool_worker
+            )
             self._shipped = {}
             self.stats.count("worker_pool_spawns")
         return self._pool

@@ -16,10 +16,9 @@ array and drives every step through vectorised numpy:
   gate's error channel and the output distribution is unchanged).
 
 Shots are split into fixed-size shards (bounded by a per-shard memory
-cap); above a workload threshold the shards fan out over a
-``ProcessPoolExecutor``, mirroring the serial-fallback pattern of
-``core/evaluate.py``.  Sharding and per-shard seeding are independent of
-the worker count, so parallel and serial runs return identical counts.
+cap); above a workload threshold the shards fan out over a process pool
+(:mod:`repro.parallel`).  Sharding and per-shard seeding are independent
+of the worker count, so parallel and serial runs return identical counts.
 
 Determinism contract:
 
@@ -39,10 +38,8 @@ Determinism contract:
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +47,7 @@ import numpy as np
 from repro.circuit import gates
 from repro.circuit.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
+from repro.parallel import default_workers, fans_out, pooled_map
 from repro.sim.noise import NoiseModel
 from repro.sim.statevector import (
     _PAULI_1Q,
@@ -341,7 +339,7 @@ def _execute_shard(
 
 
 def _run_shard_worker(payload: tuple) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Module-level wrapper so ProcessPoolExecutor can pickle the call."""
+    """Module-level wrapper so the process pool can pickle the call."""
     return _execute_shard(*payload)
 
 
@@ -421,17 +419,18 @@ def run_batched_counts(
         ]
 
     workload = shots * (1 << n) * max(len(ops), 1)
-    use_parallel = (
-        parallel and len(payloads) > 1 and workload >= parallel_threshold
-    )
+    workers = max_workers or default_workers()
     counts: Counter = Counter()
     with stats.timed("execute"):
-        if use_parallel:
+        if fans_out(
+            None if parallel else False,
+            len(payloads),
+            workers,
+            workload=workload,
+            threshold=parallel_threshold,
+        ):
             stats.count("parallel_batches")
-            workers = max_workers or min(os.cpu_count() or 1, 8)
-            workers = min(workers, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_shard_worker, payloads))
+            results = pooled_map(_run_shard_worker, payloads, workers)
         else:
             stats.count("serial_batches")
             results = [_execute_shard(*payload) for payload in payloads]

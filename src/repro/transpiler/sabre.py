@@ -13,7 +13,7 @@ routes the oldest front gate along a shortest path if the heuristic loops.
 Swap-candidate scoring is vectorised over the candidate set with numpy
 against the shared read-only :meth:`CouplingMap.distance_matrix`, and
 :func:`sabre_layout` can fan its independent trials out to a process pool
-(``parallel=`` / ``CAQR_ROUTE_WORKERS``).  Both paths are bit-identical to
+(``parallel=``, see :mod:`repro.parallel`).  Both paths are bit-identical to
 the serial scalar implementation: candidates are scored in set-iteration
 order with the same RNG tie-break stream, and layout trials pre-draw their
 RNG material serially so the winning layout never depends on worker timing
@@ -22,9 +22,7 @@ RNG material serially so the winning layout never depends on worker timing
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -34,6 +32,7 @@ from repro.circuit.instruction import Instruction
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import TranspilerError
 from repro.hardware.coupling import CouplingMap
+from repro.parallel import default_workers, fans_out, pooled_map
 from repro.stats import Stats
 from repro.transpiler.layout import Layout, trivial_layout
 
@@ -44,17 +43,6 @@ _EXTENDED_SET_WEIGHT = 0.5
 _DECAY_INCREMENT = 0.001
 _DECAY_RESET_INTERVAL = 5
 _STALL_LIMIT = 100
-
-
-def _route_workers() -> int:
-    """Worker-pool size for parallel layout trials.
-
-    ``CAQR_ROUTE_WORKERS`` overrides; the default caps at 8 processes.
-    """
-    override = os.environ.get("CAQR_ROUTE_WORKERS")
-    if override:
-        return max(1, int(override))
-    return min(os.cpu_count() or 1, 8)
 
 
 class RoutingResult:
@@ -327,8 +315,8 @@ def sabre_layout(
     Args:
         parallel: ``True`` forces the process pool, ``False`` forces the
             in-process loop, ``None`` (default) uses the pool only when
-            more than one worker (``CAQR_ROUTE_WORKERS``) and more than one
-            trial are available.
+            more than one worker and more than one trial are available
+            (:func:`repro.parallel.fans_out`).
         stats: optional :class:`Stats` sink (worker-side counters are
             merged back in).
     """
@@ -345,18 +333,13 @@ def sabre_layout(
         seeds = [rng.randrange(1 << 30) for _ in range(2 * iterations + 1)]
         trial_specs.append((physical_order, seeds))
 
-    workers = _route_workers()
-    use_parallel = (
-        parallel if parallel is not None else (workers > 1 and trials > 1)
-    )
     results: List[Tuple[Layout, int, Stats]]
-    if use_parallel and trials > 1:
+    if fans_out(parallel, trials, default_workers()):
         payloads = [
             (circuit, reverse, coupling, iterations, order, seeds)
             for order, seeds in trial_specs
         ]
-        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
-            results = list(pool.map(_layout_trial_worker, payloads))
+        results = pooled_map(_layout_trial_worker, payloads, default_workers())
         if stats is not None:
             stats.count("parallel_trials", len(results))
     else:

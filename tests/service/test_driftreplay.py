@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import HardwareError, ServiceError
 from repro.hardware import drift_series, get_device, ibm_mumbai
 from repro.service import (
     CompileRequest,
@@ -11,6 +11,7 @@ from repro.service import (
     replay_drift,
     ring_key,
 )
+from repro.service.driftreplay import _esp_or_none
 from repro.workloads import bv_circuit
 
 # the validated smoke configuration (scripts/drift_replay.py)
@@ -54,6 +55,26 @@ class TestReplayDrift:
     def test_banding_off_is_rejected(self):
         with pytest.raises(ServiceError):
             replay_drift(bv_circuit(4), ibm_mumbai(), steps=2, calib_bands=0)
+
+    def test_esp_bug_propagates(self, monkeypatch):
+        """Only a ReproError means "no ESP"; any other error is a bug."""
+        import repro.sim.metrics as metrics
+
+        def broken(circuit, calibration):
+            raise RuntimeError("esp bug")
+
+        monkeypatch.setattr(metrics, "estimated_success_probability", broken)
+        with pytest.raises(RuntimeError, match="esp bug"):
+            _esp_or_none(bv_circuit(4), ibm_mumbai())
+
+    def test_calibration_gap_reads_as_no_esp(self, monkeypatch):
+        import repro.sim.metrics as metrics
+
+        def uncalibrated(circuit, calibration):
+            raise HardwareError("no CX calibration")
+
+        monkeypatch.setattr(metrics, "estimated_success_probability", uncalibrated)
+        assert _esp_or_none(bv_circuit(4), ibm_mumbai()) is None
 
     def test_summary_mentions_the_gates(self):
         result = replay_drift(

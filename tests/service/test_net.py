@@ -505,10 +505,10 @@ def _slow_cold_compile(monkeypatch, started, release):
     """Patch the cold-compile hook so compiles block until *release* is set."""
     original = service_module._cold_compile
 
-    def slow(request, allow_parallel):
+    def slow(request):
         started.set()
         assert release.wait(30), "test forgot to release the compile"
-        return original(request, allow_parallel)
+        return original(request)
 
     monkeypatch.setattr(service_module, "_cold_compile", slow)
 

@@ -94,7 +94,7 @@ class TestWorkerTaskProtocol:
         record = _encode_record(request)
         status, text = _worker_task(("entry", fingerprint, record, None))
         assert status == "ok"
-        serial = _cold_compile(request, allow_parallel=False)
+        serial = _cold_compile(request)
         assert _entry_dict(text, fingerprint) == _normalized(
             report_to_dict(serial)
         ), "pooled entry must match serial up to wall-clock stats timers"

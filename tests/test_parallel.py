@@ -1,0 +1,191 @@
+"""Tests for the one process-pool layer (``repro.parallel``)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import networkx as nx
+import pytest
+
+import repro.parallel as parallel
+from repro.compile_api import caqr_compile
+from repro.core import qs_commuting
+from repro.hardware import ibm_mumbai
+from repro.parallel import PoolOwner, chunks, fans_out, pooled_map
+from repro.service.workers import WorkerPool
+from repro.workloads import bv_circuit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PARALLEL_MODULE = SRC / "repro" / "parallel.py"
+
+
+def _square(x):
+    return x * x
+
+
+def _square_chunk(payload):
+    offset, chunk = payload
+    return [x * x + offset for x in chunk]
+
+
+def _pools_inside(_):
+    """Runs in a pool worker: would a forced fan-out pool here?"""
+    return fans_out(True, 4, 2)
+
+
+class _Owner(PoolOwner):
+    def __init__(self, max_workers):
+        self.parallel = True
+        self.parallel_threshold = 0
+        self.max_workers = max_workers
+
+
+class TestFanOutRule:
+    def test_false_never_pools(self):
+        assert not fans_out(False, 100, 4, workload=10**9)
+
+    def test_true_forces_the_pool(self):
+        assert fans_out(True, 2, 1, chunked=True, workload=0, threshold=10**9)
+
+    def test_one_item_stays_serial(self):
+        assert not fans_out(True, 1, 4)
+        assert not fans_out(None, 1, 4)
+
+    def test_allow_needs_more_than_one_worker(self):
+        assert not fans_out(None, 10, 1)
+        assert fans_out(None, 2, 2)
+
+    def test_chunked_floor_is_two_items_per_worker(self):
+        assert not fans_out(None, 7, 4, chunked=True)
+        assert fans_out(None, 8, 4, chunked=True)
+        # per-item maps need only two items
+        assert fans_out(None, 2, 4)
+
+    def test_workload_threshold(self):
+        assert not fans_out(None, 8, 2, chunked=True, workload=99, threshold=100)
+        assert fans_out(None, 8, 2, chunked=True, workload=100, threshold=100)
+
+    def test_owner_rule_reads_its_knobs(self):
+        owner = _Owner(2)
+        assert owner.use_pool(4, 0)
+        assert not owner.use_pool(3, 0)
+        owner.parallel_threshold = 10
+        assert not owner.use_pool(4, 9)
+        owner.parallel = False
+        assert not owner.use_pool(100, 10**9)
+
+
+class TestOrderedMaps:
+    @pytest.mark.parametrize("count", [1, 2, 7, 8])
+    def test_chunks_cover_the_items_in_order(self, count):
+        items = list(range(count))
+        parts = chunks(items, 2)
+        assert len(parts) == min(2, count)
+        assert [x for part in parts for x in part] == items
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8])
+    def test_pooled_map_equals_serial_map(self, count):
+        items = list(range(count))
+        assert pooled_map(_square, items, 2) == [_square(x) for x in items]
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8])
+    def test_owned_chunk_map_equals_serial_map(self, count):
+        items = list(range(count))
+        with _Owner(2) as owner:
+            assert owner.map_chunks(_square_chunk, 3, items) == [
+                x * x + 3 for x in items
+            ]
+            assert owner._executor is not None
+        assert owner._executor is None
+
+
+class TestNesting:
+    def test_fan_out_inside_a_pool_worker_runs_serial(self):
+        assert fans_out(True, 4, 2), "the test process is no pool worker"
+        assert pooled_map(_pools_inside, [0, 1], 2) == [False, False]
+
+    def test_owned_pool_workers_are_marked(self):
+        with _Owner(2) as owner:
+            assert owner.map_chunks(_square_chunk, 0, [1, 2]) == [1, 4]
+            assert owner._executor.submit(_pools_inside, 0).result() is False
+
+    def test_worker_pool_workers_are_marked(self):
+        pool = WorkerPool(1)
+        try:
+            assert pool._ensure_pool().submit(_pools_inside, 0).result() is False
+        finally:
+            pool.shutdown()
+
+
+class TestSerialCompileStartsNoPool:
+    @pytest.mark.parametrize(
+        "target, mode",
+        [
+            (bv_circuit(16), "min_depth"),
+            (bv_circuit(16), "min_swap"),
+            (nx.random_regular_graph(3, 16, seed=3), "min_swap"),
+        ],
+        ids=["bv16-min_depth", "bv16-min_swap", "qaoa16-min_swap"],
+    )
+    def test_parallel_false_starts_no_pool(self, monkeypatch, target, mode):
+        """``parallel=False`` reaches every fan-out, the layout search's
+        and the SR routers' QS sweeps included."""
+
+        def no_pools(*args, **kwargs):
+            raise AssertionError("parallel=False started a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pools)
+        # small graphs would stay under the commuting engine's threshold
+        monkeypatch.setattr(qs_commuting, "COMMUTING_PARALLEL_THRESHOLD", 0)
+        report = caqr_compile(
+            target, ibm_mumbai(), mode=mode, parallel=False, cache=None
+        )
+        assert report.metrics.qubits_used >= 2
+
+
+def _names(tree):
+    """Every identifier a module mentions: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+class TestLayering:
+    def _modules(self):
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            yield rel, set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+    def test_process_pools_come_from_two_modules(self):
+        owners = {
+            rel for rel, names in self._modules() if "ProcessPoolExecutor" in names
+        }
+        assert owners == {"repro/parallel.py", "repro/service/workers.py"}
+
+    def test_cpu_count_is_read_in_one_place(self):
+        readers = {rel for rel, names in self._modules() if "cpu_count" in names}
+        assert readers == {"repro/parallel.py"}
+
+    def test_parallel_imports_only_stdlib_and_exceptions(self):
+        tree = ast.parse(PARALLEL_MODULE.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in repro.parallel"
+                modules.add(node.module)
+        assert modules, "no imports found: the guard is not reading the module"
+        for module in modules:
+            if module == "repro.exceptions":
+                continue
+            top = module.split(".")[0]
+            assert top == "__future__" or top in sys.stdlib_module_names, (
+                f"repro.parallel imports {module}; it may use only the "
+                "standard library and repro.exceptions"
+            )
