@@ -46,7 +46,7 @@ any circuit where both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
@@ -296,7 +296,7 @@ class ChainReuse:
         def budget_met(width: int) -> bool:
             return budget is not None and width <= budget
 
-        candidates: Dict[FrozenSet, _BeamState] = {}
+        candidates: Dict[bytes, _BeamState] = {}
         seen = {analysis.canonical(root.wires)}
 
         def offer(state: _BeamState) -> None:

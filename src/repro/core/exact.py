@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.core.transform import apply_reuse_chain, apply_reuse_pair
-from repro.core.windows import Chain, Reach, State, WindowAnalysis
+from repro.core.windows import Reach, State, WindowAnalysis
 from repro.exceptions import ReuseError
 from repro.transpiler.scheduling import circuit_duration_dt
 
@@ -153,7 +153,7 @@ class ExactReuse:
         deadline = start + self.time_budget if self.time_budget else None
         analysis = WindowAnalysis(circuit)
         initial = analysis.initial_state()
-        visited: Set[FrozenSet[Tuple[Chain, int]]] = set()
+        visited: Set[bytes] = set()
         best_width = len(initial)
         best_plans: List[List[ReusePair]] = [[]]
         nodes = 0

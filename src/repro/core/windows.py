@@ -44,9 +44,10 @@ else.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
@@ -425,9 +426,22 @@ class WindowAnalysis:
                 representatives.append(q)
         return class_of
 
-    def canonical(self, wires: State) -> FrozenSet[Tuple[Chain, int]]:
-        """State key modulo wire order and symmetric-qubit identity."""
+    def canonical(self, wires: State) -> bytes:
+        """State key modulo wire order and symmetric-qubit identity.
+
+        The multiset of chains, each qubit replaced by its symmetry class,
+        as its sorted ``(class chain, count)`` items written length, then
+        classes, then count into one ``array("I")``: the length prefixes
+        make the bytes injective, and they are a fraction of the size of
+        the equivalent frozenset, which the search keeps one of per seen
+        state.
+        """
         counts = Counter(
             tuple(self._class_of[q] for q in chain) for chain in wires
         )
-        return frozenset(counts.items())
+        words = array("I")
+        for chain, count in sorted(counts.items()):
+            words.append(len(chain))
+            words.extend(chain)
+            words.append(count)
+        return words.tobytes()

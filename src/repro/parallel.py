@@ -4,7 +4,11 @@ Every process pool of the compile passes (SABRE layout trials, the SR
 trial grid, QS candidate scoring and lookahead, commuting candidate
 schedules, simulator shards) comes from here:
 
-* **width** — :func:`default_workers`, ``os.cpu_count()`` capped at 8;
+* **width** — :func:`default_workers`, the CPUs the calling thread may
+  run on (its affinity mask; ``os.cpu_count()`` where the platform has
+  no affinity call), capped at 8.  A fork inherits the forking thread's
+  mask, so a caller pinned to one core runs serial instead of forking
+  workers onto that core;
 * **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
   ``True`` forces the pool, ``None`` allows it given more than one
   worker, enough items (two per worker when chunked) and a workload at
@@ -38,7 +42,11 @@ _pool_worker = False
 
 
 def default_workers() -> int:
-    return min(os.cpu_count() or 1, 8)
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(usable, 8)
 
 
 def mark_pool_worker() -> None:

@@ -19,7 +19,7 @@ from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout, greedy_degree_layout, trivial_layout
 from repro.transpiler.optimization import optimize_circuit
-from repro.transpiler.sabre import sabre_layout, sabre_route
+from repro.transpiler.sabre import RoutingProblem, search_layout
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = ["TranspileResult", "transpile"]
@@ -83,6 +83,8 @@ def transpile(
     flat = decompose_to_two_qubit(circuit)
 
     coupling = backend.coupling
+    # one routing problem serves the layout search and the final route
+    problem = RoutingProblem(flat, coupling)
     if initial_layout is not None:
         layout = initial_layout
     elif optimization_level == 0 or optimization_level == 1:
@@ -90,22 +92,22 @@ def transpile(
     elif optimization_level == 2:
         degrees = dict(flat.interaction_graph().degree())
         seed_layout = greedy_degree_layout(degrees, coupling, flat.num_qubits)
-        routed_seed = sabre_route(flat, coupling, seed_layout, seed=seed, stats=stats)
+        _, seed_swaps = problem.route(seed_layout, seed, stats)
         layout = (
             seed_layout
-            if routed_seed.swap_count == 0
-            else sabre_layout(
-                flat, coupling, seed=seed, iterations=2, trials=2,
+            if seed_swaps == 0
+            else search_layout(
+                problem, seed=seed, iterations=2, trials=2,
                 parallel=parallel, stats=stats,
             )
         )
     else:
-        layout = sabre_layout(
-            flat, coupling, seed=seed, iterations=3, trials=4,
+        layout = search_layout(
+            problem, seed=seed, iterations=3, trials=4,
             parallel=parallel, stats=stats,
         )
 
-    routed = sabre_route(flat, coupling, layout, seed=seed, stats=stats)
+    routed = problem.routed(layout, seed, stats)
     result = routed.circuit
     if optimization_level == 1:
         result = optimize_circuit(result, merge_1q=False)

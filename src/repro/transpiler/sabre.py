@@ -10,22 +10,33 @@ layer's distance sum with a look-ahead window of upcoming gates, and decay
 factors that discourage thrashing a single qubit.  A stall-escape fallback
 routes the oldest front gate along a shortest path if the heuristic loops.
 
-Swap-candidate scoring is vectorised over the candidate set with numpy
-against the shared read-only :meth:`CouplingMap.distance_matrix`, and
-:func:`sabre_layout` can fan its independent trials out to a process pool
-(``parallel=``, see :mod:`repro.parallel`).  Both paths are bit-identical to
-the serial scalar implementation: candidates are scored in set-iteration
-order with the same RNG tie-break stream, and layout trials pre-draw their
-RNG material serially so the winning layout never depends on worker timing
-(see ``docs/ROUTER.md``).
+Routing is split in two (see ``docs/ROUTER.md``):
+
+* a :class:`RoutingProblem` holds everything about one circuit on one
+  device that no routing pass changes — node order, in-degrees, routing
+  flags, qubit pairs, successor tuples, neighbour candidates and the hop
+  distances — and is built once;
+* one routing loop (:meth:`RoutingProblem.route`) runs a pass over it
+  from a layout and a seed.  It appends to an output circuit when given
+  one; layout passes, which read only the final layout and the SWAP
+  count, pass none.
+
+:func:`search_layout` shares one forward and one reverse problem across
+every trial and iteration of the bidirectional search, and can fan its
+independent trials out to a process pool (``parallel=``, see
+:mod:`repro.parallel`).  Every decision is bit-identical to the
+from-scratch router kept as ``tests/oracles.reference_sabre_route``:
+candidates are scored in set-iteration order with the same RNG tie-break
+stream and the same float operations, and layout trials pre-draw their
+RNG material serially so the winning layout never depends on worker
+timing.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
@@ -36,7 +47,9 @@ from repro.parallel import default_workers, fans_out, pooled_map
 from repro.stats import Stats
 from repro.transpiler.layout import Layout, trivial_layout
 
-__all__ = ["sabre_route", "sabre_layout", "RoutingResult"]
+__all__ = [
+    "sabre_route", "sabre_layout", "RoutingResult", "RoutingProblem", "search_layout",
+]
 
 _EXTENDED_SET_SIZE = 20
 _EXTENDED_SET_WEIGHT = 0.5
@@ -75,6 +88,248 @@ def _requires_routing(instruction: Instruction) -> bool:
     )
 
 
+def _distance_sums(
+    gates: List[Tuple[int, int]],
+    candidates: List[Tuple[int, int]],
+    distance: List[List[int]],
+) -> List[int]:
+    """Distance sum of *gates* after each candidate swap.
+
+    Only gates on a swapped qubit change, so each candidate's sum is the
+    base sum plus those gates' deltas.  The sums are integers, hence
+    exactly the sums of the swapped distances whatever the order.
+    """
+    base = 0
+    partners: Dict[int, List[int]] = {}
+    for pa, pb in gates:
+        base += distance[pa][pb]
+        partners.setdefault(pa, []).append(pb)
+        partners.setdefault(pb, []).append(pa)
+    sums = []
+    for a, b in candidates:
+        total = base
+        row_a = distance[a]
+        row_b = distance[b]
+        # a gate on both a and b keeps its distance (the matrix is symmetric)
+        for other in partners.get(a, ()):
+            if other != b:
+                total += row_b[other] - row_a[other]
+        for other in partners.get(b, ()):
+            if other != a:
+                total += row_a[other] - row_b[other]
+        sums.append(total)
+    return sums
+
+
+class RoutingProblem:
+    """One circuit on one device, prepared once for any number of passes.
+
+    Node *i* is ``circuit.data[i]``.  The successor tuples keep the DAG's
+    set order (``successors``, which the front list follows) and sorted
+    order (``sorted_successors``, which the look-ahead BFS follows); the
+    candidate pairs of each physical qubit keep the order of
+    :meth:`CouplingMap.neighbors`.  Every order lives in a tuple, so a
+    problem pickles into a pool task with its orders intact.
+
+    Raises:
+        TranspilerError: a gate acts on more than two qubits (checked
+            first), or the circuit is wider than the device.
+    """
+
+    def __init__(self, circuit: QuantumCircuit, coupling: CouplingMap):
+        for instruction in circuit.data:
+            if len(instruction.qubits) > 2 and not instruction.is_directive():
+                raise TranspilerError(
+                    f"sabre_route needs <=2-qubit gates, got {instruction.name}"
+                )
+        if circuit.num_qubits > coupling.num_qubits:
+            raise TranspilerError(
+                f"{circuit.num_qubits} logical qubits exceed device size "
+                f"{coupling.num_qubits}"
+            )
+        dag = DAGCircuit.from_circuit(circuit)
+        self.circuit = circuit
+        self.coupling = coupling
+        self.in_degree = [dag.in_degree(node_id) for node_id in dag.nodes]
+        self.routes = [_requires_routing(i) for i in circuit.data]
+        self.pairs = [
+            i.qubits if routes else None for i, routes in zip(circuit.data, self.routes)
+        ]
+        self.successors = [tuple(dag.successors(node_id)) for node_id in dag.nodes]
+        self.sorted_successors = [tuple(sorted(s)) for s in self.successors]
+        self.used = sorted({q for i in circuit.data for q in i.qubits})
+        neighbors = [coupling.neighbors(p) for p in range(coupling.num_qubits)]
+        self.adjacency = [frozenset(n) for n in neighbors]
+        self.candidate_pairs = [
+            tuple(tuple(sorted((p, n))) for n in neighbors[p])
+            for p in range(coupling.num_qubits)
+        ]
+        self.distance = coupling.distance_matrix().tolist()
+
+    def _extended_set(self, blocked: List[int]) -> List[int]:
+        """Look-ahead window: nearest routed descendants of the blocked gates."""
+        successors, routes = self.sorted_successors, self.routes
+        result: List[int] = []
+        queue = deque(blocked)
+        seen: Set[int] = set(blocked)
+        while queue and len(result) < _EXTENDED_SET_SIZE:
+            for successor in successors[queue.popleft()]:
+                if successor not in seen:
+                    seen.add(successor)
+                    if routes[successor]:
+                        result.append(successor)
+                    queue.append(successor)
+        return result
+
+    def route(
+        self,
+        layout: Layout,
+        seed: int,
+        stats: Optional[Stats] = None,
+        out: Optional[QuantumCircuit] = None,
+    ) -> Tuple[Layout, int]:
+        """One routing pass from a copy of *layout*.
+
+        Appends the routed gates and inserted SWAPs to *out* when given
+        one; returns the final layout and the SWAP count either way.
+        """
+        layout = layout.copy()
+        l2p = layout._l2p
+        for logical in self.used:
+            if l2p[logical] is None:
+                raise TranspilerError(f"logical qubit {logical} is not mapped")
+        coupling = self.coupling
+        data = self.circuit.data
+        routes = self.routes
+        pairs = self.pairs
+        adjacency = self.adjacency
+        successors = self.successors
+        candidate_pairs = self.candidate_pairs
+        distance = self.distance
+        rng = random.Random(seed)
+
+        in_degree = list(self.in_degree)
+        front: List[int] = [node_id for node_id, degree in enumerate(in_degree) if degree == 0]
+        unresolved = len(in_degree)
+        decay = [1.0] * coupling.num_qubits
+        swap_count = 0
+        stall = 0
+        iterations = 0
+        candidates_scored = 0
+
+        def _swap(a: int, b: int) -> None:
+            if out is not None:
+                out.swap(a, b)
+            layout.swap_physical(a, b)
+
+        while front or unresolved > 0:
+            iterations += 1
+            # 1. execute everything executable; a round visits the front as
+            # it stood and appends newly ready nodes after the survivors
+            progress = True
+            while progress:
+                kept: List[int] = []
+                ready: List[int] = []
+                for node_id in front:
+                    if routes[node_id]:
+                        a, b = pairs[node_id]
+                        if l2p[b] not in adjacency[l2p[a]]:
+                            kept.append(node_id)
+                            continue
+                    if out is not None:
+                        out.append(data[node_id].remapped(l2p.__getitem__))
+                    unresolved -= 1
+                    for successor in successors[node_id]:
+                        in_degree[successor] -= 1
+                        if in_degree[successor] == 0:
+                            ready.append(successor)
+                progress = len(kept) < len(front)
+                front = kept + ready
+            if not front:
+                if unresolved > 0:
+                    raise TranspilerError("routing stalled with pending gates")
+                break
+
+            # every node left in the front is a routed gate
+            blocked = front
+            stall += 1
+            if stall > _STALL_LIMIT:
+                # escape: route the oldest blocked gate directly
+                a, b = pairs[blocked[0]]
+                path = coupling.shortest_path(l2p[a], l2p[b])
+                for step in range(len(path) - 2):
+                    _swap(path[step], path[step + 1])
+                    swap_count += 1
+                stall = 0
+                continue
+
+            # 2. score candidate swaps in set-iteration order, so the RNG
+            # tie-break stream matches the reference router element for element
+            extended = self._extended_set(blocked)
+            candidates: Set[Tuple[int, int]] = set()
+            blocked_pairs = []
+            for node_id in blocked:
+                a, b = pairs[node_id]
+                pa, pb = l2p[a], l2p[b]
+                blocked_pairs.append((pa, pb))
+                candidates.update(candidate_pairs[pa])
+                candidates.update(candidate_pairs[pb])
+
+            cand_list = list(candidates)
+            ties = [rng.random() for _ in cand_list]
+            scores = [
+                total / len(blocked)
+                for total in _distance_sums(blocked_pairs, cand_list, distance)
+            ]
+            if extended:
+                extended_pairs = []
+                for node_id in extended:
+                    a, b = pairs[node_id]
+                    extended_pairs.append((l2p[a], l2p[b]))
+                lookahead = _distance_sums(extended_pairs, cand_list, distance)
+                scores = [
+                    score + _EXTENDED_SET_WEIGHT * total / len(extended)
+                    for score, total in zip(scores, lookahead)
+                ]
+            scores = [
+                max(decay[a], decay[b]) * score
+                for (a, b), score in zip(cand_list, scores)
+            ]
+            candidates_scored += len(cand_list)
+
+            best_index = min(
+                range(len(cand_list)), key=lambda i: (scores[i], ties[i])
+            )
+            best = cand_list[best_index]
+            _swap(*best)
+            swap_count += 1
+            decay[best[0]] += _DECAY_INCREMENT
+            decay[best[1]] += _DECAY_INCREMENT
+            if iterations % _DECAY_RESET_INTERVAL == 0:
+                decay = [1.0] * coupling.num_qubits
+
+        if stats is not None:
+            stats.count("route_calls")
+            stats.count("swap_candidates_scored", candidates_scored)
+            stats.count("swaps_inserted", swap_count)
+        return layout, swap_count
+
+    def routed(
+        self,
+        initial_layout: Optional[Layout] = None,
+        seed: int = 11,
+        stats: Optional[Stats] = None,
+    ) -> RoutingResult:
+        """The routing pass that emits the physical circuit."""
+        circuit, coupling = self.circuit, self.coupling
+        start = (
+            initial_layout or trivial_layout(circuit.num_qubits, coupling.num_qubits)
+        ).copy()
+        out = QuantumCircuit(coupling.num_qubits, circuit.num_clbits, circuit.name)
+        final, swap_count = self.route(start, seed, stats, out)
+        return RoutingResult(out, start, final, swap_count)
+
+
 def sabre_route(
     circuit: QuantumCircuit,
     coupling: CouplingMap,
@@ -94,174 +349,12 @@ def sabre_route(
     Returns:
         A :class:`RoutingResult` whose circuit indexes *physical* qubits.
     """
-    for instruction in circuit.data:
-        if len(instruction.qubits) > 2 and not instruction.is_directive():
-            raise TranspilerError(
-                f"sabre_route needs <=2-qubit gates, got {instruction.name}"
-            )
-    if circuit.num_qubits > coupling.num_qubits:
-        raise TranspilerError(
-            f"{circuit.num_qubits} logical qubits exceed device size "
-            f"{coupling.num_qubits}"
-        )
-    rng = random.Random(seed)
-    layout = (initial_layout or trivial_layout(circuit.num_qubits, coupling.num_qubits)).copy()
-    initial = layout.copy()
-    dag = DAGCircuit.from_circuit(circuit)
-    distance = coupling.distance_matrix()
-
-    in_degree = {node_id: dag.in_degree(node_id) for node_id in dag.nodes}
-    front: List[int] = [node_id for node_id, degree in in_degree.items() if degree == 0]
-    unresolved = len(in_degree)
-    out = QuantumCircuit(coupling.num_qubits, circuit.num_clbits, circuit.name)
-    decay = np.ones(coupling.num_qubits, dtype=np.float64)
-    swap_count = 0
-    stall = 0
-    iterations = 0
-    candidates_scored = 0
-
-    def _physical_pair(node_id: int) -> Tuple[int, int]:
-        a, b = dag.nodes[node_id].instruction.qubits
-        return layout.physical(a), layout.physical(b)
-
-    def _emit(node_id: int) -> None:
-        instruction = dag.nodes[node_id].instruction
-        out.append(instruction.remapped(lambda q: layout.physical(q)))
-
-    def _resolve(node_id: int) -> None:
-        nonlocal unresolved
-        unresolved -= 1
-        for successor in dag.successors(node_id):
-            in_degree[successor] -= 1
-            if in_degree[successor] == 0:
-                front.append(successor)
-
-    def _extended_set(blocked: List[int]) -> List[int]:
-        """Look-ahead window: nearest descendants of the blocked gates."""
-        result: List[int] = []
-        queue = list(blocked)
-        seen: Set[int] = set(queue)
-        while queue and len(result) < _EXTENDED_SET_SIZE:
-            node_id = queue.pop(0)
-            for successor in sorted(dag.successors(node_id)):
-                if successor in seen:
-                    continue
-                seen.add(successor)
-                instruction = dag.nodes[successor].instruction
-                if instruction is not None and _requires_routing(instruction):
-                    result.append(successor)
-                queue.append(successor)
-        return result
-
-    def _swapped_distance_sums(
-        gates: List[int], a_col: np.ndarray, b_col: np.ndarray
-    ) -> np.ndarray:
-        """Front/look-ahead distance sum per candidate, after hypothetically
-        applying each candidate swap.  Integer sums are exact, so the order
-        of summation cannot perturb the serial scores."""
-        pairs = np.array([_physical_pair(node_id) for node_id in gates], dtype=np.int64)
-        pa = pairs[:, 0][None, :]
-        pb = pairs[:, 1][None, :]
-        pa = np.where(pa == a_col, b_col, np.where(pa == b_col, a_col, pa))
-        pb = np.where(pb == a_col, b_col, np.where(pb == b_col, a_col, pb))
-        return distance[pa, pb].sum(axis=1)
-
-    while front or unresolved > 0:
-        iterations += 1
-        # 1. execute everything executable
-        progress = True
-        while progress:
-            progress = False
-            for node_id in list(front):
-                instruction = dag.nodes[node_id].instruction
-                if instruction is None or not _requires_routing(instruction):
-                    front.remove(node_id)
-                    if instruction is not None:
-                        _emit(node_id)
-                    _resolve(node_id)
-                    progress = True
-                    continue
-                pa, pb = _physical_pair(node_id)
-                if coupling.are_adjacent(pa, pb):
-                    front.remove(node_id)
-                    _emit(node_id)
-                    _resolve(node_id)
-                    progress = True
-        if not front:
-            if unresolved > 0:
-                raise TranspilerError("routing stalled with pending gates")
-            break
-
-        blocked = [
-            node_id
-            for node_id in front
-            if dag.nodes[node_id].instruction is not None
-            and _requires_routing(dag.nodes[node_id].instruction)
-        ]
-        if not blocked:
-            continue
-
-        stall += 1
-        if stall > _STALL_LIMIT:
-            # escape: route the oldest blocked gate directly
-            node_id = blocked[0]
-            pa, pb = _physical_pair(node_id)
-            path = coupling.shortest_path(pa, pb)
-            for step in range(len(path) - 2):
-                out.swap(path[step], path[step + 1])
-                layout.swap_physical(path[step], path[step + 1])
-                swap_count += 1
-            stall = 0
-            continue
-
-        # 2. score candidate swaps (vectorised over the candidate set, in
-        # set-iteration order so the RNG tie-break stream matches the
-        # scalar reference implementation element for element)
-        extended = _extended_set(blocked)
-        candidates: Set[Tuple[int, int]] = set()
-        for node_id in blocked:
-            for physical in _physical_pair(node_id):
-                for neighbor in coupling.neighbors(physical):
-                    candidates.add(tuple(sorted((physical, neighbor))))
-
-        cand_list = list(candidates)
-        ties = [rng.random() for _ in cand_list]
-        cand = np.array(cand_list, dtype=np.int64)
-        a_col = cand[:, 0][:, None]
-        b_col = cand[:, 1][:, None]
-        scores = _swapped_distance_sums(blocked, a_col, b_col) / len(blocked)
-        if extended:
-            scores = scores + (
-                _EXTENDED_SET_WEIGHT
-                * _swapped_distance_sums(extended, a_col, b_col)
-                / len(extended)
-            )
-        scores = np.maximum(decay[cand[:, 0]], decay[cand[:, 1]]) * scores
-        candidates_scored += len(cand_list)
-
-        best_index = min(
-            range(len(cand_list)), key=lambda i: (scores[i], ties[i])
-        )
-        best = cand_list[best_index]
-        out.swap(*best)
-        layout.swap_physical(*best)
-        swap_count += 1
-        decay[best[0]] += _DECAY_INCREMENT
-        decay[best[1]] += _DECAY_INCREMENT
-        if iterations % _DECAY_RESET_INTERVAL == 0:
-            decay.fill(1.0)
-
-    if stats is not None:
-        stats.count("route_calls")
-        stats.count("swap_candidates_scored", candidates_scored)
-        stats.count("swaps_inserted", swap_count)
-    return RoutingResult(out, initial, layout, swap_count)
+    return RoutingProblem(circuit, coupling).routed(initial_layout, seed, stats)
 
 
 def _layout_trial(
-    circuit: QuantumCircuit,
-    reverse: QuantumCircuit,
-    coupling: CouplingMap,
+    problem: RoutingProblem,
+    reverse: RoutingProblem,
     iterations: int,
     physical_order: Sequence[int],
     seeds: Sequence[int],
@@ -269,21 +362,16 @@ def _layout_trial(
     """One bidirectional layout trial, a pure function of its pre-drawn RNG
     material (*physical_order* and the routing *seeds*)."""
     stats = Stats()
-    layout = Layout(circuit.num_qubits, coupling.num_qubits)
-    for logical in range(circuit.num_qubits):
+    layout = Layout(problem.circuit.num_qubits, problem.coupling.num_qubits)
+    for logical in range(problem.circuit.num_qubits):
         layout.assign(logical, physical_order[logical])
     position = 0
     for _ in range(iterations):
-        forward = sabre_route(
-            circuit, coupling, layout, seed=seeds[position], stats=stats
-        )
-        backward = sabre_route(
-            reverse, coupling, forward.final_layout, seed=seeds[position + 1], stats=stats
-        )
+        forward, _ = problem.route(layout, seeds[position], stats)
+        layout, _ = reverse.route(forward, seeds[position + 1], stats)
         position += 2
-        layout = backward.final_layout
-    final = sabre_route(circuit, coupling, layout, seed=seeds[position], stats=stats)
-    return layout, final.swap_count, stats
+    _, swap_count = problem.route(layout, seeds[position], stats)
+    return layout, swap_count, stats
 
 
 def _layout_trial_worker(payload):
@@ -320,31 +408,48 @@ def sabre_layout(
         stats: optional :class:`Stats` sink (worker-side counters are
             merged back in).
     """
-    rng = random.Random(seed)
-    reverse = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
+    return search_layout(
+        RoutingProblem(circuit, coupling), seed, iterations, trials, parallel, stats
+    )
+
+
+def search_layout(
+    problem: RoutingProblem,
+    seed: int = 11,
+    iterations: int = 3,
+    trials: int = 4,
+    parallel: Optional[bool] = None,
+    stats: Optional[Stats] = None,
+) -> Layout:
+    """:func:`sabre_layout` over a prebuilt forward *problem*; the reverse
+    problem is built once here and shared by every trial."""
+    circuit = problem.circuit
+    reverse_circuit = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
     for instruction in reversed(circuit.data):
-        reverse.append(instruction.copy())
+        reverse_circuit.append(instruction)
+    reverse = RoutingProblem(reverse_circuit, problem.coupling)
 
     # pre-draw every trial's RNG material in the exact serial order
+    rng = random.Random(seed)
     trial_specs = []
     for _ in range(trials):
-        physical_order = list(range(coupling.num_qubits))
+        physical_order = list(range(problem.coupling.num_qubits))
         rng.shuffle(physical_order)
         seeds = [rng.randrange(1 << 30) for _ in range(2 * iterations + 1)]
         trial_specs.append((physical_order, seeds))
 
     results: List[Tuple[Layout, int, Stats]]
-    if fans_out(parallel, trials, default_workers()):
+    workers = default_workers()
+    if fans_out(parallel, trials, workers):
         payloads = [
-            (circuit, reverse, coupling, iterations, order, seeds)
-            for order, seeds in trial_specs
+            (problem, reverse, iterations, order, seeds) for order, seeds in trial_specs
         ]
-        results = pooled_map(_layout_trial_worker, payloads, default_workers())
+        results = pooled_map(_layout_trial_worker, payloads, workers)
         if stats is not None:
             stats.count("parallel_trials", len(results))
     else:
         results = [
-            _layout_trial(circuit, reverse, coupling, iterations, order, seeds)
+            _layout_trial(problem, reverse, iterations, order, seeds)
             for order, seeds in trial_specs
         ]
         if stats is not None:

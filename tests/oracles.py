@@ -23,6 +23,15 @@ for bit:
   They are the referees of :class:`~repro.core.windows.WindowAnalysis`'s
   incremental chain-state kernel (per-merge bitset reach rows), which
   the chain beam and the exact branch-and-bound share.
+  :func:`reference_canonical` is the frozenset state key the compact
+  bytes key of :meth:`~repro.core.windows.WindowAnalysis.canonical`
+  must agree with.
+* :func:`reference_sabre_route` and :func:`reference_sabre_layout` — the
+  SABRE router that rebuilds its DAG and emits a circuit on every pass,
+  with numpy scoring over the whole candidate set.  They are the
+  referees of :class:`~repro.transpiler.sabre.RoutingProblem`'s one
+  routing loop (routed QASM, SWAP count, final layout, layout search).
+  :data:`SABRE_STALL_LIMIT` is the referee's own stall limit.
 
 The exact engine (:class:`~repro.core.exact.ExactReuse`) is the referee
 for *width* only; it does not replace any of these.
@@ -31,9 +40,12 @@ for *width* only; it does not replace any of these.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import random
+from collections import Counter
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
@@ -43,11 +55,14 @@ from repro.core.evaluate import evaluate_pair_depth, evaluate_pair_duration
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
 from repro.core.sr_caqr import _DIRTY, _FRESH, SRCaQR, SRCaQRResult
 from repro.core.transform import apply_reuse_pair
-from repro.core.windows import State, WindowAnalysis
+from repro.core.windows import Chain, State, WindowAnalysis
 from repro.dag.dagcircuit import DAGCircuit
-from repro.exceptions import ReuseError
+from repro.exceptions import ReuseError, TranspilerError
+from repro.hardware.coupling import CouplingMap
+from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
-from repro.transpiler.layout import Layout
+from repro.transpiler.layout import Layout, trivial_layout
+from repro.transpiler.sabre import RoutingResult
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = [
@@ -55,8 +70,11 @@ __all__ = [
     "ReferenceSRCaQR",
     "nx_lookahead_kernel",
     "nx_potential",
+    "reference_canonical",
     "reference_chain_merges",
     "reference_reach",
+    "reference_sabre_layout",
+    "reference_sabre_route",
     "reuse_potential",
 ]
 
@@ -712,3 +730,241 @@ def reference_chain_merges(
             options.append((u, v))
             rows[u] |= 1 << v
     return options, rows
+
+
+def reference_canonical(
+    analysis: WindowAnalysis, wires: State
+) -> FrozenSet[Tuple[Chain, int]]:
+    """The state key as a frozenset of ``(class chain, count)`` items."""
+    counts = Counter(tuple(analysis._class_of[q] for q in chain) for chain in wires)
+    return frozenset(counts.items())
+
+
+# -- SABRE routing ---------------------------------------------------------------
+
+SABRE_STALL_LIMIT = 100
+_SABRE_EXTENDED_SET_SIZE = 20
+_SABRE_EXTENDED_SET_WEIGHT = 0.5
+_SABRE_DECAY_INCREMENT = 0.001
+_SABRE_DECAY_RESET_INTERVAL = 5
+
+
+def _sabre_requires_routing(instruction: Instruction) -> bool:
+    return instruction.is_two_qubit() or (
+        len(instruction.qubits) == 2 and instruction.name == "swap"
+    )
+
+
+def reference_sabre_route(
+    circuit: QuantumCircuit,
+    coupling: CouplingMap,
+    initial_layout: Optional[Layout] = None,
+    seed: int = 11,
+    stats: Optional[Stats] = None,
+) -> RoutingResult:
+    """The from-scratch SABRE router: rebuilds the DAG, re-derives every
+    routing flag and emits the circuit on every call, and scores swap
+    candidates with numpy over the whole gate set."""
+    for instruction in circuit.data:
+        if len(instruction.qubits) > 2 and not instruction.is_directive():
+            raise TranspilerError(
+                f"sabre_route needs <=2-qubit gates, got {instruction.name}"
+            )
+    if circuit.num_qubits > coupling.num_qubits:
+        raise TranspilerError(
+            f"{circuit.num_qubits} logical qubits exceed device size "
+            f"{coupling.num_qubits}"
+        )
+    rng = random.Random(seed)
+    layout = (initial_layout or trivial_layout(circuit.num_qubits, coupling.num_qubits)).copy()
+    initial = layout.copy()
+    dag = DAGCircuit.from_circuit(circuit)
+    distance = coupling.distance_matrix()
+
+    in_degree = {node_id: dag.in_degree(node_id) for node_id in dag.nodes}
+    front: List[int] = [node_id for node_id, degree in in_degree.items() if degree == 0]
+    unresolved = len(in_degree)
+    out = QuantumCircuit(coupling.num_qubits, circuit.num_clbits, circuit.name)
+    decay = np.ones(coupling.num_qubits, dtype=np.float64)
+    swap_count = 0
+    stall = 0
+    iterations = 0
+    candidates_scored = 0
+
+    def _physical_pair(node_id: int) -> Tuple[int, int]:
+        a, b = dag.nodes[node_id].instruction.qubits
+        return layout.physical(a), layout.physical(b)
+
+    def _emit(node_id: int) -> None:
+        instruction = dag.nodes[node_id].instruction
+        out.append(instruction.remapped(lambda q: layout.physical(q)))
+
+    def _resolve(node_id: int) -> None:
+        nonlocal unresolved
+        unresolved -= 1
+        for successor in dag.successors(node_id):
+            in_degree[successor] -= 1
+            if in_degree[successor] == 0:
+                front.append(successor)
+
+    def _extended_set(blocked: List[int]) -> List[int]:
+        """Look-ahead window: nearest descendants of the blocked gates."""
+        result: List[int] = []
+        queue = list(blocked)
+        seen: Set[int] = set(queue)
+        while queue and len(result) < _SABRE_EXTENDED_SET_SIZE:
+            node_id = queue.pop(0)
+            for successor in sorted(dag.successors(node_id)):
+                if successor in seen:
+                    continue
+                seen.add(successor)
+                instruction = dag.nodes[successor].instruction
+                if instruction is not None and _sabre_requires_routing(instruction):
+                    result.append(successor)
+                queue.append(successor)
+        return result
+
+    def _swapped_distance_sums(
+        gates: List[int], a_col: np.ndarray, b_col: np.ndarray
+    ) -> np.ndarray:
+        """Front/look-ahead distance sum per candidate, after hypothetically
+        applying each candidate swap.  Integer sums are exact, so the order
+        of summation cannot perturb the serial scores."""
+        pairs = np.array([_physical_pair(node_id) for node_id in gates], dtype=np.int64)
+        pa = pairs[:, 0][None, :]
+        pb = pairs[:, 1][None, :]
+        pa = np.where(pa == a_col, b_col, np.where(pa == b_col, a_col, pa))
+        pb = np.where(pb == a_col, b_col, np.where(pb == b_col, a_col, pb))
+        return distance[pa, pb].sum(axis=1)
+
+    while front or unresolved > 0:
+        iterations += 1
+        # 1. execute everything executable
+        progress = True
+        while progress:
+            progress = False
+            for node_id in list(front):
+                instruction = dag.nodes[node_id].instruction
+                if instruction is None or not _sabre_requires_routing(instruction):
+                    front.remove(node_id)
+                    if instruction is not None:
+                        _emit(node_id)
+                    _resolve(node_id)
+                    progress = True
+                    continue
+                pa, pb = _physical_pair(node_id)
+                if coupling.are_adjacent(pa, pb):
+                    front.remove(node_id)
+                    _emit(node_id)
+                    _resolve(node_id)
+                    progress = True
+        if not front:
+            if unresolved > 0:
+                raise TranspilerError("routing stalled with pending gates")
+            break
+
+        blocked = [
+            node_id
+            for node_id in front
+            if dag.nodes[node_id].instruction is not None
+            and _sabre_requires_routing(dag.nodes[node_id].instruction)
+        ]
+        if not blocked:
+            continue
+
+        stall += 1
+        if stall > SABRE_STALL_LIMIT:
+            # escape: route the oldest blocked gate directly
+            node_id = blocked[0]
+            pa, pb = _physical_pair(node_id)
+            path = coupling.shortest_path(pa, pb)
+            for step in range(len(path) - 2):
+                out.swap(path[step], path[step + 1])
+                layout.swap_physical(path[step], path[step + 1])
+                swap_count += 1
+            stall = 0
+            continue
+
+        # 2. score candidate swaps (vectorised over the candidate set, in
+        # set-iteration order so the RNG tie-break stream matches the
+        # scalar reference implementation element for element)
+        extended = _extended_set(blocked)
+        candidates: Set[Tuple[int, int]] = set()
+        for node_id in blocked:
+            for physical in _physical_pair(node_id):
+                for neighbor in coupling.neighbors(physical):
+                    candidates.add(tuple(sorted((physical, neighbor))))
+
+        cand_list = list(candidates)
+        ties = [rng.random() for _ in cand_list]
+        cand = np.array(cand_list, dtype=np.int64)
+        a_col = cand[:, 0][:, None]
+        b_col = cand[:, 1][:, None]
+        scores = _swapped_distance_sums(blocked, a_col, b_col) / len(blocked)
+        if extended:
+            scores = scores + (
+                _SABRE_EXTENDED_SET_WEIGHT
+                * _swapped_distance_sums(extended, a_col, b_col)
+                / len(extended)
+            )
+        scores = np.maximum(decay[cand[:, 0]], decay[cand[:, 1]]) * scores
+        candidates_scored += len(cand_list)
+
+        best_index = min(
+            range(len(cand_list)), key=lambda i: (scores[i], ties[i])
+        )
+        best = cand_list[best_index]
+        out.swap(*best)
+        layout.swap_physical(*best)
+        swap_count += 1
+        decay[best[0]] += _SABRE_DECAY_INCREMENT
+        decay[best[1]] += _SABRE_DECAY_INCREMENT
+        if iterations % _SABRE_DECAY_RESET_INTERVAL == 0:
+            decay.fill(1.0)
+
+    if stats is not None:
+        stats.count("route_calls")
+        stats.count("swap_candidates_scored", candidates_scored)
+        stats.count("swaps_inserted", swap_count)
+    return RoutingResult(out, initial, layout, swap_count)
+
+
+def reference_sabre_layout(
+    circuit: QuantumCircuit,
+    coupling: CouplingMap,
+    seed: int = 11,
+    iterations: int = 3,
+    trials: int = 4,
+) -> Layout:
+    """The serial bidirectional layout search over
+    :func:`reference_sabre_route`, one fresh route per pass."""
+    rng = random.Random(seed)
+    reverse = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
+    for instruction in reversed(circuit.data):
+        reverse.append(instruction.copy())
+    trial_specs = []
+    for _ in range(trials):
+        physical_order = list(range(coupling.num_qubits))
+        rng.shuffle(physical_order)
+        seeds = [rng.randrange(1 << 30) for _ in range(2 * iterations + 1)]
+        trial_specs.append((physical_order, seeds))
+    best_layout: Optional[Layout] = None
+    best_swaps = None
+    for physical_order, seeds in trial_specs:
+        layout = Layout(circuit.num_qubits, coupling.num_qubits)
+        for logical in range(circuit.num_qubits):
+            layout.assign(logical, physical_order[logical])
+        position = 0
+        for _ in range(iterations):
+            forward = reference_sabre_route(circuit, coupling, layout, seed=seeds[position])
+            backward = reference_sabre_route(
+                reverse, coupling, forward.final_layout, seed=seeds[position + 1]
+            )
+            position += 2
+            layout = backward.final_layout
+        final = reference_sabre_route(circuit, coupling, layout, seed=seeds[position])
+        if best_swaps is None or final.swap_count < best_swaps:
+            best_swaps = final.swap_count
+            best_layout = layout
+    assert best_layout is not None
+    return best_layout

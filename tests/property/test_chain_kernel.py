@@ -17,7 +17,8 @@ engine runs under a node budget here: every state it visits is checked,
 and the budget keeps the from-scratch referee affordable.
 """
 
-from typing import Dict, Set
+import random
+from typing import Dict, List, Set
 
 import networkx as nx
 import pytest
@@ -27,7 +28,7 @@ from repro.core.chains import ChainReuse
 from repro.core.exact import ExactReuse
 from repro.core.windows import Reach, State, WindowAnalysis
 from repro.workloads import bv_circuit, qaoa_maxcut_circuit, random_graph
-from tests.oracles import reference_chain_merges, reference_reach
+from tests.oracles import reference_canonical, reference_chain_merges, reference_reach
 from tests.property.test_chain_windows import CHAIN_SAMPLES, _sample_circuit
 
 EXACT_NODES = 400
@@ -83,3 +84,44 @@ def test_kernel_matches_reference_on_benchmark_circuits(name, checked_kernel):
 @pytest.mark.parametrize("seed", range(CHAIN_SAMPLES))
 def test_kernel_matches_reference_on_random_circuits(seed, checked_kernel):
     _check_engines(_sample_circuit(seed), checked_kernel)
+
+
+def _random_states(analysis: WindowAnalysis, seed: int, count: int) -> List[State]:
+    """Random chain states over the analysis' qubits, each also with its
+    wires in a shuffled order (which must not change the key)."""
+    rng = random.Random(seed)
+    states: List[State] = []
+    qubits = list(range(analysis.num_qubits))
+    for _ in range(count):
+        rng.shuffle(qubits)
+        wires, start = [], 0
+        while start < len(qubits):
+            size = rng.randint(1, 3)
+            wires.append(tuple(qubits[start : start + size]))
+            start += size
+        states.append(tuple(wires))
+        rng.shuffle(wires)
+        states.append(tuple(wires))
+    return states
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [bv_circuit(5), bv_circuit(7), _sample_circuit(3), _sample_circuit(10)],
+    ids=["bv5", "bv7", "random-3", "random-10"],
+)
+def test_state_keys_agree_with_frozenset_keys(circuit):
+    """``canonical`` is bytes, and two states share a bytes key exactly
+    when they share the frozenset key."""
+    analysis = WindowAnalysis(circuit)
+    states = _random_states(analysis, analysis.num_qubits, 60)
+    keys = [analysis.canonical(wires) for wires in states]
+    references = [reference_canonical(analysis, wires) for wires in states]
+    assert all(isinstance(key, bytes) for key in keys)
+    equal = 0
+    for i in range(len(states)):
+        for j in range(len(states)):
+            same = keys[i] == keys[j]
+            assert same == (references[i] == references[j]), (states[i], states[j])
+            equal += same and i != j
+    assert equal >= len(states) // 2, "too few equal pairs to test the key"

@@ -13,6 +13,8 @@ from repro.core import qs_commuting
 from repro.hardware import ibm_mumbai
 from repro.parallel import PoolOwner, chunks, fans_out, pooled_map
 from repro.service.workers import WorkerPool
+from repro.stats import Stats
+from repro.transpiler import sabre_layout, transpile
 from repro.workloads import bv_circuit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +77,46 @@ class TestFanOutRule:
         assert not owner.use_pool(100, 10**9)
 
 
+def _no_pools(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class TestWidth:
+    """The default width is the CPUs the calling thread may run on."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+
+    def test_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        assert parallel.default_workers() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        assert parallel.default_workers() == 3
+
+    def test_caps_at_eight(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(32)))
+        assert parallel.default_workers() == 8
+
+    def test_pinned_caller_gets_one_worker(self, pinned):
+        assert parallel.default_workers() == 1
+
+    def test_pinned_transpile_starts_no_pool(self, pinned, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
+        result = transpile(bv_circuit(16), ibm_mumbai())
+        assert result.qubits_used >= 16
+
+    def test_forced_fan_out_still_pools(self, pinned):
+        assert fans_out(True, 4, parallel.default_workers())
+        stats = Stats()
+        sabre_layout(bv_circuit(6), ibm_mumbai().coupling, parallel=True, stats=stats)
+        assert stats.counters["parallel_trials"] == 4
+
+
 class TestOrderedMaps:
     @pytest.mark.parametrize("count", [1, 2, 7, 8])
     def test_chunks_cover_the_items_in_order(self, count):
@@ -131,10 +173,7 @@ class TestSerialCompileStartsNoPool:
         """``parallel=False`` reaches every fan-out, the layout search's
         and the SR routers' QS sweeps included."""
 
-        def no_pools(*args, **kwargs):
-            raise AssertionError("parallel=False started a process pool")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pools)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
         # small graphs would stay under the commuting engine's threshold
         monkeypatch.setattr(qs_commuting, "COMMUTING_PARALLEL_THRESHOLD", 0)
         report = caqr_compile(
@@ -169,6 +208,12 @@ class TestLayering:
 
     def test_cpu_count_is_read_in_one_place(self):
         readers = {rel for rel, names in self._modules() if "cpu_count" in names}
+        assert readers == {"repro/parallel.py"}
+
+    def test_affinity_is_read_in_one_place(self):
+        readers = {
+            rel for rel, names in self._modules() if "sched_getaffinity" in names
+        }
         assert readers == {"repro/parallel.py"}
 
     def test_parallel_imports_only_stdlib_and_exceptions(self):
