@@ -6,10 +6,12 @@ and returns a compiled dynamic circuit plus a report.  This module wires
 the QS/SR passes, the tradeoff explorer, and the baseline transpiler into
 that single entry point.
 
-Every engine is wired up once, as a *lane* of :data:`LANES`: a function
-of the request (a :class:`~repro.service.service.CompileRequest`, or
-anything with its compile fields) and a :class:`StrategySpec` that
-returns one :class:`LaneResult`.  ``caqr_compile`` runs the ``caqr`` lane
+The call's knobs are written once, as the fields of
+:class:`CompileRequest`: ``caqr_compile`` builds one and dispatches on it
+(cache, portfolio, chain, auto), and every compile service takes the same
+request.  Every engine is wired up once, as a *lane* of :data:`LANES`: a
+function of the request and a :class:`StrategySpec` that returns one
+:class:`LaneResult`.  ``caqr_compile`` runs the ``caqr`` lane
 (``strategy="auto"``) or the ``chain`` lane (``strategy="chain"``)
 in-process; :class:`~repro.service.portfolio.PortfolioCompileService`
 races a roster of lanes over its pool.  Both go through
@@ -19,8 +21,8 @@ races a roster of lanes over its pool.  Both go through
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from types import SimpleNamespace
+from contextlib import closing
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
 import networkx as nx
@@ -52,6 +54,7 @@ __all__ = [
     "MODES",
     "LANES",
     "CompileReport",
+    "CompileRequest",
     "LaneResult",
     "StrategySpec",
     "assemble_report",
@@ -197,6 +200,86 @@ class CompileReport:
     chain_stats: Optional[Stats] = None
 
 
+#: The request fields that select only *how* a cold compile runs; every
+#: other field is semantic and feeds the fingerprint.
+ENGINE_KNOBS = ("parallel", "portfolio_workers")
+
+
+@dataclass
+class CompileRequest:
+    """One :func:`caqr_compile` call, as data: the one place its knobs are
+    written (see :func:`caqr_compile` for what each one means).
+
+    The semantic knobs (everything except :data:`ENGINE_KNOBS`) feed the
+    fingerprint; the two engine knobs only select *how* a cold compile
+    runs — the serial == pooled harnesses pin process-pool fan-out (and
+    the portfolio race across worker counts) to identical outputs, so
+    they never invalidate a key.  ``strategy`` and ``objective`` are
+    semantic: a portfolio compile may legitimately return a different
+    circuit than the single-strategy path.
+
+    ``calib_bands`` sets the drift tolerance of the backend digest
+    (bands per decade; ``None`` defers to ``$CAQR_CALIB_BANDS``, ``0``
+    means exact digests).  It feeds both the fingerprint and the shard,
+    so in-band calibration drift keeps a request on the same cache entry
+    *and* the same fleet member.  The key helpers import
+    :mod:`repro.service` lazily: a request run without a cache never
+    loads the service layer.
+    """
+
+    target: Union[QuantumCircuit, nx.Graph]
+    backend: Optional[Backend] = None
+    mode: str = "min_depth"
+    qubit_limit: Optional[int] = None
+    reset_style: str = "cif"
+    seed: int = 11
+    auto_commuting: bool = True
+    parallel: bool = True
+    strategy: str = "auto"
+    objective: Optional[str] = None
+    portfolio_workers: Optional[int] = None
+    calib_bands: Optional[int] = None
+
+    def knobs(self) -> Dict[str, Any]:
+        """Every field but ``target`` and ``backend``, by name: the
+        keywords :func:`caqr_compile` and each service's ``compile`` take."""
+        return {field.name: getattr(self, field.name) for field in fields(self)[2:]}
+
+    def resolved_calib_bands(self) -> Optional[int]:
+        """The effective band count (explicit value, else the env default)."""
+        from repro.service.fingerprint import resolve_calib_bands
+
+        return resolve_calib_bands(self.calib_bands)
+
+    def fingerprint(self) -> str:
+        """The content-addressed cache key for this request."""
+        from repro.service.fingerprint import request_fingerprint
+
+        semantic = {
+            name: value
+            for name, value in self.knobs().items()
+            if name not in ENGINE_KNOBS
+        }
+        return request_fingerprint(self.target, self.backend, **semantic)
+
+    def shard(self) -> str:
+        """The disk-cache shard this request's entry lives in.
+
+        One shard per backend calibration *band* (a 16-hex-char prefix of
+        the banded backend digest — the exact digest when banding is
+        off); backend-less requests share
+        :data:`~repro.service.cache.DEFAULT_SHARD`.  The fleet's
+        :func:`~repro.service.fleet.ring_key` routes by this value, so
+        banding also keeps in-band drift from re-homing keys across
+        servers.
+        """
+        from repro.service.cache import DEFAULT_SHARD
+        from repro.service.fingerprint import banded_backend_digest
+
+        digest = banded_backend_digest(self.backend, self.resolved_calib_bands())
+        return digest[:16] if digest else DEFAULT_SHARD
+
+
 def caqr_compile(
     target: Union[QuantumCircuit, nx.Graph],
     backend: Optional[Backend] = None,
@@ -276,62 +359,26 @@ def caqr_compile(
             "(build the QAOA circuit first)"
         )
     check_request(mode, backend, qubit_limit)
+    request = CompileRequest(
+        target, backend, mode, qubit_limit, reset_style, seed, auto_commuting,
+        parallel, strategy, objective, portfolio_workers, calib_bands,
+    )
     if cache:
         from repro.service.service import resolve_cache
 
-        cache_kwargs = dict(
-            backend=backend,
-            mode=mode,
-            qubit_limit=qubit_limit,
-            reset_style=reset_style,
-            seed=seed,
-            auto_commuting=auto_commuting,
-            parallel=parallel,
-            strategy=strategy,
-            objective=objective,
-            portfolio_workers=portfolio_workers,
-        )
-        if calib_bands is not None:
-            # only the caching services understand banding; duck-typed
-            # cache objects keep seeing the historical signature
-            cache_kwargs["calib_bands"] = calib_bands
-        return resolve_cache(cache).compile(target, **cache_kwargs)
+        return resolve_cache(cache).compile_request(request)
     if strategy == "portfolio":
         from repro.service.portfolio import (
             PortfolioCompileService,
             default_portfolio_service,
         )
 
-        ephemeral_service = (
-            None
-            if portfolio_workers is None
-            else PortfolioCompileService(max_workers=portfolio_workers)
-        )
-        service = ephemeral_service or default_portfolio_service()
-        try:
-            return service.compile(
-                target,
-                backend=backend,
-                mode=mode,
-                qubit_limit=qubit_limit,
-                reset_style=reset_style,
-                seed=seed,
-                auto_commuting=auto_commuting,
-                parallel=parallel,
-                objective=objective if objective is not None else "qubits",
-            )
-        finally:
-            if ephemeral_service is not None:
-                # a one-call service must not leak its worker pool
-                ephemeral_service.close()
-    request = SimpleNamespace(
-        target=target,
-        backend=backend,
-        mode=mode,
-        qubit_limit=qubit_limit,
-        reset_style=reset_style,
-        seed=seed,
-    )
+        if portfolio_workers is None:
+            service = default_portfolio_service()
+            return service.compile(target, backend, **request.knobs())
+        # a one-call service must not leak its worker pool
+        with closing(PortfolioCompileService(max_workers=portfolio_workers)) as service:
+            return service.compile(target, backend, **request.knobs())
     if strategy == "chain":
         # dual-register cost model on all-to-all (trapped-ion) backends;
         # unlike the chain lane of a race, this path maps its circuit

@@ -34,9 +34,9 @@ import networkx as nx
 
 from repro.core.conditions import ReusePair
 from repro.core.qs_commuting import (
-    GREEDY_MATCHING_THRESHOLD,
     CommutingSchedule,
-    _greedy_matching,
+    matching_layer,
+    resolve_matching,
 )
 from repro.exceptions import ReuseError
 
@@ -160,10 +160,7 @@ def lifetime_schedule(
     if num_wires < 1:
         raise ReuseError("need at least one wire")
     num_wires = min(num_wires, n)
-    if matching == "auto":
-        matching = (
-            "greedy" if graph.number_of_edges() > GREEDY_MATCHING_THRESHOLD else "blossom"
-        )
+    matching = resolve_matching(matching, graph)
     birth_order = list(order) if order is not None else best_birth_order(graph)
     if sorted(birth_order) != list(range(n)):
         raise ReuseError("order must be a permutation of the vertices")
@@ -217,11 +214,7 @@ def lifetime_schedule(
                     )
         progressed = False
         if frontier.number_of_edges():
-            if matching == "blossom":
-                matched = nx.max_weight_matching(frontier, maxcardinality=True)
-            else:
-                matched = _greedy_matching(frontier)
-            layer = sorted(tuple(sorted(edge)) for edge in matched)
+            layer = matching_layer(frontier, matching)
             layers.append(layer)
             for a, b in layer:
                 remaining[a].discard(b)

@@ -36,6 +36,8 @@ from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
 
 __all__ = [
     "minimum_qubits_by_coloring",
+    "resolve_matching",
+    "matching_layer",
     "schedule_commuting",
     "CommutingSchedule",
     "materialize_commuting",
@@ -108,6 +110,33 @@ def _greedy_matching(graph: nx.Graph) -> Set[Tuple[int, int]]:
     return matching
 
 
+def resolve_matching(matching: str, graph: nx.Graph) -> str:
+    """The matching engine a scheduler runs on *graph*: ``"auto"`` picks
+    greedy above :data:`GREEDY_MATCHING_THRESHOLD` edges, blossom below.
+
+    Raises:
+        ReuseError: for a name other than ``"auto"``, ``"blossom"`` or
+            ``"greedy"``.
+    """
+    if matching == "auto":
+        return (
+            "greedy" if graph.number_of_edges() > GREEDY_MATCHING_THRESHOLD else "blossom"
+        )
+    if matching not in ("blossom", "greedy"):
+        raise ReuseError(f"unknown matching method {matching!r}")
+    return matching
+
+
+def matching_layer(frontier: nx.Graph, matching: str) -> List[Tuple[int, int]]:
+    """One scheduling round: the *matching* (a resolved engine name) of
+    the weighted *frontier*, as sorted ``(low, high)`` gate keys."""
+    if matching == "blossom":
+        matched = nx.max_weight_matching(frontier, maxcardinality=True)
+    else:
+        matched = _greedy_matching(frontier)
+    return sorted(_edge_key(a, b) for a, b in matched)
+
+
 def schedule_commuting(
     graph: nx.Graph,
     pairs: Sequence[ReusePair],
@@ -130,13 +159,7 @@ def schedule_commuting(
         ReuseError: when the pair set is cyclic (the schedule stalls) or a
             pair violates Condition 1.
     """
-    if matching == "auto":
-        matching = (
-            "greedy" if graph.number_of_edges() > GREEDY_MATCHING_THRESHOLD else "blossom"
-        )
-    if matching not in ("blossom", "greedy"):
-        raise ReuseError(f"unknown matching method {matching!r}")
-
+    matching = resolve_matching(matching, graph)
     gates: List[Tuple[int, int]] = sorted(_edge_key(*edge) for edge in graph.edges)
 
     feeds: Dict[Tuple[int, int], List[ReusePair]] = {g: [] for g in gates}
@@ -183,11 +206,7 @@ def schedule_commuting(
         subgraph = nx.Graph()
         for g in frontier:
             subgraph.add_edge(g[0], g[1], weight=reuse_weight if feeds[g] else 1)
-        if matching == "blossom":
-            matched = nx.max_weight_matching(subgraph, maxcardinality=True)
-        else:
-            matched = _greedy_matching(subgraph)
-        layer = sorted(_edge_key(a, b) for a, b in matched)
+        layer = matching_layer(subgraph, matching)
         if not layer:
             raise ReuseError("matching produced an empty layer")
         layers.append(layer)
@@ -402,7 +421,7 @@ class QSCaQRCommuting(PoolOwner):
         self.gamma = gamma
         self.beta = beta
         self.reset_style = reset_style
-        self.matching = matching
+        self.matching = resolve_matching(matching, graph)
         self.max_candidates = max_candidates
         # "schedule" runs the matching scheduler per candidate (the paper's
         # evaluation); "degree" ranks by vertex degree and schedules only
@@ -654,14 +673,3 @@ class QSCaQRCommuting(PoolOwner):
                 continue
             points.append(point)
         return points
-
-    def reduce_to_lifetime(self, qubit_limit: int) -> QSCommutingResult:
-        """Budgeted compile via the lifetime scheduler."""
-        if qubit_limit < 1:
-            raise ReuseError("qubit limit must be positive")
-        try:
-            return self._materialize_lifetime(qubit_limit)
-        except ReuseError:
-            point = self._materialize([])
-            point.feasible = False
-            return point

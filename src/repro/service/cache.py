@@ -57,10 +57,47 @@ DEFAULT_SHARD = "nobackend"
 _ENTRY_SUFFIX = ".json"
 
 
-class MemoryCache:
+class _TtlRule:
+    """The one rule that picks a lookup's TTL, applied by both tiers.
+
+    ``ttl_by_bands`` maps a ``calib_bands`` value (bands per decade; the
+    request's drift-banding knob) to its own TTL, overriding ``ttl`` for
+    lookups carrying that band count; lookups with an unmapped or absent
+    band count fall back to ``ttl``.
+    """
+
+    def _set_ttl(
+        self,
+        tier: str,
+        ttl: Optional[float],
+        ttl_by_bands: Optional[Mapping[int, float]],
+    ) -> None:
+        if ttl is not None and ttl <= 0:
+            raise ServiceError(f"{tier} cache needs ttl > 0 (or None)")
+        for bands, band_ttl in (ttl_by_bands or {}).items():
+            if int(bands) < 0:
+                raise ServiceError("ttl_by_bands needs band counts >= 0")
+            if band_ttl <= 0:
+                raise ServiceError("ttl_by_bands needs ttl values > 0")
+        self.ttl = ttl
+        self.ttl_by_bands = {
+            int(b): float(t) for b, t in (ttl_by_bands or {}).items()
+        }
+
+    def effective_ttl(self, bands: Optional[int] = None) -> Optional[float]:
+        """The TTL governing a lookup made with *bands* drift banding."""
+        if bands is not None:
+            band_ttl = self.ttl_by_bands.get(int(bands))
+            if band_ttl is not None:
+                return band_ttl
+        return self.ttl
+
+
+class MemoryCache(_TtlRule):
     """In-process LRU keyed by fingerprint, capped by entries and bytes.
 
-    ``ttl`` (seconds) ages entries out on lookup: an entry older than
+    ``ttl`` (seconds, per band count with ``ttl_by_bands``; see
+    :class:`DiskCache`) ages entries out on lookup: an entry older than
     the TTL counts as a miss (``expired_entries``) and is dropped.
     """
 
@@ -70,16 +107,15 @@ class MemoryCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
         stats: Optional[Stats] = None,
         ttl: Optional[float] = None,
+        ttl_by_bands: Optional[Mapping[int, float]] = None,
     ):
         if max_entries < 1:
             raise ServiceError("memory cache needs max_entries >= 1")
         if max_bytes < 1:
             raise ServiceError("memory cache needs max_bytes >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ServiceError("memory cache needs ttl > 0 (or None)")
+        self._set_ttl("memory", ttl, ttl_by_bands)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.ttl = ttl
         self.stats = stats if stats is not None else Stats()
         self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._stamps: Dict[str, float] = {}
@@ -93,15 +129,17 @@ class MemoryCache:
         """Current footprint of all stored entry texts."""
         return self._bytes
 
-    def get(self, key: str) -> Optional[str]:
-        """Return the entry text for *key* (refreshing LRU order) or None."""
+    def get(self, key: str, bands: Optional[int] = None) -> Optional[str]:
+        """Return the entry text for *key* (refreshing LRU order) or None.
+
+        *bands* is the lookup's resolved ``calib_bands``; it selects the
+        TTL (see :meth:`effective_ttl`).
+        """
         text = self._entries.get(key)
         if text is None:
             return None
-        if (
-            self.ttl is not None
-            and time.monotonic() - self._stamps.get(key, 0.0) > self.ttl
-        ):
+        ttl = self.effective_ttl(bands)
+        if ttl is not None and time.monotonic() - self._stamps.get(key, 0.0) > ttl:
             self.invalidate(key)
             self.stats.count("expired_entries")
             return None
@@ -151,7 +189,7 @@ class MemoryCache:
         self.stats.set_value("memory_bytes", 0)
 
 
-class DiskCache:
+class DiskCache(_TtlRule):
     """On-disk entry store: ``<directory>/<shard>/<key>.json``, atomic writes.
 
     *shard* is the backend calibration digest prefix the service derives
@@ -169,15 +207,13 @@ class DiskCache:
     alone, making eviction oldest-written first.  The freshly written
     entry itself is never evicted.
 
-    ``ttl_by_bands`` maps a ``calib_bands`` value (bands per decade; the
-    request's drift-banding knob) to its own TTL, overriding ``ttl`` for
-    lookups carrying that band count.  The point is a per-band aging
-    policy: a coarsely banded entry (fewer bands per decade — each band
-    spans *more* calibration drift) keeps serving through larger drifts,
-    so it should age out **faster** than an exact-digest entry, e.g.
-    ``ttl_by_bands={1: 600.0, 4: 3600.0}`` with ``ttl=None`` keeping
-    exact entries immortal.  Lookups with an unmapped or absent band
-    count fall back to ``ttl``.
+    ``ttl_by_bands`` gives a ``calib_bands`` value its own TTL (the rule
+    of :class:`_TtlRule`, which the memory tier applies too).  The point
+    is a per-band aging policy: a coarsely banded entry (fewer bands per
+    decade — each band spans *more* calibration drift) keeps serving
+    through larger drifts, so it should age out **faster** than an
+    exact-digest entry, e.g. ``ttl_by_bands={1: 600.0, 4: 3600.0}`` with
+    ``ttl=None`` keeping exact entries immortal.
     """
 
     def __init__(
@@ -189,26 +225,13 @@ class DiskCache:
         max_bytes_per_shard: Optional[int] = None,
         ttl_by_bands: Optional[Mapping[int, float]] = None,
     ):
-        if ttl is not None and ttl <= 0:
-            raise ServiceError("disk cache needs ttl > 0 (or None)")
+        self._set_ttl("disk", ttl, ttl_by_bands)
         if max_entries_per_shard is not None and max_entries_per_shard < 1:
             raise ServiceError("disk cache needs max_entries_per_shard >= 1")
         if max_bytes_per_shard is not None and max_bytes_per_shard < 1:
             raise ServiceError("disk cache needs max_bytes_per_shard >= 1")
-        if ttl_by_bands is not None:
-            for bands, band_ttl in ttl_by_bands.items():
-                if int(bands) < 0:
-                    raise ServiceError("ttl_by_bands needs band counts >= 0")
-                if band_ttl <= 0:
-                    raise ServiceError("ttl_by_bands needs ttl values > 0")
         self.directory = os.path.abspath(os.path.expanduser(directory))
         self.stats = stats if stats is not None else Stats()
-        self.ttl = ttl
-        self.ttl_by_bands = (
-            {int(b): float(t) for b, t in ttl_by_bands.items()}
-            if ttl_by_bands
-            else {}
-        )
         self.max_entries_per_shard = max_entries_per_shard
         self.max_bytes_per_shard = max_bytes_per_shard
         os.makedirs(self.directory, exist_ok=True)
@@ -234,14 +257,6 @@ class DiskCache:
             self._drop_corrupt(path)
             return None
         return text
-
-    def effective_ttl(self, bands: Optional[int] = None) -> Optional[float]:
-        """The TTL governing a lookup made with *bands* drift banding."""
-        if bands is not None:
-            band_ttl = self.ttl_by_bands.get(int(bands))
-            if band_ttl is not None:
-                return band_ttl
-        return self.ttl
 
     def _expired(self, path: str, bands: Optional[int] = None) -> bool:
         ttl = self.effective_ttl(bands)
@@ -528,9 +543,10 @@ class TieredCache:
     ) -> Optional[str]:
         """Probe memory then disk; promote disk hits into memory.
 
-        *bands* selects the disk tier's per-band TTL (``ttl_by_bands``).
+        *bands* selects the per-band TTL (``ttl_by_bands``) both tiers
+        apply.
         """
-        text = self.memory.get(key)
+        text = self.memory.get(key, bands)
         if text is not None:
             return text
         if self.disk is not None:

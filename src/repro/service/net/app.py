@@ -96,6 +96,8 @@ class HttpApp:
         self.tls_cert = tls_cert
         self.tls_key = tls_key
         self.stats = stats
+        # served from the first scrape, so a rate over it starts at 0
+        stats.count("http_internal_errors", 0)
         self.host = host
         self.port = port
         self.max_body = max_body
@@ -359,6 +361,7 @@ class HttpApp:
         except WireError as exc:
             reply = 400, error_to_wire("bad_request", str(exc)), {}
         except Exception as exc:  # never leak a traceback as a hung socket
+            self.stats.count("http_internal_errors")
             reply = (
                 500,
                 error_to_wire("internal", f"{type(exc).__name__}: {exc}"),

@@ -243,34 +243,10 @@ class RemoteCompileService:
         self,
         target: Union[QuantumCircuit, nx.Graph],
         backend: Optional[Backend] = None,
-        mode: str = "min_depth",
-        qubit_limit: Optional[int] = None,
-        reset_style: str = "cif",
-        seed: int = 11,
-        auto_commuting: bool = True,
-        parallel: bool = True,
-        strategy: str = "auto",
-        objective: Optional[str] = None,
-        portfolio_workers: Optional[int] = None,
-        calib_bands: Optional[int] = None,
+        **knobs: Any,
     ) -> CompileReport:
         """Remote cached ``caqr_compile`` — same signature as the local one."""
-        return self.compile_request(
-            CompileRequest(
-                target=target,
-                backend=backend,
-                mode=mode,
-                qubit_limit=qubit_limit,
-                reset_style=reset_style,
-                seed=seed,
-                auto_commuting=auto_commuting,
-                parallel=parallel,
-                strategy=strategy,
-                objective=objective,
-                portfolio_workers=portfolio_workers,
-                calib_bands=calib_bands,
-            )
-        )
+        return self.compile_request(CompileRequest(target, backend, **knobs))
 
     def compile_request(self, request: CompileRequest) -> CompileReport:
         """Serve one :class:`CompileRequest` through the remote cache."""

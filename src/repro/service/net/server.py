@@ -368,10 +368,11 @@ class CompileServer(HttpApp):
         """Worker-thread cache probe: ``(encoded hit body | None, key, "hit")``."""
         with self.stats.timed("fingerprint"):
             key = request.fingerprint()
-        shard = request.shard()
-        body = self._warm_envelope(key, shard)
+        body = self._warm_envelope(key, request)
         if body is None:
-            entry = self.service._lookup_entry(key, shard)
+            entry = self.service._lookup_entry(
+                key, request.shard(), request.resolved_calib_bands()
+            )
             if entry is None:
                 self.stats.count("cache_only_misses")
                 return None, key, "hit"
@@ -383,16 +384,20 @@ class CompileServer(HttpApp):
         self.stats.count("cache_only_hits")
         return body, key, "hit"
 
-    def _warm_envelope(self, key: str, shard: str) -> Optional[bytes]:
-        """The cached envelope for *key*, dropped if its entry is gone.
+    def _warm_envelope(self, key: str, request) -> Optional[bytes]:
+        """The cached envelope for *request* (fingerprint *key*), dropped
+        if its entry is gone.
 
         The envelope is only as alive as the cache entry behind it (TTL
-        expiry, invalidation, clear).
+        expiry under the request's band count, invalidation, clear).
         """
         envelope = self._envelope
         body = envelope.get(key) if envelope is not None else None
         if body is not None:
-            if self.service.cache.get(key, shard) is not None:
+            entry = self.service.cache.get(
+                key, request.shard(), request.resolved_calib_bands()
+            )
+            if entry is not None:
                 return body
             envelope.invalidate(key)
         return None
@@ -411,7 +416,7 @@ class CompileServer(HttpApp):
         if envelope is not None:
             with self.stats.timed("fingerprint"):
                 key = request.fingerprint()
-            body = self._warm_envelope(key, request.shard())
+            body = self._warm_envelope(key, request)
             if body is not None:
                 self.stats.count("requests")
                 self.stats.count("hits")
@@ -435,18 +440,15 @@ class CompileServer(HttpApp):
         members, parallel = batch_from_wire(json_body(body))
         requests = [request_from_wire(member) for member in members]
         outcome, reply = await self._admitted(
-            self.service.compile_batch, requests, parallel
+            self.service.compile_batch_classified, requests, parallel
         )
         if outcome is None:
             return reply
         results = []
-        for request, report in zip(requests, outcome):
-            status = "hit" if report.from_cache else "miss"
+        for report, key, status in outcome:
             if status == "miss":
                 self._absorb_report_stats(report)
-            results.append(
-                response_to_wire(request.fingerprint(), status, report)
-            )
+            results.append(response_to_wire(key, status, report))
         return 200, {"schema": WIRE_SCHEMA_VERSION, "results": results}, {}
 
     async def _admitted(

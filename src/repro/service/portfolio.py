@@ -59,6 +59,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import (
     DEFAULT_EXACT_MAX_NODES,
     CompileReport,
+    CompileRequest,
     LaneResult,
     StrategySpec,
     _all_to_all,
@@ -71,7 +72,6 @@ from repro.compile_api import (
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
 from repro.parallel import default_workers, fans_out
-from repro.service.service import CompileRequest
 from repro.service.workers import WorkerPool
 from repro.sim.metrics import estimated_success_probability
 from repro.stats import Stats
@@ -294,21 +294,18 @@ class PortfolioCompileService:
         self,
         target: Union[QuantumCircuit, nx.Graph],
         backend: Optional[Backend] = None,
-        mode: str = "min_depth",
-        qubit_limit: Optional[int] = None,
-        reset_style: str = "cif",
-        seed: int = 11,
-        auto_commuting: bool = True,
-        parallel: bool = True,
-        objective: str = "qubits",
+        **knobs: Any,
     ) -> CompileReport:
         """Portfolio ``caqr_compile``: race the roster, keep the best.
 
-        Same signature as the single-strategy path plus *objective*; the
-        returned report carries the winner's circuit and metrics along
-        with the portfolio fields (``strategy``, ``strategy_timings``,
-        ``strategy_errors``, ``optimality_gap``, ``exact_optimal``).
+        *knobs* are the other :class:`CompileRequest` fields, by name;
+        ``objective`` defaults to ``"qubits"``.  The returned report
+        carries the winner's circuit and metrics along with the portfolio
+        fields (``strategy``, ``strategy_timings``, ``strategy_errors``,
+        ``optimality_gap``, ``exact_optimal``).
         """
+        request = CompileRequest(target, backend, **knobs)
+        objective = "qubits" if request.objective is None else request.objective
         if objective not in OBJECTIVES:
             raise ReuseError(
                 f"unknown portfolio objective {objective!r} "
@@ -316,35 +313,31 @@ class PortfolioCompileService:
             )
         if objective == "est_error" and backend is None:
             raise ReuseError("est_error objective needs a backend")
-        check_request(mode, backend, qubit_limit)
-        request = CompileRequest(
-            target=target,
-            backend=backend,
-            mode=mode,
-            qubit_limit=qubit_limit,
-            reset_style=reset_style,
-            seed=seed,
-            auto_commuting=auto_commuting,
-            parallel=parallel,
+        check_request(request.mode, backend, request.qubit_limit)
+        # the lanes run the single-strategy request: SR lanes derive their
+        # hint seeds from its fingerprint (``_sr_seed_base``)
+        request = replace(
+            request,
+            strategy="auto",
+            objective=None,
+            portfolio_workers=None,
+            calib_bands=None,
         )
-        view = commuting_view(target, auto_commuting)
+        view = commuting_view(target, request.auto_commuting)
         specs = self.roster(request, view)
         if not specs:
             raise ReuseError("empty portfolio roster")
         ordered = sorted(
             specs, key=lambda spec: (-self._win_rate(spec.name), spec.name)
         )
-        outcomes = self._run_all(ordered, request, view, parallel)
+        outcomes = self._run_all(ordered, request, view)
         return self._select(request, view, ordered, outcomes, objective)
 
     def _run_all(
-        self,
-        specs: List[StrategySpec],
-        request: CompileRequest,
-        view,
-        parallel: bool,
+        self, specs: List[StrategySpec], request: CompileRequest, view
     ) -> List[StrategyOutcome]:
-        if fans_out(None if parallel else False, len(specs), self.max_workers):
+        parallel = None if request.parallel else False
+        if fans_out(parallel, len(specs), self.max_workers):
             self.stats.count("portfolio_parallel_races")
             with self.stats.timed("portfolio_race"):
                 # one fingerprint for the whole race: every lane shares

@@ -12,6 +12,9 @@ with the two-tier cache from :mod:`repro.service.cache`:
   :class:`~repro.service.workers.WorkerPool`, and returns reports in
   **input order** regardless of completion order.
 
+Both run one path (``_serve``): lookup -> claim -> compile -> store ->
+publish; a single request is the one-member case of a batch.
+
 ``from_cache`` semantics: a report carries ``from_cache=True`` when it
 was served from an entry (or an in-flight compilation) that this request
 did not itself pay for — cache hits, in-flight joins, and duplicate batch
@@ -24,29 +27,22 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future
-from dataclasses import dataclass
 from threading import Lock
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.compile_api import CompileReport, caqr_compile
+from repro.compile_api import CompileReport, CompileRequest, caqr_compile
 from repro.exceptions import ServiceError
 from repro.hardware.backends import Backend
 from repro.parallel import default_workers, fans_out
 from repro.service.cache import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAX_ENTRIES,
-    DEFAULT_SHARD,
     DiskCache,
     MemoryCache,
     TieredCache,
-)
-from repro.service.fingerprint import (
-    banded_backend_digest,
-    request_fingerprint,
-    resolve_calib_bands,
 )
 from repro.service.serialization import dumps_entry, loads_entry
 from repro.service.workers import WorkerPool
@@ -61,87 +57,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class CompileRequest:
-    """One ``caqr_compile`` invocation, as data.
-
-    The semantic knobs (everything except ``parallel`` and
-    ``portfolio_workers``) feed the fingerprint; the two engine knobs
-    only select *how* a cold compile runs — the serial == pooled
-    harnesses pin process-pool fan-out (and the portfolio race across
-    worker counts) to identical outputs, so they never invalidate a key.  ``strategy`` and
-    ``objective`` are semantic: a portfolio compile may legitimately
-    return a different circuit than the single-strategy path.
-
-    ``calib_bands`` sets the drift tolerance of the backend digest
-    (bands per decade; ``None`` defers to ``$CAQR_CALIB_BANDS``, ``0``
-    means exact digests).  It feeds both the fingerprint and the shard,
-    so in-band calibration drift keeps a request on the same cache entry
-    *and* the same fleet member.
-    """
-
-    target: Union[QuantumCircuit, nx.Graph]
-    backend: Optional[Backend] = None
-    mode: str = "min_depth"
-    qubit_limit: Optional[int] = None
-    reset_style: str = "cif"
-    seed: int = 11
-    auto_commuting: bool = True
-    parallel: bool = True
-    strategy: str = "auto"
-    objective: Optional[str] = None
-    portfolio_workers: Optional[int] = None
-    calib_bands: Optional[int] = None
-
-    def resolved_calib_bands(self) -> Optional[int]:
-        """The effective band count (explicit value, else the env default)."""
-        return resolve_calib_bands(self.calib_bands)
-
-    def fingerprint(self) -> str:
-        """The content-addressed cache key for this request."""
-        return request_fingerprint(
-            self.target,
-            backend=self.backend,
-            mode=self.mode,
-            qubit_limit=self.qubit_limit,
-            reset_style=self.reset_style,
-            seed=self.seed,
-            auto_commuting=self.auto_commuting,
-            strategy=self.strategy,
-            objective=self.objective,
-            calib_bands=self.calib_bands,
-        )
-
-    def shard(self) -> str:
-        """The disk-cache shard this request's entry lives in.
-
-        One shard per backend calibration *band* (a 16-hex-char prefix of
-        the banded backend digest — the exact digest when banding is
-        off); backend-less requests share
-        :data:`~repro.service.cache.DEFAULT_SHARD`.  The fleet's
-        :func:`~repro.service.fleet.ring_key` routes by this value, so
-        banding also keeps in-band drift from re-homing keys across
-        servers.
-        """
-        digest = banded_backend_digest(self.backend, self.resolved_calib_bands())
-        return digest[:16] if digest else DEFAULT_SHARD
-
-
 def _cold_compile(request: CompileRequest) -> CompileReport:
-    return caqr_compile(
-        request.target,
-        backend=request.backend,
-        mode=request.mode,
-        qubit_limit=request.qubit_limit,
-        reset_style=request.reset_style,
-        seed=request.seed,
-        auto_commuting=request.auto_commuting,
-        parallel=request.parallel,
-        cache=None,
-        strategy=request.strategy,
-        objective=request.objective,
-        portfolio_workers=request.portfolio_workers,
-    )
+    # through this module's ``caqr_compile`` binding, so a tracer that
+    # wraps the entry point by name sees every cold compile the service runs
+    return caqr_compile(request.target, request.backend, **request.knobs())
 
 
 class CompileService:
@@ -162,8 +81,8 @@ class CompileService:
             (groundwork for calibration-drift invalidation).
         disk_entries / disk_bytes: optional per-shard LRU caps on the
             persistent tier (see :class:`~repro.service.cache.DiskCache`).
-        ttl_by_bands: per-``calib_bands`` TTL overrides for the
-            persistent tier — wider (coarser) drift bands tolerate more
+        ttl_by_bands: per-``calib_bands`` TTL overrides for *both*
+            tiers — wider (coarser) drift bands tolerate more
             calibration movement per entry, so they typically get
             *shorter* lifetimes than exact digests (see
             :class:`~repro.service.cache.DiskCache`).
@@ -183,7 +102,11 @@ class CompileService:
     ):
         self.stats = stats if stats is not None else Stats()
         memory = MemoryCache(
-            memory_entries, memory_bytes, stats=self.stats, ttl=ttl
+            memory_entries,
+            memory_bytes,
+            stats=self.stats,
+            ttl=ttl,
+            ttl_by_bands=ttl_by_bands,
         )
         disk = (
             DiskCache(
@@ -211,40 +134,19 @@ class CompileService:
         """Shut the pool down (idempotent; the next use respawns it)."""
         self._workers.shutdown()
 
-    # -- single-request path -------------------------------------------------
+    # -- the request path ------------------------------------------------------
 
     def compile(
         self,
         target: Union[QuantumCircuit, nx.Graph],
         backend: Optional[Backend] = None,
-        mode: str = "min_depth",
-        qubit_limit: Optional[int] = None,
-        reset_style: str = "cif",
-        seed: int = 11,
-        auto_commuting: bool = True,
-        parallel: bool = True,
-        strategy: str = "auto",
-        objective: Optional[str] = None,
-        portfolio_workers: Optional[int] = None,
-        calib_bands: Optional[int] = None,
+        **knobs: Any,
     ) -> CompileReport:
-        """Cached ``caqr_compile``: warm keys skip QS/SR entirely."""
-        return self.compile_request(
-            CompileRequest(
-                target=target,
-                backend=backend,
-                mode=mode,
-                qubit_limit=qubit_limit,
-                reset_style=reset_style,
-                seed=seed,
-                auto_commuting=auto_commuting,
-                parallel=parallel,
-                strategy=strategy,
-                objective=objective,
-                portfolio_workers=portfolio_workers,
-                calib_bands=calib_bands,
-            )
-        )
+        """Cached ``caqr_compile``: warm keys skip QS/SR entirely.
+
+        *knobs* are the other :class:`CompileRequest` fields, by name.
+        """
+        return self.compile_request(CompileRequest(target, backend, **knobs))
 
     def compile_request(self, request: CompileRequest) -> CompileReport:
         """Serve one :class:`CompileRequest` through the cache."""
@@ -262,39 +164,11 @@ class CompileService:
         header.  Callers that already derived the fingerprint (the
         server's envelope fast path) pass it to skip re-hashing.
         """
-        stats = self.stats
-        stats.count("requests")
-        if fingerprint is not None:
-            key = fingerprint
-        else:
-            with stats.timed("fingerprint"):
-                key = request.fingerprint()
-        shard = request.shard()
-        report = self._lookup(key, shard, request.resolved_calib_bands())
-        if report is not None:
-            stats.count("hits")
-            return report, key, "hit"
-        primary, future = self._claim(key)
-        if not primary:
-            # identical request already compiling: join it
-            stats.count("dedup_folds")
-            with stats.timed("deserialize"):
-                return loads_entry(future.result(), key), key, "inflight"
-        stats.count("misses")
-        try:
-            with stats.timed("compile"):
-                report = _cold_compile(request)
-            text = self._store(key, report, shard)
-            future.set_result(text)
-        except BaseException as exc:
-            future.set_exception(exc)
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-        return report, key, "miss"
-
-    # -- batch path ------------------------------------------------------------
+        self.stats.count("requests")
+        if fingerprint is None:
+            with self.stats.timed("fingerprint"):
+                fingerprint = request.fingerprint()
+        return self._serve([request], [fingerprint])[0]
 
     def compile_batch(
         self,
@@ -309,6 +183,18 @@ class CompileService:
         remaining cold keys fan out over a process pool when *parallel*
         and more than one key is cold.
         """
+        served = self.compile_batch_classified(requests, parallel, max_workers)
+        return [report for report, _, _ in served]
+
+    def compile_batch_classified(
+        self,
+        requests: Sequence[CompileRequest],
+        parallel: bool = True,
+        max_workers: Optional[int] = None,
+    ) -> List[Tuple[CompileReport, str, str]]:
+        """:meth:`compile_batch` as ``(report, fingerprint, status)`` per
+        member: a member folded onto another member's compile answers
+        ``"inflight"``, like a request that joined one in flight."""
         stats = self.stats
         for request in requests:
             if not isinstance(request, CompileRequest):
@@ -321,25 +207,48 @@ class CompileService:
         stats.count("requests", len(requests))
         with stats.timed("fingerprint"):
             keys = [request.fingerprint() for request in requests]
+        stats.count("batch_unique", len(set(keys)))
+        return self._serve(requests, keys, (parallel, max_workers or self.max_workers))
+
+    def _serve(
+        self,
+        requests: Sequence[CompileRequest],
+        keys: Sequence[str],
+        batch: Optional[Tuple[bool, int]] = None,
+    ) -> List[Tuple[CompileReport, str, str]]:
+        """The one request path: lookup -> claim -> compile -> store -> publish.
+
+        Members sharing a key fold onto the first.  Per unique key: a warm
+        entry is a hit (decoded once); otherwise the key is claimed, and
+        a key another caller already claimed is joined.  Claimed keys
+        compile, are stored and published to their joiners.  The member
+        that paid for a compile keeps its in-memory report; every other
+        member decodes its own copy of the entry.  *batch* is a batch
+        call's ``(parallel, max_workers)``: two or more cold keys may fan
+        out over the worker pool.  A single request compiles in this
+        thread.
+        """
+        stats = self.stats
         unique: Dict[str, CompileRequest] = {}
         for key, request in zip(keys, requests):
             unique.setdefault(key, request)
-        stats.count("batch_unique", len(unique))
-        stats.count("dedup_folds", len(requests) - len(unique))
+        if len(unique) < len(requests):
+            stats.count("dedup_folds", len(requests) - len(unique))
         shards = {key: request.shard() for key, request in unique.items()}
-
+        first: Dict[str, CompileReport] = {}
+        hits: set = set()
         texts: Dict[str, str] = {}
-        fresh: set = set()
         joined: Dict[str, "Future[str]"] = {}
         owned: Dict[str, "Future[str]"] = {}
         cold: List[Tuple[str, CompileRequest]] = []
         for key, request in unique.items():
-            text = self._lookup_text(
+            entry = self._lookup_entry(
                 key, shards[key], request.resolved_calib_bands()
             )
-            if text is not None:
+            if entry is not None:
                 stats.count("hits")
-                texts[key] = text
+                hits.add(key)
+                texts[key], first[key] = entry
                 continue
             primary, future = self._claim(key)
             if primary:
@@ -347,55 +256,73 @@ class CompileService:
                 owned[key] = future
                 cold.append((key, request))
             else:
+                # identical request already compiling: join it
                 stats.count("dedup_folds")
                 joined[key] = future
 
         try:
-            if cold:
-                workers = max_workers or self.max_workers
-                if fans_out(None if parallel else False, len(cold), workers):
-                    stats.count("parallel_compiles", len(cold))
-                    tasks = [("entry", key, request, None) for key, request in cold]
-                    with stats.timed("compile"):
-                        for (key, _), text in zip(
-                            cold, self.worker_pool().run(tasks)
-                        ):
-                            texts[key] = text
-                else:
-                    stats.count("serial_compiles", len(cold))
-                    for key, request in cold:
-                        with stats.timed("compile"):
-                            report = _cold_compile(request)
-                        texts[key] = dumps_entry(key, report)
-                for key, _ in cold:
-                    with stats.timed("store"):
-                        self.cache.put(key, texts[key], shards[key])
-                    fresh.add(key)
-                    owned[key].set_result(texts[key])
+            for key, report, text in self._compile_cold(cold, batch):
+                with stats.timed("store"):
+                    self.cache.put(key, text, shards[key])
+                stats.count("stores")
+                texts[key], first[key] = text, report
+                owned[key].set_result(text)
         except BaseException as exc:
-            for key, future in owned.items():
+            for future in owned.values():
                 if not future.done():
                     future.set_exception(exc)
             raise
         finally:
-            with self._lock:
-                for key in owned:
-                    self._inflight.pop(key, None)
+            if owned:
+                with self._lock:
+                    for key in owned:
+                        self._inflight.pop(key, None)
 
         for key, future in joined.items():
             texts[key] = future.result()
 
-        results: List[CompileReport] = []
-        first_fresh_seen: set = set()
+        served: List[Tuple[CompileReport, str, str]] = []
         for key in keys:
-            with stats.timed("deserialize"):
-                report = loads_entry(texts[key], key)
-            if key in fresh and key not in first_fresh_seen:
-                # the member that paid for the compilation
+            report = first.pop(key, None)
+            if report is not None:
+                status = "hit" if key in hits else "miss"
+            else:
+                with stats.timed("deserialize"):
+                    report = loads_entry(texts[key], key)
+                status = "hit" if key in hits else "inflight"
+            served.append((report, key, status))
+        return served
+
+    def _compile_cold(
+        self,
+        cold: List[Tuple[str, CompileRequest]],
+        batch: Optional[Tuple[bool, int]],
+    ) -> Iterator[Tuple[str, CompileReport, str]]:
+        """Compile the claimed keys: ``(key, report, entry text)`` each."""
+        if not cold:
+            return
+        stats = self.stats
+        pooled = False
+        if batch is not None:
+            parallel, workers = batch
+            pooled = fans_out(None if parallel else False, len(cold), workers)
+            stats.count("parallel_compiles" if pooled else "serial_compiles", len(cold))
+        if pooled:
+            tasks = [("entry", key, request, None) for key, request in cold]
+            with stats.timed("compile"):
+                texts = self.worker_pool().run(tasks)
+            for (key, _), text in zip(cold, texts):
+                with stats.timed("deserialize"):
+                    report = loads_entry(text, key)
                 report.from_cache = False
-                first_fresh_seen.add(key)
-            results.append(report)
-        return results
+                yield key, report, text
+            return
+        for key, request in cold:
+            with stats.timed("compile"):
+                report = _cold_compile(request)
+            with stats.timed("serialize"):
+                text = dumps_entry(key, report)
+            yield key, report, text
 
     # -- cache plumbing --------------------------------------------------------
 
@@ -405,6 +332,11 @@ class CompileService:
         shard: Optional[str] = None,
         bands: Optional[int] = None,
     ) -> Optional[Tuple[str, CompileReport]]:
+        """``(entry text, decoded report)`` of a warm *key*, else ``None``.
+
+        *bands* is the request's resolved ``calib_bands``; it picks the
+        TTL both tiers apply (``ttl_by_bands``).
+        """
         with self.stats.timed("lookup"):
             text = self.cache.get(key, shard, bands)
         if text is None:
@@ -420,24 +352,6 @@ class CompileService:
             return None
         return text, report
 
-    def _lookup_text(
-        self,
-        key: str,
-        shard: Optional[str] = None,
-        bands: Optional[int] = None,
-    ) -> Optional[str]:
-        entry = self._lookup_entry(key, shard, bands)
-        return entry[0] if entry is not None else None
-
-    def _lookup(
-        self,
-        key: str,
-        shard: Optional[str] = None,
-        bands: Optional[int] = None,
-    ) -> Optional[CompileReport]:
-        entry = self._lookup_entry(key, shard, bands)
-        return entry[1] if entry is not None else None
-
     def _claim(self, key: str) -> Tuple[bool, "Future[str]"]:
         """Register intent to compile *key*; False means someone beat us."""
         with self._lock:
@@ -447,16 +361,6 @@ class CompileService:
             future = Future()
             self._inflight[key] = future
             return True, future
-
-    def _store(
-        self, key: str, report: CompileReport, shard: Optional[str] = None
-    ) -> str:
-        with self.stats.timed("serialize"):
-            text = dumps_entry(key, report)
-        with self.stats.timed("store"):
-            self.cache.put(key, text, shard)
-        self.stats.count("stores")
-        return text
 
     def invalidate(self, fingerprint: str) -> bool:
         """Explicitly drop one fingerprint from both tiers (all shards).
@@ -507,8 +411,8 @@ def resolve_cache(spec: Union[None, bool, str, CompileService]):
     ``repro serve`` instance (so local and remote services are drop-in
     interchangeable); any other string — a service persisting under that
     directory; a :class:`CompileService` (or anything exposing the same
-    ``compile``/``compile_batch`` surface, e.g. an already-constructed
-    remote client) — itself.
+    ``compile_request``/``compile_batch`` surface, e.g. an
+    already-constructed remote client) — itself.
     """
     if spec is None or spec is False:
         return None
@@ -522,7 +426,7 @@ def resolve_cache(spec: Union[None, bool, str, CompileService]):
 
             return RemoteCompileService(spec)
         return CompileService(cache_dir=spec)
-    if callable(getattr(spec, "compile", None)) and callable(
+    if callable(getattr(spec, "compile_request", None)) and callable(
         getattr(spec, "compile_batch", None)
     ):
         return spec

@@ -218,13 +218,6 @@ class WorkerPool:
         except FuturesTimeoutError:
             return False
 
-    def ensure_healthy(self, timeout: float = 60.0) -> None:
-        """Ping; respawn and re-ping once; raise if the pool stays down."""
-        if self.ping(timeout=timeout):
-            return
-        if not self.ping(timeout=timeout):
-            raise ServiceError("worker pool failed health check after respawn")
-
     # -- record shipping -------------------------------------------------------
 
     def _record_for(self, fingerprint: str, request, force: bool):

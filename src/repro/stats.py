@@ -79,7 +79,8 @@ the portfolio adds ``portfolio_compiles``, ``portfolio_wins:<lane>``,
 ``portfolio_strategy:<lane>`` timers.
 
 **HTTP** (:mod:`repro.service.net`): ``http_connections``,
-``http_requests``, ``http:<path>``, ``http_errors``, ``http_rejected``,
+``http_requests``, ``http:<path>``, ``http_errors``,
+``http_internal_errors``, ``http_rejected``,
 ``http_unauthorized``, ``http_timeouts``, ``drains`` /
 ``drain_timeouts``, the server's ``envelope_*`` and ``cache_*``
 counters, the gateway's ``key_cache_*``, ``backend_*:<url>``,

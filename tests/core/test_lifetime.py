@@ -12,6 +12,12 @@ from repro.core import (
     materialize_commuting,
     vertex_separation_order,
 )
+from repro.core.qs_commuting import (
+    GREEDY_MATCHING_THRESHOLD,
+    QSCaQRCommuting,
+    resolve_matching,
+    schedule_commuting,
+)
 from repro.exceptions import ReuseError
 from repro.sim import run_counts
 from repro.workloads import power_law_graph, qaoa_maxcut_circuit, random_graph
@@ -108,6 +114,32 @@ class TestLifetimeSchedule:
             for layer_index, layer in enumerate(schedule.layers):
                 if any(pair.target in gate for gate in layer):
                     assert layer_index > fire
+
+
+class TestMatchingNames:
+    """Both commuting schedulers resolve the matching engine one way."""
+
+    def test_unknown_matching_rejected_by_both_schedulers(self):
+        graph = path_graph(6)
+        with pytest.raises(ReuseError, match="unknown matching method 'bogus'"):
+            lifetime_schedule(graph, 3, matching="bogus")
+        with pytest.raises(ReuseError, match="unknown matching method 'bogus'"):
+            schedule_commuting(graph, [], matching="bogus")
+        with pytest.raises(ReuseError, match="unknown matching method 'bogus'"):
+            QSCaQRCommuting(graph, matching="bogus").lifetime_sweep()
+
+    @pytest.mark.parametrize("edges", [20, 200])
+    def test_auto_is_the_resolved_engine(self, edges):
+        graph = nx.gnm_random_graph(30, edges, seed=7)
+        engine = resolve_matching("auto", graph)
+        assert engine == ("greedy" if edges > GREEDY_MATCHING_THRESHOLD else "blossom")
+        budget = lifetime_minimum_qubits(graph)
+        assert lifetime_schedule(graph, budget) == lifetime_schedule(
+            graph, budget, matching=engine
+        )
+        assert schedule_commuting(graph, []) == schedule_commuting(
+            graph, [], matching=engine
+        )
 
 
 class TestFloors:

@@ -278,6 +278,25 @@ class TestTtlByBands:
             DiskCache(str(tmp_path), ttl_by_bands={1: 0.0})
         with pytest.raises(ServiceError):
             DiskCache(str(tmp_path), ttl_by_bands={-1: 60.0})
+        with pytest.raises(ServiceError):
+            MemoryCache(ttl_by_bands={1: 0.0})
+
+    def test_memory_tier_applies_the_same_rule(self, tmp_path):
+        rule = dict(ttl=3600.0, ttl_by_bands={1: 60.0})
+        memory = MemoryCache(**rule)
+        disk = DiskCache(str(tmp_path), **rule)
+        for bands in (None, 0, 1, 2):
+            assert memory.effective_ttl(bands) == disk.effective_ttl(bands)
+        tier = TieredCache(memory, disk)
+        tier.put("wide", "v")
+        tier.put("fine", "v")
+        for key in ("wide", "fine"):
+            memory._stamps[key] -= 300
+        # a warm memory entry ages out under its band count's TTL...
+        assert memory.get("wide", bands=1) is None
+        # ...and an unmapped band count keeps the base TTL
+        assert tier.get("fine", bands=2) == "v"
+        assert memory.stats.counters["expired_entries"] == 1
 
 
 class TestTieredCache:

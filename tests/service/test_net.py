@@ -27,6 +27,7 @@ from repro.hardware import ibm_mumbai
 from repro.service import (
     CompileServer,
     CompileService,
+    GatewayHandle,
     RemoteCompileService,
     WireError,
     start_gateway_thread,
@@ -211,6 +212,44 @@ class TestServerRoundtrip:
         assert reports[0].metrics == reports[2].metrics
         assert server.server.service.stats.counters["misses"] == 2
         assert server.server.service.stats.counters["dedup_folds"] == 1
+
+    def test_batch_labels_come_from_the_request_path(self, server, monkeypatch):
+        calls = []
+        fingerprint = CompileRequest.fingerprint
+
+        def counted(request):
+            calls.append(request)
+            return fingerprint(request)
+
+        monkeypatch.setattr(CompileRequest, "fingerprint", counted)
+        members = [
+            request_to_wire(CompileRequest(target=bv_circuit(n))) for n in (5, 6, 5)
+        ]
+        calls.clear()
+        body = json.dumps(
+            {"schema": WIRE_SCHEMA_VERSION, "requests": members, "parallel": False}
+        ).encode()
+        status, payload = _request(server, "POST", "/v1/compile_batch", body)
+        assert status == 200
+        results = payload["results"]
+        assert [r["cache_status"] for r in results] == ["miss", "miss", "inflight"]
+        assert results[0]["fingerprint"] == results[2]["fingerprint"]
+        # each member is fingerprinted once, by the service
+        assert len(calls) == 3
+        assert server.server.service.stats.counters["stores"] == 2
+
+    def test_envelope_hit_honours_band_ttl(self):
+        handle = start_server_thread(service=CompileService(ttl_by_bands={1: 0.5}))
+        try:
+            with RemoteCompileService(handle.url, backoff=0.01) as remote:
+                request = CompileRequest(target=bv_circuit(5), calib_bands=1)
+                statuses = [remote.compile_classified(request)[2] for _ in range(3)]
+                assert statuses == ["miss", "hit", "hit"]
+                assert handle.server.stats.counters["envelope_hits"] == 1
+                time.sleep(1.0)
+                assert remote.compile_classified(request)[2] == "miss"
+        finally:
+            handle.stop()
 
     def test_remote_equals_local(self, client):
         circuit = bv_circuit(7)
@@ -422,6 +461,36 @@ class TestScaffold:
             assert outcome["report"].metrics is not None
             handle.thread.join(30)
             assert not handle.thread.is_alive(), f"{kind} failed to drain"
+
+
+    def test_route_crash_is_a_counted_internal_error(self, front):
+        async def crash(headers, body):
+            raise RuntimeError("route bug")
+
+        front.app._routes["/v1/crash"] = ("GET", crash)
+        prefix = "caqr_gateway" if isinstance(front, GatewayHandle) else "caqr"
+        metric = f"{prefix}_http_internal_errors_total"
+        assert _counter(front, metric) == 0
+        status, payload = _request(front, "GET", "/v1/crash")
+        assert status == 500
+        assert payload["error"]["code"] == "internal"
+        assert "RuntimeError: route bug" in payload["error"]["message"]
+        assert _counter(front, metric) == 1
+        assert front.app.stats.counters["http_internal_errors"] == 1
+
+
+def _counter(handle, metric):
+    """One unlabelled sample of *handle*'s ``GET /v1/metrics`` body."""
+    conn = http.client.HTTPConnection(handle.app.host, handle.app.port)
+    try:
+        conn.request("GET", "/v1/metrics")
+        text = conn.getresponse().read().decode()
+    finally:
+        conn.close()
+    for line in text.splitlines():
+        if line.startswith(metric + " "):
+            return float(line.split(" ")[1])
+    raise AssertionError(f"{metric} not served")
 
 
 class TestServerErrors:

@@ -1,6 +1,7 @@
 """CompileService behaviour: hits, dedup, batching, corruption recovery."""
 
 import threading
+import time
 
 import pytest
 
@@ -210,6 +211,121 @@ class TestBatch:
     def test_non_request_member_rejected(self):
         with pytest.raises(ServiceError):
             CompileService().compile_batch([bv_circuit(4)])
+
+
+class TestRequestPath:
+    """Single and batch compiles share one lookup/claim/compile/store path."""
+
+    def test_batch_stores_every_cold_key(self):
+        service = CompileService()
+        served = service.compile_batch_classified(
+            [CompileRequest(bv_circuit(5)), CompileRequest(bv_circuit(6))],
+            parallel=False,
+        )
+        assert [status for _, _, status in served] == ["miss", "miss"]
+        assert service.stats.counters["stores"] == 2
+        assert service.stats.timers["serialize"] > 0
+
+    def test_pooled_batch_stores_every_cold_key(self):
+        service = CompileService(max_workers=2)
+        try:
+            service.compile_batch(
+                [CompileRequest(bv_circuit(5)), CompileRequest(bv_circuit(6))]
+            )
+            assert service.stats.counters["parallel_compiles"] == 2
+            assert service.stats.counters["stores"] == 2
+        finally:
+            service.close()
+
+    def test_batch_labels_match_the_single_path(self):
+        service = CompileService()
+        service.compile(bv_circuit(5))
+        requests = [CompileRequest(bv_circuit(n)) for n in (6, 5, 6, 5)]
+        served = service.compile_batch_classified(requests, parallel=False)
+        # a duplicate folded onto another member's compile is "inflight",
+        # a duplicate of a warm key is a hit like its first member
+        assert [status for _, _, status in served] == [
+            "miss", "hit", "inflight", "hit",
+        ]
+        assert [key for _, key, _ in served] == [r.fingerprint() for r in requests]
+        assert [report.from_cache for report, _, _ in served] == [
+            False, True, True, True,
+        ]
+        # every member holds its own report object
+        assert len({id(report) for report, _, _ in served}) == 4
+
+    def test_single_request_is_not_a_batch(self):
+        service = CompileService()
+        service.compile(bv_circuit(5))
+        counters = service.stats.counters
+        assert counters["requests"] == counters["stores"] == 1
+        for name in ("batch_calls", "batch_unique", "serial_compiles", "dedup_folds"):
+            assert name not in counters
+
+    def test_batch_member_joins_a_compile_in_flight(self, monkeypatch):
+        import repro.service.service as service_module
+
+        started, release = threading.Event(), threading.Event()
+        original = service_module._cold_compile
+
+        def slow(request):
+            started.set()
+            assert release.wait(30)
+            return original(request)
+
+        monkeypatch.setattr(service_module, "_cold_compile", slow)
+        service = CompileService()
+        single = []
+        thread = threading.Thread(
+            target=lambda: single.append(
+                service.compile_classified(CompileRequest(bv_circuit(6)))
+            )
+        )
+        thread.start()
+        assert started.wait(30)
+        monkeypatch.setattr(service_module, "_cold_compile", original)
+        batch = []
+        joiner = threading.Thread(
+            target=lambda: batch.extend(
+                service.compile_batch_classified(
+                    [CompileRequest(bv_circuit(6)), CompileRequest(bv_circuit(4))],
+                    parallel=False,
+                )
+            )
+        )
+        joiner.start()
+        deadline = time.monotonic() + 30
+        while "dedup_folds" not in service.stats.counters:
+            assert time.monotonic() < deadline, "the batch never joined"
+            time.sleep(0.01)
+        release.set()
+        thread.join(60)
+        joiner.join(60)
+        assert single[0][2] == "miss"
+        assert [status for _, _, status in batch] == ["inflight", "miss"]
+        assert batch[0][0].from_cache is True
+        assert service.stats.counters["stores"] == 2
+
+
+class TestTtlByBands:
+    """``ttl_by_bands`` governs both tiers: a warm memory entry ages out
+    under its band count's TTL exactly like its disk file."""
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_band_ttl_expires_the_memory_tier(self, tmp_path, persistent):
+        cache_dir = str(tmp_path) if persistent else None
+        service = CompileService(cache_dir=cache_dir, ttl_by_bands={1: 0.2})
+        banded = CompileRequest(bv_circuit(5), calib_bands=1)
+        unmapped = CompileRequest(bv_circuit(5), calib_bands=2)
+        assert service.compile_classified(banded)[2] == "miss"
+        assert service.compile_classified(unmapped)[2] == "miss"
+        time.sleep(0.5)
+        assert service.compile_classified(banded)[2] == "miss"
+        # an unmapped band count falls back to the base TTL (none here)
+        assert service.compile_classified(unmapped)[2] == "hit"
+        if persistent:
+            fresh = CompileService(cache_dir=cache_dir, ttl_by_bands={1: 0.2})
+            assert fresh.compile_classified(unmapped)[2] == "hit"
 
 
 class TestConcurrentDedup:
