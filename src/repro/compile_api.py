@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import closing
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple, Union
 
 import networkx as nx
@@ -251,16 +252,26 @@ class CompileRequest:
 
         return resolve_calib_bands(self.calib_bands)
 
+    @cached_property
+    def _backend_key(self) -> Tuple[Optional[int], Optional[str]]:
+        """The resolved band count and the banded backend digest, computed
+        once per request: the fingerprint and the shard both read them."""
+        from repro.service.fingerprint import banded_backend_digest
+
+        bands = self.resolved_calib_bands()
+        return bands, banded_backend_digest(self.backend, bands)
+
     def fingerprint(self) -> str:
         """The content-addressed cache key for this request."""
-        from repro.service.fingerprint import request_fingerprint
+        from repro.service.fingerprint import _keyed_fingerprint
 
+        bands, digest = self._backend_key
         semantic = {
             name: value
             for name, value in self.knobs().items()
-            if name not in ENGINE_KNOBS
+            if name not in ENGINE_KNOBS and name != "calib_bands"
         }
-        return request_fingerprint(self.target, self.backend, **semantic)
+        return _keyed_fingerprint(self.target, digest, bands, **semantic)
 
     def shard(self) -> str:
         """The disk-cache shard this request's entry lives in.
@@ -274,9 +285,8 @@ class CompileRequest:
         servers.
         """
         from repro.service.cache import DEFAULT_SHARD
-        from repro.service.fingerprint import banded_backend_digest
 
-        digest = banded_backend_digest(self.backend, self.resolved_calib_bands())
+        digest = self._backend_key[1]
         return digest[:16] if digest else DEFAULT_SHARD
 
 

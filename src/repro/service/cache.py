@@ -147,11 +147,13 @@ class MemoryCache(_TtlRule):
         self.stats.count("memory_hits")
         return text
 
-    def put(self, key: str, text: str) -> None:
+    def put(self, key: str, text: str, age: float = 0.0) -> None:
         """Insert/refresh *key*; evict LRU entries past either cap.
 
-        Entries larger than ``max_bytes`` on their own are not cached
-        (evicting the whole tier for one giant report helps nobody).
+        *age* back-dates the entry by the seconds it has already lived
+        in another tier, so it expires when that copy does.  Entries
+        larger than ``max_bytes`` on their own are not cached (evicting
+        the whole tier for one giant report helps nobody).
         """
         size = len(text.encode())
         if size > self.max_bytes:
@@ -159,7 +161,7 @@ class MemoryCache(_TtlRule):
         if key in self._entries:
             self._bytes -= len(self._entries.pop(key).encode())
         self._entries[key] = text
-        self._stamps[key] = time.monotonic()
+        self._stamps[key] = time.monotonic() - age
         self._bytes += size
         while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
             evicted_key, evicted = self._entries.popitem(last=False)
@@ -258,15 +260,6 @@ class DiskCache(_TtlRule):
             return None
         return text
 
-    def _expired(self, path: str, bands: Optional[int] = None) -> bool:
-        ttl = self.effective_ttl(bands)
-        if ttl is None:
-            return False
-        try:
-            return time.time() - os.path.getmtime(path) > ttl
-        except OSError:
-            return False
-
     def get(
         self,
         key: str,
@@ -279,13 +272,20 @@ class DiskCache(_TtlRule):
         selects the per-band TTL (see ``ttl_by_bands``) and is otherwise
         inert.
         """
+        return self._lookup(key, shard, bands)[0]
+
+    def _lookup(
+        self, key: str, shard: Optional[str], bands: Optional[int]
+    ) -> Tuple[Optional[str], float]:
+        """:meth:`get`'s text and the entry's age in seconds (0 when no
+        TTL applies: mtime is then recency, not age)."""
         path = self._path(key, shard)
         text = self._read(path)
         if text is None:
             legacy = self._legacy_path(key)
             text = self._read(legacy)
             if text is None:
-                return None
+                return None, 0.0
             # lazy migration of a pre-shard flat entry into its shard
             try:
                 os.makedirs(self._shard_dir(shard), exist_ok=True)
@@ -293,16 +293,21 @@ class DiskCache(_TtlRule):
                 self.stats.count("migrated_entries")
             except OSError:
                 path = legacy  # best effort; serve the entry in place
-        if self._expired(path, bands):
-            self.stats.count("expired_entries")
+        ttl = self.effective_ttl(bands)
+        age = 0.0
+        if ttl is not None:
             try:
-                os.remove(path)
+                age = max(0.0, time.time() - os.path.getmtime(path))
             except OSError:
                 pass
-            return None
-        if self.effective_ttl(bands) is None and (
-            self.max_entries_per_shard or self.max_bytes_per_shard
-        ):
+            if age > ttl:
+                self.stats.count("expired_entries")
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
+                return None, 0.0
+        elif self.max_entries_per_shard or self.max_bytes_per_shard:
             # refresh recency so the evictor is LRU, not oldest-written;
             # with a TTL, mtime is the entry's age and must not move
             try:
@@ -310,7 +315,7 @@ class DiskCache(_TtlRule):
             except OSError:
                 pass
         self.stats.count("disk_hits")
-        return text
+        return text, age
 
     def _drop_corrupt(self, path: str) -> None:
         self.stats.count("corrupt_entries")
@@ -544,15 +549,16 @@ class TieredCache:
         """Probe memory then disk; promote disk hits into memory.
 
         *bands* selects the per-band TTL (``ttl_by_bands``) both tiers
-        apply.
+        apply.  A promoted entry keeps its disk age, so both tiers
+        expire it at the same moment.
         """
         text = self.memory.get(key, bands)
         if text is not None:
             return text
         if self.disk is not None:
-            text = self.disk.get(key, shard, bands)
+            text, age = self.disk._lookup(key, shard, bands)
             if text is not None:
-                self.memory.put(key, text)
+                self.memory.put(key, text, age)
                 return text
         return None
 

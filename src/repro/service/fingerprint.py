@@ -218,22 +218,40 @@ def request_fingerprint(
     keys bit for bit (the ``calib_bands`` payload entry only appears when
     banding is on).
     """
+    bands = resolve_calib_bands(calib_bands)
+    return _keyed_fingerprint(
+        target,
+        banded_backend_digest(backend, bands),
+        bands,
+        mode=mode,
+        qubit_limit=qubit_limit,
+        reset_style=reset_style,
+        seed=seed,
+        auto_commuting=auto_commuting,
+        strategy=strategy,
+        objective=objective,
+    )
+
+
+def _keyed_fingerprint(
+    target: Union[QuantumCircuit, nx.Graph],
+    backend_key: Optional[str],
+    bands: Optional[int],
+    **knobs: Any,
+) -> str:
+    """:func:`request_fingerprint` over an already computed banded
+    backend digest and resolved band count (a ``CompileRequest`` computes
+    them once for its key and its shard)."""
     if isinstance(target, nx.Graph):
         target_kind, target_hash = "graph", graph_digest(target)
     else:
         target_kind, target_hash = "circuit", circuit_digest(target)
-    bands = resolve_calib_bands(calib_bands)
     payload: Dict[str, Any] = {
         "target_kind": target_kind,
         "target": target_hash,
-        "backend": banded_backend_digest(backend, bands),
-        "mode": mode,
-        "qubit_limit": qubit_limit,
-        "reset_style": reset_style,
-        "seed": seed,
-        "auto_commuting": bool(auto_commuting),
-        "strategy": strategy,
-        "objective": objective,
+        "backend": backend_key,
+        **knobs,
+        "auto_commuting": bool(knobs["auto_commuting"]),
     }
     if bands:
         payload["calib_bands"] = bands

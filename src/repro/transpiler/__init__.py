@@ -1,4 +1,5 @@
-"""Baseline transpiler: layout, SABRE routing, scheduling, optimisation."""
+"""Baseline transpiler: layout, SABRE routing, peephole optimisation, ASAP
+scheduling and the one pipeline, ``transpile()``."""
 
 from repro.transpiler.basis import decompose_ccx, decompose_swaps, decompose_to_two_qubit
 from repro.transpiler.layout import Layout, greedy_degree_layout, trivial_layout
@@ -10,12 +11,6 @@ from repro.transpiler.optimization import (
     zyz_angles,
 )
 from repro.transpiler.pipeline import TranspileResult, transpile
-from repro.transpiler.commutation import (
-    commutation_aware_cancel,
-    instructions_commute,
-)
-from repro.transpiler.timing import insert_delays, schedule_alap
-from repro.transpiler.translation import NATIVE_BASIS, is_in_basis, translate_to_basis
 from repro.transpiler.sabre import RoutingResult, sabre_layout, sabre_route
 from repro.transpiler.scheduling import (
     Schedule,
@@ -45,11 +40,4 @@ __all__ = [
     "decompose_to_two_qubit",
     "transpile",
     "TranspileResult",
-    "translate_to_basis",
-    "is_in_basis",
-    "NATIVE_BASIS",
-    "schedule_alap",
-    "insert_delays",
-    "commutation_aware_cancel",
-    "instructions_commute",
 ]

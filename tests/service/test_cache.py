@@ -2,6 +2,7 @@
 backend-digest sharding, TTL expiry, and explicit invalidation."""
 
 import os
+import time
 
 import pytest
 
@@ -272,6 +273,23 @@ class TestTtlByBands:
         self._age(tmp_path, DEFAULT_SHARD, "k", 300)
         assert tier.get("k", bands=1) is None
         assert disk.stats.counters["expired_entries"] == 1
+
+    def test_promoted_disk_hit_keeps_its_age(self, tmp_path):
+        """A disk hit promoted into a second process's memory tier
+        expires when the disk entry does, not one TTL after the hit."""
+        from repro.service import CompileService
+        from repro.workloads import bv_circuit
+
+        ttl = 1.0
+        CompileService(cache_dir=str(tmp_path), ttl=ttl).compile(bv_circuit(4))
+        written = time.monotonic()
+        reader = CompileService(cache_dir=str(tmp_path), ttl=ttl)
+        time.sleep(0.5 * ttl)
+        assert reader.compile(bv_circuit(4)).from_cache
+        # past the disk entry's TTL, before a fresh stamp's would run out
+        time.sleep(max(0.0, written + 1.25 * ttl - time.monotonic()))
+        assert not reader.compile(bv_circuit(4)).from_cache
+        assert reader.stats.counters["expired_entries"] >= 1
 
     def test_invalid_ttl_by_bands_rejected(self, tmp_path):
         with pytest.raises(ServiceError):

@@ -145,3 +145,22 @@ def test_uncached_compile_loads_no_service_module():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("calib_bands", [0, 4])
+def test_warm_hit_encodes_the_backend_once(monkeypatch, calib_bands):
+    """The fingerprint and the shard share one banded backend digest per
+    request, so an in-process warm hit encodes the backend once."""
+    from repro.service import CompileService, fingerprint
+
+    service = CompileService()
+    backend = ibm_mumbai()
+    knobs = dict(mode="min_swap", parallel=False, calib_bands=calib_bands)
+    service.compile(bv_circuit(5), backend, **knobs)
+    calls = []
+    encode = fingerprint.backend_to_json
+    monkeypatch.setattr(
+        fingerprint, "backend_to_json", lambda b: calls.append(b) or encode(b)
+    )
+    assert caqr_compile(bv_circuit(5), backend, cache=service, **knobs).from_cache
+    assert len(calls) == 1

@@ -8,9 +8,13 @@ This is the test behind the CI ``docs`` job:
 * every file in ``docs/`` is referenced from README (nothing orphaned);
 * every ``python -m repro ...`` command shown in README, the docs, and
   the ``repro.__main__`` docstring parses against ``build_parser()`` —
-  usage examples cannot drift from the actual CLI again.
+  usage examples cannot drift from the actual CLI again;
+* every backticked dotted ``repro.…`` name in the root and ``docs/``
+  markdown resolves by import plus ``getattr`` — docs cannot name a
+  module or attribute that is gone.
 """
 
+import importlib
 import os
 import re
 import shlex
@@ -37,6 +41,7 @@ DOC_FILES = sorted(
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _relpath(path):
@@ -101,6 +106,35 @@ class TestLinksResolve:
         assert not broken, (
             f"{_relpath(path)} has broken intra-repo links: {broken}"
         )
+
+
+def _resolve(name):
+    """Import the longest module prefix of dotted *name*, then ``getattr``
+    the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(name)
+
+
+class TestDottedNamesResolve:
+    @pytest.mark.parametrize("path", DOC_FILES, ids=_relpath)
+    def test_repro_names_resolve(self, path):
+        with open(path, encoding="utf-8") as handle:
+            names = sorted(set(_DOTTED_NAME.findall(handle.read())))
+        missing = []
+        for name in names:
+            try:
+                _resolve(name)
+            except (ImportError, AttributeError):
+                missing.append(name)
+        assert not missing, f"{_relpath(path)} names what does not exist: {missing}"
 
 
 class TestDocsReachable:
