@@ -1,18 +1,18 @@
 """Compile-service hot-path latency: persistent pool and envelope cache.
 
-The two perf claims of the zero-copy hot path, each measured and gated:
+The two perf claims of the service hot path, each measured and gated:
 
 * **warm-batch re-dispatch** — the same 3-member batch dispatched
   repeatedly (cache cleared between rounds, so every round recompiles)
   through a service whose batch runs on a fresh process pool
-  (:func:`repro.parallel.new_pool`) per round with the full request pickled into every task (the baseline
-  arm, defined here) vs. the real service's persistent
-  :class:`~repro.service.WorkerPool` (long-lived pool, request records
-  shipped once, then fingerprint-only tasks).  Both arms run the same
-  ``compile_batch`` path; only the pool differs.  Rounds are primed past
-  the record-shipping window first, so the timed rounds measure the
-  steady state.  Gate: baseline median >= ``MIN_SPEEDUP`` x persistent
-  median;
+  (:func:`repro.parallel.new_pool`) per round (the baseline arm, defined
+  here) vs. the real service's persistent
+  :class:`~repro.parallel.WorkerPool` (one long-lived pool).  Both arms
+  run the same ``compile_batch`` path and pickle the same
+  ``(key, request)`` payload into every task; only the pool differs.
+  Rounds are primed first, so the timed rounds measure the steady state
+  of warm workers.  Gate: baseline median >= ``MIN_SPEEDUP`` x
+  persistent median;
 * **warm-hit HTTP latency** — repeated ``/v1/compile`` for one warm
   fingerprint against a server with the encoded-envelope cache on vs.
   off.  The envelope path skips ``report_to_dict`` + JSON per hit; the
@@ -37,8 +37,6 @@ from repro.service import (
     RemoteCompileService,
     start_server_thread,
 )
-from repro.service.serialization import dumps_entry
-from repro.service.service import _cold_compile
 from repro.workloads import bv_circuit
 
 #: Hard gate: steady-state persistent re-dispatch must beat the
@@ -50,28 +48,20 @@ MIN_SPEEDUP = 2.0
 ENVELOPE_SLACK = 1.25
 
 BATCH_WIDTHS = (4, 5, 6)
-PRIME_ROUNDS = 3  # > records-shipped window (max_workers=2) for persistent
+PRIME_ROUNDS = 3  # warms both persistent workers before the timed rounds
 TIMED_ROUNDS = 7
 WARM_HITS = 150
 
 
-def _compile_entry(args):
-    """Baseline-arm task: cold-compile one pickled request into its entry."""
-    key, request = args
-    return dumps_entry(key, _cold_compile(request))
-
-
 class _PoolPerRound:
-    """``WorkerPool`` stand-in: a fresh process pool per dispatch, the full
-    request pickled into every task."""
+    """``WorkerPool`` stand-in: a fresh process pool per dispatch."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
 
-    def run(self, tasks):
-        payloads = [(key, request) for _, key, request, _ in tasks]
+    def map(self, fn, payloads):
         with new_pool(self.max_workers) as pool:
-            return list(pool.map(_compile_entry, payloads))
+            return list(pool.map(fn, payloads))
 
 
 class _PoolPerRoundService(CompileService):
@@ -85,12 +75,12 @@ def _median_redispatch(service):
     requests = [CompileRequest(target=bv_circuit(n)) for n in BATCH_WIDTHS]
     for _ in range(PRIME_ROUNDS):
         service.cache.clear()
-        service.compile_batch(requests, parallel=True, max_workers=2)
+        service.compile_batch(requests, parallel=True)
     samples = []
     for _ in range(TIMED_ROUNDS):
         service.cache.clear()
         start = time.perf_counter()
-        service.compile_batch(requests, parallel=True, max_workers=2)
+        service.compile_batch(requests, parallel=True)
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
 
@@ -103,20 +93,19 @@ def test_persistent_pool_redispatch_speedup(benchmark):
             per_round_s = _median_redispatch(per_round)
             persistent_s = _median_redispatch(persistent)
             spawns = persistent.stats.counters["worker_pool_spawns"]
-            shipped = persistent.stats.counters["worker_records_shipped"]
             tasks = persistent.stats.counters["worker_tasks"]
         finally:
             per_round.close()
             persistent.close()
-        return per_round_s, persistent_s, spawns, shipped, tasks
+        return per_round_s, persistent_s, spawns, tasks
 
-    per_round_s, persistent_s, spawns, shipped, tasks = once(benchmark, run)
+    per_round_s, persistent_s, spawns, tasks = once(benchmark, run)
     speedup = per_round_s / persistent_s
 
     rows = [
         ["pool per round", f"{per_round_s * 1000:.1f}", "1.00x"],
         [
-            "persistent (zero-copy)",
+            "persistent",
             f"{persistent_s * 1000:.1f}",
             f"{speedup:.2f}x",
         ],
@@ -126,8 +115,7 @@ def test_persistent_pool_redispatch_speedup(benchmark):
     ) + (
         f"\n{PRIME_ROUNDS} prime + {TIMED_ROUNDS} timed rounds of a "
         f"{len(BATCH_WIDTHS)}-member batch, max_workers=2\n"
-        f"persistent pool spawns={spawns}, records shipped={shipped}, "
-        f"tasks={tasks}"
+        f"persistent pool spawns={spawns}, tasks={tasks}"
     )
     emit("bench_service_latency_pool", text)
 

@@ -53,6 +53,7 @@ from repro.transpiler.pipeline import transpile
 
 __all__ = [
     "MODES",
+    "RESET_STYLES",
     "LANES",
     "CompileReport",
     "CompileRequest",
@@ -67,6 +68,9 @@ __all__ = [
 
 #: The compile modes (user intents) every strategy accepts.
 MODES = ("qubit_budget", "max_reuse", "min_depth", "min_swap")
+
+#: The reuse reset idioms: measure + conditional X, or a reset gate.
+RESET_STYLES = ("cif", "builtin")
 
 #: Modes whose output is mapped onto the backend.  The sweep modes report
 #: logical circuits, so the lanes of a race compare on equal terms.
@@ -368,7 +372,7 @@ def caqr_compile(
             "strategy='chain' needs a QuantumCircuit target "
             "(build the QAOA circuit first)"
         )
-    check_request(mode, backend, qubit_limit)
+    check_request(mode, backend, qubit_limit, reset_style)
     request = CompileRequest(
         target, backend, mode, qubit_limit, reset_style, seed, auto_commuting,
         parallel, strategy, objective, portfolio_workers, calib_bands,
@@ -376,7 +380,12 @@ def caqr_compile(
     if cache:
         from repro.service.service import resolve_cache
 
-        return resolve_cache(cache).compile_request(request)
+        service = resolve_cache(cache)
+        if isinstance(cache, str):
+            # a one-call service must not leak its pool or its socket
+            with closing(service):
+                return service.compile_request(request)
+        return service.compile_request(request)
     if strategy == "portfolio":
         from repro.service.portfolio import (
             PortfolioCompileService,
@@ -406,10 +415,13 @@ def caqr_compile(
     return assemble_report(request, run_lane(spec, request, view, parallel))
 
 
-def check_request(mode: str, backend, qubit_limit) -> None:
-    """Reject a mode outside :data:`MODES` or missing what it needs."""
+def check_request(mode: str, backend, qubit_limit, reset_style: str) -> None:
+    """Reject a mode outside :data:`MODES` or missing what it needs, and
+    a reset style outside :data:`RESET_STYLES`."""
     if mode not in MODES:
         raise ReuseError(f"unknown compile mode {mode!r}")
+    if reset_style not in RESET_STYLES:
+        raise ReuseError(f"unknown reset style {reset_style!r}")
     if mode == "min_swap" and backend is None:
         raise ReuseError("min_swap mode needs a backend")
     if mode == "qubit_budget" and qubit_limit is None:
@@ -457,7 +469,7 @@ def run_lane(spec, request, view=None, parallel=False, map_always=False) -> Lane
     mode = request.mode
     if spec.kind == "caqr":
         mode = spec.options().get("mode", mode)
-    check_request(mode, request.backend, request.qubit_limit)
+    check_request(mode, request.backend, request.qubit_limit, request.reset_style)
     result = lane(spec, request, mode, view, parallel)
     backend = request.backend
     if backend is not None and not result.mapped and (

@@ -14,29 +14,37 @@ schedules, simulator shards) comes from here:
   worker, enough items (two per worker when chunked) and a workload at
   the threshold;
 * **ordered maps** — :func:`pooled_map` (a per-call pool, one task per
-  item) and :meth:`PoolOwner.map_chunks` (ceil-div chunks on a pool the
-  owner keeps until :meth:`PoolOwner.close`) return results in input
-  order, so pooled equals serial;
+  item), :meth:`PoolOwner.map_chunks` (ceil-div chunks on a pool the
+  owner keeps until :meth:`PoolOwner.close`) and :meth:`WorkerPool.map`
+  (one task per item on a pool a service keeps across calls) return
+  results in input order, so pooled equals serial;
 * **nesting** — a process started by one of the package's pools runs
   every fan-out serial: the pools' ``initializer``
   (:func:`mark_pool_worker`) sets a flag :func:`fans_out` reads.
   Processes started any other way are unaffected.
 
-The service's persistent :class:`~repro.service.workers.WorkerPool`
-uses the same initializer.  The module imports only the standard
-library, so every layer can use it.
+This is the only module that builds a ``ProcessPoolExecutor``.  It
+imports only the standard library and :mod:`repro.exceptions`, so every
+layer can use it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from threading import Lock
 from typing import Any, Callable, List, Optional, Sequence
+
+from repro.exceptions import ServiceError
 
 __all__ = [
     "default_workers", "mark_pool_worker", "new_pool",
-    "fans_out", "chunks", "pooled_map", "PoolOwner",
+    "fans_out", "chunks", "pooled_map", "PoolOwner", "WorkerPool",
 ]
+
+#: Broken-pool respawns one :meth:`WorkerPool.map` call survives.
+MAX_RESPAWNS = 3
 
 _pool_worker = False
 
@@ -133,4 +141,87 @@ class PoolOwner:
         results: list = []
         for part in self._executor.map(fn, payloads):
             results.extend(part)
+        return results
+
+
+def _submit(pool: ProcessPoolExecutor, fn: Callable, payload: Any) -> Future:
+    try:
+        return pool.submit(fn, payload)
+    except BrokenProcessPool as exc:  # another call's worker broke it
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+class WorkerPool:
+    """A pool a long-lived service keeps across calls (thread-safe).
+
+    The pool starts on the first :meth:`map` and lives until
+    :meth:`shutdown`, which does not wait for its workers, so a server
+    drain never blocks on them; the next :meth:`map` starts a fresh one.
+    *stats* is an optional :class:`~repro.stats.Stats` sink for
+    ``worker_pool_spawns``, ``worker_respawns`` and ``worker_tasks``.
+    """
+
+    def __init__(self, max_workers: int, stats=None):
+        self.max_workers = max(1, int(max_workers))
+        self.stats = stats
+        self._lock = Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        if self.stats is not None:
+            self.stats.count(name, amount)
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._pool is not pool:
+                return  # already discarded, or another call respawned it
+            self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        """Stop the pool (idempotent; the next :meth:`map` respawns it)."""
+        pool = self._pool
+        if pool is not None:
+            self._discard(pool)
+
+    def map(self, fn: Callable, payloads: Sequence[Any]) -> List[Any]:
+        """*fn* over *payloads*, one task each, results in input order.
+
+        A worker death breaks the pool: a fresh pool reruns the
+        interrupted payloads, up to :data:`MAX_RESPAWNS` times per call.
+        The first task error propagates, as from ``Executor.map``.
+        """
+        results: List[Any] = [None] * len(payloads)
+        pending = list(range(len(payloads)))
+        respawns = 0
+        while pending:
+            with self._lock:
+                if self._pool is None:
+                    self._pool = new_pool(self.max_workers)
+                    self._count("worker_pool_spawns")
+                pool = self._pool
+                futures = [_submit(pool, fn, payloads[i]) for i in pending]
+            self._count("worker_tasks", len(pending))
+            broken: List[int] = []
+            failure: Optional[BaseException] = None
+            for i, future in zip(pending, futures):
+                try:
+                    results[i] = future.result()
+                except BrokenProcessPool:
+                    broken.append(i)
+                except BaseException as exc:  # a task error
+                    failure = failure or exc
+            if broken:
+                self._count("worker_respawns")
+                self._discard(pool)
+                respawns += 1
+                if respawns > MAX_RESPAWNS:
+                    raise ServiceError(
+                        f"worker pool died {respawns} times during one map"
+                    )
+            if failure is not None:
+                raise failure
+            pending = broken
         return results

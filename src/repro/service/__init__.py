@@ -16,6 +16,7 @@ servers (:mod:`repro.service.fleet`).  See
 ``docs/ARCHITECTURE.md`` for where this layer sits.
 """
 
+from repro.parallel import WorkerPool
 from repro.service.cache import DEFAULT_SHARD, DiskCache, MemoryCache, TieredCache
 from repro.service.driftreplay import DriftReplayResult, replay_drift
 from repro.service.fingerprint import (
@@ -56,7 +57,6 @@ from repro.service.portfolio import (
     set_default_portfolio_state_path,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.workers import WorkerPool
 from repro.service.fleet import FleetState, HashRing, ring_key
 from repro.service.net import (
     CACHE_STATUSES,

@@ -269,17 +269,9 @@ class RemoteCompileService:
         return report, fingerprint, status
 
     def compile_batch(
-        self,
-        requests: Sequence[CompileRequest],
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        self, requests: Sequence[CompileRequest], parallel: bool = True
     ) -> List[CompileReport]:
-        """Remote batch compile; results in input order (like the local one).
-
-        *max_workers* is accepted for signature compatibility but the
-        server's own pool sizing wins.
-        """
-        del max_workers
+        """Remote batch compile; results in input order (like the local one)."""
         envelope = {
             "schema": WIRE_SCHEMA_VERSION,
             "requests": [request_to_wire(request) for request in requests],

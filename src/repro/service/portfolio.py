@@ -71,8 +71,7 @@ from repro.compile_api import (
 )
 from repro.exceptions import ReuseError
 from repro.hardware.backends import Backend
-from repro.parallel import default_workers, fans_out
-from repro.service.workers import WorkerPool
+from repro.parallel import WorkerPool, default_workers, fans_out
 from repro.sim.metrics import estimated_success_probability
 from repro.stats import Stats
 
@@ -112,7 +111,7 @@ def _run_strategy_worker(payload) -> StrategyOutcome:
     A failing lane is *data* — the per-strategy error channel the
     poisoned-strategy test pins — so the portfolio loses one lane, not
     the race.  Lanes run with ``parallel=False``, and a pooled race runs
-    them in :class:`~repro.service.workers.WorkerPool` workers, where
+    them in :class:`~repro.parallel.WorkerPool` workers, where
     :mod:`repro.parallel`'s nesting rule keeps every fan-out serial.
     The serial path calls this very function, so both paths compute
     identical results.
@@ -134,9 +133,8 @@ class PortfolioCompileService:
 
     Args:
         max_workers: width of the persistent
-            :class:`~repro.service.workers.WorkerPool` the lanes race on
-            (default :func:`repro.parallel.default_workers`); the
-            request ships once per worker.
+            :class:`~repro.parallel.WorkerPool` the lanes race on
+            (default :func:`repro.parallel.default_workers`).
         stats: optional shared :class:`Stats` sink for win-rate /
             error counters and per-strategy timers.
         exact_max_nodes: anytime node budget handed to the exact tier.
@@ -313,7 +311,7 @@ class PortfolioCompileService:
             )
         if objective == "est_error" and backend is None:
             raise ReuseError("est_error objective needs a backend")
-        check_request(request.mode, backend, request.qubit_limit)
+        check_request(request.mode, backend, request.qubit_limit, request.reset_style)
         # the lanes run the single-strategy request: SR lanes derive their
         # hint seeds from its fingerprint (``_sr_seed_base``)
         request = replace(
@@ -336,20 +334,15 @@ class PortfolioCompileService:
     def _run_all(
         self, specs: List[StrategySpec], request: CompileRequest, view
     ) -> List[StrategyOutcome]:
+        lanes = [(spec, request, view) for spec in specs]
         parallel = None if request.parallel else False
         if fans_out(parallel, len(specs), self.max_workers):
             self.stats.count("portfolio_parallel_races")
             with self.stats.timed("portfolio_race"):
-                # one fingerprint for the whole race: every lane shares
-                # the request, so warm workers decode it once
-                fingerprint = request.fingerprint()
-                tasks = [
-                    ("strategy", fingerprint, request, spec) for spec in specs
-                ]
-                return self.worker_pool().run(tasks)
+                return self.worker_pool().map(_run_strategy_worker, lanes)
         self.stats.count("portfolio_serial_races")
         with self.stats.timed("portfolio_race"):
-            return [_run_strategy_worker((spec, request, view)) for spec in specs]
+            return [_run_strategy_worker(lane) for lane in lanes]
 
     # -- winner selection ------------------------------------------------------
 

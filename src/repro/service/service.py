@@ -9,7 +9,7 @@ with the two-tier cache from :mod:`repro.service.cache`:
 * :meth:`CompileService.compile_batch` — many requests at once;
   deduplicates identical members by fingerprint, probes the cache per
   unique key, fans the remaining cold keys over the service's persistent
-  :class:`~repro.service.workers.WorkerPool`, and returns reports in
+  :class:`~repro.parallel.WorkerPool`, and returns reports in
   **input order** regardless of completion order.
 
 Both run one path (``_serve``): lookup -> claim -> compile -> store ->
@@ -36,7 +36,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compile_api import CompileReport, CompileRequest, caqr_compile
 from repro.exceptions import ServiceError
 from repro.hardware.backends import Backend
-from repro.parallel import default_workers, fans_out
+from repro.parallel import WorkerPool, default_workers, fans_out
 from repro.service.cache import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAX_ENTRIES,
@@ -45,7 +45,6 @@ from repro.service.cache import (
     TieredCache,
 )
 from repro.service.serialization import dumps_entry, loads_entry
-from repro.service.workers import WorkerPool
 from repro.stats import Stats
 
 __all__ = [
@@ -63,6 +62,12 @@ def _cold_compile(request: CompileRequest) -> CompileReport:
     return caqr_compile(request.target, request.backend, **request.knobs())
 
 
+def _compile_entry(payload: Tuple[str, CompileRequest]) -> str:
+    """Pool task: cold-compile one pickled request into its cache entry."""
+    key, request = payload
+    return dumps_entry(key, _cold_compile(request))
+
+
 class CompileService:
     """Content-addressed compile cache + batch engine (thread-safe).
 
@@ -71,10 +76,9 @@ class CompileService:
             cache purely in-process.
         memory_entries / memory_bytes: LRU caps of the in-process tier.
         max_workers: width of the persistent
-            :class:`~repro.service.workers.WorkerPool` that batch calls
-            fan out over (default :func:`repro.parallel.default_workers`).
-            The pool spawns lazily, is reused across batch calls, and
-            ships each request record to a worker at most once.
+            :class:`~repro.parallel.WorkerPool` that batch calls fan
+            out over (default :func:`repro.parallel.default_workers`).
+            The pool spawns lazily and is reused across batch calls.
         stats: optional shared :class:`Stats` sink.
         ttl: optional entry lifetime in seconds for *both* tiers —
             entries older than this count as misses and are dropped
@@ -171,10 +175,7 @@ class CompileService:
         return self._serve([request], [fingerprint])[0]
 
     def compile_batch(
-        self,
-        requests: Sequence[CompileRequest],
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        self, requests: Sequence[CompileRequest], parallel: bool = True
     ) -> List[CompileReport]:
         """Compile many requests; results come back in input order.
 
@@ -183,14 +184,11 @@ class CompileService:
         remaining cold keys fan out over a process pool when *parallel*
         and more than one key is cold.
         """
-        served = self.compile_batch_classified(requests, parallel, max_workers)
+        served = self.compile_batch_classified(requests, parallel)
         return [report for report, _, _ in served]
 
     def compile_batch_classified(
-        self,
-        requests: Sequence[CompileRequest],
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        self, requests: Sequence[CompileRequest], parallel: bool = True
     ) -> List[Tuple[CompileReport, str, str]]:
         """:meth:`compile_batch` as ``(report, fingerprint, status)`` per
         member: a member folded onto another member's compile answers
@@ -208,13 +206,13 @@ class CompileService:
         with stats.timed("fingerprint"):
             keys = [request.fingerprint() for request in requests]
         stats.count("batch_unique", len(set(keys)))
-        return self._serve(requests, keys, (parallel, max_workers or self.max_workers))
+        return self._serve(requests, keys, parallel)
 
     def _serve(
         self,
         requests: Sequence[CompileRequest],
         keys: Sequence[str],
-        batch: Optional[Tuple[bool, int]] = None,
+        batch: Optional[bool] = None,
     ) -> List[Tuple[CompileReport, str, str]]:
         """The one request path: lookup -> claim -> compile -> store -> publish.
 
@@ -224,9 +222,8 @@ class CompileService:
         compile, are stored and published to their joiners.  The member
         that paid for a compile keeps its in-memory report; every other
         member decodes its own copy of the entry.  *batch* is a batch
-        call's ``(parallel, max_workers)``: two or more cold keys may fan
-        out over the worker pool.  A single request compiles in this
-        thread.
+        call's ``parallel``: two or more cold keys may fan out over the
+        worker pool.  A single request compiles in this thread.
         """
         stats = self.stats
         unique: Dict[str, CompileRequest] = {}
@@ -296,7 +293,7 @@ class CompileService:
     def _compile_cold(
         self,
         cold: List[Tuple[str, CompileRequest]],
-        batch: Optional[Tuple[bool, int]],
+        batch: Optional[bool],
     ) -> Iterator[Tuple[str, CompileReport, str]]:
         """Compile the claimed keys: ``(key, report, entry text)`` each."""
         if not cold:
@@ -304,13 +301,11 @@ class CompileService:
         stats = self.stats
         pooled = False
         if batch is not None:
-            parallel, workers = batch
-            pooled = fans_out(None if parallel else False, len(cold), workers)
+            pooled = fans_out(None if batch else False, len(cold), self.max_workers)
             stats.count("parallel_compiles" if pooled else "serial_compiles", len(cold))
         if pooled:
-            tasks = [("entry", key, request, None) for key, request in cold]
             with stats.timed("compile"):
-                texts = self.worker_pool().run(tasks)
+                texts = self.worker_pool().map(_compile_entry, cold)
             for (key, _), text in zip(cold, texts):
                 with stats.timed("deserialize"):
                     report = loads_entry(text, key)

@@ -72,9 +72,9 @@ Timers: ``prefix``, ``expand``, ``walk``, ``compile``, ``execute``,
 ``disk_bytes_written``.  Gauges: ``memory_bytes``, ``memory_entries``,
 ``shard_entries:<id>``, ``shard_bytes:<id>``.  Timers: ``fingerprint``,
 ``lookup``, ``compile``, ``serialize``, ``deserialize``, ``store``.
-The worker pool adds ``worker_pool_spawns``, ``worker_respawns``,
-``worker_tasks``, ``worker_records_shipped``, ``worker_record_misses``;
-the portfolio adds ``portfolio_compiles``, ``portfolio_wins:<lane>``,
+The worker pool (:class:`repro.parallel.WorkerPool`) adds
+``worker_pool_spawns``, ``worker_respawns``, ``worker_tasks``; the
+portfolio adds ``portfolio_compiles``, ``portfolio_wins:<lane>``,
 ``portfolio_errors:<lane>`` and the ``portfolio_race`` /
 ``portfolio_strategy:<lane>`` timers.
 

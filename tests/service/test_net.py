@@ -13,15 +13,18 @@ gateway fronting one.
 """
 
 import contextlib
+import gc
 import http.client
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 import repro.service.service as service_module
+from repro.compile_api import caqr_compile
 from repro.exceptions import RemoteServiceError
 from repro.hardware import ibm_mumbai
 from repro.service import (
@@ -260,6 +263,16 @@ class TestServerRoundtrip:
         assert remote.baseline_metrics == local.baseline_metrics
         assert remote.reuse_beneficial == local.reuse_beneficial
         assert remote.qubit_saving == local.qubit_saving
+
+    def test_url_cache_closes_its_one_call_client(self, server):
+        """``caqr_compile(cache=<url>)`` leaves no keep-alive socket open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for width in (4, 5, 6):
+                caqr_compile(bv_circuit(width), cache=server.url)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_stats_endpoint(self, client):
         client.compile(bv_circuit(5))
@@ -519,6 +532,17 @@ class TestServerErrors:
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
         assert "bogus" in payload["error"]["message"]
+        assert server.server.service.stats.counters.get("stores", 0) == 0
+
+    def test_unknown_reset_style_is_a_compile_error_and_never_stored(self, server):
+        for target in (bv_circuit(5), random_graph(8, 0.3, seed=4)):
+            payload = request_to_wire(CompileRequest(target=target, mode="max_reuse"))
+            payload["knobs"]["reset_style"] = "bogus"
+            body = json.dumps(payload).encode()
+            status, reply = _request(server, "POST", "/v1/compile", body)
+            assert status == 422
+            assert reply["error"]["code"] == "compile_error"
+            assert "reset style 'bogus'" in reply["error"]["message"]
         assert server.server.service.stats.counters.get("stores", 0) == 0
 
     def test_string_bool_knob_is_bad_request_and_never_stored(self, server):

@@ -1,11 +1,13 @@
 """Tests for the top-level caqr_compile entry point."""
 
+import networkx as nx
 import pytest
 
 import repro.sim.metrics as sim_metrics
 from repro.compile_api import caqr_compile
 from repro.exceptions import HardwareError, ReuseError
 from repro.hardware import ibm_mumbai
+from repro.service import CompileService, PortfolioCompileService
 from repro.sim import run_counts
 from repro.workloads import bv_circuit, random_graph
 
@@ -69,6 +71,28 @@ class TestRegularModes:
     def test_unknown_mode(self):
         with pytest.raises(ReuseError):
             caqr_compile(bv_circuit(4), mode="teleport")
+
+    @pytest.mark.parametrize("strategy", ["auto", "chain", "portfolio"])
+    @pytest.mark.parametrize("graph", [False, True], ids=["circuit", "graph"])
+    def test_unknown_reset_style_rejected(self, graph, strategy):
+        """Checked up front for every target and strategy, and never cached."""
+        target = nx.random_regular_graph(3, 8, seed=1) if graph else bv_circuit(5)
+        rejected = "^unknown reset style 'bogus'$"
+        if graph and strategy == "chain":
+            rejected = "QuantumCircuit target"  # graphs never reach the chain engine
+        service = CompileService()
+        for cache in (None, service):
+            with pytest.raises(ReuseError, match=rejected):
+                caqr_compile(
+                    target, mode="max_reuse", reset_style="bogus",
+                    strategy=strategy, cache=cache,
+                )
+        assert service.stats.counters.get("stores", 0) == 0
+        if strategy == "portfolio":
+            with pytest.raises(ReuseError, match=rejected):
+                PortfolioCompileService(max_workers=1).compile(
+                    target, mode="max_reuse", reset_style="bogus"
+                )
 
     def test_compiled_circuit_still_correct(self):
         report = caqr_compile(bv_circuit(5), mode="max_reuse")

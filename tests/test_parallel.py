@@ -1,7 +1,10 @@
 """Tests for the one process-pool layer (``repro.parallel``)."""
 
 import ast
+import os
+import signal
 import sys
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -11,8 +14,8 @@ import repro.parallel as parallel
 from repro.compile_api import caqr_compile
 from repro.core import qs_commuting
 from repro.hardware import ibm_mumbai
-from repro.parallel import PoolOwner, chunks, fans_out, pooled_map
-from repro.service.workers import WorkerPool
+from repro.exceptions import ServiceError
+from repro.parallel import PoolOwner, WorkerPool, chunks, fans_out, pooled_map
 from repro.stats import Stats
 from repro.transpiler import sabre_layout, transpile
 from repro.workloads import bv_circuit
@@ -28,6 +31,10 @@ def _square(x):
 def _square_chunk(payload):
     offset, chunk = payload
     return [x * x + offset for x in chunk]
+
+
+def _pid(_):
+    return os.getpid()
 
 
 def _pools_inside(_):
@@ -154,7 +161,62 @@ class TestNesting:
     def test_worker_pool_workers_are_marked(self):
         pool = WorkerPool(1)
         try:
-            assert pool._ensure_pool().submit(_pools_inside, 0).result() is False
+            assert pool.map(_pools_inside, [0]) == [False]
+        finally:
+            pool.shutdown()
+
+
+class TestWorkerPool:
+    def test_crash_respawn_drill(self):
+        stats = Stats()
+        pool = WorkerPool(1, stats=stats)
+        try:
+            assert pool.map(_square, [3]) == [9]
+            with pytest.raises(ServiceError, match="worker pool died"):
+                pool.map(os._exit, [17])
+            assert stats.counters["worker_respawns"] == parallel.MAX_RESPAWNS + 1
+            # the pool heals: the next map spawns fresh workers
+            assert pool.map(_square, [4]) == [16]
+            assert stats.counters["worker_pool_spawns"] == parallel.MAX_RESPAWNS + 2
+        finally:
+            pool.shutdown()
+
+    def test_a_worker_killed_between_maps_does_not_break_the_next(self):
+        stats = Stats()
+        pool = WorkerPool(1, stats=stats)
+        try:
+            [pid] = pool.map(_pid, [0])
+            executor = pool._pool
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not executor._broken:  # the executor notices the death
+                assert time.monotonic() < deadline, "the pool never broke"
+                time.sleep(0.01)
+            # submitting to the broken pool fails at once: map respawns
+            assert pool.map(_square, [5]) == [25]
+            assert stats.counters["worker_respawns"] == 1
+            assert stats.counters["worker_pool_spawns"] == 2
+        finally:
+            pool.shutdown()
+
+    def test_results_come_back_in_input_order(self):
+        stats = Stats()
+        pool = WorkerPool(2, stats=stats)
+        items = list(range(7))
+        try:
+            assert pool.map(_square, items) == [_square(x) for x in items]
+            assert pool.map(_square, items[:3]) == [0, 1, 4]
+            assert stats.counters["worker_pool_spawns"] == 1
+            assert stats.counters["worker_tasks"] == 10
+        finally:
+            pool.shutdown()
+
+    def test_task_error_propagates(self):
+        pool = WorkerPool(2)
+        try:
+            with pytest.raises(TypeError):
+                pool.map(_square, [1, "x"])
+            assert pool.map(_square, [5]) == [25]
         finally:
             pool.shutdown()
 
@@ -204,7 +266,7 @@ class TestLayering:
         owners = {
             rel for rel, names in self._modules() if "ProcessPoolExecutor" in names
         }
-        assert owners == {"repro/parallel.py", "repro/service/workers.py"}
+        assert owners == {"repro/parallel.py"}
 
     def test_cpu_count_is_read_in_one_place(self):
         readers = {rel for rel, names in self._modules() if "cpu_count" in names}
