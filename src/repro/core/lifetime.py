@@ -202,18 +202,19 @@ def lifetime_schedule(
     _seat_births()
 
     while any(remaining[q] for q in graph.nodes):
-        frontier = nx.Graph()
+        # each live gate once, in the orientation it is first met
+        frontier = []
+        met: Set[int] = set()
         for q in active:
             for other in remaining[q]:
-                if other in active:
+                if other in active and other not in met:
                     endangered = (
                         len(remaining[q]) == 1 or len(remaining[other]) == 1
                     )
-                    frontier.add_edge(
-                        q, other, weight=reuse_weight if endangered else 1
-                    )
+                    frontier.append((q, other, reuse_weight if endangered else 1))
+            met.add(q)
         progressed = False
-        if frontier.number_of_edges():
+        if frontier:
             layer = matching_layer(frontier, matching)
             layers.append(layer)
             for a, b in layer:

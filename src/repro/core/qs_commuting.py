@@ -12,6 +12,20 @@ gate order is free, so:
   form the frontier, edges feeding reuse measurements get a larger weight,
   and a maximum-weight matching picks one parallel layer per round.
 
+A sweep builds one :class:`CommutingProblem` and schedules every pair set
+on it; a frontier that is already a matching is its own layer, with no
+matching engine run.  A candidate's cost is its schedule's layer count
+plus three levels per reuse on its longest chain, and the greedy step
+takes the first candidate of least cost.  So candidates are scored
+against the best cost so far: since every layer is a matching, no
+schedule has fewer layers than the graph's maximum degree (the *degree
+floor*), and a candidate whose floor plus chain term reaches the best is
+skipped; the others are scheduled under a *layer budget* of the best
+minus their chain term and abandoned when they reach it.  Only a
+candidate that beats the best gets a cost, and that cost is exact, so
+the chosen candidate is the one full scoring picks; the ``evaluations``
+counter still counts every candidate offered.
+
 Two matching engines are available: Edmonds' blossom algorithm (optimal,
 what the paper uses) and a greedy maximal matching (the faster variant the
 paper's Section 3.4 proposes as future work).  The driver picks greedy
@@ -38,6 +52,7 @@ __all__ = [
     "minimum_qubits_by_coloring",
     "resolve_matching",
     "matching_layer",
+    "CommutingProblem",
     "schedule_commuting",
     "CommutingSchedule",
     "materialize_commuting",
@@ -127,14 +142,135 @@ def resolve_matching(matching: str, graph: nx.Graph) -> str:
     return matching
 
 
-def matching_layer(frontier: nx.Graph, matching: str) -> List[Tuple[int, int]]:
+def matching_layer(
+    edges: Sequence[Tuple[int, int, int]], matching: str
+) -> List[Tuple[int, int]]:
     """One scheduling round: the *matching* (a resolved engine name) of
-    the weighted *frontier*, as sorted ``(low, high)`` gate keys."""
-    if matching == "blossom":
-        matched = nx.max_weight_matching(frontier, maxcardinality=True)
+    the frontier *edges* ``(a, b, weight)``, as sorted ``(low, high)``
+    gate keys.
+
+    A frontier that is already a matching (no two edges share an
+    endpoint) is matched whole by either engine, so it is returned
+    without running one.  Otherwise the frontier graph is built by
+    adding *edges* in order: its node and neighbour order, which break
+    the engines' ties, follow the caller's edge order.
+    """
+    endpoints = {v for a, b, _ in edges for v in (a, b)}
+    if len(endpoints) == 2 * len(edges):
+        matched = [(a, b) for a, b, _ in edges]
     else:
-        matched = _greedy_matching(frontier)
+        frontier = nx.Graph()
+        frontier.add_weighted_edges_from(edges)
+        if matching == "blossom":
+            matched = nx.max_weight_matching(frontier, maxcardinality=True)
+        else:
+            matched = _greedy_matching(frontier)
     return sorted(_edge_key(a, b) for a, b in matched)
+
+
+class CommutingProblem:
+    """One commuting gate set, prepared once and scheduled many times.
+
+    A QS sweep schedules the same graph under every candidate pair set;
+    this holds what those runs share: the sorted gates as int ids, each
+    qubit's gates and the degree floor.
+
+    Attributes:
+        gates: the graph's edges as sorted ``(low, high)`` keys; a gate's
+            id is its index.
+        floor: the most gates on one qubit.  Every layer is a matching,
+            so no pair set schedules in fewer layers.
+    """
+
+    def __init__(
+        self,
+        graph: nx.Graph,
+        matching: str = "auto",
+        reuse_weight: int = REUSE_GATE_WEIGHT,
+    ):
+        self.matching = resolve_matching(matching, graph)
+        self.reuse_weight = reuse_weight
+        self.gates: List[Tuple[int, int]] = sorted(
+            _edge_key(*edge) for edge in graph.edges
+        )
+        self.gate_id = {gate: i for i, gate in enumerate(self.gates)}
+        # the frontier is scanned in the iteration order of ``set(gates)``,
+        # the order the scheduler has always used: the matching engines
+        # break ties by the frontier graph's insertion order
+        self.scan_order = [self.gate_id[gate] for gate in set(self.gates)]
+        self.gates_of: Dict[int, List[int]] = {q: [] for q in graph.nodes}
+        for i, (a, b) in enumerate(self.gates):
+            self.gates_of[a].append(i)
+            if b != a:
+                self.gates_of[b].append(i)
+        self.floor = max((len(ids) for ids in self.gates_of.values()), default=0)
+
+    def schedule(
+        self, pairs: Sequence[ReusePair], budget: Optional[int] = None
+    ) -> Optional[CommutingSchedule]:
+        """The paper's Step 1-3 scheduler for *pairs* (see
+        :func:`schedule_commuting`), or ``None`` once the schedule reaches
+        *budget* layers.
+
+        Raises:
+            ReuseError: when the pair set is cyclic (the schedule stalls) or
+                a pair violates Condition 1.
+        """
+        gates_of = self.gates_of
+        feeds: Dict[int, List[ReusePair]] = {}
+        pending: Dict[ReusePair, int] = {}
+        releases: Dict[ReusePair, List[int]] = {}
+        blocked = [0] * len(self.gates)
+        for pair in pairs:
+            if _edge_key(pair.source, pair.target) in self.gate_id:
+                raise ReuseError(f"{pair} violates Condition 1 (edge in graph)")
+            source_gates = gates_of.get(pair.source, [])
+            pending[pair] = len(source_gates)
+            releases[pair] = target_gates = gates_of.get(pair.target, [])
+            for g in source_gates:
+                feeds.setdefault(g, []).append(pair)
+            for g in target_gates:
+                blocked[g] += 1
+
+        done = [False] * len(self.gates)
+        left = len(self.gates)
+        layers: List[List[Tuple[int, int]]] = []
+        measure_after_layer: Dict[ReusePair, int] = {}
+
+        def _fire_ready(layer_index: int) -> None:
+            # firing only unblocks gates, so one pass in pair order fires
+            # every pair whose source gates are all scheduled
+            for pair in pairs:
+                if pair in measure_after_layer or pending[pair] > 0:
+                    continue
+                measure_after_layer[pair] = layer_index
+                for g in releases[pair]:
+                    blocked[g] -= 1
+
+        _fire_ready(-1)
+        gates, gate_id, weight = self.gates, self.gate_id, self.reuse_weight
+        while left:
+            frontier = [
+                (*gates[g], weight if g in feeds else 1)
+                for g in self.scan_order
+                if not done[g] and not blocked[g]
+            ]
+            if not frontier:
+                raise ReuseError("reuse pairs create a dependency cycle (stalled)")
+            layer = matching_layer(frontier, self.matching)
+            if not layer:
+                raise ReuseError("matching produced an empty layer")
+            layers.append(layer)
+            if budget is not None and len(layers) >= budget:
+                return None
+            for key in layer:
+                g = gate_id[key]
+                done[g] = True
+                for pair in feeds.get(g, ()):
+                    pending[pair] -= 1
+            left -= len(layer)
+            _fire_ready(len(layers) - 1)
+        return CommutingSchedule(layers, measure_after_layer)
 
 
 def schedule_commuting(
@@ -159,92 +295,16 @@ def schedule_commuting(
         ReuseError: when the pair set is cyclic (the schedule stalls) or a
             pair violates Condition 1.
     """
-    matching = resolve_matching(matching, graph)
-    gates: List[Tuple[int, int]] = sorted(_edge_key(*edge) for edge in graph.edges)
-
-    feeds: Dict[Tuple[int, int], List[ReusePair]] = {g: [] for g in gates}
-    pending_source_gates: Dict[ReusePair, int] = {}
-    blocked_by: Dict[Tuple[int, int], int] = {g: 0 for g in gates}
-    releases: Dict[ReusePair, List[Tuple[int, int]]] = {}
-
-    for pair in pairs:
-        if graph.has_edge(pair.source, pair.target):
-            raise ReuseError(f"{pair} violates Condition 1 (edge in graph)")
-        source_gates = [g for g in gates if pair.source in g]
-        target_gates = [g for g in gates if pair.target in g]
-        pending_source_gates[pair] = len(source_gates)
-        releases[pair] = target_gates
-        for g in source_gates:
-            feeds[g].append(pair)
-        for g in target_gates:
-            blocked_by[g] += 1
-
-    remaining: Set[Tuple[int, int]] = set(gates)
-    fired: Set[ReusePair] = set()
-    layers: List[List[Tuple[int, int]]] = []
-    measure_after_layer: Dict[ReusePair, int] = {}
-
-    def _fire_ready(layer_index: int) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for pair in pairs:
-                if pair in fired or pending_source_gates[pair] > 0:
-                    continue
-                fired.add(pair)
-                measure_after_layer[pair] = layer_index
-                for g in releases[pair]:
-                    blocked_by[g] -= 1
-                progressed = True
-
-    _fire_ready(-1)
-
-    while remaining:
-        frontier = [g for g in remaining if blocked_by[g] == 0]
-        if not frontier:
-            raise ReuseError("reuse pairs create a dependency cycle (stalled)")
-        subgraph = nx.Graph()
-        for g in frontier:
-            subgraph.add_edge(g[0], g[1], weight=reuse_weight if feeds[g] else 1)
-        layer = matching_layer(subgraph, matching)
-        if not layer:
-            raise ReuseError("matching produced an empty layer")
-        layers.append(layer)
-        for g in layer:
-            remaining.discard(g)
-            for pair in feeds[g]:
-                pending_source_gates[pair] -= 1
-        _fire_ready(len(layers) - 1)
-    return CommutingSchedule(layers, measure_after_layer)
+    return CommutingProblem(graph, matching, reuse_weight).schedule(pairs)
 
 
-def _extension_cost_worker(payload):
-    """Process-pool entry point: cost of one chunk of candidate extensions.
+def _chain_cost(pairs: Sequence[ReusePair]) -> int:
+    """The reuse-chain term of a candidate's cost.
 
-    Returns ``None`` for candidates whose pair set stalls the scheduler
-    (the commuting analogue of a Condition-2 cycle).
-    """
-    (graph, pairs, matching), candidates = payload
-    costs: List[Optional[int]] = []
-    for candidate in candidates:
-        trial = pairs + [candidate]
-        try:
-            schedule = schedule_commuting(graph, trial, matching=matching)
-        except ReuseError:
-            costs.append(None)
-            continue
-        costs.append(schedule_depth_estimate(schedule, trial))
-    return costs
-
-
-def schedule_depth_estimate(
-    schedule: CommutingSchedule, pairs: Sequence[ReusePair]
-) -> int:
-    """Cheap depth proxy used to rank candidate pairs without materialising.
-
-    Gate layers contribute one level each; every reuse on a wire adds the
-    measure/reset block (~3 levels) to that wire, so the longest reuse
-    chain is weighted in.
+    A candidate pair set is ranked by a cheap depth proxy instead of a
+    materialised circuit: its schedule's layer count plus this term.
+    Every reuse on a wire adds the measure/reset block (~3 levels) to
+    that wire, so the longest reuse chain is weighted in.
     """
     parent = {pair.target: pair.source for pair in pairs}
 
@@ -260,8 +320,38 @@ def schedule_depth_estimate(
             q = parent[q]
         return depth
 
-    longest_chain = max((_depth(pair.target) for pair in pairs), default=0)
-    return schedule.num_layers + 3 * longest_chain
+    return 3 * max((_depth(pair.target) for pair in pairs), default=0)
+
+
+def _extension_cost_worker(payload):
+    """Cost of one chunk of candidate extensions (also a process-pool
+    entry point), scored against the best so far.
+
+    Only the first candidate of least cost can win, so a candidate is
+    scored exactly only while it can still beat the chunk's best: it is
+    skipped when the degree floor plus its chain term already reaches
+    the best, and its schedule is abandoned once its layers do.
+    Skipped, abandoned and stalled candidates cost ``None``.  The
+    first-minimum index over the chunk is unchanged.
+    """
+    (problem, pairs), candidates = payload
+    costs: List[Optional[int]] = []
+    best: Optional[int] = None
+    for candidate in candidates:
+        trial = pairs + [candidate]
+        chain = _chain_cost(trial)
+        schedule = None
+        if best is None or problem.floor + chain < best:
+            try:
+                schedule = problem.schedule(
+                    trial, budget=None if best is None else best - chain
+                )
+            except ReuseError:
+                pass
+        if schedule is not None:
+            best = schedule.num_layers + chain
+        costs.append(None if schedule is None else best)
+    return costs
 
 
 def _wire_assignment(
@@ -439,6 +529,7 @@ class QSCaQRCommuting(PoolOwner):
         )
         self.max_workers = max_workers or default_workers()
         self.stats = stats if stats is not None else Stats()
+        self.problem = CommutingProblem(graph, self.matching)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -446,8 +537,13 @@ class QSCaQRCommuting(PoolOwner):
         """Graph-coloring bound on achievable qubit usage."""
         return minimum_qubits_by_coloring(self.graph)
 
-    def _materialize(self, pairs: Sequence[ReusePair]) -> QSCommutingResult:
-        schedule = schedule_commuting(self.graph, pairs, matching=self.matching)
+    def _materialize(
+        self,
+        pairs: Sequence[ReusePair],
+        schedule: Optional[CommutingSchedule] = None,
+    ) -> QSCommutingResult:
+        if schedule is None:
+            schedule = self.problem.schedule(pairs)
         circuit = materialize_commuting(
             self.graph,
             pairs,
@@ -532,7 +628,7 @@ class QSCaQRCommuting(PoolOwner):
         """Depth-estimate cost per candidate (None = infeasible/cyclic)."""
         self.stats.count("evaluations", len(candidates))
         workload = len(candidates) * max(1, self.graph.number_of_edges())
-        context = (self.graph, list(pairs), self.matching)
+        context = (self.problem, list(pairs))
         if self.use_pool(len(candidates), workload):
             self.stats.count("parallel_batches")
             return self.map_chunks(_extension_cost_worker, context, candidates)
@@ -558,10 +654,7 @@ class QSCaQRCommuting(PoolOwner):
         if best_index is None:
             return None
         winner = candidates[best_index]
-        schedule = schedule_commuting(
-            self.graph, pairs + [winner], matching=self.matching
-        )
-        return winner, schedule
+        return winner, self.problem.schedule(pairs + [winner])
 
     def _best_extension_by_degree(
         self, pairs: List[ReusePair]
@@ -572,9 +665,7 @@ class QSCaQRCommuting(PoolOwner):
         for candidate in self._candidates(pairs):
             trial = pairs + [candidate]
             try:
-                schedule = schedule_commuting(
-                    self.graph, trial, matching=self.matching
-                )
+                schedule = self.problem.schedule(trial)
             except ReuseError:
                 continue
             return candidate, schedule
@@ -593,7 +684,7 @@ class QSCaQRCommuting(PoolOwner):
                 break
             pairs.append(extension[0])
             self.stats.count("steps")
-            points.append(self._materialize(pairs))
+            points.append(self._materialize(pairs, extension[1]))
         return points
 
     def reduce_to(self, qubit_limit: int) -> QSCommutingResult:
@@ -610,7 +701,7 @@ class QSCaQRCommuting(PoolOwner):
                 return current
             pairs.append(extension[0])
             self.stats.count("steps")
-            current = self._materialize(pairs)
+            current = self._materialize(pairs, extension[1])
         return current
 
     # -- lifetime (deep-reuse) strategy ----------------------------------------
@@ -621,24 +712,7 @@ class QSCaQRCommuting(PoolOwner):
         pairs, schedule = lifetime_schedule(
             self.graph, budget, matching=self.matching
         )
-        circuit = materialize_commuting(
-            self.graph,
-            pairs,
-            schedule,
-            gamma=self.gamma,
-            beta=self.beta,
-            reset_style=self.reset_style,
-            edge_angles=self.edge_angles,
-            mixer_angles=self.mixer_angles,
-        )
-        return QSCommutingResult(
-            circuit=circuit,
-            qubits=circuit.num_qubits,
-            depth=circuit.depth(),
-            duration_dt=circuit_duration_dt(circuit),
-            pairs=list(pairs),
-            schedule=schedule,
-        )
+        return self._materialize(pairs, schedule)
 
     def lifetime_floor(self) -> int:
         """Smallest budget the lifetime scheduler can realise."""

@@ -313,7 +313,9 @@ class PortfolioCompileService:
             raise ReuseError("est_error objective needs a backend")
         check_request(request.mode, backend, request.qubit_limit, request.reset_style)
         # the lanes run the single-strategy request: SR lanes derive their
-        # hint seeds from its fingerprint (``_sr_seed_base``)
+        # hint seeds from its fingerprint (``_sr_seed_base``).  Taking it
+        # here caches the backend digest on the request, so a pooled lane
+        # unpickles it instead of encoding the backend again.
         request = replace(
             request,
             strategy="auto",
@@ -321,6 +323,7 @@ class PortfolioCompileService:
             portfolio_workers=None,
             calib_bands=None,
         )
+        request.fingerprint()
         view = commuting_view(target, request.auto_commuting)
         specs = self.roster(request, view)
         if not specs:

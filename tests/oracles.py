@@ -32,6 +32,13 @@ for bit:
   referees of :class:`~repro.transpiler.sabre.RoutingProblem`'s one
   routing loop (routed QASM, SWAP count, final layout, layout search).
   :data:`SABRE_STALL_LIMIT` is the referee's own stall limit.
+* :func:`reference_schedule_commuting` and
+  :func:`reference_extension_costs` — the commuting-gate matching
+  scheduler that rebuilds its dependence graph and a networkx frontier
+  graph for every pair set, and the candidate scorer that schedules
+  every candidate to its last layer.  They are the referees of
+  :class:`~repro.core.qs_commuting.CommutingProblem` (schedules,
+  errors) and of the bounded scorer (its first-minimum candidate).
 
 The exact engine (:class:`~repro.core.exact.ExactReuse`) is the referee
 for *width* only; it does not replace any of these.
@@ -42,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import random
 from collections import Counter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -52,6 +59,12 @@ from repro.circuit.instruction import Instruction
 from repro.core import session as _session
 from repro.core.conditions import ReuseAnalysis, ReusePair
 from repro.core.evaluate import evaluate_pair_depth, evaluate_pair_duration
+from repro.core.qs_commuting import (
+    REUSE_GATE_WEIGHT,
+    CommutingSchedule,
+    _greedy_matching,
+    resolve_matching,
+)
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
 from repro.core.sr_caqr import _DIRTY, _FRESH, SRCaQR, SRCaQRResult
 from repro.core.transform import apply_reuse_pair
@@ -72,9 +85,11 @@ __all__ = [
     "nx_potential",
     "reference_canonical",
     "reference_chain_merges",
+    "reference_extension_costs",
     "reference_reach",
     "reference_sabre_layout",
     "reference_sabre_route",
+    "reference_schedule_commuting",
     "reuse_potential",
 ]
 
@@ -968,3 +983,136 @@ def reference_sabre_layout(
             best_layout = layout
     assert best_layout is not None
     return best_layout
+
+
+# -- commuting-gate scheduler --------------------------------------------------
+
+
+def _edge_key(a: int, b: int) -> Tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def reference_matching_layer(frontier: nx.Graph, matching: str) -> List[Tuple[int, int]]:
+    """One scheduling round: the *matching* (a resolved engine name) of
+    the weighted *frontier*, as sorted ``(low, high)`` gate keys."""
+    if matching == "blossom":
+        matched = nx.max_weight_matching(frontier, maxcardinality=True)
+    else:
+        matched = _greedy_matching(frontier)
+    return sorted(_edge_key(a, b) for a, b in matched)
+
+
+def reference_schedule_commuting(
+    graph: nx.Graph,
+    pairs: Sequence[ReusePair],
+    reuse_weight: int = REUSE_GATE_WEIGHT,
+    matching: str = "auto",
+) -> CommutingSchedule:
+    """The paper's Step 1-3 scheduler for a commuting gate set.
+
+    Builds the imposed dependence graph ``G_D`` (every gate on a pair's
+    source precedes its measurement node; the measurement precedes every
+    gate on the target), then repeatedly schedules a matching of
+    dependency-free gates, preferring gates that feed reuse measurements.
+
+    Raises:
+        ReuseError: when the pair set is cyclic (the schedule stalls) or a
+            pair violates Condition 1.
+    """
+    matching = resolve_matching(matching, graph)
+    gates: List[Tuple[int, int]] = sorted(_edge_key(*edge) for edge in graph.edges)
+
+    feeds: Dict[Tuple[int, int], List[ReusePair]] = {g: [] for g in gates}
+    pending_source_gates: Dict[ReusePair, int] = {}
+    blocked_by: Dict[Tuple[int, int], int] = {g: 0 for g in gates}
+    releases: Dict[ReusePair, List[Tuple[int, int]]] = {}
+
+    for pair in pairs:
+        if graph.has_edge(pair.source, pair.target):
+            raise ReuseError(f"{pair} violates Condition 1 (edge in graph)")
+        source_gates = [g for g in gates if pair.source in g]
+        target_gates = [g for g in gates if pair.target in g]
+        pending_source_gates[pair] = len(source_gates)
+        releases[pair] = target_gates
+        for g in source_gates:
+            feeds[g].append(pair)
+        for g in target_gates:
+            blocked_by[g] += 1
+
+    remaining: Set[Tuple[int, int]] = set(gates)
+    fired: Set[ReusePair] = set()
+    layers: List[List[Tuple[int, int]]] = []
+    measure_after_layer: Dict[ReusePair, int] = {}
+
+    def _fire_ready(layer_index: int) -> None:
+        progressed = True
+        while progressed:
+            progressed = False
+            for pair in pairs:
+                if pair in fired or pending_source_gates[pair] > 0:
+                    continue
+                fired.add(pair)
+                measure_after_layer[pair] = layer_index
+                for g in releases[pair]:
+                    blocked_by[g] -= 1
+                progressed = True
+
+    _fire_ready(-1)
+
+    while remaining:
+        frontier = [g for g in remaining if blocked_by[g] == 0]
+        if not frontier:
+            raise ReuseError("reuse pairs create a dependency cycle (stalled)")
+        subgraph = nx.Graph()
+        for g in frontier:
+            subgraph.add_edge(g[0], g[1], weight=reuse_weight if feeds[g] else 1)
+        layer = reference_matching_layer(subgraph, matching)
+        if not layer:
+            raise ReuseError("matching produced an empty layer")
+        layers.append(layer)
+        for g in layer:
+            remaining.discard(g)
+            for pair in feeds[g]:
+                pending_source_gates[pair] -= 1
+        _fire_ready(len(layers) - 1)
+    return CommutingSchedule(layers, measure_after_layer)
+
+
+def reference_schedule_depth_estimate(
+    schedule: CommutingSchedule, pairs: Sequence[ReusePair]
+) -> int:
+    """Layers plus three levels per reuse on the longest reuse chain."""
+    parent = {pair.target: pair.source for pair in pairs}
+
+    def _depth(q: int) -> int:
+        depth = 0
+        seen = set()
+        while q in parent and q not in seen:
+            seen.add(q)
+            depth += 1
+            q = parent[q]
+        return depth
+
+    longest_chain = max((_depth(pair.target) for pair in pairs), default=0)
+    return schedule.num_layers + 3 * longest_chain
+
+
+def reference_extension_costs(
+    graph: nx.Graph,
+    pairs: List[ReusePair],
+    candidates: Sequence[ReusePair],
+    matching: str,
+) -> List[Optional[int]]:
+    """Depth-estimate cost of every candidate extension, each scheduled to
+    its last layer; ``None`` for candidates whose pair set stalls the
+    scheduler or breaks Condition 1."""
+    costs: List[Optional[int]] = []
+    for candidate in candidates:
+        trial = pairs + [candidate]
+        try:
+            schedule = reference_schedule_commuting(graph, trial, matching=matching)
+        except ReuseError:
+            costs.append(None)
+            continue
+        costs.append(reference_schedule_depth_estimate(schedule, trial))
+    return costs

@@ -122,6 +122,30 @@ def test_sr_lanes_derive_distinct_deterministic_seed_bases():
     assert trials_base != _sr_seed_base(other, "sr-trials-5")
 
 
+def test_lane_requests_ship_the_backend_digest(monkeypatch):
+    """Every lane request carries the cached backend digest when it is
+    pickled, so a pooled SR lane's fingerprint does not re-encode the
+    backend."""
+    import pickle
+
+    import repro.service.portfolio as portfolio
+
+    shipped = []
+    run_lane = portfolio._run_strategy_worker
+
+    def record(lane):
+        shipped.append(pickle.loads(pickle.dumps(lane[1])))
+        return run_lane(lane)
+
+    monkeypatch.setattr(portfolio, "_run_strategy_worker", record)
+    caqr_compile(
+        bv_circuit(4), backend=ibm_mumbai(), mode="min_swap",
+        strategy="portfolio", parallel=False,
+    )
+    assert shipped
+    assert all("_backend_key" in request.__dict__ for request in shipped)
+
+
 def test_sr_seed_diversity_keeps_serial_pooled_determinism():
     """The per-lane seed streams must not break the race contract:
     serial and pooled min_swap races return bit-identical reports."""
