@@ -70,9 +70,7 @@ def _kernel(legacy):
 def _bv40_run(legacy, parallel=False):
     with _kernel(legacy):
         router = (ReferenceSRCaQR if legacy else SRCaQR)(
-            ibm_mumbai(),
-            parallel=parallel,
-            max_workers=2 if parallel else None,
+            ibm_mumbai(), parallel=parallel
         )
         start = time.perf_counter()
         result = router.run(bv_circuit(40), trials=TRIALS, qs_assist=True)

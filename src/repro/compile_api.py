@@ -398,6 +398,8 @@ def caqr_compile(
         # a one-call service must not leak its worker pool
         with closing(PortfolioCompileService(max_workers=portfolio_workers)) as service:
             return service.compile(target, backend, **request.knobs())
+    # ``parallel`` means "allow"; the engines take the fans_out tri-state
+    fan_out = None if parallel else False
     if strategy == "chain":
         # dual-register cost model on all-to-all (trapped-ion) backends;
         # unlike the chain lane of a race, this path maps its circuit
@@ -407,12 +409,12 @@ def caqr_compile(
         if objective is not None:
             params["objective"] = objective
         spec = StrategySpec.make("chain", "chain", **params)
-        result = run_lane(spec, request, parallel=parallel, map_always=True)
-        result.baseline = _baseline_metrics(request, parallel=parallel)
+        result = run_lane(spec, request, parallel=fan_out, map_always=True)
+        result.baseline = _baseline_metrics(request, parallel=fan_out)
         return assemble_report(request, result, strategy="chain")
     view = commuting_view(target, auto_commuting)
     spec = StrategySpec("caqr", "caqr")
-    return assemble_report(request, run_lane(spec, request, view, parallel))
+    return assemble_report(request, run_lane(spec, request, view, fan_out))
 
 
 def check_request(mode: str, backend, qubit_limit, reset_style: str) -> None:
@@ -457,11 +459,12 @@ def commuting_view(target, auto_commuting: bool = True):
 def run_lane(spec, request, view=None, parallel=False, map_always=False) -> LaneResult:
     """Run the :data:`LANES` entry of ``spec.kind`` on *request*.
 
-    *view* is the request's :func:`commuting_view`; *parallel* allows
-    process-pool fan-out, scoring and layout search alike (race lanes
-    run serially).  This is the one map-onto-backend rule: a lane's logical
-    circuit is mapped at opt-3 under :data:`MAPPED_MODES`, or under every
-    mode with *map_always* (``strategy="chain"``).
+    *view* is the request's :func:`commuting_view`; *parallel* is the
+    :func:`repro.parallel.fans_out` tri-state of every fan-out, scoring
+    and layout search alike (race lanes run serially).  This is the one
+    map-onto-backend rule: a lane's logical circuit is mapped at opt-3
+    under :data:`MAPPED_MODES`, or under every mode with *map_always*
+    (``strategy="chain"``).
     """
     lane = LANES.get(spec.kind)
     if lane is None:
@@ -477,7 +480,7 @@ def run_lane(spec, request, view=None, parallel=False, map_always=False) -> Lane
     ):
         result.circuit = transpile(
             result.circuit, backend, optimization_level=3, seed=request.seed,
-            parallel=None if parallel else False,
+            parallel=parallel,
         ).circuit
     return result
 
@@ -663,7 +666,7 @@ def _pick(points, request, mode, parallel):
     The budget point and the ``max_reuse`` pick read logical metrics
     only, so points are mapped onto the backend only under ``min_depth``
     (compiled depth) and ``min_swap`` (SWAP count), unless the sweep
-    already mapped them; *parallel* allows their layout pools.  A
+    already mapped them; *parallel* is their layout search's fan-out.  A
     ``min_swap`` pick reports the mapping of the point it selects; every
     other pick reports the logical circuit.
     """
@@ -683,12 +686,7 @@ def _pick(points, request, mode, parallel):
 def _route(request, view, parallel, **run):
     """SR-CaQR (commuting on a *view*): the routed circuit and the
     router's stats; *run* holds the router's per-run knobs."""
-    # ``parallel`` means "allow": map it onto the SR router's tri-state
-    # knob (None = auto-detect, False = serial)
-    options = dict(
-        reset_style=request.reset_style,
-        parallel=None if parallel else False,
-    )
+    options = dict(reset_style=request.reset_style, parallel=parallel)
     if view is not None:
         graph, gamma, beta = view
         if gamma is not None:
@@ -737,7 +735,7 @@ def _esp_stats(circuit, backend) -> Optional[Stats]:
     return stats
 
 
-def _baseline_metrics(request, view=None, first_point=None, parallel=True):
+def _baseline_metrics(request, view=None, first_point=None, parallel=None):
     """Metrics of the no-reuse opt-3 compile of the request's target.
 
     A graph (or QAOA *view*) compiles its textbook QAOA circuit.  A
@@ -745,7 +743,7 @@ def _baseline_metrics(request, view=None, first_point=None, parallel=True):
     options; that compile is reused whenever the point is gate-for-gate
     the baseline circuit (always for a circuit target; for a graph only
     when the commuting schedule matches the textbook QAOA circuit).
-    *parallel* allows the layout search's process pool.
+    *parallel* is the layout search's fan-out.
     """
     backend = request.backend
     if backend is None:
@@ -769,7 +767,7 @@ def _baseline_metrics(request, view=None, first_point=None, parallel=True):
     else:
         compiled = transpile(
             circuit, backend, optimization_level=3, seed=request.seed,
-            parallel=None if parallel else False,
+            parallel=parallel,
         ).circuit
     return collect_metrics(compiled, backend.calibration)
 

@@ -29,7 +29,7 @@ from repro.dag.analysis import (
 from repro.dag.dagcircuit import DAGCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner, default_workers
+from repro.parallel import PoolOwner
 
 __all__ = [
     "reuse_node_duration_dt",
@@ -182,38 +182,33 @@ class PairScorer(PoolOwner):
 
     Scores are memoised until :meth:`invalidate` is called (the greedy
     drivers call it whenever a pair is applied, since every cost can shift
-    with the DAG).  Batches whose workload (``candidates × nodes``) exceeds
-    *parallel_threshold* are chunked over the scorer's process pool
-    (:class:`repro.parallel.PoolOwner`); smaller batches run serially —
-    pool startup would dominate.
+    with the DAG).  Batches whose workload (``candidates × nodes``) reaches
+    :data:`PARALLEL_WORKLOAD_THRESHOLD` are chunked over the scorer's
+    process pool (:class:`repro.parallel.PoolOwner`); smaller batches run
+    serially — pool startup would dominate.
 
     Args:
         objective: ``"depth"`` or ``"duration"`` (matches
             :class:`~repro.core.qs_caqr.QSCaQR`).
         reset_style: reuse reset idiom, priced into the duration objective.
-        parallel: master switch for the process pool.
-        parallel_threshold: minimum ``len(pairs) * len(dag)`` workload
-            before fanning out.
-        max_workers: pool size (default :func:`repro.parallel.default_workers`).
+        parallel: the :func:`repro.parallel.fans_out` tri-state.
         stats: optional :class:`~repro.stats.Stats` sink.
     """
+
+    workload_threshold = PARALLEL_WORKLOAD_THRESHOLD
 
     def __init__(
         self,
         objective: str = "depth",
         reset_style: str = "cif",
-        parallel: bool = True,
-        parallel_threshold: int = PARALLEL_WORKLOAD_THRESHOLD,
-        max_workers: Optional[int] = None,
+        parallel: Optional[bool] = None,
         stats=None,
     ):
         if objective not in ("depth", "duration"):
             raise ReuseError(f"unknown objective {objective!r}")
+        super().__init__(parallel)
         self.objective = objective
         self.reset_style = reset_style
-        self.parallel = parallel
-        self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or default_workers()
         self.stats = stats
         self._cache: Dict[ReusePair, int] = {}
 

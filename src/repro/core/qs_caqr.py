@@ -78,12 +78,10 @@ class QSCaQR:
         lookahead_width: cap on how many of the cheapest candidates get the
             reuse-potential lookahead (None = all of them, exact for the
             paper's benchmark sizes).
-        parallel: allow process-pool fan-out of candidate scoring and the
-            lookahead on large circuits (small ones stay serial — see the
-            workload thresholds in :mod:`repro.core.evaluate` and
-            :mod:`repro.core.session`).
-        parallel_threshold: override both fan-out thresholds at once.
-        max_workers: process-pool size.
+        parallel: the :func:`repro.parallel.fans_out` tri-state for
+            candidate scoring and the lookahead; by default only large
+            circuits fan out (see the workload thresholds in
+            :mod:`repro.core.evaluate` and :mod:`repro.core.session`).
 
     The instance's :attr:`stats` (a
     :class:`~repro.stats.Stats`) accumulates evaluation
@@ -95,9 +93,7 @@ class QSCaQR:
         objective: str = "depth",
         reset_style: str = "cif",
         lookahead_width: Optional[int] = None,
-        parallel: bool = True,
-        parallel_threshold: Optional[int] = None,
-        max_workers: Optional[int] = None,
+        parallel: Optional[bool] = None,
     ):
         if objective not in ("depth", "duration"):
             raise ReuseError(f"unknown objective {objective!r}")
@@ -108,8 +104,6 @@ class QSCaQR:
         # window on very wide circuits.
         self.lookahead_width = lookahead_width
         self.parallel = parallel
-        self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers
         self.stats = Stats()
 
     # -- single greedy step ---------------------------------------------------
@@ -174,25 +168,20 @@ class QSCaQR:
 
     # -- engine plumbing --------------------------------------------------------
 
-    def _pool_knobs(self) -> dict:
-        """Fan-out knobs and the stats sink, shared by session and scorer."""
-        knobs = dict(
-            parallel=self.parallel, max_workers=self.max_workers, stats=self.stats
-        )
-        if self.parallel_threshold is not None:
-            knobs["parallel_threshold"] = self.parallel_threshold
-        return knobs
-
     def _session(self, circuit: QuantumCircuit) -> ReuseSession:
         return ReuseSession(
-            circuit, reset_style=self.reset_style, **self._pool_knobs()
+            circuit,
+            reset_style=self.reset_style,
+            parallel=self.parallel,
+            stats=self.stats,
         )
 
     def _scorer(self) -> PairScorer:
         return PairScorer(
             objective=self.objective,
             reset_style=self.reset_style,
-            **self._pool_knobs(),
+            parallel=self.parallel,
+            stats=self.stats,
         )
 
     # -- public API -------------------------------------------------------------

@@ -43,7 +43,7 @@ import networkx as nx
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner, default_workers
+from repro.parallel import PoolOwner
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
@@ -180,6 +180,11 @@ class CommutingProblem:
             id is its index.
         floor: the most gates on one qubit.  Every layer is a matching,
             so no pair set schedules in fewer layers.
+        scan_order: gate ids in the order each frontier is scanned, the
+            iteration order of a ``set`` of gate tuples.  It breaks
+            matching ties, so every commuting output depends on the
+            interpreter's tuple hash and set layout
+            (``tests/core/test_qs_commuting.py`` pins it).
     """
 
     def __init__(
@@ -475,14 +480,15 @@ class QSCaQRCommuting(PoolOwner):
         max_candidates: cap on (source, target) candidates examined per
             greedy step; low-degree qubits are preferred since they finish
             earliest (the paper's power-law observation).
-        parallel: fan per-candidate scheduler runs out to a process pool
-            when the step workload (candidates × edges) is large enough.
-        parallel_threshold: workload floor before fanning out (default
-            :data:`COMMUTING_PARALLEL_THRESHOLD`).
-        max_workers: pool size (default :func:`repro.parallel.default_workers`).
+        parallel: the :func:`repro.parallel.fans_out` tri-state for the
+            per-candidate scheduler runs, whose step workload is
+            ``candidates × edges`` against
+            :data:`COMMUTING_PARALLEL_THRESHOLD`.
         stats: :class:`~repro.stats.Stats` sink (one is
             created when omitted).
     """
+
+    workload_threshold = COMMUTING_PARALLEL_THRESHOLD
 
     def __init__(
         self,
@@ -495,9 +501,7 @@ class QSCaQRCommuting(PoolOwner):
         candidate_evaluation: str = "schedule",
         edge_angles: Optional[Dict[Tuple[int, int], float]] = None,
         mixer_angles: Optional[Dict[int, float]] = None,
-        parallel: bool = True,
-        parallel_threshold: Optional[int] = None,
-        max_workers: Optional[int] = None,
+        parallel: Optional[bool] = None,
         stats=None,
     ):
         n = graph.number_of_nodes()
@@ -521,13 +525,7 @@ class QSCaQRCommuting(PoolOwner):
         self.edge_angles = edge_angles
         self.mixer_angles = mixer_angles
         self.n = n
-        self.parallel = parallel
-        self.parallel_threshold = (
-            parallel_threshold
-            if parallel_threshold is not None
-            else COMMUTING_PARALLEL_THRESHOLD
-        )
-        self.max_workers = max_workers or default_workers()
+        super().__init__(parallel)
         self.stats = stats if stats is not None else Stats()
         self.problem = CommutingProblem(graph, self.matching)
 

@@ -38,7 +38,7 @@ from repro.core.transform import REUSE_LABEL, apply_reuse_pair
 from repro.dag.dagcircuit import DAGCircuit, _wires
 from repro.dag.reachability import descendants_bitsets, update_masks_for_node
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner, default_workers
+from repro.parallel import PoolOwner
 from repro.stats import Stats
 
 __all__ = ["ReuseSession", "POTENTIAL_WORKLOAD_THRESHOLD"]
@@ -165,29 +165,26 @@ class ReuseSession(PoolOwner):
     Args:
         circuit: the input logical circuit.
         reset_style: reuse reset idiom (``"cif"`` or ``"builtin"``).
-        parallel: fan the reuse-potential lookahead out to a process pool
-            when the per-step workload is large enough.
-        parallel_threshold: minimum ``candidates × labels²`` workload
-            before fanning out.
-        max_workers: pool size (default :func:`repro.parallel.default_workers`).
+        parallel: the :func:`repro.parallel.fans_out` tri-state for the
+            reuse-potential lookahead, whose workload is
+            ``candidates × labels²`` against
+            :data:`POTENTIAL_WORKLOAD_THRESHOLD`.
         stats: counter/timer sink (one is created when omitted).
     """
+
+    workload_threshold = POTENTIAL_WORKLOAD_THRESHOLD
 
     def __init__(
         self,
         circuit: QuantumCircuit,
         reset_style: str = "cif",
-        parallel: bool = False,
-        parallel_threshold: int = POTENTIAL_WORKLOAD_THRESHOLD,
-        max_workers: Optional[int] = None,
+        parallel: Optional[bool] = None,
         stats: Optional[Stats] = None,
     ):
         if reset_style not in ("cif", "builtin"):
             raise ReuseError(f"unknown reset style {reset_style!r}")
+        super().__init__(parallel)
         self.reset_style = reset_style
-        self.parallel = parallel
-        self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or default_workers()
         self.stats = stats if stats is not None else Stats()
         self.circuit = circuit
         self.dag = DAGCircuit.from_circuit(circuit)

@@ -103,11 +103,11 @@ class SRCaQR:
         noise_aware: weight SWAP paths and placement by calibration errors
             (when off, plain hop distance is used — the ablation knob).
         reset_style: reset idiom used at reuse points.
-        parallel: ``True`` forces the trial grid onto a process pool,
-            ``False`` forces the serial sweep, ``None`` (default) uses the
-            pool only when more than one worker and more than one grid
-            cell are available (:func:`repro.parallel.fans_out`).
-        max_workers: pool size (default :func:`repro.parallel.default_workers`).
+        parallel: the :func:`repro.parallel.fans_out` tri-state for the
+            trial grid and for the QS-CaQR sweep that feeds it
+            (*qs_assist*): ``True`` forces the process pool, ``False``
+            forces the serial sweep, ``None`` (default) pools when more
+            than one worker and more than one grid cell are available.
     """
 
     def __init__(
@@ -116,13 +116,11 @@ class SRCaQR:
         noise_aware: bool = True,
         reset_style: str = "cif",
         parallel: Optional[bool] = None,
-        max_workers: Optional[int] = None,
     ):
         self.backend = backend
         self.noise_aware = noise_aware
         self.reset_style = reset_style
         self.parallel = parallel
-        self.max_workers = max_workers
         self.stats = Stats()
         self._error_graph = self._build_error_graph()
         # error-weighted all-pairs distances for SWAP scoring, packed into
@@ -184,7 +182,6 @@ class SRCaQR:
         trials: int = 3,
         qs_assist: bool = True,
         objective: str = "swaps",
-        parallel: Optional[bool] = None,
         seed_base: Optional[int] = None,
     ) -> SRCaQRResult:
         """Compile *circuit* onto the backend with lazy mapping and reuse.
@@ -204,11 +201,11 @@ class SRCaQR:
         backend calibration (the paper's fidelity metric — "improved
         estimated success probability").
 
-        The candidate × hint-seed grid cells are independent; with
-        *parallel* (or the constructor knob) they fan out to a process
-        pool.  Cells are reduced in grid order with a strict ``<`` on the
-        objective key, so the parallel sweep selects the exact result the
-        serial sweep would.
+        The candidate × hint-seed grid cells are independent; under the
+        router's ``parallel`` they fan out to a process pool.  Cells are
+        reduced in grid order with a strict ``<`` on the objective key, so
+        the parallel sweep selects the exact result the serial sweep
+        would.
 
         *seed_base* anchors the hint-seed stream (default 17): callers
         racing several SR variants over the same circuit can hand each
@@ -221,13 +218,12 @@ class SRCaQR:
             raise ReuseError(f"unknown SR objective {objective!r}")
         if trials < 1:
             raise ReuseError(f"SR-CaQR needs at least one trial, got {trials}")
-        requested = parallel if parallel is not None else self.parallel
         candidates = [circuit]
         if qs_assist and not circuit.has_dynamic_operations():
             from repro.core.qs_caqr import QSCaQR
 
             sweep = QSCaQR(
-                reset_style=self.reset_style, parallel=requested is not False
+                reset_style=self.reset_style, parallel=self.parallel
             ).sweep(circuit)[1:]
             if len(sweep) > 3:
                 step = len(sweep) / 3.0
@@ -252,11 +248,11 @@ class SRCaQR:
         grid = [
             (candidate, seed) for candidate in candidates for seed in seeds
         ]
-        workers = self.max_workers or default_workers()
+        workers = default_workers()
 
         results: List[SRCaQRResult]
         with self.stats.timed("sr_run"):
-            if fans_out(requested, len(grid), workers):
+            if fans_out(self.parallel, len(grid), workers):
                 payloads = [(self, candidate, seed) for candidate, seed in grid]
                 outcomes = pooled_map(_sr_trial_worker, payloads, workers)
                 results = []

@@ -90,8 +90,9 @@ class SRCaQRCommuting:
         gamma / beta: QAOA angles (single round).
         depth_tolerance: sweet-spot depth budget over the no-reuse depth.
         noise_aware: forwarded to the SR router.
-        parallel / max_workers: forwarded to the SR router (trial-grid
-            fan-out; the routed circuit is identical either way).
+        parallel: the :func:`repro.parallel.fans_out` tri-state of the
+            QS sweep and the SR router (the routed circuit is identical
+            either way).
 
     The underlying router's :class:`~repro.stats.Stats` sink is
     exposed as ``self.stats`` and accumulates across ``run`` calls.
@@ -106,7 +107,6 @@ class SRCaQRCommuting:
         noise_aware: bool = True,
         reset_style: str = "cif",
         parallel: Optional[bool] = None,
-        max_workers: Optional[int] = None,
     ):
         self.backend = backend
         self.gamma = gamma
@@ -114,12 +114,12 @@ class SRCaQRCommuting:
         self.depth_tolerance = depth_tolerance
         self.noise_aware = noise_aware
         self.reset_style = reset_style
+        self.parallel = parallel
         self.router = SRCaQR(
             backend,
             noise_aware=noise_aware,
             reset_style=reset_style,
             parallel=parallel,
-            max_workers=max_workers,
         )
 
     @property
@@ -153,21 +153,24 @@ class SRCaQRCommuting:
         """
         if objective not in ("swaps", "esp"):
             raise ReuseError(f"unknown SR objective {objective!r}")
-        qs = QSCaQRCommuting(
+        with QSCaQRCommuting(
             graph,
             gamma=self.gamma,
             beta=self.beta,
             reset_style=self.reset_style,
-            parallel=self.router.parallel is not False,
-        )
+            parallel=self.parallel,
+        ) as qs:
+            if qubit_limit is None:
+                sweep = qs.sweep(min_qubits=qs.minimum_qubits())
+            else:
+                point = qs.reduce_to(qubit_limit)
+                if not point.feasible:
+                    raise ReuseError(
+                        f"cannot reach {qubit_limit} qubits "
+                        f"(floor is {qs.minimum_qubits()})"
+                    )
         router = self.router
         if qubit_limit is not None:
-            point = qs.reduce_to(qubit_limit)
-            if not point.feasible:
-                raise ReuseError(
-                    f"cannot reach {qubit_limit} qubits "
-                    f"(floor is {qs.minimum_qubits()})"
-                )
             routed = router.run(point.circuit, trials=trials, seed_base=seed_base)
             return SRCommutingResult(result=routed, qs_point=point, pairs=point.pairs)
 
@@ -176,7 +179,6 @@ class SRCaQRCommuting:
         # reuse levels — no-reuse, the sweet spot, and the knee between —
         # and keep the fewest-SWAP compilation (qubit saving still falls
         # out whenever reuse wins).
-        sweep = qs.sweep(min_qubits=qs.minimum_qubits())
         sweet = find_sweet_spot(sweep, self.depth_tolerance)
         candidates = {id(sweep[0]): sweep[0], id(sweet): sweet}
         mid_width = (sweep[0].qubits + sweet.qubits) // 2

@@ -64,14 +64,14 @@ def _compile_point(
     backend: Backend,
     seed: int,
     keep: bool = False,
-    parallel: bool = True,
+    parallel: Optional[bool] = None,
 ) -> TradeoffPoint:
     """Map *point* onto *backend* at opt-3 and fill its compiled metrics;
     *keep* also stores the mapped circuit on the point, and *parallel*
-    allows the layout search's process pool."""
+    is the layout search's fan-out (:func:`repro.parallel.fans_out`)."""
     result = transpile(
         point.circuit, backend, optimization_level=3, seed=seed,
-        parallel=None if parallel else False,
+        parallel=parallel,
     )
     point.compiled_depth = result.depth
     point.compiled_duration_dt = result.duration_dt
@@ -83,7 +83,8 @@ def _compile_point(
 
 
 def _points(
-    results, backend: Optional[Backend], seed: int, parallel: bool = True
+    results, backend: Optional[Backend], seed: int,
+    parallel: Optional[bool] = None,
 ) -> List[TradeoffPoint]:
     """Engine sweep results as tradeoff points, mapped when *backend* is
     given (the first point keeps its compiled circuit)."""
@@ -107,7 +108,7 @@ def sweep_regular(
     objective: str = "depth",
     reset_style: str = "cif",
     seed: int = 11,
-    parallel: bool = True,
+    parallel: Optional[bool] = None,
     stats=None,
     min_qubits: int = 1,
 ) -> List[TradeoffPoint]:
@@ -116,8 +117,8 @@ def sweep_regular(
     Returns one point per achievable qubit count, original width first,
     stopping once a point is at most *min_qubits* wide (a prefix of the
     full sweep).
-    ``parallel`` allows the engine's process-pool fan-out (see
-    :class:`~repro.core.qs_caqr.QSCaQR`); it never changes the points.
+    ``parallel`` is the engine's and the mapping's fan-out
+    (:func:`repro.parallel.fans_out`); it never changes the points.
     *stats* is an optional
     :class:`~repro.stats.Stats` sink the sweep's engine
     counters/timers are folded into.
@@ -143,7 +144,7 @@ def sweep_commuting(
     strategy: str = "greedy",
     gamma: Optional[float] = None,
     beta: Optional[float] = None,
-    parallel: bool = True,
+    parallel: Optional[bool] = None,
     stats=None,
 ) -> List[TradeoffPoint]:
     """QS-CaQR-commuting sweep for a QAOA problem graph.
@@ -152,23 +153,24 @@ def sweep_commuting(
     ``strategy="lifetime"`` for the deep-reuse event-driven sweep used on
     the large Fig. 3 / Fig. 14 instances.  ``gamma``/``beta`` override the
     default QAOA angles (e.g. when the graph was extracted from a circuit).
+    ``parallel`` is as for :func:`sweep_regular`.
     """
     from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
 
-    compiler = QSCaQRCommuting(
+    with QSCaQRCommuting(
         graph,
         gamma=gamma if gamma is not None else QAOA_DEFAULT_GAMMA,
         beta=beta if beta is not None else QAOA_DEFAULT_BETA,
         reset_style=reset_style,
         candidate_evaluation=candidate_evaluation,
         parallel=parallel,
-    )
-    if strategy == "lifetime":
-        results = compiler.lifetime_sweep()
-    elif strategy == "greedy":
-        results = compiler.sweep(min_qubits=min_qubits)
-    else:
-        raise ReuseError(f"unknown sweep strategy {strategy!r}")
+    ) as compiler:
+        if strategy == "lifetime":
+            results = compiler.lifetime_sweep()
+        elif strategy == "greedy":
+            results = compiler.sweep(min_qubits=min_qubits)
+        else:
+            raise ReuseError(f"unknown sweep strategy {strategy!r}")
     points = _points(results, backend, seed, parallel)
     if stats is not None:
         stats.merge(compiler.stats)

@@ -2,17 +2,21 @@
 
 Every process pool of the compile passes (SABRE layout trials, the SR
 trial grid, QS candidate scoring and lookahead, commuting candidate
-schedules, simulator shards) comes from here:
+schedules, simulator shards) comes from here, and every engine that
+fans out takes one ``parallel`` argument with one meaning:
 
+* **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
+  ``True`` forces the pool, ``None`` (every engine's default) pools
+  given more than one worker, enough items (two per worker when
+  chunked) and a workload at the engine's threshold.  Each threshold is
+  one module constant of the engine's module, not an argument;
 * **width** — :func:`default_workers`, the CPUs the calling thread may
   run on (its affinity mask; ``os.cpu_count()`` where the platform has
-  no affinity call), capped at 8.  A fork inherits the forking thread's
-  mask, so a caller pinned to one core runs serial instead of forking
-  workers onto that core;
-* **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
-  ``True`` forces the pool, ``None`` allows it given more than one
-  worker, enough items (two per worker when chunked) and a workload at
-  the threshold;
+  no affinity call), capped at 8.  It is read when an engine is built
+  or decides to fan out, never at import, and it is not an engine
+  argument.  A fork inherits the forking thread's mask, so a caller
+  pinned to one core runs serial instead of forking workers onto that
+  core;
 * **ordered maps** — :func:`pooled_map` (a per-call pool, one task per
   item), :meth:`PoolOwner.map_chunks` (ceil-div chunks on a pool the
   owner keeps until :meth:`PoolOwner.close`) and :meth:`WorkerPool.map`
@@ -100,15 +104,20 @@ def pooled_map(fn: Callable, payloads: Sequence[Any], workers: int) -> List[Any]
 class PoolOwner:
     """Base for engines that own one lazily started pool.
 
-    The owner sets ``parallel`` (allow pooling), ``parallel_threshold``
-    and ``max_workers``; the pool starts on the first pooled batch and
-    lives until :meth:`close` or the end of a ``with`` block.
+    The owner passes its ``parallel`` (the :func:`fans_out` tri-state)
+    to ``__init__``, which also reads the pool width from
+    :func:`default_workers`; the subclass names its workload floor in
+    the class attribute ``workload_threshold`` (its module's constant).
+    The pool starts on the first pooled batch and lives until
+    :meth:`close` or the end of a ``with`` block.
     """
 
-    parallel: bool
-    parallel_threshold: int
-    max_workers: int
+    workload_threshold: int = 0
     _executor: Optional[ProcessPoolExecutor] = None
+
+    def __init__(self, parallel: Optional[bool] = None):
+        self.parallel = parallel
+        self.workers = default_workers()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -122,22 +131,22 @@ class PoolOwner:
         self.close()
 
     def use_pool(self, items: int, workload: int) -> bool:
-        """:func:`fans_out` for a chunked batch under the owner's knobs."""
+        """:func:`fans_out` for a chunked batch of the owner's."""
         return fans_out(
-            None if self.parallel else False,
+            self.parallel,
             items,
-            self.max_workers,
+            self.workers,
             chunked=True,
             workload=workload,
-            threshold=self.parallel_threshold,
+            threshold=self.workload_threshold,
         )
 
     def map_chunks(self, fn: Callable, context: Any, items: Sequence[Any]) -> list:
         """``fn((context, chunk))`` per chunk of *items*, one chunk per
         worker, on the owned pool; the chunk results concatenated."""
         if self._executor is None:
-            self._executor = new_pool(self.max_workers)
-        payloads = [(context, chunk) for chunk in chunks(items, self.max_workers)]
+            self._executor = new_pool(self.workers)
+        payloads = [(context, chunk) for chunk in chunks(items, self.workers)]
         results: list = []
         for part in self._executor.map(fn, payloads):
             results.extend(part)

@@ -353,13 +353,14 @@ def run_batched_counts(
     noise: Optional[NoiseModel] = None,
     stats: Optional[Stats] = None,
     fuse: bool = True,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
+    parallel: Optional[bool] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
 ) -> Counter:
     """Counts via the batched engine (see the module docstring).
+
+    *parallel* is the :func:`repro.parallel.fans_out` tri-state of the
+    shard map; by default it pools at :data:`DEFAULT_PARALLEL_THRESHOLD`.
 
     Raises :class:`~repro.exceptions.SimulationError` when the noise
     model enables T1/T2 relaxation — use the reference engine there.
@@ -419,15 +420,15 @@ def run_batched_counts(
         ]
 
     workload = shots * (1 << n) * max(len(ops), 1)
-    workers = max_workers or default_workers()
+    workers = default_workers()
     counts: Counter = Counter()
     with stats.timed("execute"):
         if fans_out(
-            None if parallel else False,
+            parallel,
             len(payloads),
             workers,
             workload=workload,
-            threshold=parallel_threshold,
+            threshold=DEFAULT_PARALLEL_THRESHOLD,
         ):
             stats.count("parallel_batches")
             results = pooled_map(_run_shard_worker, payloads, workers)

@@ -10,6 +10,7 @@ from repro.core import (
     minimum_qubits_by_coloring,
     schedule_commuting,
 )
+from repro.core.qs_commuting import CommutingProblem
 from repro.exceptions import ReuseError
 from repro.sim import run_counts
 from repro.workloads import power_law_graph, qaoa_maxcut_circuit, random_graph
@@ -88,6 +89,29 @@ class TestScheduler:
     def test_unknown_matching_rejected(self):
         with pytest.raises(ReuseError):
             schedule_commuting(path_graph(3), [], matching="quantum")
+
+
+class TestScanOrder:
+    """The scheduler scans each frontier in the iteration order of a
+    Python ``set`` of gate tuples, and that order breaks the matching
+    engines' ties: it is part of every commuting output."""
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (nx.cycle_graph(6), [0, 2, 4, 3, 5, 1]),
+            (nx.complete_graph(4), [0, 3, 2, 5, 1, 4]),
+            (nx.petersen_graph(), [0, 8, 3, 1, 7, 6, 11, 9, 12, 10, 5, 14, 2, 4, 13]),
+        ],
+        ids=["cycle6", "k4", "petersen"],
+    )
+    def test_scan_order_is_pinned(self, graph, expected):
+        assert CommutingProblem(graph).scan_order == expected, (
+            "the interpreter's set layout for gate tuples changed: every "
+            "QAOA compile output moves with it, and the goldens "
+            "(tests/test_bench_outputs.py, tests/fixtures/lane_golden.json) "
+            "must be re-recorded"
+        )
 
 
 class TestMaterialize:

@@ -90,20 +90,18 @@ class TestPairScorer:
         circuit = bv_circuit(5)
         analysis = ReuseAnalysis(circuit)
         stats = Stats()
-        with PairScorer(stats=stats, parallel=True) as scorer:
+        with PairScorer(stats=stats) as scorer:
             scorer.score_all(analysis.dag, analysis.valid_pairs())
             assert scorer._executor is None
             assert stats.counters.get("serial_batches", 0) == 1
             assert stats.counters.get("parallel_batches", 0) == 0
 
-    def test_forced_parallel_matches_serial_scores(self):
+    def test_forced_parallel_matches_serial_scores(self, two_workers):
         circuit = bv_circuit(8)
         analysis = ReuseAnalysis(circuit)
         pairs = analysis.valid_pairs()
         stats = Stats()
-        with PairScorer(
-            stats=stats, parallel=True, parallel_threshold=0, max_workers=2
-        ) as forced:
+        with PairScorer(stats=stats, parallel=True) as forced:
             parallel_scores = forced.score_all(analysis.dag, pairs)
             assert stats.counters["parallel_batches"] == 1
         with PairScorer(parallel=False) as serial:

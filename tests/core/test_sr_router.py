@@ -28,7 +28,7 @@ class TestTrialGrid:
         with pytest.raises(ReuseError):
             SRCaQR(ibm_mumbai()).run(bv_circuit(4), trials=0)
 
-    def test_parallel_flag_reflected_in_stats(self):
+    def test_parallel_flag_reflected_in_stats(self, two_workers):
         circuit = regular_benchmark("xor_5")
         serial = SRCaQR(ibm_mumbai(), parallel=False)
         serial.run(circuit, trials=2, qs_assist=False)
@@ -36,7 +36,7 @@ class TestTrialGrid:
         # parallel counter separates the two modes cleanly
         assert serial.stats.counters.get("parallel_trials", 0) == 0
         assert serial.stats.counters["serial_trials"] >= 2
-        fanned = SRCaQR(ibm_mumbai(), parallel=True, max_workers=2)
+        fanned = SRCaQR(ibm_mumbai(), parallel=True)
         fanned.run(circuit, trials=2, qs_assist=False)
         assert fanned.stats.counters["parallel_trials"] == 2
 

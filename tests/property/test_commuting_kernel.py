@@ -254,12 +254,10 @@ def test_all_infeasible_candidates_score_none():
 
 
 @pytest.mark.parametrize("matching", ENGINES)
-def test_pooled_sweep_matches_serial(matching):
+def test_pooled_sweep_matches_serial(matching, two_workers):
     graph = nx.random_regular_graph(3, 10, seed=4)
     serial = QSCaQRCommuting(graph, matching=matching, parallel=False).sweep()
-    with QSCaQRCommuting(
-        graph, matching=matching, parallel=True, parallel_threshold=0, max_workers=2
-    ) as pooled_engine:
+    with QSCaQRCommuting(graph, matching=matching, parallel=True) as pooled_engine:
         pooled = pooled_engine.sweep()
         assert pooled_engine.stats.counters["parallel_batches"] > 0
     assert [p.pairs for p in pooled] == [p.pairs for p in serial]

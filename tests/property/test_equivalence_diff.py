@@ -119,11 +119,11 @@ def test_reduce_to_differential():
         assert fast.circuit.data == slow.circuit.data, seed
 
 
-def test_forced_parallel_path_matches_serial():
-    """Drop the fan-out thresholds to zero so the process pool actually
-    runs, and pin its pair choices against the serial path."""
+def test_forced_parallel_path_matches_serial(two_workers):
+    """Force the process pool below the workload thresholds, and pin its
+    pair choices against the serial path."""
     circuit = bv_circuit(10)
-    parallel = QSCaQR(parallel=True, parallel_threshold=0, max_workers=2)
+    parallel = QSCaQR(parallel=True)
     serial = QSCaQR(parallel=False)
     fast = parallel.sweep(circuit)
     slow = serial.sweep(circuit)
@@ -133,16 +133,14 @@ def test_forced_parallel_path_matches_serial():
     assert serial.stats.counters.get("parallel_batches", 0) == 0
 
 
-def test_commuting_parallel_matches_serial():
+def test_commuting_parallel_matches_serial(two_workers):
     """The commuting driver's pooled candidate scoring picks the same
     extensions as its serial loop."""
     import networkx as nx
 
     graph = nx.random_regular_graph(3, 14, seed=7)
     graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-    parallel = QSCaQRCommuting(
-        graph, parallel=True, parallel_threshold=0, max_workers=2
-    )
+    parallel = QSCaQRCommuting(graph, parallel=True)
     serial = QSCaQRCommuting(graph, parallel=False)
     with parallel, serial:
         fast = parallel.sweep()

@@ -62,7 +62,7 @@ def _result_signature(result):
 
 
 @pytest.mark.parametrize("seed", range(ROUTE_SAMPLES))
-def test_sr_run_serial_parallel_identical(seed):
+def test_sr_run_serial_parallel_identical(seed, two_workers):
     circuit = _sample_circuit(seed)
     backend = _backend(seed)
     try:
@@ -71,11 +71,11 @@ def test_sr_run_serial_parallel_identical(seed):
         )
     except ReuseError:
         with pytest.raises(ReuseError):
-            SRCaQR(backend, parallel=True, max_workers=2).run(
+            SRCaQR(backend, parallel=True).run(
                 circuit, trials=2, qs_assist=seed % 2 == 0
             )
         return
-    parallel = SRCaQR(backend, parallel=True, max_workers=2).run(
+    parallel = SRCaQR(backend, parallel=True).run(
         circuit, trials=2, qs_assist=seed % 2 == 0
     )
     assert _result_signature(serial) == _result_signature(parallel), seed

@@ -104,19 +104,13 @@ def test_fusion_counter_and_invariance():
     assert stats.counters.get("fused_gates", 0) > 0
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(two_workers):
     """Force the process pool on and pin its counts against the serial
     path — sharding and seeding are independent of the worker count."""
     circuit = dynamic_circuit()
     stats = Stats()
     parallel = run_batched_counts(
-        circuit,
-        2000,
-        seed=9,
-        noise=NOISE,
-        shard_size=512,
-        parallel_threshold=0,
-        max_workers=2,
+        circuit, 2000, seed=9, noise=NOISE, shard_size=512, parallel=True,
         stats=stats,
     )
     serial = run_batched_counts(

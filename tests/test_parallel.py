@@ -1,6 +1,7 @@
 """Tests for the one process-pool layer (``repro.parallel``)."""
 
 import ast
+import inspect
 import os
 import signal
 import sys
@@ -12,10 +13,17 @@ import pytest
 
 import repro.parallel as parallel
 from repro.compile_api import caqr_compile
-from repro.core import qs_commuting
+from repro.core.evaluate import PairScorer
+from repro.core.qs_caqr import QSCaQR
+from repro.core.qs_commuting import QSCaQRCommuting
+from repro.core.session import ReuseSession
+from repro.core.sr_caqr import SRCaQR
+from repro.core.sr_commuting import SRCaQRCommuting
+from repro.core.tradeoff import sweep_commuting, sweep_regular
 from repro.hardware import ibm_mumbai
 from repro.exceptions import ServiceError
 from repro.parallel import PoolOwner, WorkerPool, chunks, fans_out, pooled_map
+from repro.sim.batch import run_batched_counts
 from repro.stats import Stats
 from repro.transpiler import sabre_layout, transpile
 from repro.workloads import bv_circuit
@@ -43,10 +51,11 @@ def _pools_inside(_):
 
 
 class _Owner(PoolOwner):
-    def __init__(self, max_workers):
-        self.parallel = True
-        self.parallel_threshold = 0
-        self.max_workers = max_workers
+    pass
+
+
+class _FlooredOwner(PoolOwner):
+    workload_threshold = 10
 
 
 class TestFanOutRule:
@@ -74,14 +83,15 @@ class TestFanOutRule:
         assert not fans_out(None, 8, 2, chunked=True, workload=99, threshold=100)
         assert fans_out(None, 8, 2, chunked=True, workload=100, threshold=100)
 
-    def test_owner_rule_reads_its_knobs(self):
-        owner = _Owner(2)
-        assert owner.use_pool(4, 0)
-        assert not owner.use_pool(3, 0)
-        owner.parallel_threshold = 10
-        assert not owner.use_pool(4, 9)
-        owner.parallel = False
-        assert not owner.use_pool(100, 10**9)
+    def test_owner_rule_reads_its_knobs(self, two_workers):
+        """``parallel`` from the owner's constructor, the floor from its
+        class, the width from the affinity mask."""
+        assert _Owner().use_pool(4, 0)
+        assert not _Owner().use_pool(3, 0)
+        assert not _FlooredOwner().use_pool(4, 9)
+        assert _FlooredOwner().use_pool(4, 10)
+        assert _FlooredOwner(parallel=True).use_pool(2, 0)
+        assert not _Owner(parallel=False).use_pool(100, 10**9)
 
 
 def _no_pools(*args, **kwargs):
@@ -123,6 +133,31 @@ class TestWidth:
         sabre_layout(bv_circuit(6), ibm_mumbai().coupling, parallel=True, stats=stats)
         assert stats.counters["parallel_trials"] == 4
 
+    def test_engines_read_the_width_when_built(self, monkeypatch):
+        """Not at import: perfbench pins its timed pass to one core after
+        importing the package, and its engines must see that core."""
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert PairScorer().workers == 3
+        assert QSCaQRCommuting(nx.cycle_graph(4)).workers == 3
+
+    @pytest.mark.parametrize(
+        "target",
+        [bv_circuit(6), nx.random_regular_graph(3, 8, seed=2)],
+        ids=["bv6", "qaoa8"],
+    )
+    @pytest.mark.parametrize(
+        "mode", ["min_depth", "min_swap", "max_reuse", "qubit_budget"]
+    )
+    def test_pinned_compile_starts_no_pool(self, pinned, monkeypatch, target, mode):
+        """A caller pinned to one core, at its default ``parallel``, starts
+        no pool in any mode, even with every workload floor at zero."""
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
+        for owner in (PairScorer, ReuseSession, QSCaQRCommuting):
+            monkeypatch.setattr(owner, "workload_threshold", 0)
+        limit = 5 if mode == "qubit_budget" else None
+        report = caqr_compile(target, ibm_mumbai(), mode=mode, qubit_limit=limit)
+        assert report.metrics.qubits_used >= 2
+
 
 class TestOrderedMaps:
     @pytest.mark.parametrize("count", [1, 2, 7, 8])
@@ -138,9 +173,9 @@ class TestOrderedMaps:
         assert pooled_map(_square, items, 2) == [_square(x) for x in items]
 
     @pytest.mark.parametrize("count", [1, 2, 7, 8])
-    def test_owned_chunk_map_equals_serial_map(self, count):
+    def test_owned_chunk_map_equals_serial_map(self, count, two_workers):
         items = list(range(count))
-        with _Owner(2) as owner:
+        with _Owner() as owner:
             assert owner.map_chunks(_square_chunk, 3, items) == [
                 x * x + 3 for x in items
             ]
@@ -153,8 +188,8 @@ class TestNesting:
         assert fans_out(True, 4, 2), "the test process is no pool worker"
         assert pooled_map(_pools_inside, [0, 1], 2) == [False, False]
 
-    def test_owned_pool_workers_are_marked(self):
-        with _Owner(2) as owner:
+    def test_owned_pool_workers_are_marked(self, two_workers):
+        with _Owner() as owner:
             assert owner.map_chunks(_square_chunk, 0, [1, 2]) == [1, 4]
             assert owner._executor.submit(_pools_inside, 0).result() is False
 
@@ -237,11 +272,71 @@ class TestSerialCompileStartsNoPool:
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
         # small graphs would stay under the commuting engine's threshold
-        monkeypatch.setattr(qs_commuting, "COMMUTING_PARALLEL_THRESHOLD", 0)
+        monkeypatch.setattr(QSCaQRCommuting, "workload_threshold", 0)
         report = caqr_compile(
             target, ibm_mumbai(), mode=mode, parallel=False, cache=None
         )
         assert report.metrics.qubits_used >= 2
+
+
+class TestOwnedPoolsClose:
+    """An engine's owned pool is shut down by the time the call that built
+    the engine returns, not when the engine is garbage collected."""
+
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        started = []
+        real = parallel.new_pool
+
+        def _recording(workers):
+            executor = real(workers)
+            started.append(executor)
+            return executor
+
+        monkeypatch.setattr(parallel, "new_pool", _recording)
+        return started
+
+    @staticmethod
+    def _graph():
+        return nx.convert_node_labels_to_integers(
+            nx.random_regular_graph(3, 8, seed=5), ordering="sorted"
+        )
+
+    def test_forced_sweep_commuting_closes_its_pool(self, executors):
+        points = sweep_commuting(self._graph(), parallel=True)
+        assert len(points) > 1
+        assert executors, "the forced sweep started no pool"
+        assert all(executor._shutdown_thread for executor in executors)
+
+    def test_forced_sr_commuting_closes_its_qs_pool(self, executors):
+        result = SRCaQRCommuting(ibm_mumbai(), parallel=True).run(self._graph())
+        assert result.qubits_used >= 2
+        assert executors, "the forced run started no pool"
+        assert all(executor._shutdown_thread for executor in executors)
+
+
+class TestOneMeaningOfParallel:
+    """Every fan-out takes one ``parallel`` (``fans_out``'s tri-state,
+    default ``None``); width and workload floors are not arguments."""
+
+    ENGINES = [
+        QSCaQR, PairScorer, ReuseSession, QSCaQRCommuting, SRCaQR,
+        SRCaQRCommuting, sweep_regular, sweep_commuting, run_batched_counts,
+        sabre_layout, transpile,
+    ]
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_signature(self, engine):
+        params = inspect.signature(engine).parameters
+        assert "max_workers" not in params
+        assert "parallel_threshold" not in params
+        assert params["parallel"].default is None
+
+    def test_sr_run_takes_the_routers_parallel(self):
+        params = inspect.signature(SRCaQR.run).parameters
+        assert "parallel" not in params
+        assert "max_workers" not in params
+        assert "parallel_threshold" not in params
 
 
 def _names(tree):
