@@ -18,10 +18,21 @@ workload the script writes one ledger entry to
 * for each end-to-end metric its unit, median and quartiles (times are
   in perfbench's reference seconds).
 
-A ledger file is a list of entries, one per ``src/`` digest: writing an
-entry replaces the one with the same digest and keeps the others, so
-one file holds a change's before and after.  Runs of one workload must
-all come from the same code, or the script refuses them.
+A ledger file is an append-only list of entries keyed by (``src/``
+digest, label): an entry is added after the others, and a key already in
+the file is refused with a non-zero exit before any file is written, so
+one change's parent runs never erase the previous change's "after" runs
+of the same code.  Runs of one workload must all come from the same
+code, or the script refuses them.
+
+A performance claim rests on two independent batches.  Each batch runs
+the parent and the change interleaved, ten pairs on the same seeds, and
+is judged by ``perfbench/compare.py``; the claimed metric must read
+``better`` in both.  Both batches are ledgered, each side under its own
+label (for example ``before: ... (batch 1)`` and ``after: ... (batch
+1)``), so the ledger keeps every run a claim rests on.  One batch alone
+is not enough: two back-to-back batches of the same two trees on a
+shared 2-core box have read 1.034x and 0.968x.
 """
 
 from __future__ import annotations
@@ -102,18 +113,24 @@ def collect(runs_dir: str) -> Dict[str, List[Tuple[dict, dict]]]:
     return by_workload
 
 
-def write_entry(path: str, entry: dict) -> List[dict]:
-    """Add *entry* to the ledger at *path*, replacing any same-digest entry."""
-    ledger: List[dict] = []
-    if os.path.isfile(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            ledger = json.load(handle)
-    digest = entry["record"]["src_digest"]
-    ledger = [e for e in ledger if e["record"]["src_digest"] != digest] + [entry]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(ledger, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return ledger
+def load_ledger(path: str) -> List[dict]:
+    """The entries of the ledger at *path* (none when it does not exist)."""
+    if not os.path.isfile(path):
+        return []
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def append_entry(ledger: List[dict], entry: dict, path: str) -> List[dict]:
+    """*ledger* with *entry* appended; a (digest, label) key already in it
+    is refused."""
+    key = (entry["record"]["src_digest"], entry["label"])
+    if any((e["record"]["src_digest"], e["label"]) == key for e in ledger):
+        raise SystemExit(
+            f"error: {path} already holds digest {key[0]} labelled {key[1]!r}; "
+            "ledger entries are never rewritten, give the runs a new label"
+        )
+    return ledger + [entry]
 
 
 def main(argv: List[str] = None) -> int:
@@ -126,11 +143,17 @@ def main(argv: List[str] = None) -> int:
     if not by_workload:
         print(f"error: no untraced runs in {args.runs_dir}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    # every entry is checked before any file is written
+    ledgers = {}
     for workload, runs in sorted(by_workload.items()):
         path = os.path.join(args.out, f"BENCH_{workload}.json")
         entry = ledger_entry(runs, args.label)
-        write_entry(path, entry)
+        ledgers[path] = (append_entry(load_ledger(path), entry, path), entry)
+    os.makedirs(args.out, exist_ok=True)
+    for path, (ledger, entry) in ledgers.items():
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(ledger, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print(f"{path}: {entry['runs']} runs of {entry['record']['src_digest']}")
     return 0
 

@@ -1,7 +1,7 @@
 """Baseline transpiler: layout, SABRE routing, peephole optimisation, ASAP
 scheduling and the one pipeline, ``transpile()``."""
 
-from repro.transpiler.basis import decompose_ccx, decompose_swaps, decompose_to_two_qubit
+from repro.transpiler.basis import decompose_ccx, decompose_to_two_qubit
 from repro.transpiler.layout import Layout, greedy_degree_layout, trivial_layout
 from repro.transpiler.optimization import (
     cancel_adjacent_self_inverse,
@@ -36,7 +36,6 @@ __all__ = [
     "drop_identity_rotations",
     "zyz_angles",
     "decompose_ccx",
-    "decompose_swaps",
     "decompose_to_two_qubit",
     "transpile",
     "TranspileResult",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.circuit.circuit import QuantumCircuit
 
-__all__ = ["decompose_ccx", "decompose_to_two_qubit", "decompose_swaps"]
+__all__ = ["decompose_ccx", "decompose_to_two_qubit"]
 
 
 def decompose_ccx(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -44,20 +44,3 @@ def decompose_to_two_qubit(circuit: QuantumCircuit) -> QuantumCircuit:
         return decompose_ccx(circuit)
     return circuit
 
-
-def decompose_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Expand explicit SWAP gates into three CX gates.
-
-    Useful when counting raw CX gates; the paper reports SWAP counts
-    directly, so the pipeline keeps SWAPs intact by default.
-    """
-    out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    for instruction in circuit.data:
-        if instruction.name != "swap":
-            out.append(instruction.copy())
-            continue
-        a, b = instruction.qubits
-        out.cx(a, b)
-        out.cx(b, a)
-        out.cx(a, b)
-    return out

@@ -24,12 +24,22 @@ Routing is split in two (see ``docs/ROUTER.md``):
 :func:`search_layout` shares one forward and one reverse problem across
 every trial and iteration of the bidirectional search, and can fan its
 independent trials out to a process pool (``parallel=``, see
-:mod:`repro.parallel`).  Every decision is bit-identical to the
-from-scratch router kept as ``tests/oracles.reference_sabre_route``:
-candidates are scored in set-iteration order with the same RNG tie-break
-stream and the same float operations, and layout trials pre-draw their
-RNG material serially so the winning layout never depends on worker
-timing.
+:mod:`repro.parallel`).
+
+Each scoring step looks up the blocked front's look-ahead window in a
+memo on the problem, keyed by the front's node ids: the window depends
+only on the front and the DAG, so a front one pass has seen costs the
+next pass (of any trial, or the emitting pass) one dict lookup.  The
+memo lives and dies with its problem.  Candidates are then scored in one
+fused pass: the front's and the window's distance sums are exact
+integers updated per candidate by the gates on the swapped qubits only.
+
+Every decision is bit-identical to the from-scratch router kept as
+``tests/oracles.reference_sabre_route``: candidates are scored in
+set-iteration order with the same RNG tie-break stream and the same
+float operations, the first minimum of (score, tie) wins, and layout
+trials pre-draw their RNG material serially so the winning layout never
+depends on worker timing.
 """
 
 from __future__ import annotations
@@ -88,37 +98,19 @@ def _requires_routing(instruction: Instruction) -> bool:
     )
 
 
-def _distance_sums(
-    gates: List[Tuple[int, int]],
-    candidates: List[Tuple[int, int]],
-    distance: List[List[int]],
-) -> List[int]:
-    """Distance sum of *gates* after each candidate swap.
-
-    Only gates on a swapped qubit change, so each candidate's sum is the
-    base sum plus those gates' deltas.  The sums are integers, hence
-    exactly the sums of the swapped distances whatever the order.
-    """
+def _partners(
+    gates: Sequence[Tuple[int, int]], l2p: List[Optional[int]], distance: List[List[int]]
+) -> Tuple[int, Dict[int, List[int]]]:
+    """Distance sum of the logical *gates* under *l2p*, and each physical
+    qubit's partners among them."""
     base = 0
     partners: Dict[int, List[int]] = {}
-    for pa, pb in gates:
+    for a, b in gates:
+        pa, pb = l2p[a], l2p[b]
         base += distance[pa][pb]
         partners.setdefault(pa, []).append(pb)
         partners.setdefault(pb, []).append(pa)
-    sums = []
-    for a, b in candidates:
-        total = base
-        row_a = distance[a]
-        row_b = distance[b]
-        # a gate on both a and b keeps its distance (the matrix is symmetric)
-        for other in partners.get(a, ()):
-            if other != b:
-                total += row_b[other] - row_a[other]
-        for other in partners.get(b, ()):
-            if other != a:
-                total += row_a[other] - row_b[other]
-        sums.append(total)
-    return sums
+    return base, partners
 
 
 class RoutingProblem:
@@ -129,7 +121,9 @@ class RoutingProblem:
     order (``sorted_successors``, which the look-ahead BFS follows); the
     candidate pairs of each physical qubit keep the order of
     :meth:`CouplingMap.neighbors`.  Every order lives in a tuple, so a
-    problem pickles into a pool task with its orders intact.
+    problem pickles into a pool task with its orders intact.  ``windows``
+    memoises each blocked front's look-ahead window for every pass over
+    this problem; a pool worker's copy starts from the memo as shipped.
 
     Raises:
         TranspilerError: a gate acts on more than two qubits (checked
@@ -165,21 +159,28 @@ class RoutingProblem:
             for p in range(coupling.num_qubits)
         ]
         self.distance = coupling.distance_matrix().tolist()
+        self.windows: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
 
-    def _extended_set(self, blocked: List[int]) -> List[int]:
-        """Look-ahead window: nearest routed descendants of the blocked gates."""
-        successors, routes = self.sorted_successors, self.routes
-        result: List[int] = []
-        queue = deque(blocked)
-        seen: Set[int] = set(blocked)
-        while queue and len(result) < _EXTENDED_SET_SIZE:
-            for successor in successors[queue.popleft()]:
-                if successor not in seen:
-                    seen.add(successor)
-                    if routes[successor]:
-                        result.append(successor)
-                    queue.append(successor)
-        return result
+    def _window(self, blocked: List[int]) -> List[Tuple[int, int]]:
+        """Look-ahead window of a blocked front: the logical qubit pairs of
+        its nearest routed descendants, memoised per front in
+        :attr:`windows` (the window depends on nothing else)."""
+        key = tuple(blocked)
+        window = self.windows.get(key)
+        if window is None:
+            successors, routes, pairs = self.sorted_successors, self.routes, self.pairs
+            window = []
+            queue = deque(blocked)
+            seen: Set[int] = set(blocked)
+            while queue and len(window) < _EXTENDED_SET_SIZE:
+                for successor in successors[queue.popleft()]:
+                    if successor not in seen:
+                        seen.add(successor)
+                        if routes[successor]:
+                            window.append(pairs[successor])
+                        queue.append(successor)
+            self.windows[key] = window
+        return window
 
     def route(
         self,
@@ -264,43 +265,49 @@ class RoutingProblem:
                 continue
 
             # 2. score candidate swaps in set-iteration order, so the RNG
-            # tie-break stream matches the reference router element for element
-            extended = self._extended_set(blocked)
+            # tie-break stream matches the reference router element for
+            # element; each score is the reference's float expression on
+            # exact integer distance sums, and the first minimum of
+            # (score, tie) wins
             candidates: Set[Tuple[int, int]] = set()
-            blocked_pairs = []
             for node_id in blocked:
                 a, b = pairs[node_id]
-                pa, pb = l2p[a], l2p[b]
-                blocked_pairs.append((pa, pb))
-                candidates.update(candidate_pairs[pa])
-                candidates.update(candidate_pairs[pb])
+                candidates.update(candidate_pairs[l2p[a]])
+                candidates.update(candidate_pairs[l2p[b]])
+            window = self._window(blocked)
+            base_b, near_b = _partners([pairs[n] for n in blocked], l2p, distance)
+            base_e, near_e = _partners(window, l2p, distance)
+            n_b, n_e = len(blocked), len(window)
+            candidates_scored += len(candidates)
 
-            cand_list = list(candidates)
-            ties = [rng.random() for _ in cand_list]
-            scores = [
-                total / len(blocked)
-                for total in _distance_sums(blocked_pairs, cand_list, distance)
-            ]
-            if extended:
-                extended_pairs = []
-                for node_id in extended:
-                    a, b = pairs[node_id]
-                    extended_pairs.append((l2p[a], l2p[b]))
-                lookahead = _distance_sums(extended_pairs, cand_list, distance)
-                scores = [
-                    score + _EXTENDED_SET_WEIGHT * total / len(extended)
-                    for score, total in zip(scores, lookahead)
-                ]
-            scores = [
-                max(decay[a], decay[b]) * score
-                for (a, b), score in zip(cand_list, scores)
-            ]
-            candidates_scored += len(cand_list)
-
-            best_index = min(
-                range(len(cand_list)), key=lambda i: (scores[i], ties[i])
-            )
-            best = cand_list[best_index]
+            best = None
+            best_score = best_tie = float("inf")
+            for candidate in candidates:
+                tie = rng.random()
+                a, b = candidate
+                row_a, row_b = distance[a], distance[b]
+                # only gates on a swapped qubit move; a gate on both keeps
+                # its distance (the matrix is symmetric)
+                t_b = base_b
+                for other in near_b.get(a, ()):
+                    if other != b:
+                        t_b += row_b[other] - row_a[other]
+                for other in near_b.get(b, ()):
+                    if other != a:
+                        t_b += row_a[other] - row_b[other]
+                score = t_b / n_b
+                if n_e:
+                    t_e = base_e
+                    for other in near_e.get(a, ()):
+                        if other != b:
+                            t_e += row_b[other] - row_a[other]
+                    for other in near_e.get(b, ()):
+                        if other != a:
+                            t_e += row_a[other] - row_b[other]
+                    score = score + _EXTENDED_SET_WEIGHT * t_e / n_e
+                score = max(decay[a], decay[b]) * score
+                if score < best_score or (score == best_score and tie < best_tie):
+                    best, best_score, best_tie = candidate, score, tie
             _swap(*best)
             swap_count += 1
             decay[best[0]] += _DECAY_INCREMENT

@@ -10,8 +10,18 @@ and emits a circuit on every pass.  On random circuits over
 * ``sabre_layout``: the chosen layout, serial and pooled;
 * the stall escape (``_STALL_LIMIT`` patched low in both routers);
 * the two errors, in the same order (a >2-qubit gate before a width
-  overflow).
+  overflow);
+* the look-ahead window memo: several passes over one problem, from
+  different layouts and seeds, where later passes read windows memoised
+  by earlier ones (bv16 and qaoa16-0.3 on ``ibm_mumbai`` revisit fronts
+  far more than the small random samples), and a pooled layout search
+  on a problem whose memo an opt-2 seed pass has already warmed.
+
+``CAQR_ROUTE_SAMPLES`` (default 40) sets the random-sample count; the
+nightly job raises it to 200.
 """
+
+import os
 
 import pytest
 
@@ -21,11 +31,12 @@ from repro.circuit import QuantumCircuit, to_qasm
 from repro.circuit.random import random_circuit
 from repro.exceptions import TranspilerError
 from repro.hardware import grid, ibm_mumbai, line
-from repro.transpiler.layout import Layout
-from repro.transpiler.sabre import RoutingProblem, sabre_layout, sabre_route
+from repro.transpiler.layout import Layout, greedy_degree_layout
+from repro.transpiler.sabre import RoutingProblem, sabre_layout, sabre_route, search_layout
+from repro.workloads import bv_circuit, get_benchmark
 from tests.oracles import reference_sabre_layout, reference_sabre_route
 
-SABRE_SAMPLES = 40
+SABRE_SAMPLES = int(os.environ.get("CAQR_ROUTE_SAMPLES", "40"))
 POOLED_SAMPLES = 4
 
 COUPLINGS = {
@@ -142,6 +153,65 @@ def test_pooled_stall_escape_matches_reference(monkeypatch):
     circuit = _sample_circuit(6)
     kernel = sabre_layout(circuit, coupling, seed=3, parallel=True)
     assert _layout_key(kernel) == _layout_key(reference_sabre_layout(circuit, coupling, seed=3))
+
+
+MEMO_CASES = {
+    "bv16/ibm_mumbai": (lambda: bv_circuit(16), COUPLINGS["ibm_mumbai"]),
+    "qaoa16-0.3/ibm_mumbai": (lambda: get_benchmark("qaoa16-0.3"), COUPLINGS["ibm_mumbai"]),
+    "random-s7/grid3x4": (lambda: _sample_circuit(7), COUPLINGS["grid3x4"]),
+    "random-s17/line12": (lambda: _sample_circuit(17), COUPLINGS["line12"]),
+}
+
+
+class _CountingWindows(dict):
+    """A window memo that counts lookups of fronts memoised before
+    :meth:`new_pass` was last called."""
+
+    def __init__(self):
+        super().__init__()
+        self.earlier = set()
+        self.hits = 0
+
+    def new_pass(self):
+        self.earlier = set(self)
+        self.hits = 0
+
+    def get(self, key, default=None):
+        self.hits += key in self.earlier
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_passes_over_one_problem_read_earlier_windows(name):
+    build_circuit, build_coupling = MEMO_CASES[name]
+    circuit, coupling = build_circuit(), build_coupling()
+    problem = RoutingProblem(circuit, coupling)
+    problem.windows = windows = _CountingWindows()
+    later_hits = 0
+    for position, (shift, seed) in enumerate([(0, 3), (0, 3), (5, 3), (5, 8), (11, 21)]):
+        windows.new_pass()
+        start = _start_layout(shift, circuit, coupling.num_qubits)
+        kernel = problem.routed(start, seed)
+        reference = reference_sabre_route(circuit, coupling, start, seed=seed)
+        assert _route_key(kernel) == _route_key(reference), f"pass {position}"
+        if position:
+            later_hits += windows.hits
+    assert later_hits > 0
+
+
+@pytest.mark.parametrize("name", ["bv16/ibm_mumbai", "qaoa16-0.3/ibm_mumbai"])
+def test_pooled_search_on_a_warm_problem(name):
+    build_circuit, build_coupling = MEMO_CASES[name]
+    circuit, coupling = build_circuit(), build_coupling()
+    problem = RoutingProblem(circuit, coupling)
+    # the opt-2 seed pass transpile() runs before its layout search
+    degrees = dict(circuit.interaction_graph().degree())
+    problem.route(greedy_degree_layout(degrees, coupling, circuit.num_qubits), 5)
+    assert problem.windows
+    pooled = search_layout(problem, seed=5, iterations=2, trials=2, parallel=True)
+    serial = search_layout(problem, seed=5, iterations=2, trials=2, parallel=False)
+    reference = reference_sabre_layout(circuit, coupling, seed=5, iterations=2, trials=2)
+    assert _layout_key(pooled) == _layout_key(serial) == _layout_key(reference)
 
 
 def _wide_ccx() -> QuantumCircuit:

@@ -68,16 +68,38 @@ def test_entry_has_record_and_quartiles(tmp_path):
     assert entry["metrics"]["qubits_sum"]["median"] == 61
 
 
+def _fold(tmp_path, out, digest, value, label, workloads=("search-race",)):
+    runs = tmp_path / f"runs-{digest}-{value}-{label}"
+    runs.mkdir()
+    for workload in workloads:
+        _write_run(runs, 1, value, digest=digest, workload=workload)
+    return bench_ledger.main([str(runs), "--label", label, "--out", str(out)])
+
+
 def test_entries_accumulate_per_digest(tmp_path):
     out = tmp_path / "results"
-    for digest, value in [("before", 3.0), ("after", 2.0), ("after", 1.0)]:
-        runs = tmp_path / f"runs-{digest}-{value}"
-        runs.mkdir()
-        _write_run(runs, 1, value, digest=digest)
-        bench_ledger.main([str(runs), "--out", str(out)])
+    for digest, value, label in [
+        ("before", 3.0, "parent"), ("after", 2.0, "batch 1"), ("after", 1.0, "batch 2"),
+    ]:
+        assert _fold(tmp_path, out, digest, value, label) == 0
     ledger = json.loads((out / "BENCH_search-race.json").read_text())
-    assert [e["record"]["src_digest"] for e in ledger] == ["before", "after"]
-    assert ledger[1]["metrics"]["compile_geomean_s"]["median"] == 1.0
+    assert [(e["record"]["src_digest"], e["label"]) for e in ledger] == [
+        ("before", "parent"), ("after", "batch 1"), ("after", "batch 2"),
+    ]
+    assert [e["metrics"]["compile_geomean_s"]["median"] for e in ledger] == [3.0, 2.0, 1.0]
+    # the same (digest, label) again is refused
+    with pytest.raises(SystemExit, match="already holds digest after labelled 'batch 1'"):
+        _fold(tmp_path, out, "after", 0.5, "batch 1")
+
+
+def test_rewriting_an_existing_key_fails_and_writes_nothing(tmp_path):
+    out = tmp_path / "results"
+    assert _fold(tmp_path, out, "abc", 2.0, "after") == 0
+    before = {p.name: p.read_text() for p in out.iterdir()}
+    # compile-matrix is new, search-race repeats a key: neither file is written
+    with pytest.raises(SystemExit, match="already holds digest abc labelled 'after'"):
+        _fold(tmp_path, out, "abc", 1.0, "after", ("compile-matrix", "search-race"))
+    assert {p.name: p.read_text() for p in out.iterdir()} == before
 
 
 def test_mixed_code_versions_are_refused(tmp_path):
