@@ -1,7 +1,7 @@
 """Routing stack: end-to-end SR-CaQR throughput, old arms vs. new.
 
 The tentpole claim: the vectorised scoring kernels, the shared distance
-caches, the incremental slack scheduler, and the bitset reuse-potential
+caches, the closed-form frontier slack, and the bitset reuse-potential
 lookahead rebuild the router for throughput *without changing a single
 output circuit*.  Both arms therefore compile the same workloads and the
 results are pinned — swap count, reuse count, qubit usage, duration, and
@@ -14,7 +14,8 @@ Arms:
   (``ReferenceSRCaQR``) with the networkx lookahead kernel
   (``nx_lookahead_kernel()``), both from ``tests/oracles.py``: the
   pre-optimisation hot path.
-* **optimized** — the defaults: incremental scheduler + bitset kernel.
+* **optimized** — the defaults: closed-form-slack scheduler + bitset
+  kernel.
 * **parallel** — the optimized router with the trial grid fanned over the
   process pool, to pin the seed-keyed reduction against the same
   baselines.

@@ -14,17 +14,18 @@ gate order is free, so:
 
 A sweep builds one :class:`CommutingProblem` and schedules every pair set
 on it; a frontier that is already a matching is its own layer, with no
-matching engine run.  A candidate's cost is its schedule's layer count
-plus three levels per reuse on its longest chain, and the greedy step
-takes the first candidate of least cost.  So candidates are scored
-against the best cost so far: since every layer is a matching, no
-schedule has fewer layers than the graph's maximum degree (the *degree
-floor*), and a candidate whose floor plus chain term reaches the best is
-skipped; the others are scheduled under a *layer budget* of the best
-minus their chain term and abandoned when they reach it.  Only a
-candidate that beats the best gets a cost, and that cost is exact, so
-the chosen candidate is the one full scoring picks; the ``evaluations``
-counter still counts every candidate offered.
+matching engine run, and a frontier already matched in the same greedy
+step is looked up, not matched again.  A candidate's cost is its
+schedule's layer count plus three levels per reuse on its longest
+chain, and the greedy step takes the first candidate of least cost.
+So candidates are scored against the best cost so far: since every
+layer is a matching, no schedule has fewer layers than the graph's
+maximum degree (the *degree floor*), and a candidate whose floor plus
+chain term reaches the best is skipped; the others are scheduled under
+a *layer budget* of the best minus their chain term and abandoned when
+they reach it.  Only a candidate that beats the best gets a cost, and
+that cost is exact, so the chosen candidate is the one full scoring
+picks; the ``evaluations`` counter still counts every candidate offered.
 
 Two matching engines are available: Edmonds' blossom algorithm (optimal,
 what the paper uses) and a greedy maximal matching (the faster variant the
@@ -35,6 +36,8 @@ quantifies the difference.
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -70,6 +73,8 @@ GREEDY_MATCHING_THRESHOLD = 120
 # below this many (candidates x graph edges) the per-candidate scheduler
 # runs stay in-process: pool startup dwarfs the work for small graphs
 COMMUTING_PARALLEL_THRESHOLD = 20_000
+
+_BLOSSOM_LOCK = threading.Lock()  # one blossom run pauses the collector
 
 
 def minimum_qubits_by_coloring(graph: nx.Graph) -> int:
@@ -158,14 +163,32 @@ def matching_layer(
     endpoints = {v for a, b, _ in edges for v in (a, b)}
     if len(endpoints) == 2 * len(edges):
         matched = [(a, b) for a, b, _ in edges]
+    elif matching == "blossom":
+        matched = _blossom(edges)
     else:
         frontier = nx.Graph()
         frontier.add_weighted_edges_from(edges)
-        if matching == "blossom":
-            matched = nx.max_weight_matching(frontier, maxcardinality=True)
-        else:
-            matched = _greedy_matching(frontier)
+        matched = _greedy_matching(frontier)
     return sorted(_edge_key(a, b) for a, b in matched)
+
+
+def _blossom(edges: Sequence[Tuple[int, int, int]]) -> Set[Tuple[int, int]]:
+    """networkx's max-weight matching of *edges*, the collector paused.
+
+    Each run leaves its graph and two local classes in reference cycles
+    (about 9 KB).  A collection during the run would promote them to wait
+    for a full collection and raise a sweep's peak memory; paused, the
+    next young collection frees them."""
+    with _BLOSSOM_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            frontier = nx.Graph()
+            frontier.add_weighted_edges_from(edges)
+            return nx.max_weight_matching(frontier, maxcardinality=True)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class CommutingProblem:
@@ -185,6 +208,16 @@ class CommutingProblem:
             matching ties, so every commuting output depends on the
             interpreter's tuple hash and set layout
             (``tests/core/test_qs_commuting.py`` pins it).
+        layer_memo: the step-scoped matching memo.  A layer is a pure
+            function of its ordered frontier and the resolved engine, so
+            :meth:`schedule` keys each frontier by its gate ids (a gate
+            feeding a reuse measurement as ``~id``), stores the layer's
+            gate ids, and runs the engine only on a miss.  Candidates of
+            one greedy step share most frontiers, and the winner's
+            re-schedule hits on every layer.  :class:`QSCaQRCommuting`
+            clears it when a step starts, so it holds one step's
+            frontiers and ships empty in pool payloads; a problem-lifetime
+            memo would grow the sweep's peak memory.
     """
 
     def __init__(
@@ -209,6 +242,7 @@ class CommutingProblem:
             if b != a:
                 self.gates_of[b].append(i)
         self.floor = max((len(ids) for ids in self.gates_of.values()), default=0)
+        self.layer_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def schedule(
         self, pairs: Sequence[ReusePair], budget: Optional[int] = None
@@ -254,22 +288,29 @@ class CommutingProblem:
 
         _fire_ready(-1)
         gates, gate_id, weight = self.gates, self.gate_id, self.reuse_weight
+        memo = self.layer_memo
         while left:
-            frontier = [
-                (*gates[g], weight if g in feeds else 1)
+            ready = tuple(
+                ~g if g in feeds else g
                 for g in self.scan_order
                 if not done[g] and not blocked[g]
-            ]
-            if not frontier:
+            )
+            if not ready:
                 raise ReuseError("reuse pairs create a dependency cycle (stalled)")
-            layer = matching_layer(frontier, self.matching)
+            layer = memo.get(ready)
+            if layer is None:
+                frontier = [
+                    (*gates[~g], weight) if g < 0 else (*gates[g], 1) for g in ready
+                ]
+                layer = memo[ready] = tuple(
+                    gate_id[key] for key in matching_layer(frontier, self.matching)
+                )
             if not layer:
                 raise ReuseError("matching produced an empty layer")
-            layers.append(layer)
+            layers.append([gates[g] for g in layer])
             if budget is not None and len(layers) >= budget:
                 return None
-            for key in layer:
-                g = gate_id[key]
+            for g in layer:
                 done[g] = True
                 for pair in feeds.get(g, ()):
                     pending[pair] -= 1
@@ -636,6 +677,7 @@ class QSCaQRCommuting(PoolOwner):
     def _best_extension(
         self, pairs: List[ReusePair]
     ) -> Optional[Tuple[ReusePair, CommutingSchedule]]:
+        self.problem.layer_memo.clear()
         if self.candidate_evaluation == "degree":
             return self._best_extension_by_degree(pairs)
         candidates = self._candidates(pairs)

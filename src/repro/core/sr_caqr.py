@@ -22,12 +22,13 @@ A physical qubit is only released for reuse when its logical qubit's final
 operation was a measurement (the paper's setting: reused qubits are
 measured first — their outcome is still needed).
 
-The scheduler is incremental: it maintains slack, the frontier, and
-per-qubit gate counts under node-resolution deltas — ALAP tail depths
-are fixed once (scheduled nodes are always frontier nodes, so the
-unscheduled set is an up-set and a node's successor chain never
-changes), ASAP labels are repaired by a worklist, and placement / SWAP
-scoring is vectorised against shared read-only distance matrices.  It
+The scheduler is incremental: it maintains the frontier and per-qubit
+gate counts under node-resolution deltas, and placement / SWAP scoring
+is vectorised against shared read-only distance matrices.  Slack needs
+no state beyond each node's tail depth, fixed once: scheduled nodes are
+always frontier nodes, so the unscheduled set is an up-set, every
+frontier node sits at ASAP level 1, and a frontier node's slack is the
+deepest frontier tail minus its own (``_frontier_slack``).  It
 emits bit-identical circuits to the from-scratch scheduler it replaced,
 ``ReferenceSRCaQR`` in ``tests/oracles.py``, which the differential
 harness in ``tests/property/test_router_determinism.py`` pins it
@@ -39,10 +40,9 @@ the serial sweep (see ``docs/ROUTER.md``).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -84,6 +84,25 @@ class SRCaQRResult:
     qubits_used: int
     depth: int
     duration_dt: int
+
+
+def _frontier_slack(
+    frontier: Collection[int], depth_below: Sequence[int]
+) -> Dict[int, int]:
+    """Slack (ALAP - ASAP over the unscheduled sub-DAG) of each node of
+    *frontier*, given each node's longest path to a sink *depth_below*.
+
+    Only frontier nodes are ever scheduled, so the unscheduled set is an
+    up-set: every successor of an unscheduled node is unscheduled, and a
+    node's longest path to a sink is the same in the sub-DAG as in the
+    full DAG.  A frontier node has no unscheduled predecessor, so its
+    ASAP level is 1; the longest path starts at a frontier node, so the
+    horizon is ``1 + max(depth_below[f])`` over the frontier, and
+    ``ALAP[n] = horizon - depth_below[n]``.  The slack of ``n`` is
+    therefore ``max(depth_below[f]) - depth_below[n]``.
+    """
+    deepest = max((depth_below[n] for n in frontier), default=0)
+    return {n: deepest - depth_below[n] for n in frontier}
 
 
 def _sr_trial_worker(payload):
@@ -354,14 +373,8 @@ class SRCaQR:
         readout_error = self._readout_error
         link_error = self._link_error
 
-        # -- incremental slack state -------------------------------------------------
-        #
-        # Only frontier nodes (in-degree 0 within the unscheduled sub-DAG)
-        # are ever scheduled, so the unscheduled set is an up-set: every
-        # successor of an unscheduled node is itself unscheduled.  The
-        # ALAP side of slack therefore never changes — alap[n] equals
-        # horizon - depth_below[n] with depth_below fixed by the full DAG —
-        # and only the ASAP labels need repairing when predecessors resolve.
+        # depth_below[n]: the longest path from n to a sink of the full DAG,
+        # which is also its tail in every unscheduled sub-DAG
         depth_below = [0] * node_count
         for node_id in range(node_count - 1, -1, -1):
             successors = dag.successors(node_id)
@@ -369,100 +382,40 @@ class SRCaQR:
                 depth_below[node_id] = 1 + max(
                     depth_below[s] for s in successors
                 )
-        asap = [0] * node_count
-        for node_id in range(node_count):
-            asap[node_id] = 1 + max(
-                (asap[p] for p in dag.predecessors(node_id)), default=0
-            )
-        # lazy max-heap over current ASAP labels (horizon queries)
-        asap_heap = [(-asap[n], n) for n in range(node_count)]
-        heapq.heapify(asap_heap)
-        dirty: Set[int] = set()
         frontier_set: Set[int] = {n for n in dag.nodes if in_degree[n] == 0}
-        slack_cache_valid = False
-        cached_frontier: List[int] = []
-        slack: Dict[int, int] = {}
+        # (ordered frontier, slack) of the current unscheduled set
+        ranked: Optional[Tuple[List[int], Dict[int, int]]] = None
         recomputes = 0
         avoided = 0
-        node_updates = 0
         candidates_scored = 0
 
         # -- inner helpers ---------------------------------------------------------
 
-        def _drain_dirty() -> None:
-            """Repair ASAP labels invalidated by resolved predecessors.
-
-            Node ids from ``DAGCircuit.from_circuit`` ascend topologically
-            (every edge runs low → high), so draining the worklist in
-            ascending id order sees final predecessor labels."""
-            nonlocal node_updates
-            if not dirty:
-                return
-            work = [n for n in dirty if n in unscheduled]
-            dirty.clear()
-            heapq.heapify(work)
-            pending = set(work)
-            while work:
-                node_id = heapq.heappop(work)
-                pending.discard(node_id)
-                fresh = 1 + max(
-                    (
-                        asap[p]
-                        for p in dag.predecessors(node_id)
-                        if p in unscheduled
-                    ),
-                    default=0,
-                )
-                if fresh != asap[node_id]:
-                    asap[node_id] = fresh
-                    heapq.heappush(asap_heap, (-fresh, node_id))
-                    node_updates += 1
-                    for successor in dag.successors(node_id):
-                        if successor not in pending:
-                            pending.add(successor)
-                            heapq.heappush(work, successor)
-
-        def _horizon() -> int:
-            while asap_heap:
-                value, node_id = asap_heap[0]
-                if node_id in unscheduled and asap[node_id] == -value:
-                    return -value
-                heapq.heappop(asap_heap)
-            return 0
-
-        def _ordered_frontier() -> List[int]:
+        def _ordered_frontier() -> Tuple[List[int], Dict[int, int]]:
             """Frontier sorted critical-path-first: by (slack, node id),
             matching the reference engine's stable sort of the
-            insertion-ordered frontier by slack.  Rounds that scheduled
-            nothing (SWAP insertion, force-map transitions) reuse the
-            cached ordering — the unscheduled set did not change."""
-            nonlocal slack_cache_valid, cached_frontier, slack
-            nonlocal recomputes, avoided
-            if slack_cache_valid:
+            insertion-ordered frontier by slack, and the slack.  Rounds
+            that scheduled nothing (SWAP insertion, force-map
+            transitions) reuse the cached ranking — the unscheduled set
+            did not change."""
+            nonlocal ranked, recomputes, avoided
+            if ranked is not None:
                 avoided += 1
-                return cached_frontier
+                return ranked
             recomputes += 1
-            _drain_dirty()
-            horizon = _horizon()
-            slack = {
-                n: horizon - depth_below[n] - asap[n] for n in frontier_set
-            }
-            cached_frontier = sorted(
-                frontier_set, key=lambda n: (slack[n], n)
-            )
-            slack_cache_valid = True
-            return cached_frontier
+            slack = _frontier_slack(frontier_set, depth_below)
+            ranked = (sorted(frontier_set, key=lambda n: (slack[n], n)), slack)
+            return ranked
 
         def _mark_scheduled(node_id: int) -> None:
-            nonlocal slack_cache_valid
+            nonlocal ranked
             unscheduled.discard(node_id)
             frontier_set.discard(node_id)
-            slack_cache_valid = False
+            ranked = None
             for successor in dag.successors(node_id):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
                     frontier_set.add(successor)
-                dirty.add(successor)
             instruction = dag.nodes[node_id].instruction
             if instruction is None:
                 return
@@ -715,8 +668,7 @@ class SRCaQR:
         # -- main loop -----------------------------------------------------------------
 
         while unscheduled:
-            frontier = _ordered_frontier()
-            round_slack = slack
+            frontier, slack = _ordered_frontier()
             scheduled_any = False
             mapping_starved = False
             blocked: List[int] = []
@@ -730,7 +682,7 @@ class SRCaQR:
                     continue
                 fully_mapped = all(layout.is_mapped(q) for q in instruction.qubits)
                 if not fully_mapped:
-                    if round_slack.get(node_id, 0) > 0 and not force_map:
+                    if slack[node_id] > 0 and not force_map:
                         continue  # delay off-critical gates (Step 2)
                     if not _map_gate_qubits(instruction):
                         mapping_starved = True
@@ -762,7 +714,6 @@ class SRCaQR:
 
         stats.count("slack_recomputes", recomputes)
         stats.count("slack_recomputes_avoided", avoided)
-        stats.count("slack_node_updates", node_updates)
         stats.count("swap_candidates_scored", candidates_scored)
         stats.count("swaps_inserted", swap_count)
         return SRCaQRResult(

@@ -46,11 +46,12 @@ steps).  Timers: ``score``, ``lookahead``, ``apply``.
 bidirectional trials), ``sr_trials`` (SR-CaQR candidate x hint-seed
 cells), ``serial_trials`` / ``parallel_trials``,
 ``swap_candidates_scored``, ``swaps_inserted``, ``slack_recomputes`` /
-``slack_recomputes_avoided`` (slack rebuilt vs. served from the cached
-table), ``slack_node_updates``, ``distance_cache_builds`` /
-``distance_cache_hits``, ``hint_fallbacks`` (hint-layout searches
-abandoned on a :class:`~repro.exceptions.TranspilerError`), ``reuses``.
-Timers: ``route``, ``layout``, ``sr_run``, ``slack``.
+``slack_recomputes_avoided`` (frontier ranked afresh vs. served from the
+cached ranking; together, one per scheduling round),
+``distance_cache_builds`` / ``distance_cache_hits``, ``hint_fallbacks``
+(hint-layout searches abandoned on a
+:class:`~repro.exceptions.TranspilerError`), ``reuses``.  Timer:
+``sr_run``.
 
 **Simulation** (``sim_stats``; :mod:`repro.sim`): ``branches_expanded``,
 ``suffix_cache_hits`` / ``suffix_cache_misses``, ``cap_fallback_shots``,

@@ -18,13 +18,20 @@ pair set and schedule every candidate to its last layer.  This pins:
   degree floor plus chain term is still below the best so far;
 * the matching step returns what the networkx frontier graph gives,
   also on frontiers that are already a matching (returned without
-  running an engine);
-* the pooled scorer gives the serial sweep.
+  running an engine); a blossom run leaves no garbage for a full
+  collection and restores the collector's state;
+* the pooled scorer gives the serial sweep;
+* the step-scoped matching memo: the qaoa16-0.3 sweep's winners, serial
+  and pooled, schedule as the referee does; every step starts with an
+  empty memo (so pool payloads ship it empty); the serial winner's
+  re-schedule runs no matching engine; and a caller that mutates a
+  returned layer cannot change a later schedule.
 
 ``CAQR_COMMUTING_SAMPLES`` (default 100) scales the random-graph pool;
 the nightly CI job runs 500.
 """
 
+import gc
 import os
 import random
 from typing import List, Optional
@@ -166,6 +173,34 @@ def test_matching_layer_matches_networkx(seed):
         )
 
 
+def test_blossom_cycles_die_young():
+    edges = [(a, b, 1 + (a + b) % 4) for a, b in _sample_graph(5).edges]
+    expected = reference_matching_layer(_frontier_graph(edges), "blossom")
+    threshold = gc.get_threshold()
+    gc.collect()
+    # collect the young generations on every allocation and never run a
+    # full collection: a cycle promoted mid-run survives to the check
+    gc.set_threshold(1, 1, 10**9)
+    try:
+        assert matching_layer(edges, "blossom") == expected
+        gc.collect(1)
+        assert gc.collect() == 0
+    finally:
+        gc.set_threshold(*threshold)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_blossom_restores_the_collector(enabled):
+    edges = [(0, 1, 1), (1, 2, 4), (2, 3, 1)]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert matching_layer(edges, "blossom") == [(0, 1), (2, 3)]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # -- the bounded scorer -----------------------------------------------------------
 
 
@@ -262,3 +297,121 @@ def test_pooled_sweep_matches_serial(matching, two_workers):
         assert pooled_engine.stats.counters["parallel_batches"] > 0
     assert [p.pairs for p in pooled] == [p.pairs for p in serial]
     assert [to_qasm(p.circuit) for p in pooled] == [to_qasm(p.circuit) for p in serial]
+
+
+# -- the step-scoped matching memo ------------------------------------------------
+
+
+def _memo_sweep(engine: QSCaQRCommuting, monkeypatch):
+    """Sweep *engine*, recording the memo size whenever a step's scorer
+    (serial or pooled) receives the problem, and the matching-engine
+    runs of each step's winner re-schedule."""
+    memo_sizes, winner_runs = [], []
+    engine_runs = [0]
+    matching_layer_fn = qs_commuting.matching_layer
+    serial_worker = qs_commuting._extension_cost_worker
+    map_chunks = engine.map_chunks
+    best_extension = engine._best_extension
+    extension_costs = engine._extension_costs
+
+    def counted_matching_layer(edges, matching):
+        engine_runs[0] += 1
+        return matching_layer_fn(edges, matching)
+
+    def serial_spy(payload):
+        memo_sizes.append(len(payload[0][0].layer_memo))
+        return serial_worker(payload)
+
+    def pooled_spy(fn, context, items):
+        memo_sizes.append(len(context[0].layer_memo))
+        return map_chunks(fn, context, items)
+
+    scored_at = [0]
+
+    def costs_spy(pairs, candidates):
+        costs = extension_costs(pairs, candidates)
+        scored_at[0] = engine_runs[0]
+        return costs
+
+    def best_spy(pairs):
+        extension = best_extension(pairs)
+        if extension is not None:
+            winner_runs.append(engine_runs[0] - scored_at[0])
+        return extension
+
+    monkeypatch.setattr(qs_commuting, "matching_layer", counted_matching_layer)
+    if not engine.parallel:
+        # a pool pickles the worker by name, so only the serial one is spied
+        monkeypatch.setattr(qs_commuting, "_extension_cost_worker", serial_spy)
+    engine.map_chunks = pooled_spy
+    engine._extension_costs = costs_spy
+    engine._best_extension = best_spy
+    return engine.sweep(), memo_sizes, winner_runs
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_memo_sweep_winners_match_reference(parallel, two_workers, monkeypatch):
+    graph = commuting_view(get_benchmark("qaoa16-0.3"))[0]
+    with QSCaQRCommuting(graph, parallel=parallel) as engine:
+        points, memo_sizes, winner_runs = _memo_sweep(engine, monkeypatch)
+        pooled = engine.stats.counters.get("parallel_batches", 0)
+    assert len(points) > 2
+    assert memo_sizes and set(memo_sizes) == {0}
+    # every step scored (the last may find no feasible candidate)
+    assert len(memo_sizes) >= len(points) - 1
+    if parallel:
+        assert pooled == len(memo_sizes)
+    else:
+        # the scorer left every layer of the winner in the memo
+        assert set(winner_runs) == {0}
+    for point in points:
+        expected = reference_schedule_commuting(
+            graph, point.pairs, matching=engine.matching
+        )
+        assert point.schedule.layers == expected.layers, point.pairs
+        assert point.schedule.measure_after_layer == expected.measure_after_layer
+
+
+def test_degree_steps_start_with_an_empty_memo(monkeypatch):
+    graph = commuting_view(get_benchmark("qaoa16-0.3"))[0]
+    engine = QSCaQRCommuting(graph, candidate_evaluation="degree", parallel=False)
+    sizes = []
+    schedule = engine.problem.schedule
+
+    def spy(pairs, budget=None):
+        sizes.append(len(engine.problem.layer_memo))
+        return schedule(pairs, budget)
+
+    best_extension = engine._best_extension_by_degree
+
+    def step(pairs):
+        sizes.append("step")
+        return best_extension(pairs)
+
+    engine._best_extension_by_degree = step
+    engine.problem.schedule = spy
+    points = engine.sweep()
+    assert len(points) > 2
+    # the first schedule of every step sees the memo cleared
+    firsts = [sizes[i + 1] for i, size in enumerate(sizes) if size == "step"]
+    assert firsts and set(firsts) == {0}
+    for point in points:
+        expected = reference_schedule_commuting(
+            graph, point.pairs, matching=engine.matching
+        )
+        assert point.schedule.layers == expected.layers
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_mutating_a_returned_layer_leaves_later_schedules(engine):
+    graph = nx.random_regular_graph(3, 10, seed=4)
+    pairs = [ReusePair(0, 9)] if not graph.has_edge(0, 9) else []
+    problem = CommutingProblem(graph, engine)
+    expected = _outcome(reference_schedule_commuting, graph, pairs, matching=engine)
+    first = problem.schedule(pairs)
+    assert problem.layer_memo
+    for layer in first.layers:
+        layer.reverse()
+        layer.append((98, 99))
+    first.layers.clear()
+    assert _outcome(problem.schedule, pairs) == expected

@@ -10,6 +10,9 @@ harness pins that promise on random circuits:
 * ``sabre_layout`` serial vs. parallel — identical layout;
 * the incremental SR scheduler vs. ``ReferenceSRCaQR``, the
   from-scratch scheduler in ``tests/oracles.py``;
+* the scheduler's closed-form frontier slack vs. a from-scratch
+  ALAP - ASAP over the unscheduled sub-DAG, after every step of random
+  frontier-first schedules;
 * the bitset reuse-potential lookahead vs. the networkx reference
   kernel (``tests.oracles.nx_lookahead_kernel``).
 
@@ -18,13 +21,16 @@ nightly CI job runs 200.
 """
 
 import os
+import random
 
 import pytest
 
 from repro.circuit.random import random_circuit
-from repro.core.sr_caqr import SRCaQR
+from repro.core.sr_caqr import SRCaQR, _frontier_slack
+from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import ReuseError
 from repro.hardware import generic_backend, grid, ibm_mumbai, line
+from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.sabre import sabre_layout
 from tests.oracles import ReferenceSRCaQR, nx_lookahead_kernel
 
@@ -113,6 +119,48 @@ def test_sr_incremental_matches_reference(seed):
         except ReuseError as error:
             outcomes.append(("ReuseError", str(error)))
     assert outcomes[0] == outcomes[1], seed
+
+
+def _scratch_slack(dag: DAGCircuit, unscheduled) -> dict:
+    """ALAP - ASAP of every unscheduled node, over the unscheduled
+    sub-DAG, from scratch."""
+    order = [n for n in dag.topological_order() if n in unscheduled]
+    asap = {}
+    for n in order:
+        asap[n] = 1 + max(
+            (asap[p] for p in dag.predecessors(n) if p in unscheduled), default=0
+        )
+    horizon = max(asap.values(), default=0)
+    alap = {}
+    for n in reversed(order):
+        alap[n] = min(
+            (alap[s] - 1 for s in dag.successors(n) if s in unscheduled),
+            default=horizon,
+        )
+    return {n: alap[n] - asap[n] for n in order}
+
+
+@pytest.mark.parametrize("seed", range(ROUTE_SAMPLES))
+def test_frontier_slack_matches_scratch_alap_minus_asap(seed):
+    dag = DAGCircuit.from_circuit(decompose_to_two_qubit(_sample_circuit(seed)))
+    depth_below = {}
+    for n in reversed(dag.topological_order()):
+        depth_below[n] = 1 + max(
+            (depth_below[s] for s in dag.successors(n)), default=-1
+        )
+    rng = random.Random(seed)
+    unscheduled = set(dag.nodes)
+    while unscheduled:
+        frontier = sorted(
+            n
+            for n in unscheduled
+            if not any(p in unscheduled for p in dag.predecessors(n))
+        )
+        scratch = _scratch_slack(dag, unscheduled)
+        assert _frontier_slack(set(frontier), depth_below) == {
+            n: scratch[n] for n in frontier
+        }, (seed, len(unscheduled))
+        unscheduled.discard(rng.choice(frontier))
 
 
 @pytest.mark.parametrize("seed", range(0, ROUTE_SAMPLES, 2))
