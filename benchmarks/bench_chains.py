@@ -13,10 +13,16 @@ Three claims (ISSUE 10 / docs/CHAINS.md):
   operations** than the generic width-first model on a pinned circuit
   where the two genuinely disagree.
 
+Each row also records the beam's valid-merge scans against the
+children it built (``scans``: ``WindowAnalysis.chain_merges`` calls over
+``states_expanded``; only children whose lower-bound key can still enter
+the beam are scanned) and ``ratio``, chain_s over greedy_s.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_chains.py``.
 """
 
 import time
+from contextlib import contextmanager
 
 import networkx as nx
 from conftest import emit, once
@@ -26,6 +32,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.random import random_circuit
 from repro.compile_api import caqr_compile
 from repro.core import ChainReuse, QSCaQR
+from repro.core.windows import WindowAnalysis
 from repro.hardware.topologies import get_device
 from repro.workloads import bv_circuit, qaoa_maxcut_circuit, random_graph
 from tests.oracles import ReferenceQSCaQR
@@ -66,57 +73,79 @@ def _mixed_ladder(n: int) -> QuantumCircuit:
     return circuit
 
 
+@contextmanager
+def _counting_scans():
+    """Count ``WindowAnalysis.chain_merges`` calls (the valid-merge scan)."""
+    kernel = WindowAnalysis.chain_merges
+    scans = [0]
+
+    def chain_merges(self, wires, reach):
+        scans[0] += 1
+        return kernel(self, wires, reach)
+
+    WindowAnalysis.chain_merges = chain_merges
+    try:
+        yield scans
+    finally:
+        WindowAnalysis.chain_merges = kernel
+
+
+def _run_chain(circuit: QuantumCircuit):
+    """The default chain engine on *circuit*: result, seconds, scan column."""
+    engine = ChainReuse()
+    with _counting_scans() as scans:
+        start = time.perf_counter()
+        chain = engine.run(circuit)
+        seconds = time.perf_counter() - start
+    expanded = engine.stats.counters.get("states_expanded", 0)
+    return chain, seconds, f"{scans[0]}/{expanded}"
+
+
+def _row(name, circuit, chain, greedy, t_chain, t_greedy, scans):
+    return [
+        name,
+        circuit.num_qubits,
+        chain.qubits,
+        greedy,
+        chain.floor,
+        round(t_chain, 3),
+        round(t_greedy, 3),
+        round(t_chain / t_greedy, 1),
+        scans,
+    ]
+
+
 def _measure():
     rows = []
     for name, build in WORKLOADS:
         circuit = build()
-        start = time.perf_counter()
-        chain = ChainReuse().run(circuit)
-        t_chain = time.perf_counter() - start
+        chain, t_chain, scans = _run_chain(circuit)
         start = time.perf_counter()
         greedy = QSCaQR(parallel=False).minimum_qubits(circuit)
         t_greedy = time.perf_counter() - start
         assert chain.qubits <= greedy, (
             f"{name}: chain {chain.qubits} wider than greedy {greedy}"
         )
-        rows.append(
-            [
-                name,
-                circuit.num_qubits,
-                chain.qubits,
-                greedy,
-                chain.floor,
-                round(t_chain, 3),
-                round(t_greedy, 3),
-            ]
-        )
+        rows.append(_row(name, circuit, chain, greedy, t_chain, t_greedy, scans))
     for name, build, chain_width, greedy_width in STRICT_WINS:
         circuit = build()
-        start = time.perf_counter()
-        chain = ChainReuse().run(circuit)
-        t_chain = time.perf_counter() - start
+        chain, t_chain, scans = _run_chain(circuit)
         assert chain.qubits == chain_width, (
             f"{name}: chain reached {chain.qubits}, pinned {chain_width}"
         )
         assert not chain.from_greedy, f"{name}: win must come from the beam"
+        seconds = {}
         for engine in (QSCaQR, ReferenceQSCaQR):
             start = time.perf_counter()
             greedy = engine(parallel=False).minimum_qubits(circuit)
-            t_greedy = time.perf_counter() - start
+            seconds[engine] = time.perf_counter() - start
             assert greedy == greedy_width, (
                 f"{name} {engine.__name__}: greedy reached "
                 f"{greedy}, pinned {greedy_width}"
             )
+        # greedy_s is the production engine's, as on the rows above
         rows.append(
-            [
-                name,
-                circuit.num_qubits,
-                chain.qubits,
-                greedy_width,
-                chain.floor,
-                round(t_chain, 3),
-                round(t_greedy, 3),
-            ]
+            _row(name, circuit, chain, greedy_width, t_chain, seconds[QSCaQR], scans)
         )
     return rows
 
@@ -164,7 +193,17 @@ def _measure_dual():
 def test_chain_never_wider_with_strict_wins(benchmark):
     rows = once(benchmark, _measure)
     table = format_table(
-        ["workload", "input", "chain", "greedy", "floor", "chain_s", "greedy_s"],
+        [
+            "workload",
+            "input",
+            "chain",
+            "greedy",
+            "floor",
+            "chain_s",
+            "greedy_s",
+            "ratio",
+            "scans",
+        ],
         rows,
     )
     emit("chains", table)

@@ -13,11 +13,14 @@ sharing one wire) and validity never materialises a circuit.  Each beam
 level applies one more merge; children are deduplicated by the interned
 canonical state, ranked by an objective-aware key whose head is the
 matching floor (the reuse-potential lookahead lifted from pairs to
-states), and the best ``beam_width`` survive.  Terminal states (no
-valid merge left, or the register budget reached) are materialised with
-:func:`~repro.core.transform.apply_reuse_chain` — per-step wire labels,
-exactly the plan format the greedy engines emit — and the final winner
-is picked on the materialised circuits.
+states), and the best ``beam_width`` survive.  A child's floor is never
+below its parent's, so children are ranked by a lower-bound key first
+and only those that can still enter the beam pay for the valid-merge
+scan and the matching.  Terminal states (no valid merge left, or the
+register budget reached) are materialised pair by pair with
+:func:`~repro.core.transform.apply_reuse_pair`, each shared plan prefix
+once — per-step wire labels, exactly the plan format the greedy engines
+emit — and the final winner is picked on the materialised circuits.
 
 Two cost models:
 
@@ -45,13 +48,15 @@ any circuit where both apply.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
-from repro.core.transform import apply_reuse_chain
-from repro.core.windows import Chain, Reach, State, WindowAnalysis
+from repro.core.transform import apply_reuse_pair
+from repro.core.windows import Reach, State, WindowAnalysis
 from repro.exceptions import ReuseError
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
@@ -122,15 +127,22 @@ class ChainReuseResult:
 
 @dataclass
 class _BeamState:
-    """One node of the beam: an abstract state plus its search bookkeeping."""
+    """One node of the beam: an abstract state plus its search bookkeeping.
+
+    A child starts as a cheap record: ``reach`` and ``options`` are
+    ``None`` and ``floor`` is its parent's, a lower bound on its own.
+    :meth:`ChainReuse._settle` runs the kernel and fills them in.
+    ``loads`` are the per-wire load proxies and ``load`` their maximum.
+    """
 
     wires: State
-    reach: Reach
     plan: Tuple[ReusePair, ...]
     inserted_measures: int
-    options: List[Tuple[int, int]]
-    floor: int
+    loads: Tuple[int, ...]
     load: int
+    floor: int
+    reach: Optional[Reach] = None
+    options: Optional[List[Tuple[int, int]]] = None
 
 
 class ChainReuse:
@@ -189,14 +201,6 @@ class ChainReuse:
         self.stats = stats if stats is not None else Stats()
 
     # -- scoring ----------------------------------------------------------------
-
-    @staticmethod
-    def _chain_load(chain: Chain, ops: Sequence[int]) -> int:
-        """Serialised-wire length proxy: member ops plus 2 per barrier."""
-        return sum(ops[q] for q in chain) + 2 * (len(chain) - 1)
-
-    def _state_load(self, wires: State, ops: Sequence[int]) -> int:
-        return max((self._chain_load(chain, ops) for chain in wires), default=0)
 
     def _abstract_key(self, state: _BeamState) -> Tuple:
         """Beam ranking key (smaller is better), fully deterministic.
@@ -261,6 +265,14 @@ class ChainReuse:
 
     # -- the search --------------------------------------------------------------
 
+    @staticmethod
+    def _settle(analysis: WindowAnalysis, state: _BeamState, reach: Reach) -> None:
+        """Give *state* its reach rows, valid merges and exact floor."""
+        options, rows = analysis.chain_merges(state.wires, reach)
+        state.reach = reach
+        state.options = options
+        state.floor = analysis.chain_floor(state.wires, rows)
+
     def search(self, analysis: WindowAnalysis) -> Tuple[List[ChainPlan], int]:
         """Run the beam over *analysis*'s chain states.
 
@@ -268,25 +280,29 @@ class ChainReuse:
         abstract key (at most ``materialize_top`` plans, at least one:
         the empty plan when nothing can merge), and the root state's
         matching floor.
+
+        Children are ranked lazily.  Each starts with its parent's floor,
+        which is never above its own (a matching of the child's
+        valid-merge relation maps into the parent's, and the merge that
+        made the child extends it by one), and every abstract key is
+        monotone in the floor, so the parent-floor key is a lower bound
+        on the exact key.  Children are settled in lower-bound order
+        until ``beam_width`` exact keys are known and the next lower
+        bound is no better than the worst of them; the rest are dropped
+        unscanned.  Keys end in the plan, which is unique per child, so
+        the survivors are exactly those of a sort by exact key.
         """
-        ops = [w.num_ops for w in analysis.windows]
+        ops = tuple(w.num_ops for w in analysis.windows)
         terminal_measure = [w.terminal_measure for w in analysis.windows]
-
-        def make_state(
-            wires: State, reach: Reach, plan: Tuple[ReusePair, ...], measures: int
-        ) -> _BeamState:
-            options, rows = analysis.chain_merges(wires, reach)
-            return _BeamState(
-                wires=wires,
-                reach=reach,
-                plan=plan,
-                inserted_measures=measures,
-                options=options,
-                floor=analysis.chain_floor(wires, rows),
-                load=self._state_load(wires, ops),
-            )
-
-        root = make_state(analysis.initial_state(), analysis.initial_reach(), (), 0)
+        root = _BeamState(
+            wires=analysis.initial_state(),
+            plan=(),
+            inserted_measures=0,
+            loads=ops,
+            load=max(ops, default=0),
+            floor=0,
+        )
+        self._settle(analysis, root, analysis.initial_reach())
         budget = self.register_budget
         if budget is None and self.dual_register:
             # dual-register without an explicit register size: stop at the
@@ -305,9 +321,11 @@ class ChainReuse:
                 candidates[key] = state
 
         beam = [root]
+        width = self.beam_width
         with self.stats.timed("search"):
             while beam:
-                children: List[_BeamState] = []
+                # (lower-bound key, child, parent, u, v)
+                pending: List[Tuple[Tuple, _BeamState, _BeamState, int, int]] = []
                 for state in beam:
                     if budget_met(len(state.wires)) or not state.options:
                         offer(state)
@@ -320,29 +338,48 @@ class ChainReuse:
                             continue
                         seen.add(key)
                         source_tail = state.wires[u][-1]
-                        measures = state.inserted_measures + (
-                            0 if terminal_measure[source_tail] else 1
+                        # the merged wire's load: both chains plus a barrier
+                        merged = state.loads[u] + state.loads[v] + 2
+                        loads = list(state.loads)
+                        loads[u] = merged
+                        del loads[v]
+                        child = _BeamState(
+                            wires=new_wires,
+                            plan=state.plan + (ReusePair(u, v),),
+                            inserted_measures=state.inserted_measures
+                            + (0 if terminal_measure[source_tail] else 1),
+                            loads=tuple(loads),
+                            load=max(state.load, merged),
+                            floor=state.floor,
                         )
-                        child = make_state(
-                            new_wires,
-                            analysis.merge_reach(state.reach, state.wires, u, v),
-                            state.plan + (ReusePair(u, v),),
-                            measures,
-                        )
-                        children.append(child)
+                        pending.append((self._abstract_key(child), child, state, u, v))
                         expanded = True
-                        self.stats.count("states_expanded")
                     if not expanded:
                         # every successor was interned elsewhere: keep this
                         # state as a candidate so a viable plan survives
                         offer(state)
-                if not children:
+                if not pending:
                     break
-                children.sort(key=self._abstract_key)
-                dropped = max(0, len(children) - self.beam_width)
+                self.stats.count("states_expanded", len(pending))
+                pending.sort(key=itemgetter(0))
+                best: List[Tuple[Tuple, _BeamState]] = []
+                for lower, child, parent, u, v in pending:
+                    if len(best) == width and lower >= best[-1][0]:
+                        break
+                    self._settle(
+                        analysis,
+                        child,
+                        analysis.merge_reach(parent.reach, parent.wires, u, v),
+                    )
+                    exact = self._abstract_key(child)
+                    if len(best) < width or exact < best[-1][0]:
+                        # keys end in the unique plan: no tie reaches the state
+                        insort(best, (exact, child))
+                        del best[width:]
+                dropped = len(pending) - len(best)
                 if dropped:
                     self.stats.count("states_dropped", dropped)
-                beam = children[: self.beam_width]
+                beam = [child for _, child in best]
         ranked = sorted(candidates.values(), key=self._abstract_key)
         top = ranked[: self.materialize_top] if ranked else [root]
         plans = [
@@ -410,11 +447,20 @@ class ChainReuse:
             else:
                 guard = None
         best: Optional[Tuple[Tuple, ChainPlan, QuantumCircuit]] = None
+        # plans share prefixes (beam siblings differ in their last merges):
+        # each prefix is applied once, from its longest applied prefix
+        prefixes: Dict[Tuple[ReusePair, ...], QuantumCircuit] = {(): circuit}
         with self.stats.timed("materialize"):
             for plan in plans:
-                materialised = apply_reuse_chain(
-                    circuit, list(plan.pairs), reset_style=self.reset_style
-                )
+                done = len(plan.pairs)
+                while plan.pairs[:done] not in prefixes:
+                    done -= 1
+                materialised = prefixes[plan.pairs[:done]]
+                for step in range(done, len(plan.pairs)):
+                    materialised = apply_reuse_pair(
+                        materialised, plan.pairs[step], reset_style=self.reset_style
+                    ).circuit
+                    prefixes[plan.pairs[: step + 1]] = materialised
                 self.stats.count("plans_materialized")
                 key = self._final_key(plan, materialised)
                 if best is None or key < best[0]:

@@ -20,6 +20,31 @@ from typing import List, Tuple
 __all__ = ["max_bipartite_matching_size"]
 
 
+def _augment(
+    rows: List[int], match_of_target: List[int], source: int, banned: int
+) -> Tuple[bool, int]:
+    """Try to match *source*, threading the per-phase visited mask.
+
+    A module-level function rather than a closure: a recursive closure
+    is a reference cycle per call, left for the cyclic collector.
+    """
+    available = rows[source] & ~banned
+    while available:
+        target_bit = available & -available
+        available ^= target_bit
+        banned |= target_bit
+        target = target_bit.bit_length() - 1
+        holder = match_of_target[target]
+        if holder == -1:
+            match_of_target[target] = source
+            return True, banned
+        grew, banned = _augment(rows, match_of_target, holder, banned)
+        if grew:
+            match_of_target[target] = source
+            return True, banned
+    return False, banned
+
+
 def max_bipartite_matching_size(rows: List[int], num_targets: int) -> int:
     """Size of a maximum matching in the bipartite graph ``source x has an
     edge to target y iff bit y of rows[x] is set``.
@@ -32,29 +57,8 @@ def max_bipartite_matching_size(rows: List[int], num_targets: int) -> int:
         The (unique) maximum-matching size.
     """
     match_of_target = [-1] * num_targets
-
-    def _augment(source: int, banned: int) -> Tuple[bool, int]:
-        """Try to match *source*, threading the per-phase visited mask."""
-        available = rows[source] & ~banned
-        while available:
-            target_bit = available & -available
-            available ^= target_bit
-            banned |= target_bit
-            target = target_bit.bit_length() - 1
-            holder = match_of_target[target]
-            if holder == -1:
-                match_of_target[target] = source
-                return True, banned
-            grew, banned = _augment(holder, banned)
-            if grew:
-                match_of_target[target] = source
-                return True, banned
-        return False, banned
-
     size = 0
     for source, mask in enumerate(rows):
-        if mask:
-            grew, _ = _augment(source, 0)
-            if grew:
-                size += 1
+        if mask and _augment(rows, match_of_target, source, 0)[0]:
+            size += 1
     return size

@@ -26,6 +26,11 @@ for bit:
   :func:`reference_canonical` is the frozenset state key the compact
   bytes key of :meth:`~repro.core.windows.WindowAnalysis.canonical`
   must agree with.
+* :func:`reference_chain_search` — the eager chain beam: every child
+  pays for its valid-merge scan and Kuhn floor, and each level sorts
+  all children by the exact key.  It is the referee of
+  :meth:`~repro.core.chains.ChainReuse.search`'s lower-bound ranking
+  (plans, root floor, ``states_expanded``/``states_dropped``).
 * :func:`reference_sabre_route` and :func:`reference_sabre_layout` — the
   SABRE router that rebuilds its DAG and emits a circuit on every pass,
   with numpy scoring over the whole candidate set.  They are the
@@ -49,6 +54,7 @@ from __future__ import annotations
 import contextlib
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -57,6 +63,7 @@ import numpy as np
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.core import session as _session
+from repro.core.chains import ChainPlan, ChainReuse
 from repro.core.conditions import ReuseAnalysis, ReusePair
 from repro.core.evaluate import evaluate_pair_depth, evaluate_pair_duration
 from repro.core.qs_commuting import (
@@ -68,7 +75,7 @@ from repro.core.qs_commuting import (
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
 from repro.core.sr_caqr import _DIRTY, _FRESH, SRCaQR, SRCaQRResult
 from repro.core.transform import apply_reuse_pair
-from repro.core.windows import Chain, State, WindowAnalysis
+from repro.core.windows import Chain, Reach, State, WindowAnalysis
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import ReuseError, TranspilerError
 from repro.hardware.coupling import CouplingMap
@@ -85,6 +92,7 @@ __all__ = [
     "nx_potential",
     "reference_canonical",
     "reference_chain_merges",
+    "reference_chain_search",
     "reference_extension_costs",
     "reference_reach",
     "reference_sabre_layout",
@@ -753,6 +761,119 @@ def reference_canonical(
     """The state key as a frozenset of ``(class chain, count)`` items."""
     counts = Counter(tuple(analysis._class_of[q] for q in chain) for chain in wires)
     return frozenset(counts.items())
+
+
+@dataclass
+class _ReferenceBeamState:
+    """One node of the eager beam: every field is exact on creation."""
+
+    wires: State
+    reach: Reach
+    plan: Tuple[ReusePair, ...]
+    inserted_measures: int
+    options: List[Tuple[int, int]]
+    floor: int
+    load: int
+
+
+def _reference_state_load(wires: State, ops: Sequence[int]) -> int:
+    """Longest serialised wire: member ops plus 2 per barrier."""
+    return max(
+        (sum(ops[q] for q in chain) + 2 * (len(chain) - 1) for chain in wires),
+        default=0,
+    )
+
+
+def reference_chain_search(
+    engine: ChainReuse, analysis: WindowAnalysis
+) -> Tuple[List[ChainPlan], int]:
+    """The eager chain beam: every child pays for its valid-merge scan,
+    reach update and Kuhn floor, and each level sorts all children by
+    the exact abstract key.  Same inputs, counters (``states_expanded``,
+    ``states_dropped`` on ``engine.stats``) and return value as
+    :meth:`~repro.core.chains.ChainReuse.search`."""
+    ops = [w.num_ops for w in analysis.windows]
+    terminal_measure = [w.terminal_measure for w in analysis.windows]
+
+    def make_state(
+        wires: State, reach: Reach, plan: Tuple[ReusePair, ...], measures: int
+    ) -> _ReferenceBeamState:
+        options, rows = analysis.chain_merges(wires, reach)
+        return _ReferenceBeamState(
+            wires=wires,
+            reach=reach,
+            plan=plan,
+            inserted_measures=measures,
+            options=options,
+            floor=analysis.chain_floor(wires, rows),
+            load=_reference_state_load(wires, ops),
+        )
+
+    root = make_state(analysis.initial_state(), analysis.initial_reach(), (), 0)
+    budget = engine.register_budget
+    if budget is None and engine.dual_register:
+        budget = root.floor
+
+    def budget_met(width: int) -> bool:
+        return budget is not None and width <= budget
+
+    candidates: Dict[bytes, _ReferenceBeamState] = {}
+    seen = {analysis.canonical(root.wires)}
+
+    def offer(state: _ReferenceBeamState) -> None:
+        key = analysis.canonical(state.wires)
+        if key not in candidates:
+            candidates[key] = state
+
+    beam = [root]
+    while beam:
+        children: List[_ReferenceBeamState] = []
+        for state in beam:
+            if budget_met(len(state.wires)) or not state.options:
+                offer(state)
+                continue
+            expanded = False
+            for u, v in state.options:
+                new_wires = WindowAnalysis.merge(state.wires, u, v)
+                key = analysis.canonical(new_wires)
+                if key in seen:
+                    continue
+                seen.add(key)
+                source_tail = state.wires[u][-1]
+                measures = state.inserted_measures + (
+                    0 if terminal_measure[source_tail] else 1
+                )
+                child = make_state(
+                    new_wires,
+                    analysis.merge_reach(state.reach, state.wires, u, v),
+                    state.plan + (ReusePair(u, v),),
+                    measures,
+                )
+                children.append(child)
+                expanded = True
+                engine.stats.count("states_expanded")
+            if not expanded:
+                offer(state)
+        if not children:
+            break
+        children.sort(key=engine._abstract_key)
+        dropped = max(0, len(children) - engine.beam_width)
+        if dropped:
+            engine.stats.count("states_dropped", dropped)
+        beam = children[: engine.beam_width]
+    ranked = sorted(candidates.values(), key=engine._abstract_key)
+    top = ranked[: engine.materialize_top] if ranked else [root]
+    plans = [
+        ChainPlan(
+            pairs=state.plan,
+            chains=state.wires,
+            width=len(state.wires),
+            inserted_measures=state.inserted_measures,
+            inserted_resets=len(state.plan),
+        )
+        for state in top
+    ]
+    return plans, root.floor
 
 
 # -- SABRE routing ---------------------------------------------------------------
