@@ -33,7 +33,8 @@ emits bit-identical circuits to the from-scratch scheduler it replaced,
 ``ReferenceSRCaQR`` in ``tests/oracles.py``, which the differential
 harness in ``tests/property/test_router_determinism.py`` pins it
 against.  ``SRCaQR.run`` can fan its candidate × hint-seed
-trial grid out to a process pool (``parallel=``, see :mod:`repro.parallel`)
+trial grid out to a process pool (``parallel=``, see :mod:`repro.parallel`;
+by default only above :data:`SR_GRID_PARALLEL_THRESHOLD`)
 with a grid-ordered reduction that keeps the selection bit-identical to
 the serial sweep (see ``docs/ROUTER.md``).
 """
@@ -59,7 +60,13 @@ from repro.transpiler.layout import Layout
 from repro.transpiler.sabre import sabre_layout
 from repro.transpiler.scheduling import circuit_duration_dt
 
-__all__ = ["SRCaQRResult", "SRCaQR"]
+__all__ = ["SRCaQRResult", "SRCaQR", "SR_GRID_PARALLEL_THRESHOLD"]
+
+#: Grid cells × the circuit's two-qubit gates (after decomposition, the
+#: gates the router routes) at which :meth:`SRCaQR.run` fans its trial
+#: grid out by default: below it a per-call pool costs more than it saves
+#: (measured break-even in ``docs/ROUTER.md``).
+SR_GRID_PARALLEL_THRESHOLD = 512
 
 _FRESH = ("fresh", None)
 _DIRTY = ("dirty", None)
@@ -125,8 +132,11 @@ class SRCaQR:
         parallel: the :func:`repro.parallel.fans_out` tri-state for the
             trial grid and for the QS-CaQR sweep that feeds it
             (*qs_assist*): ``True`` forces the process pool, ``False``
-            forces the serial sweep, ``None`` (default) pools when more
-            than one worker and more than one grid cell are available.
+            forces the serial sweep, ``None`` (default) pools the grid
+            with more than one worker and more than one grid cell, and a
+            workload (cells × two-qubit gates) at
+            :data:`SR_GRID_PARALLEL_THRESHOLD`; the QS-CaQR sweep applies
+            its own engines' floors.
     """
 
     def __init__(
@@ -221,10 +231,14 @@ class SRCaQR:
         estimated success probability").
 
         The candidate × hint-seed grid cells are independent; under the
-        router's ``parallel`` they fan out to a process pool.  Cells are
-        reduced in grid order with a strict ``<`` on the objective key, so
-        the parallel sweep selects the exact result the serial sweep
-        would.
+        router's ``parallel`` they fan out to a per-call process pool, at
+        the default ``None`` only once the grid cells times the circuit's
+        two-qubit gates (after decomposition) reach
+        :data:`SR_GRID_PARALLEL_THRESHOLD`: a smaller grid finishes
+        serially before a pool would have paid for its start-up.  Cells
+        are reduced in grid order with a strict ``<`` on the objective
+        key, so the parallel sweep selects the exact result the serial
+        sweep would.
 
         *seed_base* anchors the hint-seed stream (default 17): callers
         racing several SR variants over the same circuit can hand each
@@ -268,10 +282,17 @@ class SRCaQR:
             (candidate, seed) for candidate in candidates for seed in seeds
         ]
         workers = default_workers()
+        workload = len(grid) * decompose_to_two_qubit(circuit).two_qubit_gate_count()
 
         results: List[SRCaQRResult]
         with self.stats.timed("sr_run"):
-            if fans_out(self.parallel, len(grid), workers):
+            if fans_out(
+                self.parallel,
+                len(grid),
+                workers,
+                workload=workload,
+                threshold=SR_GRID_PARALLEL_THRESHOLD,
+            ):
                 payloads = [(self, candidate, seed) for candidate, seed in grid]
                 outcomes = pooled_map(_sr_trial_worker, payloads, workers)
                 results = []

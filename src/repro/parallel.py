@@ -9,7 +9,21 @@ fans out takes one ``parallel`` argument with one meaning:
   ``True`` forces the pool, ``None`` (every engine's default) pools
   given more than one worker, enough items (two per worker when
   chunked) and a workload at the engine's threshold.  Each threshold is
-  one module constant of the engine's module, not an argument;
+  one module constant of the engine's module, not an argument:
+
+  - SABRE layout trials: routed two-qubit gates × trials at
+    ``repro.transpiler.sabre.LAYOUT_PARALLEL_THRESHOLD``;
+  - the SR trial grid: grid cells × two-qubit gates at
+    ``repro.core.sr_caqr.SR_GRID_PARALLEL_THRESHOLD``;
+  - QS candidate scoring: ``repro.core.evaluate.PARALLEL_WORKLOAD_THRESHOLD``;
+  - QS lookahead potentials:
+    ``repro.core.session.POTENTIAL_WORKLOAD_THRESHOLD``;
+  - commuting candidate schedules:
+    ``repro.core.qs_commuting.COMMUTING_PARALLEL_THRESHOLD``;
+  - simulator shards: ``repro.sim.batch.DEFAULT_PARALLEL_THRESHOLD``.
+
+  The two per-call pools (layout trials, SR grid) were measured against
+  their start-up cost (the break-even table in ``docs/ROUTER.md``);
 * **width** — :func:`default_workers`, the CPUs the calling thread may
   run on (its affinity mask; ``os.cpu_count()`` where the platform has
   no affinity call), capped at 8.  It is read when an engine is built

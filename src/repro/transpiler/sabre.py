@@ -24,7 +24,8 @@ Routing is split in two (see ``docs/ROUTER.md``):
 :func:`search_layout` shares one forward and one reverse problem across
 every trial and iteration of the bidirectional search, and can fan its
 independent trials out to a process pool (``parallel=``, see
-:mod:`repro.parallel`).
+:mod:`repro.parallel`) once the search is large enough to pay for one
+(:data:`LAYOUT_PARALLEL_THRESHOLD`).
 
 Each scoring step looks up the blocked front's look-ahead window in a
 memo on the problem, keyed by the front's node ids: the window depends
@@ -59,7 +60,13 @@ from repro.transpiler.layout import Layout, trivial_layout
 
 __all__ = [
     "sabre_route", "sabre_layout", "RoutingResult", "RoutingProblem", "search_layout",
+    "LAYOUT_PARALLEL_THRESHOLD",
 ]
+
+#: Routed two-qubit gates × trials at which :func:`search_layout` fans its
+#: trials out by default: below it a per-call pool costs more than it
+#: saves (measured break-even in ``docs/ROUTER.md``).
+LAYOUT_PARALLEL_THRESHOLD = 512
 
 _EXTENDED_SET_SIZE = 20
 _EXTENDED_SET_WEIGHT = 0.5
@@ -409,8 +416,10 @@ def sabre_layout(
 
     Args:
         parallel: ``True`` forces the process pool, ``False`` forces the
-            in-process loop, ``None`` (default) uses the pool only when
-            more than one worker and more than one trial are available
+            in-process loop, ``None`` (default) uses the pool only with
+            more than one worker and more than one trial, and a workload
+            (routed two-qubit gates × trials) at
+            :data:`LAYOUT_PARALLEL_THRESHOLD`
             (:func:`repro.parallel.fans_out`).
         stats: optional :class:`Stats` sink (worker-side counters are
             merged back in).
@@ -429,7 +438,13 @@ def search_layout(
     stats: Optional[Stats] = None,
 ) -> Layout:
     """:func:`sabre_layout` over a prebuilt forward *problem*; the reverse
-    problem is built once here and shared by every trial."""
+    problem is built once here and shared by every trial.
+
+    The trials fan out to a per-call process pool under *parallel*; at the
+    default ``None`` only when ``sum(problem.routes) * trials`` reaches
+    :data:`LAYOUT_PARALLEL_THRESHOLD`, below which the pool's start-up
+    costs more than the trials it splits.  Pooled and serial searches
+    return the same layout."""
     circuit = problem.circuit
     reverse_circuit = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
     for instruction in reversed(circuit.data):
@@ -447,7 +462,10 @@ def search_layout(
 
     results: List[Tuple[Layout, int, Stats]]
     workers = default_workers()
-    if fans_out(parallel, trials, workers):
+    workload = sum(problem.routes) * trials
+    if fans_out(
+        parallel, trials, workers, workload=workload, threshold=LAYOUT_PARALLEL_THRESHOLD
+    ):
         payloads = [
             (problem, reverse, iterations, order, seeds) for order, seeds in trial_specs
         ]

@@ -15,7 +15,10 @@ pool them), not what they computed.  The pool itself is tested in
 """
 
 import networkx as nx
+import pytest
 
+import repro.parallel as parallel
+from repro.circuit.random import random_circuit
 from repro.hardware import ibm_mumbai
 from repro.service import CompileService, report_to_dict
 from repro.service.service import CompileRequest
@@ -76,3 +79,32 @@ class TestServiceIntegration:
             assert service.stats.counters["worker_pool_spawns"] == 2
         finally:
             service.close()
+
+
+class TestSmallMissRunsInProcess:
+    """A served single-request miss on a small circuit routes in the
+    handler's process: its layout searches and SR trial grid sit below
+    their workload floors, so ``parallel=True`` (fan out where it pays)
+    starts no per-call pool."""
+
+    @pytest.mark.parametrize("mode", ["min_swap", "max_reuse"])
+    def test_six_qubit_miss_starts_no_pool(self, monkeypatch, two_workers, mode):
+        def _no_pools(workers):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel, "new_pool", _no_pools)
+        circuit = random_circuit(6, 16, seed=5, two_qubit_fraction=0.4, measure=True)
+        service = CompileService()
+        try:
+            report, _, status = service.compile_classified(
+                CompileRequest(circuit, ibm_mumbai(), mode=mode, parallel=True)
+            )
+        finally:
+            service.close()
+        assert status == "miss"
+        if mode == "min_swap":
+            counters = report.route_stats.counters
+            assert counters["serial_trials"] > 0
+            assert "parallel_trials" not in counters
+        else:
+            assert report.route_stats is None

@@ -11,7 +11,10 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import repro.core.sr_caqr as sr_caqr
 import repro.parallel as parallel
+import repro.transpiler.sabre as sabre
+from repro.circuit.random import random_circuit
 from repro.compile_api import caqr_compile
 from repro.core.evaluate import PairScorer
 from repro.core.qs_caqr import QSCaQR
@@ -26,6 +29,8 @@ from repro.parallel import PoolOwner, WorkerPool, chunks, fans_out, pooled_map
 from repro.sim.batch import run_batched_counts
 from repro.stats import Stats
 from repro.transpiler import sabre_layout, transpile
+from repro.transpiler.basis import decompose_to_two_qubit
+from repro.transpiler.sabre import RoutingProblem
 from repro.workloads import bv_circuit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -277,6 +282,104 @@ class TestSerialCompileStartsNoPool:
             target, ibm_mumbai(), mode=mode, parallel=False, cache=None
         )
         assert report.metrics.qubits_used >= 2
+
+
+class TestPerCallFloors:
+    """The layout search and the SR trial grid start a per-call pool at
+    ``parallel=None`` only at their workload floor; ``True`` still forces
+    it, ``False`` never pools, and a pooled run equals the serial one."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch, two_workers):
+        started = []
+        real = parallel.new_pool
+
+        def _counting(workers):
+            started.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(parallel, "new_pool", _counting)
+        return started
+
+    @staticmethod
+    def _small():
+        return bv_circuit(6)
+
+    @staticmethod
+    def _large():
+        """136 routed two-qubit gates: 4 trials (or grid cells) reach both floors."""
+        return random_circuit(8, 200, seed=3, two_qubit_fraction=0.7, measure=True)
+
+    @staticmethod
+    def _layout(circuit, parallel_flag):
+        stats = Stats()
+        layout = sabre_layout(
+            circuit, ibm_mumbai().coupling, parallel=parallel_flag, stats=stats
+        )
+        return layout.as_dict(), stats.counters
+
+    @staticmethod
+    def _route(circuit, parallel_flag):
+        router = SRCaQR(ibm_mumbai(), parallel=parallel_flag)
+        return router.run(circuit, trials=4, qs_assist=False), router.stats.counters
+
+    def test_the_circuits_straddle_the_floors(self):
+        for circuit, above in ((self._small(), False), (self._large(), True)):
+            routed = sum(RoutingProblem(circuit, ibm_mumbai().coupling).routes)
+            assert (4 * routed >= sabre.LAYOUT_PARALLEL_THRESHOLD) is above
+            gates = decompose_to_two_qubit(circuit).two_qubit_gate_count()
+            assert (4 * gates >= sr_caqr.SR_GRID_PARALLEL_THRESHOLD) is above
+
+    def test_below_floor_layout_search_starts_no_pool(self, pools):
+        _, counters = self._layout(self._small(), None)
+        assert pools == []
+        assert counters["serial_trials"] == 4
+        assert "parallel_trials" not in counters
+
+    def test_below_floor_sr_grid_starts_no_pool(self, pools):
+        _, counters = self._route(self._small(), None)
+        assert pools == []
+        assert "parallel_trials" not in counters
+
+    def test_above_floor_layout_search_pools_and_matches_serial(self, pools):
+        layout, counters = self._layout(self._large(), None)
+        assert pools == [2]
+        assert counters["parallel_trials"] == 4
+        assert layout == self._layout(self._large(), False)[0]
+        assert pools == [2]
+
+    def test_above_floor_sr_grid_pools_and_matches_serial(self, pools):
+        result, counters = self._route(self._large(), None)
+        assert pools == [2]
+        assert counters["parallel_trials"] == 4
+        assert result == self._route(self._large(), False)[0]
+        assert pools == [2]
+
+    @pytest.mark.parametrize("run", ["_layout", "_route"])
+    def test_the_floor_is_inclusive(self, pools, monkeypatch, run):
+        """A workload exactly at the floor pools, one short of it does not."""
+        circuit = self._small()
+        if run == "_layout":
+            module, name = sabre, "LAYOUT_PARALLEL_THRESHOLD"
+            workload = 4 * sum(RoutingProblem(circuit, ibm_mumbai().coupling).routes)
+        else:
+            module, name = sr_caqr, "SR_GRID_PARALLEL_THRESHOLD"
+            workload = 4 * decompose_to_two_qubit(circuit).two_qubit_gate_count()
+        monkeypatch.setattr(module, name, workload + 1)
+        getattr(self, run)(circuit, None)
+        assert pools == []
+        monkeypatch.setattr(module, name, workload)
+        getattr(self, run)(circuit, None)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("run", ["_layout", "_route"])
+    def test_true_forces_and_false_never_pools(self, pools, run):
+        _, counters = getattr(self, run)(self._small(), True)
+        assert pools == [2]
+        assert counters["parallel_trials"] == 4
+        _, counters = getattr(self, run)(self._large(), False)
+        assert pools == [2]
+        assert "parallel_trials" not in counters
 
 
 class TestOwnedPoolsClose:
