@@ -1,6 +1,6 @@
 """Metric extraction and report formatting."""
 
-from repro.analysis.charts import ascii_bar_chart, ascii_line_chart
+from repro.analysis.charts import ascii_line_chart
 from repro.analysis.metrics import CircuitMetrics, collect_metrics
 from repro.analysis.reporting import format_percent, format_series, format_table
 
@@ -11,5 +11,4 @@ __all__ = [
     "format_series",
     "format_percent",
     "ascii_line_chart",
-    "ascii_bar_chart",
 ]

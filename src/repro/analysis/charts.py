@@ -1,6 +1,6 @@
 """ASCII chart rendering for the experiment reports.
 
-The figure benchmarks archive plain-text results; a small line/bar chart
+The figure benchmarks archive plain-text results; a small line chart
 makes the tradeoff curves readable in a terminal without any plotting
 dependency.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-__all__ = ["ascii_line_chart", "ascii_bar_chart"]
+__all__ = ["ascii_line_chart"]
 
 
 def ascii_line_chart(
@@ -53,19 +53,4 @@ def ascii_line_chart(
         f"{markers[i % len(markers)]} = {name}" for i, (name, _xs, _ys) in enumerate(series)
     )
     lines.append(f" legend: {legend}")
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    labels: Sequence[str], values: Sequence[float], width: int = 50, unit: str = ""
-) -> str:
-    """Horizontal bar chart with proportional widths."""
-    if not labels:
-        return "(no data)"
-    peak = max(values) or 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, round(value / peak * width)) if value > 0 else ""
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:g}{unit}")
     return "\n".join(lines)

@@ -9,7 +9,6 @@ from repro.core.conditions import (
     valid_reuse_pairs,
 )
 from repro.core.evaluate import (
-    PairScorer,
     add_reuse_dummy_node,
     batch_pair_costs,
     evaluate_pair_depth,
@@ -29,7 +28,6 @@ from repro.core.lifetime_regular import (
     greedy_gate_order,
     lifetime_compile_regular,
 )
-from repro.core.profile import ReuseProfile, profile_circuit, profile_graph
 from repro.core.chains import ChainPlan, ChainReuse, ChainReuseResult
 from repro.core.exact import ExactReuse, ExactReuseResult, exact_minimum_qubits
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
@@ -69,7 +67,6 @@ __all__ = [
     "add_reuse_dummy_node",
     "tail_path_lengths",
     "batch_pair_costs",
-    "PairScorer",
     "ReuseSession",
     "apply_reuse_pair",
     "apply_reuse_chain",
@@ -99,9 +96,6 @@ __all__ = [
     "SRCaQRResult",
     "CommutingStructure",
     "extract_commuting_structure",
-    "ReuseProfile",
-    "profile_graph",
-    "profile_circuit",
     "lifetime_compile_regular",
     "LifetimeRegularResult",
     "greedy_gate_order",

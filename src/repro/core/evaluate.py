@@ -11,8 +11,7 @@ accounts for the (slow) mid-circuit measurement.
 trial DAG per pair — exact but O(n) each.  :func:`batch_pair_costs`
 computes the same numbers for *all* candidates from one ASAP/tail
 decomposition of the critical path (every path through ``D`` is
-``finish(s) + w(D) + tail(t)``), and :class:`PairScorer` adds memoisation
-plus process-pool fan-out (:mod:`repro.parallel`) for large circuits.
+``finish(s) + w(D) + tail(t)``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.dag.analysis import (
 from repro.dag.dagcircuit import DAGCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner
 
 __all__ = [
     "reuse_node_duration_dt",
@@ -38,13 +36,7 @@ __all__ = [
     "evaluate_pair_duration",
     "tail_path_lengths",
     "batch_pair_costs",
-    "PairScorer",
-    "PARALLEL_WORKLOAD_THRESHOLD",
 ]
-
-# below this many (candidates x dag nodes) the scorer stays in-process:
-# pool startup and pickling dwarf the evaluation itself for small sweeps
-PARALLEL_WORKLOAD_THRESHOLD = 250_000
 
 
 def reuse_node_duration_dt(reset_style: str = "cif") -> int:
@@ -166,94 +158,3 @@ def batch_pair_costs(
         )
         costs.append(max(base, into + dummy_weight + out))
     return costs
-
-
-def _score_chunk_worker(payload):
-    """Process-pool entry point: score one chunk of candidate pairs."""
-    (dag, objective, reset_style, nodes_by_qubit), pairs = payload
-    return batch_pair_costs(
-        dag, pairs, objective=objective, reset_style=reset_style,
-        nodes_by_qubit=nodes_by_qubit,
-    )
-
-
-class PairScorer(PoolOwner):
-    """Pluggable batched candidate scorer with optional process-pool fan-out.
-
-    Scores are memoised until :meth:`invalidate` is called (the greedy
-    drivers call it whenever a pair is applied, since every cost can shift
-    with the DAG).  Batches whose workload (``candidates × nodes``) reaches
-    :data:`PARALLEL_WORKLOAD_THRESHOLD` are chunked over the scorer's
-    process pool (:class:`repro.parallel.PoolOwner`); smaller batches run
-    serially — pool startup would dominate.
-
-    Args:
-        objective: ``"depth"`` or ``"duration"`` (matches
-            :class:`~repro.core.qs_caqr.QSCaQR`).
-        reset_style: reuse reset idiom, priced into the duration objective.
-        parallel: the :func:`repro.parallel.fans_out` tri-state.
-        stats: optional :class:`~repro.stats.Stats` sink.
-    """
-
-    workload_threshold = PARALLEL_WORKLOAD_THRESHOLD
-
-    def __init__(
-        self,
-        objective: str = "depth",
-        reset_style: str = "cif",
-        parallel: Optional[bool] = None,
-        stats=None,
-    ):
-        if objective not in ("depth", "duration"):
-            raise ReuseError(f"unknown objective {objective!r}")
-        super().__init__(parallel)
-        self.objective = objective
-        self.reset_style = reset_style
-        self.stats = stats
-        self._cache: Dict[ReusePair, int] = {}
-
-    # -- memo --------------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop all memoised scores (a pair was applied; costs shifted)."""
-        self._cache.clear()
-
-    # -- scoring -----------------------------------------------------------
-
-    def score_all(
-        self,
-        dag: DAGCircuit,
-        pairs: Sequence[ReusePair],
-        nodes_by_qubit: Optional[Dict[int, List[int]]] = None,
-    ) -> Dict[ReusePair, int]:
-        """Costs for every pair, memoised; computes only the misses."""
-        missing = [p for p in pairs if p not in self._cache]
-        hits = len(pairs) - len(missing)
-        if self.stats is not None and hits:
-            self.stats.count("cache_hits", hits)
-        if missing:
-            if self.stats is not None:
-                self.stats.count("evaluations", len(missing))
-            workload = len(missing) * max(1, len(dag))
-            if self.use_pool(len(missing), workload):
-                costs = self._score_parallel(dag, missing, nodes_by_qubit)
-            else:
-                if self.stats is not None:
-                    self.stats.count("serial_batches")
-                costs = batch_pair_costs(
-                    dag,
-                    missing,
-                    objective=self.objective,
-                    reset_style=self.reset_style,
-                    nodes_by_qubit=nodes_by_qubit,
-                )
-            self._cache.update(zip(missing, costs))
-        return {p: self._cache[p] for p in pairs}
-
-    def _score_parallel(self, dag, pairs, nodes_by_qubit) -> List[int]:
-        if self.stats is not None:
-            self.stats.count("parallel_batches")
-        if nodes_by_qubit is None:
-            nodes_by_qubit = _nodes_by_qubit(dag)
-        context = (dag, self.objective, self.reset_style, nodes_by_qubit)
-        return self.map_chunks(_score_chunk_worker, context, pairs)

@@ -13,8 +13,8 @@ full qubit-usage / depth tradeoff curve (Figs. 3, 13, 14).
 
 The loop drives a :class:`~repro.core.session.ReuseSession` — one DAG +
 descendants-bitset cache for the whole sweep, batched candidate costs
-through :class:`~repro.core.evaluate.PairScorer` (process-pool fan-out on
-large circuits), and a closure-free reuse-potential lookahead.  It picks
+from :func:`~repro.core.evaluate.batch_pair_costs` (one ASAP/tail pass
+per step), and a closure-free reuse-potential lookahead.  It picks
 the same pair sequence as the paper-literal loop that re-analyses the
 materialised circuit at every step, ``ReferenceQSCaQR`` in
 ``tests/oracles.py``, which ``tests/property/test_equivalence_diff.py``
@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
-from repro.core.evaluate import PairScorer
+from repro.core.evaluate import batch_pair_costs
 from repro.core.session import ReuseSession
 from repro.exceptions import ReuseError
 from repro.stats import Stats
@@ -78,14 +78,14 @@ class QSCaQR:
         lookahead_width: cap on how many of the cheapest candidates get the
             reuse-potential lookahead (None = all of them, exact for the
             paper's benchmark sizes).
-        parallel: the :func:`repro.parallel.fans_out` tri-state for
-            candidate scoring and the lookahead; by default only large
-            circuits fan out (see the workload thresholds in
-            :mod:`repro.core.evaluate` and :mod:`repro.core.session`).
+        parallel: the :func:`repro.parallel.fans_out` tri-state for the
+            reuse-potential lookahead; by default only large circuits fan
+            out (see :data:`repro.core.session.POTENTIAL_WORKLOAD_THRESHOLD`).
+            Candidate scoring is one in-process pass per step.
 
     The instance's :attr:`stats` (a
     :class:`~repro.stats.Stats`) accumulates evaluation
-    counters, cache hits, and wall-time buckets across runs.
+    counters and wall-time buckets across runs.
     """
 
     def __init__(
@@ -108,9 +108,7 @@ class QSCaQR:
 
     # -- single greedy step ---------------------------------------------------
 
-    def _best_pair_session(
-        self, session: ReuseSession, scorer: PairScorer
-    ) -> Optional[ReusePair]:
+    def _best_pair_session(self, session: ReuseSession) -> Optional[ReusePair]:
         """The cheapest valid pair that preserves maximal reuse potential.
 
         Candidates are ranked by the critical path of the DAG with the
@@ -125,10 +123,17 @@ class QSCaQR:
         candidates = session.valid_pairs()
         if not candidates:
             return None
+        self.stats.count("evaluations", len(candidates))
+        self.stats.count("serial_batches")
         with self.stats.timed("score"):
-            costs = scorer.score_all(
-                session.dag, candidates, nodes_by_qubit=session.nodes_by_label()
+            scores = batch_pair_costs(
+                session.dag,
+                candidates,
+                objective=self.objective,
+                reset_style=self.reset_style,
+                nodes_by_qubit=session.nodes_by_label(),
             )
+        costs = dict(zip(candidates, scores))
 
         def _cost(pair: ReusePair):
             return (costs[pair], pair.source, pair.target)
@@ -176,14 +181,6 @@ class QSCaQR:
             stats=self.stats,
         )
 
-    def _scorer(self) -> PairScorer:
-        return PairScorer(
-            objective=self.objective,
-            reset_style=self.reset_style,
-            parallel=self.parallel,
-            stats=self.stats,
-        )
-
     # -- public API -------------------------------------------------------------
 
     def sweep(self, circuit: QuantumCircuit, min_qubits: int = 1) -> List[QSCaQRResult]:
@@ -193,14 +190,13 @@ class QSCaQR:
         input, the last is the maximal-reuse circuit.
         """
         points = [self._point(circuit, [])]
-        with self._session(circuit) as session, self._scorer() as scorer:
+        with self._session(circuit) as session:
             while session.num_qubits > min_qubits:
-                pair = self._best_pair_session(session, scorer)
+                pair = self._best_pair_session(session)
                 if pair is None:
                     break
                 with self.stats.timed("apply"):
                     session.apply(pair)
-                scorer.invalidate()
                 points.append(self._point(session.circuit, session.pairs))
         return points
 
@@ -219,13 +215,12 @@ class QSCaQR:
             raise ReuseError("qubit limit must be positive")
         if circuit.num_qubits <= qubit_limit:
             return self._point(circuit, [])
-        with self._session(circuit) as session, self._scorer() as scorer:
+        with self._session(circuit) as session:
             while session.num_qubits > qubit_limit:
-                pair = self._best_pair_session(session, scorer)
+                pair = self._best_pair_session(session)
                 if pair is None:
                     return self._point(session.circuit, session.pairs, feasible=False)
                 with self.stats.timed("apply"):
                     session.apply(pair)
-                scorer.invalidate()
             return self._point(session.circuit, session.pairs)
 

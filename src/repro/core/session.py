@@ -194,7 +194,6 @@ class ReuseSession(PoolOwner):
         self._num_clbits = circuit.num_clbits
         self._state_cache: Optional[dict] = None
         self._np_state_cache: Optional[dict] = None
-        self._potential_cache: Dict[ReusePair, int] = {}
 
         self._labels: List[_WireGroup] = [
             _WireGroup(q, q, self.dag.nodes_on_qubit(q))
@@ -312,27 +311,18 @@ class ReuseSession(PoolOwner):
     def reuse_potentials(
         self, pairs: Sequence[ReusePair]
     ) -> Dict[ReusePair, int]:
-        """Post-merge reuse-matching bound per candidate, memoised per step."""
-        missing = [p for p in pairs if p not in self._potential_cache]
-        hits = len(pairs) - len(missing)
-        if hits:
-            self.stats.count("cache_hits", hits)
-        if missing:
-            self.stats.count("lookahead_evaluations", len(missing))
-            state = self._state()
-            workload = len(missing) * state["n"] * state["n"]
-            if self.use_pool(len(missing), workload):
-                self.stats.count("parallel_batches")
-                values = self.map_chunks(_potential_chunk_worker, state, missing)
-            else:
-                self.stats.count("serial_batches")
-                np_state = self._np_state()
-                values = [
-                    _potential_for_candidate(np_state, pair)
-                    for pair in missing
-                ]
-            self._potential_cache.update(zip(missing, values))
-        return {p: self._potential_cache[p] for p in pairs}
+        """Post-merge reuse-matching bound per candidate."""
+        self.stats.count("lookahead_evaluations", len(pairs))
+        state = self._state()
+        workload = len(pairs) * state["n"] * state["n"]
+        if self.use_pool(len(pairs), workload):
+            self.stats.count("parallel_batches")
+            values = self.map_chunks(_potential_chunk_worker, state, pairs)
+        else:
+            self.stats.count("serial_batches")
+            np_state = self._np_state()
+            values = [_potential_for_candidate(np_state, pair) for pair in pairs]
+        return dict(zip(pairs, values))
 
     # -- mutation --------------------------------------------------------------
 
@@ -435,5 +425,4 @@ class ReuseSession(PoolOwner):
         self.generation += 1
         self._state_cache = None
         self._np_state_cache = None
-        self._potential_cache.clear()
         self.stats.count("steps")

@@ -4,7 +4,6 @@ from repro.dag.analysis import (
     alap_finish_times,
     asap_finish_times,
     critical_path_length,
-    critical_path_nodes,
     dag_depth,
     dag_duration,
     node_weight_depth,
@@ -24,7 +23,6 @@ __all__ = [
     "asap_finish_times",
     "alap_finish_times",
     "critical_path_length",
-    "critical_path_nodes",
     "slack",
     "dag_depth",
     "dag_duration",

@@ -1,6 +1,6 @@
 """Timing analysis over :class:`~repro.dag.dagcircuit.DAGCircuit`.
 
-Provides ASAP/ALAP levelling, critical-path extraction, slack, depth and
+Provides ASAP/ALAP levelling, critical-path length, slack, depth and
 duration estimates.  The CaQR passes use these to (a) rank candidate reuse
 pairs by the critical path of the DAG-plus-dummy-node and (b) decide which
 frontier gates are safe to delay in SR-CaQR.
@@ -8,7 +8,7 @@ frontier gates are safe to delay in SR-CaQR.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.dag.dagcircuit import DAGCircuit, DAGNode
 
@@ -18,7 +18,6 @@ __all__ = [
     "asap_finish_times",
     "alap_finish_times",
     "critical_path_length",
-    "critical_path_nodes",
     "slack",
     "dag_depth",
     "dag_duration",
@@ -89,22 +88,6 @@ def critical_path_length(
     """Length of the longest weighted path (the schedule makespan)."""
     finish = asap_finish_times(dag, weight_fn)
     return max(finish.values(), default=0)
-
-
-def critical_path_nodes(
-    dag: DAGCircuit, weight_fn: Callable[[DAGNode], int] = node_weight_depth
-) -> List[int]:
-    """One longest path through the DAG, as a list of node ids."""
-    finish = asap_finish_times(dag, weight_fn)
-    if not finish:
-        return []
-    node_id = max(finish, key=lambda n: (finish[n], -n))
-    path = [node_id]
-    while dag.predecessors(node_id):
-        node_id = max(dag.predecessors(node_id), key=lambda n: (finish[n], -n))
-        path.append(node_id)
-    path.reverse()
-    return path
 
 
 def slack(

@@ -6,10 +6,10 @@ valid only when no gate on ``q_i`` (transitively) depends on a gate on
 words, which is fast for the benchmark sizes the paper uses.
 
 For the greedy sweep the full closure is only computed once:
-:func:`update_masks_for_node` and :func:`update_masks_for_edge` patch an
-existing bitset cache when the reuse transformation inserts its
-measure/reset node ``D``, touching only the ancestors of the insertion
-point instead of re-deriving the whole closure.
+:func:`update_masks_for_node` patches an existing bitset cache when the
+reuse transformation inserts its measure/reset node ``D``, touching only
+the ancestors of the insertion point instead of re-deriving the whole
+closure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "descendants_bitsets",
     "reaches",
     "qubit_dependency_matrix",
-    "update_masks_for_edge",
     "update_masks_for_node",
 ]
 
@@ -44,32 +43,6 @@ def descendants_bitsets(dag: DAGCircuit) -> Dict[int, int]:
 def reaches(masks: Dict[int, int], source: int, target: int) -> bool:
     """True when *target* is a (transitive) descendant of *source*."""
     return bool(masks[source] >> target & 1)
-
-
-def update_masks_for_edge(
-    dag: DAGCircuit, masks: Dict[int, int], source: int, target: int
-) -> Set[int]:
-    """Patch *masks* after the edge ``source -> target`` was added to *dag*.
-
-    Every (transitive) ancestor of *source* — and *source* itself — gains
-    *target* plus *target*'s descendants.  Only nodes whose mask actually
-    changes are visited, so a local insertion costs ``O(ancestors)`` word
-    operations instead of the full ``O(n^2 / w)`` closure.
-
-    Returns the set of node ids whose mask changed.
-    """
-    delta = masks[target] | (1 << target)
-    changed: Set[int] = set()
-    pending = [source]
-    while pending:
-        node_id = pending.pop()
-        mask = masks[node_id]
-        if mask | delta == mask:
-            continue
-        masks[node_id] = mask | delta
-        changed.add(node_id)
-        pending.extend(dag.predecessors(node_id))
-    return changed
 
 
 def update_masks_for_node(

@@ -4,7 +4,7 @@ from repro.hardware.backends import Backend, generic_backend
 from repro.hardware.calibration import Calibration, synthetic_calibration
 from repro.hardware.coupling import CouplingMap
 from repro.hardware.drift import DriftSimulator, drift_series
-from repro.hardware.mumbai import MUMBAI_SEED, ibm_mumbai, scaled_heavy_hex_backend
+from repro.hardware.mumbai import MUMBAI_SEED, ibm_mumbai
 from repro.hardware.serialization import (
     backend_from_json,
     backend_to_json,
@@ -40,7 +40,6 @@ __all__ = [
     "DriftSimulator",
     "drift_series",
     "ibm_mumbai",
-    "scaled_heavy_hex_backend",
     "MUMBAI_SEED",
     "line",
     "ring",

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from repro.hardware.backends import Backend
 from repro.hardware.calibration import synthetic_calibration
-from repro.hardware.topologies import falcon_27, scaled_heavy_hex
+from repro.hardware.topologies import falcon_27
 
-__all__ = ["ibm_mumbai", "scaled_heavy_hex_backend", "MUMBAI_SEED"]
+__all__ = ["ibm_mumbai", "MUMBAI_SEED"]
 
 # Fixed seed so every experiment in the repo sees the same "device day".
 MUMBAI_SEED = 20230319
@@ -26,21 +26,6 @@ def ibm_mumbai() -> Backend:
     coupling = falcon_27()
     return Backend(
         name="ibm_mumbai",
-        coupling=coupling,
-        calibration=synthetic_calibration(coupling, seed=MUMBAI_SEED),
-        supports_dynamic_circuits=True,
-    )
-
-
-def scaled_heavy_hex_backend(min_qubits: int) -> Backend:
-    """A scaled heavy-hex backend for circuits wider than 27 qubits.
-
-    Mirrors the paper's "when the qubit number is large, we use the scaled
-    heavy-hex architecture" (Section 4.1).
-    """
-    coupling = scaled_heavy_hex(min_qubits)
-    return Backend(
-        name=f"heavy_hex_{coupling.num_qubits}",
         coupling=coupling,
         calibration=synthetic_calibration(coupling, seed=MUMBAI_SEED),
         supports_dynamic_circuits=True,

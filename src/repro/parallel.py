@@ -1,9 +1,9 @@
 """One process-pool layer: pool width, the fan-out rule, ordered maps, nesting.
 
 Every process pool of the compile passes (SABRE layout trials, the SR
-trial grid, QS candidate scoring and lookahead, commuting candidate
-schedules, simulator shards) comes from here, and every engine that
-fans out takes one ``parallel`` argument with one meaning:
+trial grid, the QS lookahead, commuting candidate schedules, simulator
+shards) comes from here, and every engine that fans out takes one
+``parallel`` argument with one meaning:
 
 * **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
   ``True`` forces the pool, ``None`` (every engine's default) pools
@@ -15,7 +15,6 @@ fans out takes one ``parallel`` argument with one meaning:
     ``repro.transpiler.sabre.LAYOUT_PARALLEL_THRESHOLD``;
   - the SR trial grid: grid cells × two-qubit gates at
     ``repro.core.sr_caqr.SR_GRID_PARALLEL_THRESHOLD``;
-  - QS candidate scoring: ``repro.core.evaluate.PARALLEL_WORKLOAD_THRESHOLD``;
   - QS lookahead potentials:
     ``repro.core.session.POTENTIAL_WORKLOAD_THRESHOLD``;
   - commuting candidate schedules:

@@ -28,7 +28,6 @@ from repro.service.fingerprint import (
     circuit_normal_form,
     graph_digest,
     graph_normal_form,
-    request_fingerprint,
     resolve_calib_bands,
 )
 from repro.service.serialization import (
@@ -110,7 +109,6 @@ __all__ = [
     "default_service",
     "reset_default_service",
     "resolve_cache",
-    "request_fingerprint",
     "circuit_digest",
     "circuit_normal_form",
     "graph_digest",

@@ -19,13 +19,11 @@ interchangeable.
   ``$CAQR_CALIB_BANDS``), the shard is the *banded* digest prefix
   (:func:`repro.service.fingerprint.banded_backend_digest`), so every
   in-band calibration snapshot of one device lands in one directory —
-  and the fleet ring key derived from the shard stays put under drift.  Legacy flat
-  ``<key>.json`` entries written before sharding are migrated into
-  their shard lazily, on first lookup.  Writes are atomic (temp file +
-  ``os.replace``) so a crashed writer can never leave a half entry
-  under the final name; loads are corruption-tolerant — unreadable,
-  truncated, stale-schema, or TTL-expired files count as misses and
-  are deleted.
+  and the fleet ring key derived from the shard stays put under drift.
+  Writes are atomic (temp file + ``os.replace``) so a crashed writer
+  can never leave a half entry under the final name; loads are
+  corruption-tolerant — unreadable, truncated, stale-schema, or
+  TTL-expired files count as misses and are deleted.
 * :class:`TieredCache` — memory in front of optional disk, promoting
   disk hits into the memory tier.
 
@@ -197,9 +195,8 @@ class DiskCache(_TtlRule):
     *shard* is the backend calibration digest prefix the service derives
     per request (:meth:`~repro.service.service.CompileRequest.shard`);
     callers that don't track shards (direct tooling, tests) get
-    :data:`DEFAULT_SHARD`.  Flat ``<directory>/<key>.json`` entries from
-    the pre-shard layout keep working: lookups fall back to the flat
-    path and migrate the file into its shard (``migrated_entries``).
+    :data:`DEFAULT_SHARD`.  Files directly under *directory* are not
+    entries: lookups, ``len()`` and :meth:`shard_stats` ignore them.
 
     ``max_entries_per_shard`` / ``max_bytes_per_shard`` turn on per-shard
     LRU eviction: after every write the owning shard is trimmed back
@@ -244,9 +241,6 @@ class DiskCache(_TtlRule):
     def _path(self, key: str, shard: Optional[str] = None) -> str:
         return os.path.join(self._shard_dir(shard), key + _ENTRY_SUFFIX)
 
-    def _legacy_path(self, key: str) -> str:
-        return os.path.join(self.directory, key + _ENTRY_SUFFIX)
-
     def _read(self, path: str) -> Optional[str]:
         try:
             with open(path, encoding="utf-8") as handle:
@@ -282,17 +276,7 @@ class DiskCache(_TtlRule):
         path = self._path(key, shard)
         text = self._read(path)
         if text is None:
-            legacy = self._legacy_path(key)
-            text = self._read(legacy)
-            if text is None:
-                return None, 0.0
-            # lazy migration of a pre-shard flat entry into its shard
-            try:
-                os.makedirs(self._shard_dir(shard), exist_ok=True)
-                os.replace(legacy, path)
-                self.stats.count("migrated_entries")
-            except OSError:
-                path = legacy  # best effort; serve the entry in place
+            return None, 0.0
         ttl = self.effective_ttl(bands)
         age = 0.0
         if ttl is not None:
@@ -325,13 +309,11 @@ class DiskCache(_TtlRule):
             pass
 
     def drop_corrupt(self, key: str, shard: Optional[str] = None) -> None:
-        """Remove *key*'s file(s) because the caller found the entry bad."""
-        dropped = False
-        for path in (self._path(key, shard), self._legacy_path(key)):
-            if os.path.exists(path):
-                self._drop_corrupt(path)
-                dropped = True
-        if not dropped:
+        """Remove *key*'s file because the caller found the entry bad."""
+        path = self._path(key, shard)
+        if os.path.exists(path):
+            self._drop_corrupt(path)
+        else:
             # the bad text reached the caller some other way (e.g. an
             # already-promoted memory copy); still account for it
             self.stats.count("corrupt_entries")
@@ -343,11 +325,9 @@ class DiskCache(_TtlRule):
         the HTTP invalidation endpoint only carries the fingerprint.
         """
         if shard is not None:
-            candidates = [self._path(key, shard), self._legacy_path(key)]
+            candidates = [self._path(key, shard)]
         else:
-            candidates = [self._legacy_path(key)] + [
-                self._path(key, name) for name in self.shards()
-            ]
+            candidates = [self._path(key, name) for name in self.shards()]
         removed = 0
         for path in candidates:
             try:
@@ -440,19 +420,8 @@ class DiskCache(_TtlRule):
             and os.path.isdir(os.path.join(self.directory, name))
         )
 
-    def _iter_entries(self) -> Iterator[Tuple[Optional[str], str, str]]:
-        """Yield ``(shard_or_None, key, path)`` for every stored entry
-        (``None`` marks a legacy flat entry)."""
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return
-        for name in names:
-            if name.startswith("."):
-                continue
-            path = os.path.join(self.directory, name)
-            if name.endswith(_ENTRY_SUFFIX) and os.path.isfile(path):
-                yield None, name[: -len(_ENTRY_SUFFIX)], path
+    def _iter_entries(self) -> Iterator[Tuple[str, str, str]]:
+        """Yield ``(shard, key, path)`` for every stored entry."""
         for shard in self.shards():
             shard_dir = os.path.join(self.directory, shard)
             try:
@@ -474,13 +443,10 @@ class DiskCache(_TtlRule):
                 yield key
 
     def shard_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard entry/byte usage (legacy flat files under ``"legacy"``)."""
+        """Per-shard entry/byte usage."""
         usage: Dict[str, Dict[str, int]] = {}
         for shard, _, path in self._iter_entries():
-            bucket = usage.setdefault(
-                shard if shard is not None else "legacy",
-                {"entries": 0, "bytes": 0},
-            )
+            bucket = usage.setdefault(shard, {"entries": 0, "bytes": 0})
             try:
                 size = os.path.getsize(path)
             except OSError:

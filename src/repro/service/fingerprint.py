@@ -20,8 +20,10 @@ compiled result.  This module derives that digest:
   drift share a digest (and therefore cache entries and fleet placement).
   Durations and the coupling map stay exact.  ``calib_bands=None``/``0``
   degrades to the exact :func:`backend_digest`.
-* :func:`request_fingerprint` — the cache key: SHA-256 over the canonical
-  JSON of the target digest, backend digest, and every semantic knob.
+* :func:`_keyed_fingerprint` — the cache key behind
+  :meth:`repro.compile_api.CompileRequest.fingerprint`: SHA-256 over the
+  canonical JSON of the target digest, backend digest, and every
+  semantic knob.
 
 The key deliberately **excludes** the engine knobs ``parallel`` and
 ``portfolio_workers``: the serial == pooled harnesses pin process-pool
@@ -58,7 +60,6 @@ __all__ = [
     "band_value",
     "resolve_calib_bands",
     "banded_backend_digest",
-    "request_fingerprint",
 ]
 
 #: Environment variable giving the process-wide default band count when a
@@ -198,50 +199,19 @@ def banded_backend_digest(
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def request_fingerprint(
-    target: Union[QuantumCircuit, nx.Graph],
-    backend: Optional[Backend] = None,
-    mode: str = "min_depth",
-    qubit_limit: Optional[int] = None,
-    reset_style: str = "cif",
-    seed: int = 11,
-    auto_commuting: bool = True,
-    strategy: str = "auto",
-    objective: Optional[str] = None,
-    calib_bands: Optional[int] = None,
-) -> str:
-    """The content-addressed cache key for one ``caqr_compile`` request.
-
-    *calib_bands* selects the drift-tolerant backend digest
-    (:func:`banded_backend_digest`); ``None`` defers to
-    :data:`CALIB_BANDS_ENV`, and banding off reproduces the historical
-    keys bit for bit (the ``calib_bands`` payload entry only appears when
-    banding is on).
-    """
-    bands = resolve_calib_bands(calib_bands)
-    return _keyed_fingerprint(
-        target,
-        banded_backend_digest(backend, bands),
-        bands,
-        mode=mode,
-        qubit_limit=qubit_limit,
-        reset_style=reset_style,
-        seed=seed,
-        auto_commuting=auto_commuting,
-        strategy=strategy,
-        objective=objective,
-    )
-
-
 def _keyed_fingerprint(
     target: Union[QuantumCircuit, nx.Graph],
     backend_key: Optional[str],
     bands: Optional[int],
     **knobs: Any,
 ) -> str:
-    """:func:`request_fingerprint` over an already computed banded
-    backend digest and resolved band count (a ``CompileRequest`` computes
-    them once for its key and its shard)."""
+    """The cache key over an already computed banded backend digest and
+    resolved band count (a ``CompileRequest`` computes them once for its
+    key and its shard).
+
+    The ``calib_bands`` payload entry only appears when banding is on, so
+    banding off reproduces the historical keys bit for bit.
+    """
     if isinstance(target, nx.Graph):
         target_kind, target_hash = "graph", graph_digest(target)
     else:

@@ -13,10 +13,8 @@ from repro.sim.metrics import (
     success_rate,
     total_variation_distance,
 )
-from repro.sim.density import DensityMatrix, exact_distribution
 from repro.sim.device import compacted_with_noise, run_physical_counts
 from repro.sim.noise import NoiseModel
-from repro.sim.mitigation import confusion_matrix, inverse_confusion, mitigate_counts
 from repro.sim.statevector import ENGINES, Statevector, final_statevector, run_counts
 from repro.sim.verify import assert_equivalent, distributions_tvd, marginal_counts
 
@@ -27,14 +25,9 @@ __all__ = [
     "ENGINES",
     "run_physical_counts",
     "compacted_with_noise",
-    "DensityMatrix",
-    "exact_distribution",
     "assert_equivalent",
     "distributions_tvd",
     "marginal_counts",
-    "mitigate_counts",
-    "confusion_matrix",
-    "inverse_confusion",
     "NoiseModel",
     "normalize_counts",
     "total_variation_distance",

@@ -26,13 +26,16 @@ under its own prefix (``caqr_reuse_eval_``, ``caqr_chain_``,
 gateway's ``caqr_gateway_``).  The names below are an interface:
 perfbench and the lane golden fixture read them.
 
-**Evaluation engine** (``eval_stats``; :mod:`repro.core.session`,
-:class:`repro.core.evaluate.PairScorer`): ``evaluations`` /
-``cache_hits`` (candidate costs computed vs. served from the memo),
-``lookahead_evaluations``, ``serial_batches`` / ``parallel_batches``
-(scorer batches in-process vs. on the process pool), ``mask_updates``
-(incremental descendants-bitset patches), ``steps`` (greedy reduction
-steps).  Timers: ``score``, ``lookahead``, ``apply``.
+**Evaluation engine** (``eval_stats``; :class:`repro.core.qs_caqr.QSCaQR`,
+:mod:`repro.core.session`): ``evaluations`` (candidate costs computed,
+one :func:`~repro.core.evaluate.batch_pair_costs` pass per greedy step),
+``lookahead_evaluations`` (candidates given the reuse-potential
+lookahead), ``serial_batches`` / ``parallel_batches`` (batches run
+in-process vs. on the session's process pool: each greedy step runs one
+serial scoring batch plus one lookahead batch, the only one that can
+pool), ``mask_updates`` (incremental descendants-bitset patches),
+``steps`` (greedy reduction steps).  Timers: ``score``, ``lookahead``,
+``apply``.
 
 **Chain engine** (``chain_stats``; :mod:`repro.core.chains`):
 ``windows``, ``mid_circuit_windows``, ``states_expanded``,
@@ -67,7 +70,7 @@ Timers: ``prefix``, ``expand``, ``walk``, ``compile``, ``execute``,
 **Compile service** (:mod:`repro.service`): ``requests``, ``hits`` /
 ``misses``, ``memory_hits`` / ``disk_hits``, ``stores``, ``evictions`` /
 ``disk_evictions``, ``corrupt_entries``, ``expired_entries``,
-``migrated_entries``, ``invalidated_entries`` / ``invalidations``,
+``invalidated_entries`` / ``invalidations``,
 ``dedup_folds``, ``batch_calls`` / ``batch_requests`` /
 ``batch_unique``, ``parallel_compiles`` / ``serial_compiles``,
 ``disk_bytes_written``.  Gauges: ``memory_bytes``, ``memory_entries``,

@@ -20,12 +20,6 @@ from repro.workloads.registry import (
     qaoa_benchmark,
     regular_benchmark,
 )
-from repro.workloads.extra import (
-    cuccaro_adder,
-    deutsch_jozsa,
-    ghz_measured,
-    hidden_shift,
-)
 from repro.workloads.qasm_assets import (
     QASM_PROGRAMS,
     load_qasm_benchmark,
@@ -34,10 +28,6 @@ from repro.workloads.qasm_assets import (
 from repro.workloads.revlib import cc_circuit, four_mod5, multiply_13, rd32, system_9, xor5
 
 __all__ = [
-    "deutsch_jozsa",
-    "cuccaro_adder",
-    "ghz_measured",
-    "hidden_shift",
     "QASM_PROGRAMS",
     "load_qasm_benchmark",
     "qasm_benchmark_names",

@@ -2,7 +2,8 @@
 
 Names follow Section 4.1: regular applications ``rd_32``, ``4mod5``,
 ``multiply_13``, ``system_9``, ``cc_10``, ``xor_5``, ``bv_10`` plus QAOA
-instances named ``qaoa<N>-<density>`` (e.g. ``qaoa10-0.3``).
+instances named ``qaoa<N>-<density>`` (e.g. ``qaoa10-0.3``).  The bundled
+QASM programs (:mod:`repro.workloads.qasm_assets`) resolve by name too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.exceptions import WorkloadError
 from repro.workloads.bv import bv_circuit
 from repro.workloads.graphs import random_graph
 from repro.workloads.qaoa import qaoa_maxcut_circuit
+from repro.workloads.qasm_assets import QASM_PROGRAMS, load_qasm_benchmark
 from repro.workloads.revlib import cc_circuit, four_mod5, multiply_13, rd32, system_9, xor5
 
 __all__ = [
@@ -66,11 +68,13 @@ def qaoa_benchmark(name: str, seed: int = QAOA_GRAPH_SEED) -> QuantumCircuit:
 
 
 def get_benchmark(name: str) -> QuantumCircuit:
-    """Dispatch to regular or QAOA benchmarks by name."""
+    """Dispatch to regular, QAOA or bundled QASM benchmarks by name."""
     if name in REGULAR_BENCHMARKS:
         return regular_benchmark(name)
     if _QAOA_NAME.match(name):
         return qaoa_benchmark(name)
+    if name in QASM_PROGRAMS:
+        return load_qasm_benchmark(name)
     raise WorkloadError(f"unknown benchmark {name!r}")
 
 

@@ -1,6 +1,6 @@
 """Tests for ASCII chart rendering."""
 
-from repro.analysis.charts import ascii_bar_chart, ascii_line_chart
+from repro.analysis.charts import ascii_line_chart
 
 
 class TestLineChart:
@@ -32,22 +32,3 @@ class TestLineChart:
     def test_constant_series_no_crash(self):
         text = ascii_line_chart([("flat", [1, 2, 3], [5, 5, 5])])
         assert "*" in text
-
-
-class TestBarChart:
-    def test_empty(self):
-        assert ascii_bar_chart([], []) == "(no data)"
-
-    def test_proportions(self):
-        text = ascii_bar_chart(["a", "b"], [10, 5], width=20)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 20
-        assert lines[1].count("#") == 10
-
-    def test_zero_value_has_no_bar(self):
-        text = ascii_bar_chart(["zero", "one"], [0, 1])
-        assert "#" not in text.splitlines()[0]
-
-    def test_unit_suffix(self):
-        text = ascii_bar_chart(["x"], [3.5], unit="dt")
-        assert "3.5dt" in text

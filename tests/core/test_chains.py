@@ -3,12 +3,13 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.library import ghz
 from repro.core import ChainReuse, QSCaQR
 from repro.core.transform import apply_reuse_chain
 from repro.exceptions import ReuseError
 from repro.sim.verify import assert_equivalent
 from repro.stats import Stats
-from repro.workloads import bv_circuit, ghz_measured
+from repro.workloads import bv_circuit
 
 
 def _mixed_ladder(n: int) -> QuantumCircuit:
@@ -41,7 +42,7 @@ class TestChainSearch:
         assert replayed.data == result.circuit.data
 
     def test_plan_accounting_is_consistent(self):
-        circuit = ghz_measured(5)
+        circuit = ghz(5, measure=True)
         result = ChainReuse().run(circuit)
         plan = result.plan
         assert plan.width == circuit.num_qubits - len(plan.pairs)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.library import ghz
 from repro.core import QSCaQR
 from repro.core.lifetime_regular import (
     greedy_gate_order,
@@ -13,7 +14,6 @@ from repro.sim import assert_equivalent, run_counts
 from repro.workloads import (
     bv_circuit,
     cc_circuit,
-    ghz_measured,
     multiply_13,
     system_9,
     xor5,
@@ -68,7 +68,7 @@ class TestCompile:
         assert projected == {expected}
 
     def test_ghz_folds_to_two(self):
-        result = lifetime_compile_regular(ghz_measured(6))
+        result = lifetime_compile_regular(ghz(6, measure=True))
         assert result.qubits == 2
         counts = run_counts(result.circuit, shots=2000, seed=3)
         projected = {}

@@ -1,11 +1,11 @@
 """Unit tests for the incremental evaluation engine's building blocks:
 :class:`repro.core.session.ReuseSession` and
-:class:`repro.core.evaluate.PairScorer` / :func:`batch_pair_costs`.
+:func:`repro.core.evaluate.batch_pair_costs`.
 
 The end-to-end engine-vs-reference identity lives in
 ``tests/property/test_equivalence_diff.py``; these tests pin the pieces
-in isolation — batched costs vs. the per-pair evaluators, the memo, and
-the serial-fallback threshold.
+in isolation — batched costs vs. the per-pair evaluators, and the
+session's wire bookkeeping and lookahead.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.random import random_circuit
 from repro.core.conditions import ReuseAnalysis
 from repro.core.evaluate import (
-    PairScorer,
     batch_pair_costs,
     evaluate_pair_depth,
     evaluate_pair_duration,
@@ -24,7 +23,6 @@ from repro.core.session import ReuseSession
 from repro.dag.analysis import critical_path_length, node_weight_depth
 from repro.dag.dagcircuit import DAGCircuit
 from repro.exceptions import ReuseError
-from repro.stats import Stats
 from repro.workloads.bv import bv_circuit
 
 
@@ -67,49 +65,6 @@ class TestBatchPairCosts:
         assert max(tails.values()) == critical_path_length(
             dag, node_weight_depth
         )
-
-
-class TestPairScorer:
-    def test_memo_counts_hits_until_invalidated(self):
-        circuit = bv_circuit(5)
-        analysis = ReuseAnalysis(circuit)
-        pairs = analysis.valid_pairs()
-        stats = Stats()
-        with PairScorer(stats=stats, parallel=False) as scorer:
-            first = scorer.score_all(analysis.dag, pairs)
-            again = scorer.score_all(analysis.dag, pairs)
-            assert first == again
-            assert stats.counters["evaluations"] == len(pairs)
-            assert stats.counters["cache_hits"] == len(pairs)
-            scorer.invalidate()
-            scorer.score_all(analysis.dag, pairs)
-            assert stats.counters["evaluations"] == 2 * len(pairs)
-
-    def test_small_batches_stay_serial(self):
-        """Below the workload threshold no process pool is spawned."""
-        circuit = bv_circuit(5)
-        analysis = ReuseAnalysis(circuit)
-        stats = Stats()
-        with PairScorer(stats=stats) as scorer:
-            scorer.score_all(analysis.dag, analysis.valid_pairs())
-            assert scorer._executor is None
-            assert stats.counters.get("serial_batches", 0) == 1
-            assert stats.counters.get("parallel_batches", 0) == 0
-
-    def test_forced_parallel_matches_serial_scores(self, two_workers):
-        circuit = bv_circuit(8)
-        analysis = ReuseAnalysis(circuit)
-        pairs = analysis.valid_pairs()
-        stats = Stats()
-        with PairScorer(stats=stats, parallel=True) as forced:
-            parallel_scores = forced.score_all(analysis.dag, pairs)
-            assert stats.counters["parallel_batches"] == 1
-        with PairScorer(parallel=False) as serial:
-            assert parallel_scores == serial.score_all(analysis.dag, pairs)
-
-    def test_unknown_objective_rejected(self):
-        with pytest.raises(ReuseError):
-            PairScorer(objective="fidelity")
 
 
 class TestReuseSession:
@@ -166,18 +121,6 @@ class TestReuseSession:
             slow = oracle.reuse_potentials(pairs)
         assert session_module._potential_for_candidate is bitset_kernel
         assert slow == fast
-
-    def test_potentials_memoised_per_step(self):
-        session = ReuseSession(bv_circuit(5))
-        pairs = session.valid_pairs()
-        session.reuse_potentials(pairs)
-        computed = session.stats.counters["lookahead_evaluations"]
-        session.reuse_potentials(pairs)
-        assert session.stats.counters["lookahead_evaluations"] == computed
-        assert session.stats.counters["cache_hits"] == len(pairs)
-        session.apply(pairs[0])
-        session.reuse_potentials(session.valid_pairs())
-        assert session.stats.counters["lookahead_evaluations"] > computed
 
     def test_degenerate_circuit_no_pairs(self):
         circuit = QuantumCircuit(2, 2)

@@ -6,7 +6,6 @@ from repro.dag import (
     alap_finish_times,
     asap_finish_times,
     critical_path_length,
-    critical_path_nodes,
     dag_depth,
     dag_duration,
     node_weight_duration,
@@ -48,7 +47,6 @@ class TestASAPALAP:
     def test_empty_dag(self):
         dag = DAGCircuit.from_circuit(QuantumCircuit(2))
         assert critical_path_length(dag) == 0
-        assert critical_path_nodes(dag) == []
 
 
 class TestCriticalPath:
@@ -56,13 +54,6 @@ class TestCriticalPath:
         circuit = diamond_circuit()
         dag = DAGCircuit.from_circuit(circuit)
         assert dag_depth(dag) == circuit.depth() == 3
-
-    def test_critical_path_nodes_form_a_path(self):
-        dag = DAGCircuit.from_circuit(diamond_circuit())
-        path = critical_path_nodes(dag)
-        assert path == [0, 1, 3]
-        for a, b in zip(path, path[1:]):
-            assert b in dag.successors(a)
 
     def test_duration_weighting(self):
         circuit = QuantumCircuit(2)

@@ -1,9 +1,9 @@
 """Regression tests for the incremental descendants-bitset updates.
 
 The incremental engine never recomputes the full reachability closure
-during a sweep — ``update_masks_for_edge`` / ``update_masks_for_node``
-patch the cached bitsets in place, and :class:`repro.core.session.ReuseSession`
-relies on those patches staying *bit-for-bit identical* to a from-scratch
+during a sweep — ``update_masks_for_node`` patches the cached bitsets in
+place, and :class:`repro.core.session.ReuseSession` relies on those
+patches staying *bit-for-bit identical* to a from-scratch
 :func:`repro.dag.reachability.descendants_bitsets` recomputation after
 every ``apply``.  These tests pin that identity, including the
 Condition-2 ordering and cycle-adjacent edge cases.
@@ -16,11 +16,7 @@ from repro.circuit.random import random_circuit
 from repro.core.conditions import ReuseAnalysis
 from repro.core.session import ReuseSession
 from repro.dag.dagcircuit import DAGCircuit
-from repro.dag.reachability import (
-    descendants_bitsets,
-    update_masks_for_edge,
-    update_masks_for_node,
-)
+from repro.dag.reachability import descendants_bitsets, update_masks_for_node
 from repro.workloads.bv import bv_circuit
 
 
@@ -32,50 +28,6 @@ def _assert_masks_exact(dag, masks):
             f"node {node_id}: incremental mask {masks[node_id]:b} != "
             f"recomputed {expected:b}"
         )
-
-
-class TestUpdateMasksForEdge:
-    def test_chain_extension(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.x(1)
-        dag = DAGCircuit.from_circuit(circuit)
-        masks = descendants_bitsets(dag)
-        ops = dag.op_nodes(include_directives=True)
-        dag.add_edge(ops[0], ops[1])
-        changed = update_masks_for_edge(dag, masks, ops[0], ops[1])
-        _assert_masks_exact(dag, masks)
-        assert ops[0] in changed
-
-    def test_redundant_edge_changes_nothing(self):
-        circuit = QuantumCircuit(1)
-        circuit.h(0)
-        circuit.x(0)
-        dag = DAGCircuit.from_circuit(circuit)
-        masks = descendants_bitsets(dag)
-        ops = dag.op_nodes(include_directives=True)
-        # h already reaches x through the wire edge; a transitive
-        # shortcut must be a no-op on every mask
-        before = dict(masks)
-        dag.add_edge(ops[0], ops[1])
-        changed = update_masks_for_edge(dag, masks, ops[0], ops[1])
-        assert masks == before
-        assert changed == set()
-        _assert_masks_exact(dag, masks)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_edge_insertions(self, seed):
-        circuit = random_circuit(4, num_gates=12, seed=seed)
-        dag = DAGCircuit.from_circuit(circuit)
-        masks = descendants_bitsets(dag)
-        order = dag.topological_order()
-        # splice several forward (acyclic-safe) edges and re-verify each time
-        for offset in (1, 3, 5):
-            for i in range(0, len(order) - offset, 4):
-                source, target = order[i], order[i + offset]
-                dag.add_edge(source, target)
-                update_masks_for_edge(dag, masks, source, target)
-                _assert_masks_exact(dag, masks)
 
 
 class TestUpdateMasksForNode:

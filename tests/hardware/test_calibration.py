@@ -11,7 +11,6 @@ from repro.hardware import (
     generic_backend,
     ibm_mumbai,
     line,
-    scaled_heavy_hex_backend,
     synthetic_calibration,
 )
 
@@ -122,8 +121,3 @@ class TestBackends:
     def test_mumbai_reproducible(self):
         a, b = ibm_mumbai(), ibm_mumbai()
         assert a.calibration.cx_error == b.calibration.cx_error
-
-    def test_scaled_backend(self):
-        backend = scaled_heavy_hex_backend(64)
-        assert backend.num_qubits >= 64
-        assert backend.coupling.max_degree() <= 3

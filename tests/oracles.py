@@ -44,6 +44,11 @@ for bit:
   every candidate to its last layer.  They are the referees of
   :class:`~repro.core.qs_commuting.CommutingProblem` (schedules,
   errors) and of the bounded scorer (its first-minimum candidate).
+* :class:`DensityMatrix` and :func:`exact_distribution` — exact
+  density-matrix simulation with classical-outcome branching under
+  gate/readout noise.  They are the referee of the sampling engines
+  behind :func:`repro.sim.run_counts` (seeded counts converge to the
+  exact distribution).
 
 The exact engine (:class:`~repro.core.exact.ExactReuse`) is the referee
 for *width* only; it does not replace any of these.
@@ -60,6 +65,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 import networkx as nx
 import numpy as np
 
+from repro.circuit import gates
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.instruction import Instruction
 from repro.core import session as _session
@@ -77,8 +83,9 @@ from repro.core.sr_caqr import _DIRTY, _FRESH, SRCaQR, SRCaQRResult
 from repro.core.transform import apply_reuse_pair
 from repro.core.windows import Chain, Reach, State, WindowAnalysis
 from repro.dag.dagcircuit import DAGCircuit
-from repro.exceptions import ReuseError, TranspilerError
+from repro.exceptions import ReuseError, SimulationError, TranspilerError
 from repro.hardware.coupling import CouplingMap
+from repro.sim.noise import NoiseModel
 from repro.stats import Stats
 from repro.transpiler.basis import decompose_to_two_qubit
 from repro.transpiler.layout import Layout, trivial_layout
@@ -86,8 +93,10 @@ from repro.transpiler.sabre import RoutingResult
 from repro.transpiler.scheduling import circuit_duration_dt
 
 __all__ = [
+    "DensityMatrix",
     "ReferenceQSCaQR",
     "ReferenceSRCaQR",
+    "exact_distribution",
     "nx_lookahead_kernel",
     "nx_potential",
     "reference_canonical",
@@ -1237,3 +1246,242 @@ def reference_extension_costs(
             continue
         costs.append(reference_schedule_depth_estimate(schedule, trial))
     return costs
+
+
+# -- exact simulation ----------------------------------------------------------
+#
+# The trajectory engines sample; the density matrix computes *exact* noisy
+# output distributions for small circuits.  Dynamic circuits entangle the
+# quantum state with classical bits, so the simulation tracks an ensemble
+# ``{classical bitstring -> (probability, density matrix)}``: a measurement
+# splits every branch in two (Born probabilities, then the readout-flip
+# confusion) and a classically conditioned gate applies only on matching
+# branches.  Noise mirrors :class:`~repro.sim.noise.NoiseModel`'s
+# depolarizing channels and readout confusion; T1/T2 relaxation needs the
+# wire clock and stays trajectory-only.
+
+
+_DENSITY_MAX_QUBITS = 10
+
+
+class DensityMatrix:
+    """A mutable *n*-qubit mixed state (2^n x 2^n matrix)."""
+
+    def __init__(self, num_qubits: int):
+        if num_qubits < 0 or num_qubits > _DENSITY_MAX_QUBITS:
+            raise SimulationError(
+                f"density-matrix simulation limited to {_DENSITY_MAX_QUBITS} qubits"
+            )
+        self.num_qubits = num_qubits
+        dim = 2**num_qubits
+        self.matrix = np.zeros((dim, dim), dtype=np.complex128)
+        self.matrix[0, 0] = 1.0
+
+    def copy(self) -> "DensityMatrix":
+        out = DensityMatrix.__new__(DensityMatrix)
+        out.num_qubits = self.num_qubits
+        out.matrix = self.matrix.copy()
+        return out
+
+    # -- operator plumbing -----------------------------------------------------
+
+    def _expand(self, operator: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+        """Lift a k-qubit operator onto the full Hilbert space."""
+        k = len(qubits)
+        n = self.num_qubits
+        out = np.zeros((2**n, 2**n), dtype=np.complex128)
+        for row in range(2**n):
+            row_bits = [(row >> (n - 1 - q)) & 1 for q in range(n)]
+            sub_row = 0
+            for q in qubits:
+                sub_row = (sub_row << 1) | row_bits[q]
+            for sub_col in range(2**k):
+                if abs(operator[sub_row, sub_col]) < 1e-15:
+                    continue
+                col_bits = list(row_bits)
+                for index, q in enumerate(qubits):
+                    col_bits[q] = (sub_col >> (k - 1 - index)) & 1
+                col = 0
+                for bit in col_bits:
+                    col = (col << 1) | bit
+                out[row, col] += operator[sub_row, sub_col]
+        return out
+
+    def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
+        full = self._expand(matrix, qubits)
+        self.matrix = full @ self.matrix @ full.conj().T
+
+    def apply_kraus(self, kraus: Sequence[np.ndarray], qubits: Sequence[int]) -> None:
+        total = np.zeros_like(self.matrix)
+        for operator in kraus:
+            full = self._expand(operator, qubits)
+            total += full @ self.matrix @ full.conj().T
+        self.matrix = total
+
+    def apply_depolarizing(self, probability: float, qubits: Sequence[int]) -> None:
+        """Uniform stochastic Pauli channel matching the trajectory model."""
+        if probability <= 0:
+            return
+        paulis = {
+            "I": np.eye(2, dtype=np.complex128),
+            "X": gates.gate_matrix("x"),
+            "Y": gates.gate_matrix("y"),
+            "Z": gates.gate_matrix("z"),
+        }
+        if len(qubits) == 1:
+            labels = ["X", "Y", "Z"]
+        else:
+            labels = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+        mixed = (1.0 - probability) * self.matrix
+        share = probability / len(labels)
+        for label in labels:
+            branch = self.matrix
+            for pauli, qubit in zip(label, qubits):
+                if pauli == "I":
+                    continue
+                full = self._expand(paulis[pauli], (qubit,))
+                branch = full @ branch @ full.conj().T
+            mixed = mixed + share * branch
+        self.matrix = mixed
+
+    def measurement_probabilities(self, qubit: int) -> Tuple[float, float]:
+        """(P(0), P(1)) of measuring *qubit*."""
+        n = self.num_qubits
+        diag = np.real(np.diag(self.matrix))
+        p1 = sum(
+            value
+            for index, value in enumerate(diag)
+            if (index >> (n - 1 - qubit)) & 1
+        )
+        total = diag.sum()
+        return (max(total - p1, 0.0), max(p1, 0.0))
+
+    def project(self, qubit: int, outcome: int) -> float:
+        """Project onto |outcome> on *qubit*; return the branch probability.
+
+        The post-projection matrix is renormalised when the probability is
+        non-zero.
+        """
+        n = self.num_qubits
+        keep = np.array(
+            [((index >> (n - 1 - qubit)) & 1) == outcome for index in range(2**n)]
+        )
+        projected = self.matrix.copy()
+        projected[~keep, :] = 0
+        projected[:, ~keep] = 0
+        probability = float(np.real(np.trace(projected)))
+        if probability > 1e-15:
+            self.matrix = projected / probability
+        else:
+            self.matrix = projected
+        return probability
+
+    def probabilities(self) -> np.ndarray:
+        return np.real(np.diag(self.matrix)).clip(min=0.0)
+
+
+def exact_distribution(
+    circuit: QuantumCircuit,
+    noise: Optional[NoiseModel] = None,
+    prune_below: float = 1e-12,
+) -> Dict[str, float]:
+    """Exact classical-bit distribution of *circuit* under gate/readout noise.
+
+    Returns ``{clbit string: probability}`` with clbit 0 leftmost (the
+    same convention as :func:`repro.sim.statevector.run_counts`).
+
+    Raises:
+        SimulationError: for circuits wider than the density-matrix cap.
+    """
+    if circuit.num_clbits == 0:
+        raise SimulationError("circuit has no classical bits")
+    branches: Dict[Tuple[int, ...], Tuple[float, DensityMatrix]] = {
+        (0,) * circuit.num_clbits: (1.0, DensityMatrix(circuit.num_qubits))
+    }
+    for instruction in circuit.data:
+        if instruction.is_directive() or instruction.name == "delay":
+            continue
+        updated: Dict[Tuple[int, ...], Tuple[float, DensityMatrix]] = {}
+
+        def _accumulate(bits: Tuple[int, ...], probability: float, state: DensityMatrix):
+            if probability < prune_below:
+                return
+            if bits in updated:
+                old_probability, old_state = updated[bits]
+                total = old_probability + probability
+                mixed = old_state.copy()
+                mixed.matrix = (
+                    old_probability * old_state.matrix
+                    + probability * state.matrix
+                ) / total
+                updated[bits] = (total, mixed)
+            else:
+                updated[bits] = (probability, state)
+
+        for bits, (probability, state) in branches.items():
+            if instruction.condition is not None:
+                clbit, value = instruction.condition
+                if bits[clbit] != value:
+                    _accumulate(bits, probability, state)
+                    continue
+            if instruction.name == "measure":
+                qubit = instruction.qubits[0]
+                clbit = instruction.clbits[0]
+                flip = noise.readout_error(qubit) if noise else 0.0
+                for outcome in (0, 1):
+                    branch = state.copy()
+                    born = branch.project(qubit, outcome)
+                    if born < prune_below:
+                        continue
+                    for recorded in (outcome, 1 - outcome):
+                        record_probability = (
+                            born * (1 - flip)
+                            if recorded == outcome
+                            else born * flip
+                        )
+                        if record_probability < prune_below:
+                            continue
+                        new_bits = list(bits)
+                        new_bits[clbit] = recorded
+                        _accumulate(
+                            tuple(new_bits),
+                            probability * record_probability,
+                            branch.copy(),
+                        )
+                continue
+            if instruction.name == "reset":
+                qubit = instruction.qubits[0]
+                collapsed = state.copy()
+                p0 = collapsed.project(qubit, 0)
+                one = state.copy()
+                p1 = one.project(qubit, 1)
+                if p1 > prune_below:
+                    one.apply_unitary(gates.gate_matrix("x"), (qubit,))
+                    merged = collapsed.copy()
+                    merged.matrix = p0 * collapsed.matrix + p1 * one.matrix
+                    merged.matrix /= max(p0 + p1, 1e-15)
+                    collapsed = merged
+                _accumulate(bits, probability, collapsed)
+                continue
+            # unitary gate
+            branch = state.copy()
+            branch.apply_unitary(
+                gates.gate_matrix(instruction.name, instruction.params),
+                instruction.qubits,
+            )
+            if noise is not None:
+                branch.apply_depolarizing(
+                    noise.gate_error(instruction.name, instruction.qubits),
+                    instruction.qubits,
+                )
+            _accumulate(bits, probability, branch)
+        branches = updated
+
+    distribution: Dict[str, float] = {}
+    for bits, (probability, _state) in branches.items():
+        key = "".join(map(str, bits))
+        distribution[key] = distribution.get(key, 0.0) + probability
+    total = sum(distribution.values())
+    if total > 0:
+        distribution = {k: v / total for k, v in distribution.items()}
+    return distribution

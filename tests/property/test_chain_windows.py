@@ -21,12 +21,13 @@ import os
 import pytest
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.library import ghz
 from repro.circuit.random import random_circuit
 from repro.core.chains import ChainReuse
 from repro.core.exact import exact_minimum_qubits
 from repro.core.qs_caqr import QSCaQR
 from repro.sim.verify import assert_equivalent
-from repro.workloads import bv_circuit, ghz_measured
+from repro.workloads import bv_circuit
 
 CHAIN_SAMPLES = int(os.environ.get("CAQR_CHAIN_SAMPLES", "200"))
 
@@ -182,7 +183,7 @@ def test_reduce_to_respects_feasibility_flag(seed):
     "circuit,optimal",
     [
         pytest.param(bv_circuit(4), 2, id="bv4"),
-        pytest.param(ghz_measured(5), 2, id="ghz5"),
+        pytest.param(ghz(5, measure=True), 2, id="ghz5"),
     ],
 )
 def test_pinned_optima(circuit, optimal):

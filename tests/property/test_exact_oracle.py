@@ -20,13 +20,14 @@ import os
 import pytest
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.library import ghz
 from repro.circuit.random import random_circuit
 from repro.core.exact import ExactReuse, exact_minimum_qubits
 from repro.core.qs_caqr import QSCaQR
 from repro.core.sr_caqr import SRCaQR
 from repro.hardware import ibm_mumbai
 from repro.sim.verify import assert_equivalent
-from repro.workloads import bv_circuit, ghz_measured
+from repro.workloads import bv_circuit
 from tests.oracles import ReferenceQSCaQR
 
 ORACLE_SAMPLES = int(os.environ.get("CAQR_ORACLE_SAMPLES", "200"))
@@ -159,7 +160,7 @@ def test_gap_distribution():
     "circuit,optimal",
     [
         pytest.param(bv_circuit(4), 2, id="bv4"),
-        pytest.param(ghz_measured(5), 2, id="ghz5"),
+        pytest.param(ghz(5, measure=True), 2, id="ghz5"),
         pytest.param(_reuse_chain(5), 2, id="chain5"),
     ],
 )
@@ -194,7 +195,7 @@ PINNED_RUNS = {
 }
 PINNED_CIRCUITS = {
     "bv4": lambda: bv_circuit(4),
-    "ghz5": lambda: ghz_measured(5),
+    "ghz5": lambda: ghz(5, measure=True),
     "chain5": lambda: _reuse_chain(5),
 }
 

@@ -1,14 +1,12 @@
-"""Property-based tests for the simulators and mitigation."""
+"""Property-based tests for the simulators."""
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit, gates
 from repro.sim import run_counts
-from repro.sim.density import exact_distribution
-from repro.sim.mitigation import mitigate_counts
 from repro.sim.statevector import Statevector
+from tests.oracles import exact_distribution
 from tests.property.strategies import circuits
 
 
@@ -43,32 +41,3 @@ class TestDensityCrossValidation:
         for key in set(exact) | set(counts):
             sampled = counts.get(key, 0) / 8000
             assert abs(sampled - exact.get(key, 0.0)) < 0.04, key
-
-
-class TestMitigationProperties:
-    @given(
-        st.dictionaries(
-            st.sampled_from(["00", "01", "10", "11"]),
-            st.integers(1, 500),
-            min_size=1,
-        ),
-        st.floats(0.0, 0.25),
-        st.floats(0.0, 0.25),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_output_is_distribution(self, counts, e0, e1):
-        result = mitigate_counts(counts, [e0, e1])
-        assert abs(sum(result.values()) - 1.0) < 1e-9
-        assert all(p >= 0 for p in result.values())
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["0", "1"]), st.integers(1, 500), min_size=1
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_zero_error_identity(self, counts):
-        result = mitigate_counts(counts, [0.0])
-        total = sum(counts.values())
-        for key, value in counts.items():
-            assert result[key] == value / total

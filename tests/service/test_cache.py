@@ -106,10 +106,12 @@ class TestDiskCache:
 
     def test_empty_file_treated_as_corrupt(self, tmp_path):
         store = DiskCache(str(tmp_path))
-        (tmp_path / "abc.json").write_text("")
+        entry = tmp_path / DEFAULT_SHARD / "abc.json"
+        entry.parent.mkdir()
+        entry.write_text("")
         assert store.get("abc") is None
         assert store.stats.counters["corrupt_entries"] == 1
-        assert not (tmp_path / "abc.json").exists()
+        assert not entry.exists()
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = DiskCache(str(tmp_path))
@@ -151,26 +153,23 @@ class TestDiskShards:
         assert list(store.keys()) == ["k"]
         assert len(store) == 1
 
-    def test_legacy_flat_entry_migrates_on_lookup(self, tmp_path):
-        (tmp_path / "old.json").write_text("legacy-payload")
-        store = DiskCache(str(tmp_path))
-        assert store.get("old", shard="aaaa1111") == "legacy-payload"
-        assert store.stats.counters["migrated_entries"] == 1
-        assert not (tmp_path / "old.json").exists()
-        assert (tmp_path / "aaaa1111" / "old.json").is_file()
-        # second lookup hits the shard directly, no second migration
-        assert store.get("old", shard="aaaa1111") == "legacy-payload"
-        assert store.stats.counters["migrated_entries"] == 1
-
     def test_invalidate_without_shard_sweeps_everywhere(self, tmp_path):
         store = DiskCache(str(tmp_path))
         store.put("k", "a", shard="aaaa1111")
         store.put("k", "b", shard="bbbb2222")
-        (tmp_path / "k.json").write_text("legacy")
-        assert store.invalidate("k") == 3
-        assert store.stats.counters["invalidated_entries"] == 3
+        assert store.invalidate("k") == 2
+        assert store.stats.counters["invalidated_entries"] == 2
         assert store.get("k", shard="aaaa1111") is None
         assert store.invalidate("k") == 0
+
+    def test_stray_root_file_is_not_an_entry(self, tmp_path):
+        (tmp_path / "old.json").write_text("flat-payload")
+        store = DiskCache(str(tmp_path))
+        assert store.get("old", shard="aaaa1111") is None
+        assert store.get("old") is None
+        assert len(store) == 0
+        assert store.shard_stats() == {}
+        assert (tmp_path / "old.json").read_text() == "flat-payload"
 
     def test_invalidate_with_shard_spares_others(self, tmp_path):
         store = DiskCache(str(tmp_path))
@@ -184,11 +183,11 @@ class TestDiskShards:
         store.put("k1", "xxxx", shard="aaaa1111")
         store.put("k2", "yy", shard="aaaa1111")
         store.put("k3", "zzz", shard="bbbb2222")
-        (tmp_path / "flat.json").write_text("w")
         usage = store.shard_stats()
-        assert usage["aaaa1111"] == {"entries": 2, "bytes": 6}
-        assert usage["bbbb2222"] == {"entries": 1, "bytes": 3}
-        assert usage["legacy"] == {"entries": 1, "bytes": 1}
+        assert usage == {
+            "aaaa1111": {"entries": 2, "bytes": 6},
+            "bbbb2222": {"entries": 1, "bytes": 3},
+        }
         store.refresh_shard_gauges()
         assert store.stats.values["shard_entries:aaaa1111"] == 2
         assert store.stats.values["shard_bytes:bbbb2222"] == 3

@@ -4,8 +4,9 @@ import networkx as nx
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.compile_api import CompileRequest
 from repro.exceptions import ServiceError
-from repro.hardware import ibm_mumbai, scaled_heavy_hex_backend
+from repro.hardware import generic_backend, ibm_mumbai, line
 from repro.service import (
     CALIB_BANDS_ENV,
     backend_digest,
@@ -14,7 +15,6 @@ from repro.service import (
     circuit_digest,
     circuit_normal_form,
     graph_digest,
-    request_fingerprint,
     resolve_calib_bands,
 )
 from repro.workloads import bv_circuit, random_graph
@@ -103,7 +103,7 @@ class TestBackendDigest:
 
     def test_different_topology_invalidates(self):
         assert backend_digest(ibm_mumbai()) != backend_digest(
-            scaled_heavy_hex_backend(2)
+            generic_backend(line(4))
         )
 
 
@@ -211,26 +211,28 @@ class TestBandedBackendDigest:
 class TestRequestFingerprint:
     def test_semantic_knobs_invalidate(self):
         circuit = bv_circuit(5)
-        base = request_fingerprint(circuit)
-        assert request_fingerprint(circuit, mode="max_reuse") != base
-        assert request_fingerprint(circuit, qubit_limit=3) != base
-        assert request_fingerprint(circuit, reset_style="builtin") != base
-        assert request_fingerprint(circuit, seed=12) != base
-        assert request_fingerprint(circuit, auto_commuting=False) != base
-        assert request_fingerprint(circuit, backend=ibm_mumbai()) != base
+        base = CompileRequest(circuit).fingerprint()
+        assert CompileRequest(circuit, mode="max_reuse").fingerprint() != base
+        assert CompileRequest(circuit, qubit_limit=3).fingerprint() != base
+        assert CompileRequest(circuit, reset_style="builtin").fingerprint() != base
+        assert CompileRequest(circuit, seed=12).fingerprint() != base
+        assert CompileRequest(circuit, auto_commuting=False).fingerprint() != base
+        assert CompileRequest(circuit, backend=ibm_mumbai()).fingerprint() != base
 
     def test_graph_and_circuit_targets_never_collide(self):
         # same digest text in a different kind must yield a different key
         graph = random_graph(6, 0.4, seed=3)
         circuit = bv_circuit(6)
-        assert request_fingerprint(graph) != request_fingerprint(circuit)
+        assert CompileRequest(graph).fingerprint() != (
+            CompileRequest(circuit).fingerprint()
+        )
 
     @pytest.mark.parametrize("mode", ["min_depth", "max_reuse", "min_swap"])
     def test_repeatable(self, mode):
         circuit = bv_circuit(4)
         backend = ibm_mumbai()
-        assert request_fingerprint(circuit, backend, mode=mode) == (
-            request_fingerprint(circuit, backend, mode=mode)
+        assert CompileRequest(circuit, backend, mode=mode).fingerprint() == (
+            CompileRequest(circuit, backend, mode=mode).fingerprint()
         )
 
     def test_banding_off_preserves_legacy_keys(self, monkeypatch):
@@ -239,9 +241,9 @@ class TestRequestFingerprint:
         monkeypatch.delenv(CALIB_BANDS_ENV, raising=False)
         circuit = bv_circuit(5)
         backend = ibm_mumbai()
-        legacy = request_fingerprint(circuit, backend)
-        assert request_fingerprint(circuit, backend, calib_bands=0) == legacy
-        assert request_fingerprint(circuit, backend, calib_bands=2) != legacy
+        legacy = CompileRequest(circuit, backend).fingerprint()
+        assert CompileRequest(circuit, backend, calib_bands=0).fingerprint() == legacy
+        assert CompileRequest(circuit, backend, calib_bands=2).fingerprint() != legacy
 
     def test_in_band_drift_shares_fingerprint(self):
         circuit = bv_circuit(5)
@@ -250,14 +252,16 @@ class TestRequestFingerprint:
         band = band_value(a.calibration.cx_error[edge], 2)
         a.calibration.cx_error[edge] = _band_center(band, 2)
         b.calibration.cx_error[edge] = _band_center(band, 2) * 1.05
-        assert request_fingerprint(circuit, a) != request_fingerprint(circuit, b)
-        assert request_fingerprint(circuit, a, calib_bands=2) == (
-            request_fingerprint(circuit, b, calib_bands=2)
+        assert CompileRequest(circuit, a).fingerprint() != (
+            CompileRequest(circuit, b).fingerprint()
+        )
+        assert CompileRequest(circuit, a, calib_bands=2).fingerprint() == (
+            CompileRequest(circuit, b, calib_bands=2).fingerprint()
         )
 
     def test_env_bands_apply_when_unset(self, monkeypatch):
         circuit = bv_circuit(5)
         backend = ibm_mumbai()
-        explicit = request_fingerprint(circuit, backend, calib_bands=2)
+        explicit = CompileRequest(circuit, backend, calib_bands=2).fingerprint()
         monkeypatch.setenv(CALIB_BANDS_ENV, "2")
-        assert request_fingerprint(circuit, backend) == explicit
+        assert CompileRequest(circuit, backend).fingerprint() == explicit

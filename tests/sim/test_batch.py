@@ -5,11 +5,12 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.core import QSCaQR
 from repro.exceptions import SimulationError
-from repro.sim import NoiseModel, exact_distribution, run_counts
+from repro.sim import NoiseModel, run_counts
 from repro.sim.batch import run_batched_counts
 from repro.sim.metrics import normalize_counts
 from repro.stats import Stats
 from repro.workloads import bv_circuit
+from tests.oracles import exact_distribution
 
 NOISE = NoiseModel.uniform(
     one_qubit_error=0.01, two_qubit_error=0.05, readout=0.03

@@ -9,7 +9,7 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
 from repro.sim import NoiseModel, run_counts
-from repro.sim.density import DensityMatrix, exact_distribution
+from tests.oracles import DensityMatrix, exact_distribution
 
 
 class TestDensityMatrix:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.circuit import parse_qasm, to_qasm
-from repro.workloads import bv_circuit
+from repro.workloads import bv_circuit, get_benchmark
 
 
 @pytest.fixture
@@ -24,6 +24,10 @@ class TestCompileCommand:
     def test_compile_benchmark_name(self, capsys):
         assert main(["compile", "xor_5", "--mode", "max_reuse"]) == 0
         assert "reuse resets" in capsys.readouterr().out
+
+    def test_compile_qasm_asset_name(self, capsys):
+        assert main(["compile", "bell"]) == 0
+        assert "qubits used" in capsys.readouterr().out
 
     def test_compile_writes_output(self, bv_qasm, tmp_path, capsys):
         output = str(tmp_path / "out.qasm")
@@ -63,6 +67,13 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "bv_10" in out
         assert "qaoa" in out
+        # every concrete listed name is one `compile` accepts
+        for line in out.splitlines():
+            label, names = line.split(": ", 1)
+            if label.startswith("QAOA"):
+                continue
+            for name in names.split(", "):
+                get_benchmark(name)
 
     def test_backend_json_roundtrip(self, tmp_path, capsys):
         from repro.hardware import backend_to_json, ibm_mumbai

@@ -16,7 +16,6 @@ import repro.parallel as parallel
 import repro.transpiler.sabre as sabre
 from repro.circuit.random import random_circuit
 from repro.compile_api import caqr_compile
-from repro.core.evaluate import PairScorer
 from repro.core.qs_caqr import QSCaQR
 from repro.core.qs_commuting import QSCaQRCommuting
 from repro.core.session import ReuseSession
@@ -142,7 +141,7 @@ class TestWidth:
         """Not at import: perfbench pins its timed pass to one core after
         importing the package, and its engines must see that core."""
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert PairScorer().workers == 3
+        assert ReuseSession(bv_circuit(4)).workers == 3
         assert QSCaQRCommuting(nx.cycle_graph(4)).workers == 3
 
     @pytest.mark.parametrize(
@@ -157,7 +156,7 @@ class TestWidth:
         """A caller pinned to one core, at its default ``parallel``, starts
         no pool in any mode, even with every workload floor at zero."""
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
-        for owner in (PairScorer, ReuseSession, QSCaQRCommuting):
+        for owner in (ReuseSession, QSCaQRCommuting):
             monkeypatch.setattr(owner, "workload_threshold", 0)
         limit = 5 if mode == "qubit_budget" else None
         report = caqr_compile(target, ibm_mumbai(), mode=mode, qubit_limit=limit)
@@ -423,7 +422,7 @@ class TestOneMeaningOfParallel:
     default ``None``); width and workload floors are not arguments."""
 
     ENGINES = [
-        QSCaQR, PairScorer, ReuseSession, QSCaQRCommuting, SRCaQR,
+        QSCaQR, ReuseSession, QSCaQRCommuting, SRCaQR,
         SRCaQRCommuting, sweep_regular, sweep_commuting, run_batched_counts,
         sabre_layout, transpile,
     ]

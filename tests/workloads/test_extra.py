@@ -1,102 +1,29 @@
-"""Tests for the additional workloads and QASM assets."""
+"""Tests for GHZ under reuse and the bundled QASM assets."""
 
 import pytest
 
-from repro.core import QSCaQR, assess_reuse_benefit, sweep_regular
+from repro.circuit.library import ghz
+from repro.core import QSCaQR
 from repro.exceptions import WorkloadError
 from repro.sim import run_counts
-from repro.workloads import (
-    cuccaro_adder,
-    deutsch_jozsa,
-    ghz_measured,
-    hidden_shift,
-    load_qasm_benchmark,
-    qasm_benchmark_names,
-)
-
-
-class TestDeutschJozsa:
-    def test_balanced_gives_mask(self):
-        circuit = deutsch_jozsa(5, balanced_mask=[1, 0, 1, 1])
-        counts = run_counts(circuit, shots=100, seed=1)
-        assert counts == {"1011": 100}
-
-    def test_constant_gives_zeros(self):
-        circuit = deutsch_jozsa(4, balanced_mask=[0, 0, 0])
-        counts = run_counts(circuit, shots=100, seed=1)
-        assert counts == {"000": 100}
-
-    def test_compresses_to_two_qubits(self):
-        assert QSCaQR().minimum_qubits(deutsch_jozsa(7)) == 2
-
-    def test_bad_mask(self):
-        with pytest.raises(WorkloadError):
-            deutsch_jozsa(4, balanced_mask=[1])
-
-
-class TestCuccaroAdder:
-    def test_width(self):
-        assert cuccaro_adder(3).num_qubits == 8
-
-    def test_deterministic_sum(self):
-        counts = run_counts(cuccaro_adder(2), shots=64, seed=2)
-        assert len(counts) == 1
-
-    def test_addition_correct(self):
-        """a=11 (3), b=01 (1): sum bits replace b; 3+1=4 -> b=00, carry=1."""
-        counts = run_counts(cuccaro_adder(2), shots=16, seed=3)
-        key = next(iter(counts))
-        # wires: cin(0) b0(1) a0(2) b1(3) a1(4) cout(5)
-        b0, b1, cout = key[1], key[3], key[5]
-        assert (b0, b1, cout) == ("0", "0", "1")
-
-    def test_uncompute_ladder_blocks_reuse(self):
-        """The UMA back-sweep keeps every qubit live to the end: the
-        measure-and-reuse style finds nothing (SQUARE's territory)."""
-        points = sweep_regular(cuccaro_adder(3))
-        report = assess_reuse_benefit(points)
-        assert points[-1].qubits == 8
-        assert not report.beneficial
-
-    def test_bad_bits(self):
-        with pytest.raises(WorkloadError):
-            cuccaro_adder(0)
+from repro.workloads import load_qasm_benchmark, qasm_benchmark_names
 
 
 class TestGHZ:
     def test_two_outcomes(self):
-        counts = run_counts(ghz_measured(4), shots=2000, seed=4)
+        counts = run_counts(ghz(4, measure=True), shots=2000, seed=4)
         assert set(counts) == {"0000", "1111"}
 
     def test_ghz_compresses_to_two_wires(self):
         """Deferred measurement lets the GHZ chain fold onto 2 wires."""
-        result = QSCaQR().reduce_to(ghz_measured(5), 2)
+        result = QSCaQR().reduce_to(ghz(5, measure=True), 2)
         assert result.feasible
 
     def test_reused_ghz_keeps_correlations(self):
-        result = QSCaQR().reduce_to(ghz_measured(4), 2)
+        result = QSCaQR().reduce_to(ghz(4, measure=True), 2)
         counts = run_counts(result.circuit, shots=2000, seed=11)
         assert set(counts) == {"0000", "1111"}
         assert abs(counts["0000"] - 1000) < 150
-
-
-class TestHiddenShift:
-    def test_width_and_determinism(self):
-        circuit = hidden_shift(6)
-        counts = run_counts(circuit, shots=64, seed=5)
-        assert circuit.num_qubits == 6
-        assert len(counts) == 1
-
-    def test_matching_interaction_graph(self):
-        graph = hidden_shift(6).interaction_graph()
-        assert all(degree == 1 for _q, degree in graph.degree())
-
-    def test_reuse_halves_qubits_or_better(self):
-        assert QSCaQR().minimum_qubits(hidden_shift(6)) <= 3
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(WorkloadError):
-            hidden_shift(5)
 
 
 class TestQasmAssets:

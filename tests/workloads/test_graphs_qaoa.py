@@ -5,13 +5,16 @@ import pytest
 
 from repro.exceptions import WorkloadError
 from repro.workloads import (
+    benchmark_names,
     edge_count_for_density,
     get_benchmark,
     graph_density,
+    load_qasm_benchmark,
     power_law_graph,
     qaoa_benchmark,
     qaoa_cost_edges,
     qaoa_maxcut_circuit,
+    qasm_benchmark_names,
     random_graph,
 )
 
@@ -102,6 +105,11 @@ class TestRegistry:
         sparse = qaoa_benchmark("qaoa10-0.3")
         dense = qaoa_benchmark("qaoa10-0.5")
         assert dense.count_ops()["rzz"] > sparse.count_ops()["rzz"]
+
+    def test_qasm_asset_lookup(self):
+        assert not set(qasm_benchmark_names()) & set(benchmark_names())
+        for name in qasm_benchmark_names():
+            assert get_benchmark(name).data == load_qasm_benchmark(name).data
 
     def test_unknown_name_rejected(self):
         with pytest.raises(WorkloadError):
