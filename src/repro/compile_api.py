@@ -328,7 +328,8 @@ def caqr_compile(
         auto_commuting: recognise QAOA-shaped circuits and dispatch them to
             the commuting-gate pipeline (uniform-angle circuits only; the
             regular pipeline handles everything else soundly).
-        parallel: allow process-pool candidate scoring on large circuits.
+        parallel: allow the process pools of large circuits: the SABRE
+            layout trials, the SR trial grid and the QS lookahead.
         cache: route the request through the content-addressed compile
             cache (:mod:`repro.service`): ``True`` uses the process-wide
             default service (persistent under ``$CAQR_CACHE_DIR`` when
@@ -460,11 +461,11 @@ def run_lane(spec, request, view=None, parallel=False, map_always=False) -> Lane
     """Run the :data:`LANES` entry of ``spec.kind`` on *request*.
 
     *view* is the request's :func:`commuting_view`; *parallel* is the
-    :func:`repro.parallel.fans_out` tri-state of every fan-out, scoring
-    and layout search alike (race lanes run serially).  This is the one
-    map-onto-backend rule: a lane's logical circuit is mapped at opt-3
-    under :data:`MAPPED_MODES`, or under every mode with *map_always*
-    (``strategy="chain"``).
+    :func:`repro.parallel.fans_out` tri-state of every fan-out, the QS
+    lookahead and layout search alike (race lanes run serially).  This
+    is the one map-onto-backend rule: a lane's logical circuit is mapped
+    at opt-3 under :data:`MAPPED_MODES`, or under every mode with
+    *map_always* (``strategy="chain"``).
     """
     lane = LANES.get(spec.kind)
     if lane is None:

@@ -124,7 +124,6 @@ class QSCaQR:
         if not candidates:
             return None
         self.stats.count("evaluations", len(candidates))
-        self.stats.count("serial_batches")
         with self.stats.timed("score"):
             scores = batch_pair_costs(
                 session.dag,

@@ -46,7 +46,6 @@ import networkx as nx
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
 from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
@@ -69,10 +68,6 @@ REUSE_GATE_WEIGHT = 4
 
 # above this edge count the driver switches from blossom to greedy matching
 GREEDY_MATCHING_THRESHOLD = 120
-
-# below this many (candidates x graph edges) the per-candidate scheduler
-# runs stay in-process: pool startup dwarfs the work for small graphs
-COMMUTING_PARALLEL_THRESHOLD = 20_000
 
 _BLOSSOM_LOCK = threading.Lock()  # one blossom run pauses the collector
 
@@ -216,8 +211,8 @@ class CommutingProblem:
             one greedy step share most frontiers, and the winner's
             re-schedule hits on every layer.  :class:`QSCaQRCommuting`
             clears it when a step starts, so it holds one step's
-            frontiers and ships empty in pool payloads; a problem-lifetime
-            memo would grow the sweep's peak memory.
+            frontiers; a problem-lifetime memo would grow the sweep's
+            peak memory.
     """
 
     def __init__(
@@ -369,18 +364,21 @@ def _chain_cost(pairs: Sequence[ReusePair]) -> int:
     return 3 * max((_depth(pair.target) for pair in pairs), default=0)
 
 
-def _extension_cost_worker(payload):
-    """Cost of one chunk of candidate extensions (also a process-pool
-    entry point), scored against the best so far.
+def _extension_cost_worker(
+    problem: CommutingProblem,
+    pairs: List[ReusePair],
+    candidates: Sequence[ReusePair],
+) -> List[Optional[int]]:
+    """Cost of each candidate extension of *pairs*, scored against the
+    best so far.
 
     Only the first candidate of least cost can win, so a candidate is
-    scored exactly only while it can still beat the chunk's best: it is
-    skipped when the degree floor plus its chain term already reaches
-    the best, and its schedule is abandoned once its layers do.
-    Skipped, abandoned and stalled candidates cost ``None``.  The
-    first-minimum index over the chunk is unchanged.
+    scored exactly only while it can still beat the best: it is skipped
+    when the degree floor plus its chain term already reaches the best,
+    and its schedule is abandoned once its layers do.  Skipped,
+    abandoned and stalled candidates cost ``None``.  The first-minimum
+    index is the one full scoring gives.
     """
-    (problem, pairs), candidates = payload
     costs: List[Optional[int]] = []
     best: Optional[int] = None
     for candidate in candidates:
@@ -509,7 +507,7 @@ class QSCommutingResult:
     feasible: bool = True
 
 
-class QSCaQRCommuting(PoolOwner):
+class QSCaQRCommuting:
     """Qubit-saving CaQR for commuting-gate (QAOA-style) applications.
 
     Args:
@@ -521,15 +519,9 @@ class QSCaQRCommuting(PoolOwner):
         max_candidates: cap on (source, target) candidates examined per
             greedy step; low-degree qubits are preferred since they finish
             earliest (the paper's power-law observation).
-        parallel: the :func:`repro.parallel.fans_out` tri-state for the
-            per-candidate scheduler runs, whose step workload is
-            ``candidates × edges`` against
-            :data:`COMMUTING_PARALLEL_THRESHOLD`.
         stats: :class:`~repro.stats.Stats` sink (one is
             created when omitted).
     """
-
-    workload_threshold = COMMUTING_PARALLEL_THRESHOLD
 
     def __init__(
         self,
@@ -542,7 +534,6 @@ class QSCaQRCommuting(PoolOwner):
         candidate_evaluation: str = "schedule",
         edge_angles: Optional[Dict[Tuple[int, int], float]] = None,
         mixer_angles: Optional[Dict[int, float]] = None,
-        parallel: Optional[bool] = None,
         stats=None,
     ):
         n = graph.number_of_nodes()
@@ -566,7 +557,6 @@ class QSCaQRCommuting(PoolOwner):
         self.edge_angles = edge_angles
         self.mixer_angles = mixer_angles
         self.n = n
-        super().__init__(parallel)
         self.stats = stats if stats is not None else Stats()
         self.problem = CommutingProblem(graph, self.matching)
 
@@ -666,13 +656,7 @@ class QSCaQRCommuting(PoolOwner):
     ) -> List[Optional[int]]:
         """Depth-estimate cost per candidate (None = infeasible/cyclic)."""
         self.stats.count("evaluations", len(candidates))
-        workload = len(candidates) * max(1, self.graph.number_of_edges())
-        context = (self.problem, list(pairs))
-        if self.use_pool(len(candidates), workload):
-            self.stats.count("parallel_batches")
-            return self.map_chunks(_extension_cost_worker, context, candidates)
-        self.stats.count("serial_batches")
-        return _extension_cost_worker((context, candidates))
+        return _extension_cost_worker(self.problem, list(pairs), candidates)
 
     def _best_extension(
         self, pairs: List[ReusePair]

@@ -38,7 +38,7 @@ from repro.core.transform import REUSE_LABEL, apply_reuse_pair
 from repro.dag.dagcircuit import DAGCircuit, _wires
 from repro.dag.reachability import descendants_bitsets, update_masks_for_node
 from repro.exceptions import ReuseError
-from repro.parallel import PoolOwner
+from repro.parallel import WorkerPool, chunks, default_workers, fans_out
 from repro.stats import Stats
 
 __all__ = ["ReuseSession", "POTENTIAL_WORKLOAD_THRESHOLD"]
@@ -159,7 +159,7 @@ def _potential_chunk_worker(payload):
     return [_potential_for_candidate(np_state, pair) for pair in pairs]
 
 
-class ReuseSession(PoolOwner):
+class ReuseSession:
     """One DAG + bitset cache shared across a whole greedy reduction sweep.
 
     Args:
@@ -170,9 +170,12 @@ class ReuseSession(PoolOwner):
             ``candidates × labels²`` against
             :data:`POTENTIAL_WORKLOAD_THRESHOLD`.
         stats: counter/timer sink (one is created when omitted).
-    """
 
-    workload_threshold = POTENTIAL_WORKLOAD_THRESHOLD
+    The pool width is read when the session is built; the pool, a
+    :class:`~repro.parallel.WorkerPool`, starts on the first pooled
+    lookahead and lives until :meth:`close` or the end of a ``with``
+    block.
+    """
 
     def __init__(
         self,
@@ -183,7 +186,9 @@ class ReuseSession(PoolOwner):
     ):
         if reset_style not in ("cif", "builtin"):
             raise ReuseError(f"unknown reset style {reset_style!r}")
-        super().__init__(parallel)
+        self.parallel = parallel
+        self.workers = default_workers()
+        self._pool = WorkerPool(self.workers)
         self.reset_style = reset_style
         self.stats = stats if stats is not None else Stats()
         self.circuit = circuit
@@ -212,6 +217,15 @@ class ReuseSession(PoolOwner):
             for kind, wire in _wires(self.dag.nodes[node_id].instruction):
                 if kind == "c":
                     self._clbit_last[wire] = node_id
+
+    def close(self) -> None:
+        self._pool.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- queries ---------------------------------------------------------------
 
@@ -315,9 +329,21 @@ class ReuseSession(PoolOwner):
         self.stats.count("lookahead_evaluations", len(pairs))
         state = self._state()
         workload = len(pairs) * state["n"] * state["n"]
-        if self.use_pool(len(pairs), workload):
+        if fans_out(
+            self.parallel,
+            len(pairs),
+            self.workers,
+            chunked=True,
+            workload=workload,
+            threshold=POTENTIAL_WORKLOAD_THRESHOLD,
+        ):
             self.stats.count("parallel_batches")
-            values = self.map_chunks(_potential_chunk_worker, state, pairs)
+            payloads = [(state, chunk) for chunk in chunks(pairs, self.workers)]
+            values = [
+                value
+                for part in self._pool.map(_potential_chunk_worker, payloads)
+                for value in part
+            ]
         else:
             self.stats.count("serial_batches")
             np_state = self._np_state()

@@ -91,8 +91,8 @@ class SRCaQRCommuting:
         depth_tolerance: sweet-spot depth budget over the no-reuse depth.
         noise_aware: forwarded to the SR router.
         parallel: the :func:`repro.parallel.fans_out` tri-state of the
-            QS sweep and the SR router (the routed circuit is identical
-            either way).
+            SR router (the routed circuit is identical either way); the
+            QS-commuting step scores its candidates in-process.
 
     The underlying router's :class:`~repro.stats.Stats` sink is
     exposed as ``self.stats`` and accumulates across ``run`` calls.
@@ -114,7 +114,6 @@ class SRCaQRCommuting:
         self.depth_tolerance = depth_tolerance
         self.noise_aware = noise_aware
         self.reset_style = reset_style
-        self.parallel = parallel
         self.router = SRCaQR(
             backend,
             noise_aware=noise_aware,
@@ -153,22 +152,18 @@ class SRCaQRCommuting:
         """
         if objective not in ("swaps", "esp"):
             raise ReuseError(f"unknown SR objective {objective!r}")
-        with QSCaQRCommuting(
-            graph,
-            gamma=self.gamma,
-            beta=self.beta,
-            reset_style=self.reset_style,
-            parallel=self.parallel,
-        ) as qs:
-            if qubit_limit is None:
-                sweep = qs.sweep(min_qubits=qs.minimum_qubits())
-            else:
-                point = qs.reduce_to(qubit_limit)
-                if not point.feasible:
-                    raise ReuseError(
-                        f"cannot reach {qubit_limit} qubits "
-                        f"(floor is {qs.minimum_qubits()})"
-                    )
+        qs = QSCaQRCommuting(
+            graph, gamma=self.gamma, beta=self.beta, reset_style=self.reset_style
+        )
+        if qubit_limit is None:
+            sweep = qs.sweep(min_qubits=qs.minimum_qubits())
+        else:
+            point = qs.reduce_to(qubit_limit)
+            if not point.feasible:
+                raise ReuseError(
+                    f"cannot reach {qubit_limit} qubits "
+                    f"(floor is {qs.minimum_qubits()})"
+                )
         router = self.router
         if qubit_limit is not None:
             routed = router.run(point.circuit, trials=trials, seed_base=seed_base)

@@ -153,24 +153,24 @@ def sweep_commuting(
     ``strategy="lifetime"`` for the deep-reuse event-driven sweep used on
     the large Fig. 3 / Fig. 14 instances.  ``gamma``/``beta`` override the
     default QAOA angles (e.g. when the graph was extracted from a circuit).
-    ``parallel`` is as for :func:`sweep_regular`.
+    ``parallel`` is the mapping's fan-out (:func:`repro.parallel.fans_out`);
+    the commuting engine scores its candidates in-process.
     """
     from repro.workloads.qaoa import QAOA_DEFAULT_BETA, QAOA_DEFAULT_GAMMA
 
-    with QSCaQRCommuting(
+    compiler = QSCaQRCommuting(
         graph,
         gamma=gamma if gamma is not None else QAOA_DEFAULT_GAMMA,
         beta=beta if beta is not None else QAOA_DEFAULT_BETA,
         reset_style=reset_style,
         candidate_evaluation=candidate_evaluation,
-        parallel=parallel,
-    ) as compiler:
-        if strategy == "lifetime":
-            results = compiler.lifetime_sweep()
-        elif strategy == "greedy":
-            results = compiler.sweep(min_qubits=min_qubits)
-        else:
-            raise ReuseError(f"unknown sweep strategy {strategy!r}")
+    )
+    if strategy == "lifetime":
+        results = compiler.lifetime_sweep()
+    elif strategy == "greedy":
+        results = compiler.sweep(min_qubits=min_qubits)
+    else:
+        raise ReuseError(f"unknown sweep strategy {strategy!r}")
     points = _points(results, backend, seed, parallel)
     if stats is not None:
         stats.merge(compiler.stats)

@@ -1,9 +1,9 @@
 """One process-pool layer: pool width, the fan-out rule, ordered maps, nesting.
 
 Every process pool of the compile passes (SABRE layout trials, the SR
-trial grid, the QS lookahead, commuting candidate schedules, simulator
-shards) comes from here, and every engine that fans out takes one
-``parallel`` argument with one meaning:
+trial grid, the QS lookahead, simulator shards) comes from here, and
+every engine that fans out takes one ``parallel`` argument with one
+meaning:
 
 * **fan-out** — :func:`fans_out`: ``parallel=False`` never pools,
   ``True`` forces the pool, ``None`` (every engine's default) pools
@@ -17,12 +17,11 @@ shards) comes from here, and every engine that fans out takes one
     ``repro.core.sr_caqr.SR_GRID_PARALLEL_THRESHOLD``;
   - QS lookahead potentials:
     ``repro.core.session.POTENTIAL_WORKLOAD_THRESHOLD``;
-  - commuting candidate schedules:
-    ``repro.core.qs_commuting.COMMUTING_PARALLEL_THRESHOLD``;
   - simulator shards: ``repro.sim.batch.DEFAULT_PARALLEL_THRESHOLD``.
 
   The two per-call pools (layout trials, SR grid) were measured against
-  their start-up cost (the break-even table in ``docs/ROUTER.md``);
+  their start-up cost (the break-even table in ``docs/ROUTER.md``), the
+  QS lookahead against the serial sweep (``docs/INCREMENTAL_ENGINE.md``);
 * **width** — :func:`default_workers`, the CPUs the calling thread may
   run on (its affinity mask; ``os.cpu_count()`` where the platform has
   no affinity call), capped at 8.  It is read when an engine is built
@@ -30,11 +29,11 @@ shards) comes from here, and every engine that fans out takes one
   argument.  A fork inherits the forking thread's mask, so a caller
   pinned to one core runs serial instead of forking workers onto that
   core;
-* **ordered maps** — :func:`pooled_map` (a per-call pool, one task per
-  item), :meth:`PoolOwner.map_chunks` (ceil-div chunks on a pool the
-  owner keeps until :meth:`PoolOwner.close`) and :meth:`WorkerPool.map`
-  (one task per item on a pool a service keeps across calls) return
-  results in input order, so pooled equals serial;
+* **ordered maps** — :func:`pooled_map` (a pool started for one call)
+  and :meth:`WorkerPool.map` (a pool kept across calls, by a service or
+  by the QS lookahead's :class:`~repro.core.session.ReuseSession`) run
+  one task per payload and return results in input order, so pooled
+  equals serial.  A chunked caller passes :func:`chunks` as payloads;
 * **nesting** — a process started by one of the package's pools runs
   every fan-out serial: the pools' ``initializer``
   (:func:`mark_pool_worker`) sets a flag :func:`fans_out` reads.
@@ -57,7 +56,7 @@ from repro.exceptions import ServiceError
 
 __all__ = [
     "default_workers", "mark_pool_worker", "new_pool",
-    "fans_out", "chunks", "pooled_map", "PoolOwner", "WorkerPool",
+    "fans_out", "chunks", "pooled_map", "WorkerPool",
 ]
 
 #: Broken-pool respawns one :meth:`WorkerPool.map` call survives.
@@ -114,58 +113,6 @@ def pooled_map(fn: Callable, payloads: Sequence[Any], workers: int) -> List[Any]
         return list(pool.map(fn, payloads))
 
 
-class PoolOwner:
-    """Base for engines that own one lazily started pool.
-
-    The owner passes its ``parallel`` (the :func:`fans_out` tri-state)
-    to ``__init__``, which also reads the pool width from
-    :func:`default_workers`; the subclass names its workload floor in
-    the class attribute ``workload_threshold`` (its module's constant).
-    The pool starts on the first pooled batch and lives until
-    :meth:`close` or the end of a ``with`` block.
-    """
-
-    workload_threshold: int = 0
-    _executor: Optional[ProcessPoolExecutor] = None
-
-    def __init__(self, parallel: Optional[bool] = None):
-        self.parallel = parallel
-        self.workers = default_workers()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def use_pool(self, items: int, workload: int) -> bool:
-        """:func:`fans_out` for a chunked batch of the owner's."""
-        return fans_out(
-            self.parallel,
-            items,
-            self.workers,
-            chunked=True,
-            workload=workload,
-            threshold=self.workload_threshold,
-        )
-
-    def map_chunks(self, fn: Callable, context: Any, items: Sequence[Any]) -> list:
-        """``fn((context, chunk))`` per chunk of *items*, one chunk per
-        worker, on the owned pool; the chunk results concatenated."""
-        if self._executor is None:
-            self._executor = new_pool(self.workers)
-        payloads = [(context, chunk) for chunk in chunks(items, self.workers)]
-        results: list = []
-        for part in self._executor.map(fn, payloads):
-            results.extend(part)
-        return results
-
-
 def _submit(pool: ProcessPoolExecutor, fn: Callable, payload: Any) -> Future:
     try:
         return pool.submit(fn, payload)
@@ -176,7 +123,8 @@ def _submit(pool: ProcessPoolExecutor, fn: Callable, payload: Any) -> Future:
 
 
 class WorkerPool:
-    """A pool a long-lived service keeps across calls (thread-safe).
+    """A pool kept across calls (thread-safe): a service's, or one QS
+    sweep's lookahead pool.
 
     The pool starts on the first :meth:`map` and lives until
     :meth:`shutdown`, which does not wait for its workers, so a server

@@ -30,10 +30,10 @@ perfbench and the lane golden fixture read them.
 :mod:`repro.core.session`): ``evaluations`` (candidate costs computed,
 one :func:`~repro.core.evaluate.batch_pair_costs` pass per greedy step),
 ``lookahead_evaluations`` (candidates given the reuse-potential
-lookahead), ``serial_batches`` / ``parallel_batches`` (batches run
-in-process vs. on the session's process pool: each greedy step runs one
-serial scoring batch plus one lookahead batch, the only one that can
-pool), ``mask_updates`` (incremental descendants-bitset patches),
+lookahead), ``serial_batches`` / ``parallel_batches`` (lookahead
+batches run in-process vs. on the session's process pool, one per
+greedy step; candidate scoring never pools), ``mask_updates``
+(incremental descendants-bitset patches),
 ``steps`` (greedy reduction steps).  Timers: ``score``, ``lookahead``,
 ``apply``.
 

@@ -12,20 +12,18 @@ pair set and schedule every candidate to its last layer.  This pins:
   and their order, the stall and Condition-1 errors, and the layer
   budget (``None`` exactly when the referee needs that many layers);
 * the bounded scorer's first-minimum candidate (or "none feasible")
-  equals the referee's, whole and split into pool-sized chunks, at every
-  greedy step of random sweeps and of the qaoa16-0.3 sweep; every cost
-  it does report is exact, and it schedules exactly the candidates whose
-  degree floor plus chain term is still below the best so far;
+  equals the referee's at every greedy step of random sweeps and of the
+  qaoa16-0.3 sweep; every cost it does report is exact, and it
+  schedules exactly the candidates whose degree floor plus chain term is
+  still below the best so far;
 * the matching step returns what the networkx frontier graph gives,
   also on frontiers that are already a matching (returned without
   running an engine); a blossom run leaves no garbage for a full
   collection and restores the collector's state;
-* the pooled scorer gives the serial sweep;
-* the step-scoped matching memo: the qaoa16-0.3 sweep's winners, serial
-  and pooled, schedule as the referee does; every step starts with an
-  empty memo (so pool payloads ship it empty); the serial winner's
-  re-schedule runs no matching engine; and a caller that mutates a
-  returned layer cannot change a later schedule.
+* the step-scoped matching memo: the qaoa16-0.3 sweep's winners
+  schedule as the referee does; every step starts with an empty memo;
+  the winner's re-schedule runs no matching engine; and a caller that
+  mutates a returned layer cannot change a later schedule.
 
 ``CAQR_COMMUTING_SAMPLES`` (default 100) scales the random-graph pool;
 the nightly CI job runs 500.
@@ -40,7 +38,6 @@ import networkx as nx
 import pytest
 
 import repro.core.qs_commuting as qs_commuting
-from repro.circuit import to_qasm
 from repro.compile_api import commuting_view
 from repro.core.conditions import ReusePair
 from repro.core.qs_commuting import (
@@ -50,7 +47,6 @@ from repro.core.qs_commuting import (
     matching_layer,
 )
 from repro.exceptions import ReuseError
-from repro.parallel import chunks
 from repro.workloads.registry import get_benchmark
 from tests.oracles import (
     reference_extension_costs,
@@ -217,7 +213,7 @@ def _check_scores(engine: QSCaQRCommuting, pairs, candidates) -> None:
 
     problem.schedule = spy
     try:
-        costs = _extension_cost_worker(((problem, pairs), candidates))
+        costs = _extension_cost_worker(problem, pairs, candidates)
     finally:
         del problem.schedule
     assert _first_min(costs) == _first_min(expected)
@@ -236,12 +232,6 @@ def _check_scores(engine: QSCaQRCommuting, pairs, candidates) -> None:
             if exact is not None and (best is None or exact < best):
                 best = exact
     assert scheduled == should_run
-    # pool-sized chunks bound chunk-locally and keep the argmin
-    for parts in (2, 3):
-        chunked = []
-        for chunk in chunks(candidates, parts):
-            chunked.extend(_extension_cost_worker(((problem, pairs), chunk)))
-        assert _first_min(chunked) == _first_min(expected)
 
 
 def _check_sweep(engine: QSCaQRCommuting) -> List:
@@ -267,13 +257,13 @@ def test_bounded_scorer_picks_the_reference_candidate(seed):
         graph.add_nodes_from(range(graph.number_of_nodes(), 5))
     matching = ENGINES[seed % 2]
     _check_sweep(
-        QSCaQRCommuting(graph, matching=matching, max_candidates=16, parallel=False)
+        QSCaQRCommuting(graph, matching=matching, max_candidates=16)
     )
 
 
 def test_bounded_scorer_on_the_qaoa16_sweep():
     graph = commuting_view(get_benchmark("qaoa16-0.3"))[0]
-    _check_sweep(QSCaQRCommuting(graph, parallel=False))
+    _check_sweep(QSCaQRCommuting(graph))
 
 
 def test_all_infeasible_candidates_score_none():
@@ -282,21 +272,7 @@ def test_all_infeasible_candidates_score_none():
     candidates = [ReusePair(2, 0), ReusePair(0, 1)]  # a cycle, then Condition 1
     problem = CommutingProblem(graph)
     assert reference_extension_costs(graph, pairs, candidates, "blossom") == [None, None]
-    assert _extension_cost_worker(((problem, pairs), candidates)) == [None, None]
-
-
-# -- the pooled scorer ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("matching", ENGINES)
-def test_pooled_sweep_matches_serial(matching, two_workers):
-    graph = nx.random_regular_graph(3, 10, seed=4)
-    serial = QSCaQRCommuting(graph, matching=matching, parallel=False).sweep()
-    with QSCaQRCommuting(graph, matching=matching, parallel=True) as pooled_engine:
-        pooled = pooled_engine.sweep()
-        assert pooled_engine.stats.counters["parallel_batches"] > 0
-    assert [p.pairs for p in pooled] == [p.pairs for p in serial]
-    assert [to_qasm(p.circuit) for p in pooled] == [to_qasm(p.circuit) for p in serial]
+    assert _extension_cost_worker(problem, pairs, candidates) == [None, None]
 
 
 # -- the step-scoped matching memo ------------------------------------------------
@@ -304,13 +280,12 @@ def test_pooled_sweep_matches_serial(matching, two_workers):
 
 def _memo_sweep(engine: QSCaQRCommuting, monkeypatch):
     """Sweep *engine*, recording the memo size whenever a step's scorer
-    (serial or pooled) receives the problem, and the matching-engine
-    runs of each step's winner re-schedule."""
+    receives the problem, and the matching-engine runs of each step's
+    winner re-schedule."""
     memo_sizes, winner_runs = [], []
     engine_runs = [0]
     matching_layer_fn = qs_commuting.matching_layer
-    serial_worker = qs_commuting._extension_cost_worker
-    map_chunks = engine.map_chunks
+    scorer = qs_commuting._extension_cost_worker
     best_extension = engine._best_extension
     extension_costs = engine._extension_costs
 
@@ -318,13 +293,9 @@ def _memo_sweep(engine: QSCaQRCommuting, monkeypatch):
         engine_runs[0] += 1
         return matching_layer_fn(edges, matching)
 
-    def serial_spy(payload):
-        memo_sizes.append(len(payload[0][0].layer_memo))
-        return serial_worker(payload)
-
-    def pooled_spy(fn, context, items):
-        memo_sizes.append(len(context[0].layer_memo))
-        return map_chunks(fn, context, items)
+    def scorer_spy(problem, pairs, candidates):
+        memo_sizes.append(len(problem.layer_memo))
+        return scorer(problem, pairs, candidates)
 
     scored_at = [0]
 
@@ -340,30 +311,22 @@ def _memo_sweep(engine: QSCaQRCommuting, monkeypatch):
         return extension
 
     monkeypatch.setattr(qs_commuting, "matching_layer", counted_matching_layer)
-    if not engine.parallel:
-        # a pool pickles the worker by name, so only the serial one is spied
-        monkeypatch.setattr(qs_commuting, "_extension_cost_worker", serial_spy)
-    engine.map_chunks = pooled_spy
+    monkeypatch.setattr(qs_commuting, "_extension_cost_worker", scorer_spy)
     engine._extension_costs = costs_spy
     engine._best_extension = best_spy
     return engine.sweep(), memo_sizes, winner_runs
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_memo_sweep_winners_match_reference(parallel, two_workers, monkeypatch):
+def test_memo_sweep_winners_match_reference(monkeypatch):
     graph = commuting_view(get_benchmark("qaoa16-0.3"))[0]
-    with QSCaQRCommuting(graph, parallel=parallel) as engine:
-        points, memo_sizes, winner_runs = _memo_sweep(engine, monkeypatch)
-        pooled = engine.stats.counters.get("parallel_batches", 0)
+    engine = QSCaQRCommuting(graph)
+    points, memo_sizes, winner_runs = _memo_sweep(engine, monkeypatch)
     assert len(points) > 2
     assert memo_sizes and set(memo_sizes) == {0}
     # every step scored (the last may find no feasible candidate)
     assert len(memo_sizes) >= len(points) - 1
-    if parallel:
-        assert pooled == len(memo_sizes)
-    else:
-        # the scorer left every layer of the winner in the memo
-        assert set(winner_runs) == {0}
+    # the scorer left every layer of the winner in the memo
+    assert set(winner_runs) == {0}
     for point in points:
         expected = reference_schedule_commuting(
             graph, point.pairs, matching=engine.matching
@@ -374,7 +337,7 @@ def test_memo_sweep_winners_match_reference(parallel, two_workers, monkeypatch):
 
 def test_degree_steps_start_with_an_empty_memo(monkeypatch):
     graph = commuting_view(get_benchmark("qaoa16-0.3"))[0]
-    engine = QSCaQRCommuting(graph, candidate_evaluation="degree", parallel=False)
+    engine = QSCaQRCommuting(graph, candidate_evaluation="degree")
     sizes = []
     schedule = engine.problem.schedule
 

@@ -21,7 +21,6 @@ import pytest
 
 from repro.circuit.random import random_circuit
 from repro.core.qs_caqr import QSCaQR
-from repro.core.qs_commuting import QSCaQRCommuting
 from repro.sim.verify import distributions_tvd
 from repro.workloads.bv import bv_circuit
 from tests.oracles import ReferenceQSCaQR
@@ -131,21 +130,3 @@ def test_forced_parallel_path_matches_serial(two_workers):
     assert all(a.circuit.data == b.circuit.data for a, b in zip(fast, slow))
     assert parallel.stats.counters.get("parallel_batches", 0) > 0
     assert serial.stats.counters.get("parallel_batches", 0) == 0
-
-
-def test_commuting_parallel_matches_serial(two_workers):
-    """The commuting driver's pooled candidate scoring picks the same
-    extensions as its serial loop."""
-    import networkx as nx
-
-    graph = nx.random_regular_graph(3, 14, seed=7)
-    graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-    parallel = QSCaQRCommuting(graph, parallel=True)
-    serial = QSCaQRCommuting(graph, parallel=False)
-    with parallel, serial:
-        fast = parallel.sweep()
-        slow = serial.sweep()
-    assert [p.pairs for p in fast] == [p.pairs for p in slow]
-    assert [p.qubits for p in fast] == [p.qubits for p in slow]
-    assert all(a.circuit.data == b.circuit.data for a, b in zip(fast, slow))
-    assert parallel.stats.counters.get("parallel_batches", 0) > 0

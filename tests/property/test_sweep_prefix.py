@@ -64,8 +64,8 @@ class TestReduceToIsASweepPrefix:
     @given(problem_graphs(max_nodes=8), st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
     def test_commuting(self, graph, limit):
-        sweep = QSCaQRCommuting(graph, parallel=False).sweep()
-        reduced = QSCaQRCommuting(graph, parallel=False).reduce_to(limit)
+        sweep = QSCaQRCommuting(graph).sweep()
+        reduced = QSCaQRCommuting(graph).reduce_to(limit)
         _assert_same_point(reduced, *_first_fitting(sweep, limit))
 
     @given(

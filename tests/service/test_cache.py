@@ -117,8 +117,10 @@ class TestDiskCache:
         store = DiskCache(str(tmp_path))
         store.put("k1", "v1")
         store.put("k1", "v2")  # overwrite goes through a fresh temp file
-        leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
-        assert leftovers == []
+        # temp files are made in the shard directory, so walk the tree
+        names = [n for _, _, files in os.walk(tmp_path) for n in files]
+        assert [n for n in names if n.startswith(".tmp-")] == []
+        assert len(names) == 1, names  # the walk reached the entry itself
         assert store.get("k1") == "v2"
 
     def test_clear_returns_count(self, tmp_path):

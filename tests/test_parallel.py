@@ -11,20 +11,20 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import repro.core.session as session
 import repro.core.sr_caqr as sr_caqr
 import repro.parallel as parallel
 import repro.transpiler.sabre as sabre
 from repro.circuit.random import random_circuit
 from repro.compile_api import caqr_compile
 from repro.core.qs_caqr import QSCaQR
-from repro.core.qs_commuting import QSCaQRCommuting
 from repro.core.session import ReuseSession
 from repro.core.sr_caqr import SRCaQR
 from repro.core.sr_commuting import SRCaQRCommuting
 from repro.core.tradeoff import sweep_commuting, sweep_regular
 from repro.hardware import ibm_mumbai
 from repro.exceptions import ServiceError
-from repro.parallel import PoolOwner, WorkerPool, chunks, fans_out, pooled_map
+from repro.parallel import WorkerPool, chunks, fans_out, pooled_map
 from repro.sim.batch import run_batched_counts
 from repro.stats import Stats
 from repro.transpiler import sabre_layout, transpile
@@ -54,14 +54,6 @@ def _pools_inside(_):
     return fans_out(True, 4, 2)
 
 
-class _Owner(PoolOwner):
-    pass
-
-
-class _FlooredOwner(PoolOwner):
-    workload_threshold = 10
-
-
 class TestFanOutRule:
     def test_false_never_pools(self):
         assert not fans_out(False, 100, 4, workload=10**9)
@@ -86,16 +78,6 @@ class TestFanOutRule:
     def test_workload_threshold(self):
         assert not fans_out(None, 8, 2, chunked=True, workload=99, threshold=100)
         assert fans_out(None, 8, 2, chunked=True, workload=100, threshold=100)
-
-    def test_owner_rule_reads_its_knobs(self, two_workers):
-        """``parallel`` from the owner's constructor, the floor from its
-        class, the width from the affinity mask."""
-        assert _Owner().use_pool(4, 0)
-        assert not _Owner().use_pool(3, 0)
-        assert not _FlooredOwner().use_pool(4, 9)
-        assert _FlooredOwner().use_pool(4, 10)
-        assert _FlooredOwner(parallel=True).use_pool(2, 0)
-        assert not _Owner(parallel=False).use_pool(100, 10**9)
 
 
 def _no_pools(*args, **kwargs):
@@ -142,7 +124,6 @@ class TestWidth:
         importing the package, and its engines must see that core."""
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert ReuseSession(bv_circuit(4)).workers == 3
-        assert QSCaQRCommuting(nx.cycle_graph(4)).workers == 3
 
     @pytest.mark.parametrize(
         "target",
@@ -156,8 +137,7 @@ class TestWidth:
         """A caller pinned to one core, at its default ``parallel``, starts
         no pool in any mode, even with every workload floor at zero."""
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
-        for owner in (ReuseSession, QSCaQRCommuting):
-            monkeypatch.setattr(owner, "workload_threshold", 0)
+        monkeypatch.setattr(session, "POTENTIAL_WORKLOAD_THRESHOLD", 0)
         limit = 5 if mode == "qubit_budget" else None
         report = caqr_compile(target, ibm_mumbai(), mode=mode, qubit_limit=limit)
         assert report.metrics.qubits_used >= 2
@@ -177,25 +157,24 @@ class TestOrderedMaps:
         assert pooled_map(_square, items, 2) == [_square(x) for x in items]
 
     @pytest.mark.parametrize("count", [1, 2, 7, 8])
-    def test_owned_chunk_map_equals_serial_map(self, count, two_workers):
+    def test_owned_chunk_map_equals_serial_map(self, count):
+        """Chunks on a kept pool, as the QS lookahead maps them."""
         items = list(range(count))
-        with _Owner() as owner:
-            assert owner.map_chunks(_square_chunk, 3, items) == [
-                x * x + 3 for x in items
-            ]
-            assert owner._executor is not None
-        assert owner._executor is None
+        pool = WorkerPool(2)
+        try:
+            payloads = [(3, chunk) for chunk in chunks(items, 2)]
+            parts = pool.map(_square_chunk, payloads)
+            assert [x for part in parts for x in part] == [x * x + 3 for x in items]
+            assert pool._pool is not None
+        finally:
+            pool.shutdown()
+        assert pool._pool is None
 
 
 class TestNesting:
     def test_fan_out_inside_a_pool_worker_runs_serial(self):
         assert fans_out(True, 4, 2), "the test process is no pool worker"
         assert pooled_map(_pools_inside, [0, 1], 2) == [False, False]
-
-    def test_owned_pool_workers_are_marked(self, two_workers):
-        with _Owner() as owner:
-            assert owner.map_chunks(_square_chunk, 0, [1, 2]) == [1, 4]
-            assert owner._executor.submit(_pools_inside, 0).result() is False
 
     def test_worker_pool_workers_are_marked(self):
         pool = WorkerPool(1)
@@ -275,8 +254,8 @@ class TestSerialCompileStartsNoPool:
         and the SR routers' QS sweeps included."""
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pools)
-        # small graphs would stay under the commuting engine's threshold
-        monkeypatch.setattr(QSCaQRCommuting, "workload_threshold", 0)
+        # small circuits would stay under the lookahead's threshold
+        monkeypatch.setattr(session, "POTENTIAL_WORKLOAD_THRESHOLD", 0)
         report = caqr_compile(
             target, ibm_mumbai(), mode=mode, parallel=False, cache=None
         )
@@ -382,8 +361,8 @@ class TestPerCallFloors:
 
 
 class TestOwnedPoolsClose:
-    """An engine's owned pool is shut down by the time the call that built
-    the engine returns, not when the engine is garbage collected."""
+    """A QS sweep's lookahead pool is shut down by the time the sweep
+    returns, not when its session is garbage collected."""
 
     @pytest.fixture
     def executors(self, monkeypatch):
@@ -398,22 +377,12 @@ class TestOwnedPoolsClose:
         monkeypatch.setattr(parallel, "new_pool", _recording)
         return started
 
-    @staticmethod
-    def _graph():
-        return nx.convert_node_labels_to_integers(
-            nx.random_regular_graph(3, 8, seed=5), ordering="sorted"
-        )
-
-    def test_forced_sweep_commuting_closes_its_pool(self, executors):
-        points = sweep_commuting(self._graph(), parallel=True)
+    def test_forced_sweep_regular_closes_its_lookahead_pool(
+        self, executors, two_workers
+    ):
+        points = sweep_regular(bv_circuit(10), parallel=True)
         assert len(points) > 1
         assert executors, "the forced sweep started no pool"
-        assert all(executor._shutdown_thread for executor in executors)
-
-    def test_forced_sr_commuting_closes_its_qs_pool(self, executors):
-        result = SRCaQRCommuting(ibm_mumbai(), parallel=True).run(self._graph())
-        assert result.qubits_used >= 2
-        assert executors, "the forced run started no pool"
         assert all(executor._shutdown_thread for executor in executors)
 
 
@@ -422,7 +391,7 @@ class TestOneMeaningOfParallel:
     default ``None``); width and workload floors are not arguments."""
 
     ENGINES = [
-        QSCaQR, ReuseSession, QSCaQRCommuting, SRCaQR,
+        QSCaQR, ReuseSession, SRCaQR,
         SRCaQRCommuting, sweep_regular, sweep_commuting, run_batched_counts,
         sabre_layout, transpile,
     ]
@@ -474,6 +443,18 @@ class TestLayering:
             rel for rel, names in self._modules() if "sched_getaffinity" in names
         }
         assert readers == {"repro/parallel.py"}
+
+    def test_pools_are_built_by_two_maps(self):
+        """``new_pool`` is called only by the per-call ``pooled_map`` and
+        the kept ``WorkerPool``: no third pool shape."""
+        tree = ast.parse(PARALLEL_MODULE.read_text(encoding="utf-8"))
+        users = {
+            node.name
+            for node in tree.body
+            if getattr(node, "name", None) != "new_pool"
+            and "new_pool" in set(_names(node))
+        }
+        assert users == {"pooled_map", "WorkerPool"}
 
     def test_parallel_imports_only_stdlib_and_exceptions(self):
         tree = ast.parse(PARALLEL_MODULE.read_text(encoding="utf-8"))
