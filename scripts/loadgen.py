@@ -33,8 +33,9 @@ instead of a single server.
 
 ``--smoke`` runs a short self-checking pass for CI: it fails (exit 1) on
 any 5xx/transport error, on a warm p99 above ``--p99-budget``, on an
-unparseable ``/v1/metrics`` body, or (self-hosted) on a request-log line
-that is not schema-complete JSON.
+unparseable ``/v1/metrics`` body, on a compile server that served no
+warm repeat from its body digest (``caqr_body_key_hits_total``), or
+(self-hosted) on a request-log line that is not schema-complete JSON.
 """
 
 from __future__ import annotations
@@ -271,6 +272,14 @@ def check(condition, message):
     print(f"ok: {message}")
 
 
+def metric_value(metrics_body, name):
+    """One unlabelled sample of a Prometheus body (0.0 when absent)."""
+    for line in metrics_body.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split(" ")[1])
+    return 0.0
+
+
 def smoke_checks(summary, metrics_body, log_path, p99_budget):
     overall = summary["overall"]
     check(overall["count"] > 0, f"served {overall['count']} requests")
@@ -293,6 +302,11 @@ def smoke_checks(summary, metrics_body, log_path, p99_budget):
         ),
         "/v1/metrics answers a Prometheus exposition body",
     )
+    if "caqr_requests_total" in metrics_body:
+        # a compile server answers repeat warm bodies from their digest;
+        # zero such hits after a warm phase means that path stopped firing
+        body_key_hits = metric_value(metrics_body, "caqr_body_key_hits_total")
+        check(body_key_hits > 0, f"{body_key_hits:.0f} warm repeats served by body digest")
     if log_path is not None:
         lines = [
             line for line in open(log_path, encoding="utf-8").read().splitlines() if line

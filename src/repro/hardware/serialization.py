@@ -53,18 +53,20 @@ def calibration_from_dict(payload: Dict[str, Any]) -> Calibration:
         a, b = key.split("-")
         return frozenset((int(a), int(b)))
 
+    def _items(name: str, required: bool = True):
+        value = payload[name] if required else payload.get(name, {})
+        if not isinstance(value, dict):
+            raise HardwareError(f"calibration {name!r} must be a mapping")
+        return value.items()
+
     try:
         return Calibration(
-            cx_error={_edge(k): float(v) for k, v in payload["cx_error"].items()},
-            cx_duration={
-                _edge(k): int(v) for k, v in payload["cx_duration"].items()
-            },
-            readout_error={
-                int(q): float(v) for q, v in payload["readout_error"].items()
-            },
-            sq_error={int(q): float(v) for q, v in payload.get("sq_error", {}).items()},
-            t1_dt={int(q): float(v) for q, v in payload.get("t1_dt", {}).items()},
-            t2_dt={int(q): float(v) for q, v in payload.get("t2_dt", {}).items()},
+            cx_error={_edge(k): float(v) for k, v in _items("cx_error")},
+            cx_duration={_edge(k): int(v) for k, v in _items("cx_duration")},
+            readout_error={int(q): float(v) for q, v in _items("readout_error")},
+            sq_error={int(q): float(v) for q, v in _items("sq_error", False)},
+            t1_dt={int(q): float(v) for q, v in _items("t1_dt", False)},
+            t2_dt={int(q): float(v) for q, v in _items("t2_dt", False)},
             measure_duration=int(payload["measure_duration"]),
             reset_duration=int(payload["reset_duration"]),
             sq_duration=int(payload["sq_duration"]),
@@ -92,6 +94,8 @@ def backend_from_json(text: str) -> Backend:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise HardwareError(f"invalid backend JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise HardwareError("backend JSON must be an object")
     if payload.get("version") != _FORMAT_VERSION:
         raise HardwareError(
             f"unsupported backend format version {payload.get('version')!r}"

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
@@ -115,6 +116,9 @@ class MemoryCache(_TtlRule):
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = stats if stats is not None else Stats()
+        # the server's compile threads and its event loop share one tier:
+        # a get must not see a put evict its key between lookup and refresh
+        self._lock = threading.Lock()
         self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._stamps: Dict[str, float] = {}
         self._bytes = 0
@@ -133,15 +137,16 @@ class MemoryCache(_TtlRule):
         *bands* is the lookup's resolved ``calib_bands``; it selects the
         TTL (see :meth:`effective_ttl`).
         """
-        text = self._entries.get(key)
-        if text is None:
-            return None
-        ttl = self.effective_ttl(bands)
-        if ttl is not None and time.monotonic() - self._stamps.get(key, 0.0) > ttl:
-            self.invalidate(key)
-            self.stats.count("expired_entries")
-            return None
-        self._entries.move_to_end(key)
+        with self._lock:
+            text = self._entries.get(key)
+            if text is None:
+                return None
+            ttl = self.effective_ttl(bands)
+            if ttl is not None and time.monotonic() - self._stamps[key] > ttl:
+                self._drop(key)
+                self.stats.count("expired_entries")
+                return None
+            self._entries.move_to_end(key)
         self.stats.count("memory_hits")
         return text
 
@@ -156,37 +161,47 @@ class MemoryCache(_TtlRule):
         size = len(text.encode())
         if size > self.max_bytes:
             return
-        if key in self._entries:
-            self._bytes -= len(self._entries.pop(key).encode())
-        self._entries[key] = text
-        self._stamps[key] = time.monotonic() - age
-        self._bytes += size
-        while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._stamps.pop(evicted_key, None)
-            self._bytes -= len(evicted.encode())
-            self.stats.count("evictions")
-        self.stats.set_value("memory_entries", len(self._entries))
-        self.stats.set_value("memory_bytes", self._bytes)
+        with self._lock:
+            if key in self._entries:
+                self._bytes -= len(self._entries.pop(key).encode())
+            self._entries[key] = text
+            self._stamps[key] = time.monotonic() - age
+            self._bytes += size
+            while (
+                len(self._entries) > self.max_entries or self._bytes > self.max_bytes
+            ):
+                evicted_key, evicted = self._entries.popitem(last=False)
+                del self._stamps[evicted_key]
+                self._bytes -= len(evicted.encode())
+                self.stats.count("evictions")
+            self._publish()
 
     def invalidate(self, key: str) -> bool:
         """Drop *key* if present; return whether anything was removed."""
-        text = self._entries.pop(key, None)
-        self._stamps.pop(key, None)
-        if text is None:
-            return False
-        self._bytes -= len(text.encode())
-        self.stats.set_value("memory_entries", len(self._entries))
-        self.stats.set_value("memory_bytes", self._bytes)
-        return True
+        with self._lock:
+            return self._drop(key)
 
     def clear(self) -> None:
         """Drop every entry."""
-        self._entries.clear()
-        self._stamps.clear()
-        self._bytes = 0
-        self.stats.set_value("memory_entries", 0)
-        self.stats.set_value("memory_bytes", 0)
+        with self._lock:
+            self._entries.clear()
+            self._stamps.clear()
+            self._bytes = 0
+            self._publish()
+
+    def _drop(self, key: str) -> bool:
+        """:meth:`invalidate` with the lock already held."""
+        text = self._entries.pop(key, None)
+        if text is None:
+            return False
+        del self._stamps[key]
+        self._bytes -= len(text.encode())
+        self._publish()
+        return True
+
+    def _publish(self) -> None:
+        self.stats.set_value("memory_entries", len(self._entries))
+        self.stats.set_value("memory_bytes", self._bytes)
 
 
 class DiskCache(_TtlRule):

@@ -20,7 +20,8 @@ import signal
 import ssl
 import threading
 import time
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Union
+from collections import OrderedDict
+from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro.exceptions import ServiceError
 from repro.service.net.http1 import MAX_HEADER_BYTES, format_response, parse_head
@@ -35,6 +36,7 @@ __all__ = [
     "Reply",
     "HttpApp",
     "AppHandle",
+    "Lru",
     "json_body",
     "start_app_thread",
 ]
@@ -60,6 +62,45 @@ def json_body(body: bytes) -> Any:
         return json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"request body is not JSON: {exc}") from exc
+
+
+class Lru:
+    """Thread-safe LRU map capped at *max_entries*: the one bounded memo
+    both apps keep (the server's envelopes and body keys, the gateway's
+    placements and last-served owners).  ``None`` is never a value."""
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The value under *key* (now most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store *value* as most recent; drop the oldest past the cap."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+    def pop(self, key: Hashable) -> bool:
+        """Drop *key*; return whether it was there."""
+        with self._lock:
+            return self._entries.pop(key, None) is not None
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 class HttpApp:

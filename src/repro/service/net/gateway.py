@@ -67,6 +67,7 @@ from repro.service.net.app import (
     DEFAULT_MAX_BODY,
     AppHandle,
     HttpApp,
+    Lru,
     Reply,
     json_body,
     start_app_thread,
@@ -305,10 +306,9 @@ class GatewayServer(HttpApp):
             for url in cleaned
         }
         # body digest -> (fingerprint, shard): one decode per unique body
-        self._key_cache: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
-        self._key_cache_entries = key_cache_entries
+        self._key_cache = Lru(key_cache_entries)
         # ring key -> backend that last served it (peer-fill source)
-        self._last_served: "OrderedDict[str, str]" = OrderedDict()
+        self._last_served = Lru(_LAST_SERVED_ENTRIES)
         self._fingerprint_pool = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix="caqr-gateway-fp"
         )
@@ -413,7 +413,6 @@ class GatewayServer(HttpApp):
         digest = hashlib.sha256(body).hexdigest()
         cached = self._key_cache.get(digest)
         if cached is not None:
-            self._key_cache.move_to_end(digest)
             self.stats.count("key_cache_hits")
             fingerprint, shard = cached
             return fingerprint, shard, ring_key(shard, fingerprint)
@@ -422,22 +421,13 @@ class GatewayServer(HttpApp):
         fingerprint, shard = await loop.run_in_executor(
             self._fingerprint_pool, self._derive_key, body
         )
-        self._key_cache[digest] = (fingerprint, shard)
-        self._key_cache.move_to_end(digest)
-        while len(self._key_cache) > self._key_cache_entries:
-            self._key_cache.popitem(last=False)
+        self._key_cache.put(digest, (fingerprint, shard))
         return fingerprint, shard, ring_key(shard, fingerprint)
 
     @staticmethod
     def _derive_key(body: bytes) -> Tuple[str, str]:
         request = request_from_wire(json_body(body))
         return request.fingerprint(), request.shard()
-
-    def _note_served(self, rk: str, backend: str) -> None:
-        self._last_served[rk] = backend
-        self._last_served.move_to_end(rk)
-        while len(self._last_served) > _LAST_SERVED_ENTRIES:
-            self._last_served.popitem(last=False)
 
     # -- forwarding ------------------------------------------------------------
 
@@ -563,7 +553,7 @@ class GatewayServer(HttpApp):
         except _BackendDown as exc:
             return self._no_backend(str(exc))
         if status == 200:
-            self._note_served(rk, backend)
+            self._last_served.put(rk, backend)
             cache_status = resp_headers.get("x-caqr-cache", "")
             if cache_status == "miss":
                 self.stats.count(f"fleet_misses:{backend}")
@@ -606,7 +596,7 @@ class GatewayServer(HttpApp):
             return None
         if status != 200:
             # the peer lost the entry too (evicted, TTL) — compile fresh
-            self._note_served(rk, owner)
+            self._last_served.put(rk, owner)
             return None
         self.stats.count("peer_fills")
         self.stats.count(f"peer_fills:{owner}")
@@ -638,7 +628,7 @@ class GatewayServer(HttpApp):
         except _BackendDown:
             return
         if status == 200:
-            self._note_served(rk, owner)
+            self._last_served.put(rk, owner)
 
     async def _handle_batch(self, headers: Dict[str, str], body: bytes) -> Reply:
         members, parallel = batch_from_wire(json.loads(body) if body else None)
@@ -735,7 +725,7 @@ class GatewayServer(HttpApp):
                 raise WireError(f"{backend} answered a malformed batch envelope")
             for (index, _, rk), member_result in zip(entries, sub_results):
                 results[index] = member_result
-                self._note_served(rk, backend)
+                self._last_served.put(rk, backend)
             self.stats.count(f"fleet_requests:{backend}", len(entries))
         return 200, {"schema": WIRE_SCHEMA_VERSION, "results": results}, {}
 

@@ -58,11 +58,20 @@ Operational behaviour:
   remaining keep-alive connections (and the service's persistent worker
   pool) and exits cleanly;
 * **encoded-envelope cache** — warm ``/v1/compile`` hits are answered
-  from an LRU of pre-serialized response bodies keyed by
-  ``(fingerprint, wire schema version)``, skipping ``report_to_dict``
-  and JSON encoding entirely (``envelope_hits``); entries drop with the
-  underlying cache entry (TTL check on every fast-path hit, explicit
-  ``/v1/cache/invalidate``);
+  from an LRU of pre-serialized response bodies keyed by fingerprint,
+  skipping ``report_to_dict`` and JSON encoding entirely
+  (``envelope_hits``); entries drop with the underlying cache entry (TTL
+  check on every fast-path hit, explicit ``/v1/cache/invalidate``);
+* **body-digest memo** — a body that was once answered a hit is
+  remembered by its ``sha256`` (fingerprint, resolved ``calib_bands``,
+  strategy; same cap as the envelope LRU).  A repeat of those bytes is
+  answered on the event loop while the memory tier still holds the entry
+  under its TTL: no JSON decode, no backend rebuild, no fingerprint, no
+  compile slot and no worker thread, so a warm repeat is never refused
+  with ``429`` and never queues behind cold compiles (``body_key_hits``;
+  it counts as an envelope hit too).  Everything else, cache-only probes
+  and entries only the disk tier may hold included, takes the worker
+  path;
 * **observability** — every request is timed into fixed-bucket latency
   histograms (``request_latency`` plus per-route), exported by
   ``GET /v1/metrics``, and optionally logged as one JSONL record
@@ -72,10 +81,10 @@ Operational behaviour:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -86,6 +95,7 @@ from repro.service.net.app import (
     DEFAULT_MAX_BODY,
     AppHandle,
     HttpApp,
+    Lru,
     Reply,
     json_body,
     start_app_thread,
@@ -138,50 +148,6 @@ _REPORT_STAT_DOMAINS = (
 )
 
 
-class _EnvelopeCache:
-    """Thread-safe LRU of pre-encoded response bodies.
-
-    Keys are ``(fingerprint, WIRE_SCHEMA_VERSION)`` so a schema bump
-    can never serve a stale envelope shape from a long-lived process.
-    """
-
-    def __init__(self, max_entries: int):
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, int], bytes]" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, fingerprint: str) -> Optional[bytes]:
-        key = (fingerprint, WIRE_SCHEMA_VERSION)
-        with self._lock:
-            body = self._entries.get(key)
-            if body is not None:
-                self._entries.move_to_end(key)
-            return body
-
-    def put(self, fingerprint: str, body: bytes) -> None:
-        key = (fingerprint, WIRE_SCHEMA_VERSION)
-        with self._lock:
-            self._entries[key] = body
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def invalidate(self, fingerprint: str) -> bool:
-        with self._lock:
-            return (
-                self._entries.pop((fingerprint, WIRE_SCHEMA_VERSION), None)
-                is not None
-            )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
 class CompileServer(HttpApp):
     """HTTP/1.1 front-end sharing one :class:`CompileService` across processes.
 
@@ -197,7 +163,8 @@ class CompileServer(HttpApp):
             ``504 timeout`` (the compile keeps running server-side).
         drain_timeout: seconds shutdown waits for in-flight requests.
         envelope_cache_entries: LRU cap of the encoded-envelope cache
-            (pre-serialized warm-hit response bodies); ``0`` disables it.
+            (pre-serialized warm-hit response bodies) and of the
+            body-key memo in front of it; ``0`` disables both.
         request_log: structured JSONL request log — a path string, an
             existing :class:`~repro.service.reqlog.RequestLog`, or
             ``None`` to honour ``$CAQR_REQUEST_LOG`` (no logging when
@@ -265,11 +232,13 @@ class CompileServer(HttpApp):
         self.max_workers = max_workers or self.service.max_workers
         self.max_concurrency = max_concurrency
         self.request_timeout = request_timeout
-        self._envelope = (
-            _EnvelopeCache(envelope_cache_entries)
-            if envelope_cache_entries
-            else None
-        )
+        # fingerprint -> encoded hit body; body sha256 -> (fingerprint,
+        # resolved calib_bands, strategy) for bodies once answered a hit
+        self._envelope: Optional[Lru] = None
+        self._body_keys: Optional[Lru] = None
+        if envelope_cache_entries:
+            self._envelope = Lru(envelope_cache_entries)
+            self._body_keys = Lru(envelope_cache_entries)
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="caqr-compile"
         )
@@ -341,8 +310,15 @@ class CompileServer(HttpApp):
     # -- compile endpoints -----------------------------------------------------
 
     async def _handle_compile(self, headers: Dict[str, str], body: bytes) -> Reply:
+        cache_only = headers.get(CACHE_ONLY_HEADER, "") not in ("", "0")
+        digest = None
+        if self._body_keys is not None and not cache_only:
+            digest = hashlib.sha256(body).hexdigest()
+            reply = self._body_key_hit(digest)
+            if reply is not None:
+                return reply
         request = request_from_wire(json_body(body))
-        if headers.get(CACHE_ONLY_HEADER, "") not in ("", "0"):
+        if cache_only:
             # gateway peer-fill probe: warm envelope or 404, never a
             # compile (and never an admission slot — this is a lookup)
             outcome, reply = await self._offload(self._cache_only_encoded, request)
@@ -357,12 +333,36 @@ class CompileServer(HttpApp):
                 error_to_wire("cache_miss", f"no cached entry for {key}"),
                 {"X-CaQR-Fingerprint": key},
             )
-        headers = {
-            "X-CaQR-Fingerprint": key,
-            "X-CaQR-Cache": status,
-            "X-CaQR-Strategy": request.strategy,
-        }
-        return 200, encoded, headers
+        if digest is not None and status == "hit":
+            # a hit's envelope is stored by now; the key is a pure function
+            # of the body (calib_bands travels resolved), so a repeat of
+            # these bytes may skip the decode and the fingerprint
+            self._body_keys.put(
+                digest, (key, request.resolved_calib_bands(), request.strategy)
+            )
+        return 200, encoded, _compile_headers(key, status, request.strategy)
+
+    def _body_key_hit(self, digest: str) -> Optional[Reply]:
+        """Answer a repeat body on the event loop, or ``None`` to fall
+        through to the worker path.
+
+        The envelope is replayed only while the memory tier still holds
+        its entry under the request's TTL rule; anything else (no memo
+        entry, no envelope, an entry that only the disk tier may still
+        hold) takes the full path.  No decode, no fingerprint, no
+        admission slot, no executor hop: a warm repeat never queues
+        behind a cold compile.
+        """
+        known = self._body_keys.get(digest)
+        if known is None:
+            return None
+        key, bands, strategy = known
+        encoded = self._envelope.get(key)
+        if encoded is None or self.service.cache.memory.get(key, bands) is None:
+            return None
+        for name in ("requests", "hits", "envelope_hits", "body_key_hits"):
+            self.stats.count(name)
+        return 200, encoded, _compile_headers(key, "hit", strategy)
 
     def _cache_only_encoded(self, request) -> Tuple[Optional[bytes], str, str]:
         """Worker-thread cache probe: ``(encoded hit body | None, key, "hit")``."""
@@ -399,7 +399,7 @@ class CompileServer(HttpApp):
             )
             if entry is not None:
                 return body
-            envelope.invalidate(key)
+            envelope.pop(key)
         return None
 
     def _compile_encoded(self, request) -> Tuple[bytes, str, str]:
@@ -567,7 +567,7 @@ class CompileServer(HttpApp):
         if not isinstance(fingerprint, str) or not fingerprint:
             raise WireError("invalidate envelope needs a fingerprint (or all)")
         removed = self.service.invalidate(fingerprint)
-        if self._envelope is not None and self._envelope.invalidate(fingerprint):
+        if self._envelope is not None and self._envelope.pop(fingerprint):
             self.stats.count("envelope_invalidations")
         return (
             200,
@@ -578,6 +578,14 @@ class CompileServer(HttpApp):
             },
             {},
         )
+
+
+def _compile_headers(key: str, status: str, strategy: str) -> Dict[str, str]:
+    return {
+        "X-CaQR-Fingerprint": key,
+        "X-CaQR-Cache": status,
+        "X-CaQR-Strategy": strategy,
+    }
 
 
 class ServerHandle(AppHandle):

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.compile_api import MODES, CompileReport
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.hardware.serialization import backend_from_json, backend_to_json
 from repro.service.serialization import (
     circuit_from_dict,
@@ -216,6 +216,8 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
             else None
         )
         knobs = payload.get("knobs") or {}
+        if not isinstance(knobs, dict):
+            raise WireError("request knobs must be a JSON object")
         mode = str(knobs.get("mode", "min_depth"))
         if mode not in MODES:
             raise WireError(f"unknown compile mode {mode!r}")
@@ -242,7 +244,9 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
         )
     except WireError:
         raise
-    except Exception as exc:  # malformed circuit/backend/knob records
+    # what the circuit, graph, backend and knob decoders raise on bad
+    # records; anything else is a decoder bug and answers a counted 500
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise WireError(f"malformed request envelope: {exc}") from exc
 
 

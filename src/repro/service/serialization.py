@@ -78,6 +78,8 @@ def circuit_from_dict(payload: Dict[str, Any]) -> QuantumCircuit:
         name=payload.get("name", "circuit"),
     )
     for record in payload["instructions"]:
+        if not isinstance(record, dict):
+            raise TypeError(f"instruction record must be an object, got {record!r}")
         condition = record.get("condition")
         circuit.append(
             Instruction(

@@ -2,6 +2,8 @@
 backend-digest sharding, TTL expiry, and explicit invalidation."""
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -84,6 +86,49 @@ class TestMemoryCache:
         assert cache.get("k") is None
         assert cache.stats.counters["expired_entries"] == 1
         assert len(cache) == 0
+
+    def test_concurrent_get_put_invalidate(self):
+        # a compile server's worker threads and its event loop share one
+        # memory tier: a get racing a put that evicts its key must miss,
+        # never raise, and the byte count must stay the sum of the texts
+        cache = MemoryCache(max_entries=4)
+        keys = [f"k{i}" for i in range(8)]
+        errors = []
+        stop = threading.Event()
+
+        def run(step):
+            i = 0
+            try:
+                while not stop.is_set():
+                    step(keys[i % len(keys)], i)
+                    i += 1
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        steps = [
+            lambda key, i: cache.put(key, "x" * (1 + i % 5)),
+            lambda key, i: cache.get(key),
+            lambda key, i: cache.get(keys[-1 - i % len(keys)]),
+            lambda key, i: cache.invalidate(key) if i % 3 == 0 else cache.get(key),
+        ]
+        threads = [threading.Thread(target=run, args=(step,)) for step in steps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(cache) <= 4
+        assert cache.total_bytes == sum(
+            len(text.encode()) for text in cache._entries.values()
+        )
+        assert set(cache._stamps) == set(cache._entries)
 
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ServiceError):

@@ -23,6 +23,8 @@ import warnings
 
 import pytest
 
+import repro.service.net.server as server_module
+import repro.service.net.wire as wire_module
 import repro.service.service as service_module
 from repro.compile_api import caqr_compile
 from repro.exceptions import RemoteServiceError
@@ -153,6 +155,33 @@ class TestWire:
         for junk in (None, "a proxy error page", {"error": {"code": "bogus"}}):
             code, _ = error_from_wire(junk)
             assert code == "internal"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("target",), None),
+            (("target", "num_qubits"), "x"),
+            (("target", "num_qubits"), 1),
+            (("target", "instructions"), 7),
+            (("target", "instructions", 0), "h"),
+            (("backend",), [1]),
+            (("backend", "num_qubits"), None),
+            (("backend", "calibration"), []),
+            (("backend", "calibration", "cx_error"), "x"),
+            (("backend", "calibration", "t1_dt"), [1.0]),
+            (("knobs",), [1]),
+        ],
+    )
+    def test_malformed_records_are_wire_errors(self, path, value):
+        payload = request_to_wire(
+            CompileRequest(target=bv_circuit(3), backend=ibm_mumbai())
+        )
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(WireError):
+            request_from_wire(payload)
 
 
 @pytest.fixture
@@ -584,6 +613,19 @@ class TestServerErrors:
         assert warm["report"] == cold["report"]
         assert server.server.service.stats.counters["stores"] == 1
 
+    def test_decoder_bug_is_a_counted_internal_error(self, server, monkeypatch):
+        # only malformed input is a bad_request: a decoder that breaks
+        # must show up as a 500, not be relabelled as the client's fault
+        def broken(payload):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(wire_module, "circuit_from_dict", broken)
+        body = json.dumps(request_to_wire(CompileRequest(target=bv_circuit(5))))
+        status, reply = _request(server, "POST", "/v1/compile", body.encode())
+        assert status == 500
+        assert reply["error"]["code"] == "internal"
+        assert server.server.stats.counters["http_internal_errors"] == 1
+
     def test_infeasible_budget_is_compile_error(self, client):
         request = CompileRequest(
             target=bv_circuit(5), mode="qubit_budget", qubit_limit=1
@@ -592,6 +634,130 @@ class TestServerErrors:
             client.compile_request(request)
         assert excinfo.value.code == "compile_error"
         assert excinfo.value.status == 422
+
+
+def _post_compile(handle, body, headers=None):
+    """``(status, X-CaQR-* headers, raw body)`` of one ``/v1/compile``."""
+    conn = http.client.HTTPConnection(handle.app.host, handle.app.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/compile", body=body, headers=headers or {})
+        response = conn.getresponse()
+        caqr = {
+            name: value
+            for name, value in response.getheaders()
+            if name.lower().startswith("x-caqr-")
+        }
+        return response.status, caqr, response.read()
+    finally:
+        conn.close()
+
+
+def _compile_body(**knobs):
+    return json.dumps(
+        request_to_wire(CompileRequest(target=bv_circuit(5), **knobs))
+    ).encode()
+
+
+def _warm(handle, body):
+    """Miss, then the hit that stores the envelope and the body key."""
+    cache = [_post_compile(handle, body)[1]["X-CaQR-Cache"] for _ in range(2)]
+    assert cache == ["miss", "hit"]
+
+
+class TestBodyKeyMemo:
+    def test_repeat_body_skips_decode_and_fingerprint(self, server, monkeypatch):
+        body = _compile_body(strategy="chain", mode="max_reuse")
+        _warm(server, body)
+        decodes, fingerprints = [], []
+        decode, fingerprint = server_module.request_from_wire, CompileRequest.fingerprint
+        monkeypatch.setattr(
+            server_module,
+            "request_from_wire",
+            lambda payload: decodes.append(1) or decode(payload),
+        )
+        monkeypatch.setattr(
+            CompileRequest,
+            "fingerprint",
+            lambda request: fingerprints.append(1) or fingerprint(request),
+        )
+        memo_reply = _post_compile(server, body)
+        assert (decodes, fingerprints) == ([], [])
+        stats = server.server.stats
+        assert stats.counters["body_key_hits"] == 1
+        assert stats.counters["envelope_hits"] == 1
+        # without the memo entry the same bytes take the envelope path
+        server.server._body_keys.clear()
+        envelope_reply = _post_compile(server, body)
+        assert (len(decodes), len(fingerprints)) == (1, 1)
+        assert stats.counters["body_key_hits"] == 1
+        assert stats.counters["envelope_hits"] == 2
+        assert memo_reply == envelope_reply
+        status, headers, payload = memo_reply
+        assert status == 200
+        assert headers["X-CaQR-Cache"] == "hit"
+        assert headers["X-CaQR-Strategy"] == "chain"
+        assert headers["X-CaQR-Fingerprint"] == json.loads(payload)["fingerprint"]
+
+    @pytest.mark.parametrize("scope", ["key", "all"])
+    def test_invalidate_recompiles(self, server, scope):
+        body = _compile_body()
+        _warm(server, body)
+        status, headers, _ = _post_compile(server, body)
+        assert server.server.stats.counters["body_key_hits"] == 1
+        invalidation = (
+            {"all": True}
+            if scope == "all"
+            else {"fingerprint": headers["X-CaQR-Fingerprint"]}
+        )
+        status, _ = _request(
+            server, "POST", "/v1/cache/invalidate", json.dumps(invalidation).encode()
+        )
+        assert status == 200
+        assert _post_compile(server, body)[1]["X-CaQR-Cache"] == "miss"
+        assert server.server.stats.counters["body_key_hits"] == 1
+
+    def test_band_ttl_expiry_recompiles(self):
+        handle = start_server_thread(service=CompileService(ttl_by_bands={1: 0.5}))
+        try:
+            body = _compile_body(calib_bands=1)
+            _warm(handle, body)
+            assert _post_compile(handle, body)[1]["X-CaQR-Cache"] == "hit"
+            assert handle.server.stats.counters["body_key_hits"] == 1
+            time.sleep(1.0)
+            assert _post_compile(handle, body)[1]["X-CaQR-Cache"] == "miss"
+            assert handle.server.stats.counters["body_key_hits"] == 1
+        finally:
+            handle.stop()
+
+    def test_zero_envelope_entries_disables_the_memo(self):
+        handle = start_server_thread(
+            service=CompileService(), envelope_cache_entries=0
+        )
+        try:
+            body = _compile_body()
+            statuses = [_post_compile(handle, body)[1]["X-CaQR-Cache"] for _ in range(4)]
+            assert statuses == ["miss", "hit", "hit", "hit"]
+            counters = handle.server.stats.counters
+            assert counters.get("body_key_hits", 0) == 0
+            assert counters.get("envelope_hits", 0) == 0
+        finally:
+            handle.stop()
+
+    def test_cache_only_probe_skips_the_memo(self, server):
+        probe = {server_module.CACHE_ONLY_HEADER: "1"}
+        cold = _compile_body(seed=3)
+        status, headers, payload = _post_compile(server, cold, probe)
+        assert status == 404
+        assert json.loads(payload)["error"]["code"] == "cache_miss"
+        body = _compile_body()
+        _warm(server, body)
+        memo_reply = _post_compile(server, body)
+        status, headers, payload = _post_compile(server, body, probe)
+        assert (status, headers, payload) == memo_reply
+        counters = server.server.stats.counters
+        assert counters["cache_only_hits"] == 1
+        assert counters["cache_only_misses"] == 1
+        assert counters["body_key_hits"] == 1
 
 
 def _slow_cold_compile(monkeypatch, started, release):
@@ -683,6 +849,33 @@ class TestConcurrency:
                 rejected.compile_request(CompileRequest(target=bv_circuit(7)))
             assert excinfo.value.code == "overloaded"
             assert excinfo.value.status == 429
+            release.set()
+            blocker.join(60)
+        finally:
+            release.set()
+            handle.stop()
+
+    def test_repeat_hit_is_not_queued_behind_a_miss(self, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+        _slow_cold_compile(monkeypatch, started, release)
+        handle = start_server_thread(
+            service=CompileService(), max_workers=1, max_concurrency=1
+        )
+        try:
+            body = _compile_body()
+            release.set()
+            _warm(handle, body)
+            started.clear()
+            release.clear()
+            # the one worker and the one compile slot go to a cold miss
+            blocker = threading.Thread(
+                target=_post_compile, args=(handle, _compile_body(seed=3))
+            )
+            blocker.start()
+            assert started.wait(30)
+            status, headers, _ = _post_compile(handle, body)
+            assert not release.is_set()
+            assert (status, headers["X-CaQR-Cache"]) == (200, "hit")
             release.set()
             blocker.join(60)
         finally:
