@@ -28,16 +28,16 @@ that cost is exact, so the chosen candidate is the one full scoring
 picks; the ``evaluations`` counter still counts every candidate offered.
 
 Two matching engines are available: Edmonds' blossom algorithm (optimal,
-what the paper uses) and a greedy maximal matching (the faster variant the
-paper's Section 3.4 proposes as future work).  The driver picks greedy
-automatically for large graphs; ``benchmarks/bench_ablation_matching.py``
-quantifies the difference.
+what the paper uses; :func:`repro.core.matching.max_weight_matching`, a
+transliteration of networkx's that breaks ties the same way) and a greedy
+maximal matching (the faster variant the paper's Section 3.4 proposes as
+future work).  Both run on the frontier's edge list; no graph is built.
+The driver picks greedy automatically for large graphs;
+``benchmarks/bench_ablation_matching.py`` quantifies the difference.
 """
 
 from __future__ import annotations
 
-import gc
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,6 +45,7 @@ import networkx as nx
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.conditions import ReusePair
+from repro.core.matching import max_weight_matching
 from repro.exceptions import ReuseError
 from repro.stats import Stats
 from repro.transpiler.scheduling import circuit_duration_dt
@@ -68,8 +69,6 @@ REUSE_GATE_WEIGHT = 4
 
 # above this edge count the driver switches from blossom to greedy matching
 GREEDY_MATCHING_THRESHOLD = 120
-
-_BLOSSOM_LOCK = threading.Lock()  # one blossom run pauses the collector
 
 
 def minimum_qubits_by_coloring(graph: nx.Graph) -> int:
@@ -108,15 +107,26 @@ def _edge_key(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _greedy_matching(graph: nx.Graph) -> Set[Tuple[int, int]]:
-    """Weight-greedy maximal matching: sort by weight, take disjoint edges."""
+def _greedy_matching(edges: Sequence[Tuple[int, int, int]]) -> Set[Tuple[int, int]]:
+    """Weight-greedy maximal matching of the frontier *edges*: sort by
+    weight, take disjoint edges.
+
+    Ties sort by ``(a, b)`` in the orientation ``nx.Graph.edges`` gives
+    the graph built from *edges*: each node in first-appearance order
+    with its not-yet-seen neighbours in insertion order.
+    """
+    adjacency: Dict[int, Dict[int, int]] = {}
+    for a, b, weight in edges:
+        adjacency.setdefault(a, {})[b] = weight
+        adjacency.setdefault(b, {})[a] = weight
+    seen: Set[int] = set()
+    oriented = []
+    for a, neighbours in adjacency.items():
+        oriented.extend((a, b, weight) for b, weight in neighbours.items() if b not in seen)
+        seen.add(a)
     taken: Set[int] = set()
     matching: Set[Tuple[int, int]] = set()
-    edges = sorted(
-        graph.edges(data="weight", default=1),
-        key=lambda item: (-item[2], item[0], item[1]),
-    )
-    for a, b, _weight in edges:
+    for a, b, _weight in sorted(oriented, key=lambda item: (-item[2], item[0], item[1])):
         if a in taken or b in taken:
             continue
         taken.add(a)
@@ -151,9 +161,9 @@ def matching_layer(
 
     A frontier that is already a matching (no two edges share an
     endpoint) is matched whole by either engine, so it is returned
-    without running one.  Otherwise the frontier graph is built by
-    adding *edges* in order: its node and neighbour order, which break
-    the engines' ties, follow the caller's edge order.
+    without running one.  Otherwise the engines read *edges* in order:
+    node and neighbour order, which break their ties, follow the caller's
+    edge order.
     """
     endpoints = {v for a, b, _ in edges for v in (a, b)}
     if len(endpoints) == 2 * len(edges):
@@ -161,29 +171,15 @@ def matching_layer(
     elif matching == "blossom":
         matched = _blossom(edges)
     else:
-        frontier = nx.Graph()
-        frontier.add_weighted_edges_from(edges)
-        matched = _greedy_matching(frontier)
+        matched = _greedy_matching(edges)
     return sorted(_edge_key(a, b) for a, b in matched)
 
 
 def _blossom(edges: Sequence[Tuple[int, int, int]]) -> Set[Tuple[int, int]]:
-    """networkx's max-weight matching of *edges*, the collector paused.
-
-    Each run leaves its graph and two local classes in reference cycles
-    (about 9 KB).  A collection during the run would promote them to wait
-    for a full collection and raise a sweep's peak memory; paused, the
-    next young collection frees them."""
-    with _BLOSSOM_LOCK:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            frontier = nx.Graph()
-            frontier.add_weighted_edges_from(edges)
-            return nx.max_weight_matching(frontier, maxcardinality=True)
-        finally:
-            if enabled:
-                gc.enable()
+    """The maximum-cardinality, maximum-weight matching of *edges*: the
+    matching networkx's ``max_weight_matching`` gives, computed without a
+    graph and without leaving reference cycles."""
+    return max_weight_matching(edges)
 
 
 class CommutingProblem:

@@ -295,7 +295,9 @@ class HttpApp:
             writer.close()
             try:
                 await writer.wait_closed()
-            except Exception:
+            except OSError:
+                # the peer reset or broke the connection (TLS errors are
+                # OSErrors too); it is closed either way
                 pass
 
     async def _connection_loop(

@@ -205,7 +205,9 @@ class _BackendPool:
         _, writer = conn
         try:
             writer.close()
-        except Exception:
+        except (OSError, RuntimeError):
+            # a reset, broken pipe or TLS error while closing, or a loop
+            # already closed: the connection is gone either way
             pass
 
     def close(self) -> None:

@@ -120,7 +120,7 @@ def _run_strategy_worker(payload) -> StrategyOutcome:
     start = time.perf_counter()
     try:
         result, error = run_lane(spec, request, view), None
-    except Exception as exc:
+    except Exception as exc:  # by design: any lane failure is that lane's error
         result, error = None, f"{type(exc).__name__}: {exc}"
     return StrategyOutcome(spec.name, time.perf_counter() - start, error, result)
 

@@ -94,6 +94,7 @@ histograms ``request_latency`` and ``request_latency:<path>``.
 
 from __future__ import annotations
 
+import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -213,20 +214,40 @@ class LatencyHistogram:
 
 @dataclass
 class Stats:
-    """Counter/timer/gauge/histogram sink for one run (or many, merged)."""
+    """Counter/timer/gauge/histogram sink for one run (or many, merged).
+
+    The read-modify-write updates (:meth:`count`, :meth:`add_time`,
+    :meth:`observe` and :meth:`merge`) hold one lock, so threads sharing
+    a sink (a server's event loop and its compile threads) lose no
+    increment.
+    """
 
     counters: Dict[str, int] = field(default_factory=dict)
     timers: Dict[str, float] = field(default_factory=dict)
     values: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter *name* by *amount*."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def add_time(self, name: str, seconds: float) -> None:
         """Add *seconds* to wall-time bucket *name*."""
-        self.timers[name] = self.timers.get(name, 0.0) + seconds
+        with self._lock:
+            self.timers[name] = self.timers.get(name, 0.0) + seconds
 
     def set_value(self, name: str, value: float) -> None:
         """Overwrite gauge *name*."""
@@ -234,10 +255,11 @@ class Stats:
 
     def observe(self, name: str, seconds: float) -> None:
         """Record *seconds* into latency histogram *name*."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = LatencyHistogram()
-        hist.observe(seconds)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = LatencyHistogram()
+            hist.observe(seconds)
 
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
@@ -263,11 +285,12 @@ class Stats:
         for name, value in other.timers.items():
             self.add_time(name, value)
         self.values.update(other.values)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = LatencyHistogram(hist.buckets)
-            mine.merge(hist)
+        with self._lock:
+            for name, hist in other.histograms.items():
+                mine = self.histograms.get(name)
+                if mine is None:
+                    mine = self.histograms[name] = LatencyHistogram(hist.buckets)
+                mine.merge(hist)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible snapshot; ``histograms`` only when non-empty."""

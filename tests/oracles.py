@@ -75,7 +75,6 @@ from repro.core.evaluate import evaluate_pair_depth, evaluate_pair_duration
 from repro.core.qs_commuting import (
     REUSE_GATE_WEIGHT,
     CommutingSchedule,
-    _greedy_matching,
     resolve_matching,
 )
 from repro.core.qs_caqr import QSCaQR, QSCaQRResult
@@ -1122,13 +1121,30 @@ def _edge_key(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def reference_greedy_matching(graph: nx.Graph) -> Set[Tuple[int, int]]:
+    """Weight-greedy maximal matching: sort by weight, take disjoint edges."""
+    taken: Set[int] = set()
+    matching: Set[Tuple[int, int]] = set()
+    edges = sorted(
+        graph.edges(data="weight", default=1),
+        key=lambda item: (-item[2], item[0], item[1]),
+    )
+    for a, b, _weight in edges:
+        if a in taken or b in taken:
+            continue
+        taken.add(a)
+        taken.add(b)
+        matching.add((a, b))
+    return matching
+
+
 def reference_matching_layer(frontier: nx.Graph, matching: str) -> List[Tuple[int, int]]:
     """One scheduling round: the *matching* (a resolved engine name) of
     the weighted *frontier*, as sorted ``(low, high)`` gate keys."""
     if matching == "blossom":
         matched = nx.max_weight_matching(frontier, maxcardinality=True)
     else:
-        matched = _greedy_matching(frontier)
+        matched = reference_greedy_matching(frontier)
     return sorted(_edge_key(a, b) for a, b in matched)
 
 

@@ -18,34 +18,44 @@ pair set and schedule every candidate to its last layer.  This pins:
   still below the best so far;
 * the matching step returns what the networkx frontier graph gives,
   also on frontiers that are already a matching (returned without
-  running an engine); a blossom run leaves no garbage for a full
-  collection and restores the collector's state;
+  running an engine); a blossom run makes no reference cycles and
+  leaves the collector's state alone;
+* :func:`repro.core.matching.max_weight_matching` returns the matching
+  ``nx.max_weight_matching(G, maxcardinality=True)`` does, edge for
+  edge, on every frontier the qaoa16-0.3 compiles match (``max_reuse``
+  and ``min_swap``) and on Hypothesis-drawn graphs (up to 16 nodes,
+  weights 1/4 and 1..10);
 * the step-scoped matching memo: the qaoa16-0.3 sweep's winners
   schedule as the referee does; every step starts with an empty memo;
   the winner's re-schedule runs no matching engine; and a caller that
   mutates a returned layer cannot change a later schedule.
 
-``CAQR_COMMUTING_SAMPLES`` (default 100) scales the random-graph pool;
-the nightly CI job runs 500.
+``CAQR_COMMUTING_SAMPLES`` (default 100) scales the random-graph pool
+and the Hypothesis examples per weight set; the nightly CI job runs 500.
 """
 
 import gc
 import os
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.qs_commuting as qs_commuting
-from repro.compile_api import commuting_view
+from repro.compile_api import caqr_compile, commuting_view
 from repro.core.conditions import ReusePair
+from repro.core.matching import max_weight_matching
 from repro.core.qs_commuting import (
     CommutingProblem,
     QSCaQRCommuting,
+    _edge_key,
     _extension_cost_worker,
     matching_layer,
 )
+from repro.hardware import ibm_mumbai
 from repro.exceptions import ReuseError
 from repro.workloads.registry import get_benchmark
 from tests.oracles import (
@@ -170,19 +180,21 @@ def test_matching_layer_matches_networkx(seed):
 
 
 def test_blossom_cycles_die_young():
-    edges = [(a, b, 1 + (a + b) % 4) for a, b in _sample_graph(5).edges]
+    # this graph makes, augments through and expands (mid-stage and at
+    # a stage's end) blossoms
+    edges = [(a, b, 1 + (a + b) % 4) for a, b in _sample_graph(161).edges]
     expected = reference_matching_layer(_frontier_graph(edges), "blossom")
-    threshold = gc.get_threshold()
+    was = gc.isenabled()
     gc.collect()
-    # collect the young generations on every allocation and never run a
-    # full collection: a cycle promoted mid-run survives to the check
-    gc.set_threshold(1, 1, 10**9)
+    # no collection runs during the matching, so any cycle it made is
+    # still there for the check to find
+    gc.disable()
     try:
         assert matching_layer(edges, "blossom") == expected
-        gc.collect(1)
         assert gc.collect() == 0
     finally:
-        gc.set_threshold(*threshold)
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -195,6 +207,62 @@ def test_blossom_restores_the_collector(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# -- the blossom matcher against networkx -----------------------------------------
+
+
+def _networkx_matching(edges) -> List[Tuple[int, int]]:
+    frontier = nx.Graph()
+    frontier.add_weighted_edges_from(edges)
+    return sorted(_edge_key(a, b) for a, b in nx.max_weight_matching(frontier, maxcardinality=True))
+
+
+def _matching(edges) -> List[Tuple[int, int]]:
+    return sorted(_edge_key(a, b) for a, b in max_weight_matching(edges))
+
+
+@pytest.fixture(scope="module")
+def qaoa16_frontiers():
+    """Every frontier the blossom engine matches in the qaoa16-0.3
+    compiles under ``max_reuse`` and ``min_swap``."""
+    frontiers = []
+    blossom = qs_commuting._blossom
+
+    def spy(edges):
+        frontiers.append(list(edges))
+        return blossom(edges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qs_commuting, "_blossom", spy)
+        for mode in ("max_reuse", "min_swap"):
+            caqr_compile(get_benchmark("qaoa16-0.3"), ibm_mumbai(), mode=mode, parallel=False)
+    return frontiers
+
+
+def test_matcher_matches_networkx_on_qaoa16_frontiers(qaoa16_frontiers):
+    assert len(qaoa16_frontiers) > 100
+    for edges in qaoa16_frontiers:
+        assert _matching(edges) == _networkx_matching(edges), edges
+
+
+@st.composite
+def _weighted_graphs(draw, weights):
+    """Up to 16 nodes, edges in random insertion order and orientation;
+    repeats and self-loops allowed."""
+    n = draw(st.integers(1, 16))
+    node = st.integers(0, n - 1)
+    return draw(st.lists(st.tuples(node, node, st.sampled_from(weights)), max_size=3 * n))
+
+
+@pytest.mark.parametrize("weights", [(1, 4), tuple(range(1, 11))], ids=["1-4", "1-10"])
+def test_matcher_matches_networkx_on_random_graphs(weights):
+    @settings(max_examples=COMMUTING_SAMPLES, deadline=None)
+    @given(_weighted_graphs(weights))
+    def check(edges):
+        assert _matching(edges) == _networkx_matching(edges)
+
+    check()
 
 
 # -- the bounded scorer -----------------------------------------------------------

@@ -12,11 +12,13 @@ body cap, auth, drain) against both apps built on
 gateway fronting one.
 """
 
+import asyncio
 import contextlib
 import gc
 import http.client
 import json
 import socket
+import ssl
 import threading
 import time
 import warnings
@@ -38,6 +40,8 @@ from repro.service import (
     start_gateway_thread,
     start_server_thread,
 )
+from repro.service.net.app import HttpApp
+from repro.service.net.gateway import _BackendPool
 from repro.service.net.wire import (
     WIRE_SCHEMA_VERSION,
     batch_from_wire,
@@ -49,6 +53,7 @@ from repro.service.net.wire import (
     response_to_wire,
 )
 from repro.service.service import CompileRequest, resolve_cache
+from repro.stats import Stats
 from repro.workloads import bv_circuit, random_graph
 
 
@@ -930,3 +935,68 @@ class TestClientRetry:
             RemoteCompileService("ftp://example.com")
         with pytest.raises(RemoteServiceError):
             RemoteCompileService("http://")
+
+
+class _ClosingWriter:
+    """A stream writer whose teardown raises *error* (``None``: nothing)."""
+
+    def __init__(self, error=None, on_close=False):
+        self.error = error
+        self.on_close = on_close
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+        if self.on_close and self.error is not None:
+            raise self.error
+
+    async def wait_closed(self):
+        if not self.on_close and self.error is not None:
+            raise self.error
+
+
+class TestTeardown:
+    """Closing a connection swallows what a dying socket raises (resets,
+    broken pipes, TLS errors, a closed loop) and nothing else."""
+
+    DYING = [
+        ConnectionResetError(104, "Connection reset by peer"),
+        BrokenPipeError(32, "Broken pipe"),
+        ssl.SSLError(1, "application data after close notify"),
+    ]
+
+    @staticmethod
+    def _handle(writer):
+        app = HttpApp({}, Stats(), "127.0.0.1", 0, 1024, 1.0, None, None, None)
+
+        async def no_requests(reader, writer):
+            return None
+
+        app._connection_loop = no_requests
+        asyncio.run(app._handle_connection(None, writer))
+        return app
+
+    @pytest.mark.parametrize("error", [None] + DYING, ids=repr)
+    def test_app_swallows_a_dying_socket(self, error):
+        writer = _ClosingWriter(error)
+        app = self._handle(writer)
+        assert writer.closed
+        assert not app._connections
+
+    def test_app_propagates_a_bug(self):
+        with pytest.raises(ValueError):
+            self._handle(_ClosingWriter(ValueError("bug")))
+
+    @pytest.mark.parametrize(
+        "error", DYING + [RuntimeError("Event loop is closed")], ids=repr
+    )
+    def test_gateway_discard_swallows_a_dying_socket(self, error):
+        pool = _BackendPool("http://127.0.0.1:9", 1, 1.0, None)
+        writer = _ClosingWriter(error, on_close=True)
+        pool._discard((None, writer))
+        assert writer.closed
+
+    def test_gateway_discard_propagates_a_bug(self):
+        pool = _BackendPool("http://127.0.0.1:9", 1, 1.0, None)
+        with pytest.raises(ValueError):
+            pool._discard((None, _ClosingWriter(ValueError("bug"), on_close=True)))

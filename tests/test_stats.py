@@ -1,7 +1,9 @@
 """Tests for the one stats sink every layer reports into."""
 
 import ast
+import pickle
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,43 @@ class TestStats:
         stats.set_value("esp", 0.5)
         stats.add_time("score", 0.25)
         assert stats.summary() == "evaluations=2, esp=0.5, score_s=0.250"
+
+    def test_threads_lose_no_update(self):
+        # a server bumps one sink from its event loop and its compile
+        # threads; forced switches make an unlocked update lose counts
+        stats = Stats()
+        threads, rounds = 4, 40_000
+
+        def work():
+            for _ in range(rounds):
+                stats.count("requests")
+                stats.add_time("compile", 1.0)
+                stats.observe("request_latency", 0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * rounds
+        assert stats.counters["requests"] == total
+        assert stats.timers["compile"] == total
+        assert stats.histograms["request_latency"].count == total
+
+    def test_pickle_round_trip_gets_its_own_lock(self):
+        stats = Stats()
+        stats.count("steps", 2)
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone == stats
+        assert clone._lock is not stats._lock
+        clone.count("steps")
+        assert clone.counters == {"steps": 3}
+        assert stats.counters == {"steps": 2}
 
 
 class TestLayering:
