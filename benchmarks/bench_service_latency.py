@@ -18,18 +18,27 @@ The two perf claims of the service hot path, each measured and gated:
   off.  The envelope path skips ``report_to_dict`` + JSON per hit; the
   gate is soft (within ``ENVELOPE_SLACK`` of the non-envelope median and
   at least one counted ``envelope_hits``) because small-circuit
-  serialization is already cheap.
+  serialization is already cheap;
+* **client request encode** — the request body of a bv_12 compile on
+  ibm_mumbai, encoded by ``request_body`` with one reused backend (its
+  kept fragment is spliced in) vs. ``json.dumps(request_to_wire(...))``
+  with a fresh, never-encoded backend per call (every call serialises
+  the whole calibration, as every request did before backends were
+  sealed at their first encode).  Gate: the spliced body at least
+  ``MIN_ENCODE_SPEEDUP`` x faster.
 
 Run with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_service_latency.py``.
 """
 
+import json
 import statistics
 import time
 
 from conftest import emit, once
 
 from repro.analysis import format_table
+from repro.hardware import ibm_mumbai
 from repro.parallel import new_pool
 from repro.service import (
     CompileRequest,
@@ -37,6 +46,7 @@ from repro.service import (
     RemoteCompileService,
     start_server_thread,
 )
+from repro.service.net.wire import request_body, request_to_wire
 from repro.workloads import bv_circuit
 
 #: Hard gate: steady-state persistent re-dispatch must beat the
@@ -47,10 +57,15 @@ MIN_SPEEDUP = 2.0
 #: by more than this factor (they should be faster; the bar caps noise).
 ENVELOPE_SLACK = 1.25
 
+#: Hard gate: a body spliced from the kept backend fragment must beat
+#: encoding the whole backend per request by at least this factor.
+MIN_ENCODE_SPEEDUP = 3.0
+
 BATCH_WIDTHS = (4, 5, 6)
 PRIME_ROUNDS = 3  # warms both persistent workers before the timed rounds
 TIMED_ROUNDS = 7
 WARM_HITS = 150
+ENCODES = 200
 
 
 class _PoolPerRound:
@@ -193,4 +208,47 @@ def test_envelope_cache_warm_hit_latency(benchmark):
     assert with_median <= without_median * ENVELOPE_SLACK, (
         f"envelope-on warm hits regressed: {with_median * 1000:.2f}ms vs "
         f"{without_median * 1000:.2f}ms off"
+    )
+
+
+def _median_encode(encode, requests):
+    samples = []
+    for request in requests:
+        start = time.perf_counter()
+        encode(request)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def test_client_request_encode(benchmark):
+    circuit = bv_circuit(12)
+
+    def run():
+        reused = ibm_mumbai()
+        request_body(CompileRequest(target=circuit, backend=reused))  # first encode
+        spliced = [CompileRequest(target=circuit, backend=reused) for _ in range(ENCODES)]
+        fresh = [CompileRequest(target=circuit, backend=ibm_mumbai()) for _ in range(ENCODES)]
+        size = len(request_body(spliced[0]))
+        return (
+            _median_encode(lambda r: json.dumps(request_to_wire(r)).encode(), fresh),
+            _median_encode(request_body, spliced),
+            size,
+        )
+
+    fresh_s, spliced_s, size = once(benchmark, run)
+    speedup = fresh_s / spliced_s
+    rows = [
+        ["whole backend per call", f"{fresh_s * 1e6:.0f}", "1.00x"],
+        ["spliced fragment", f"{spliced_s * 1e6:.0f}", f"{speedup:.2f}x"],
+    ]
+    text = format_table(["request encode", "median (us)", "speedup"], rows) + (
+        f"\n{ENCODES} encodes each of a bv_12 request on ibm_mumbai "
+        f"({size} body bytes)"
+    )
+    emit("bench_service_latency_encode", text)
+
+    assert speedup >= MIN_ENCODE_SPEEDUP, (
+        f"spliced request bodies only {speedup:.2f}x faster than encoding the "
+        f"backend per call (gate: {MIN_ENCODE_SPEEDUP}x; {spliced_s * 1e6:.0f}us "
+        f"vs {fresh_s * 1e6:.0f}us)"
     )

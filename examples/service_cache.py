@@ -13,6 +13,7 @@ Shows the production-facing workflow (the service-side sibling of
 Run:  python examples/service_cache.py
 """
 
+import dataclasses
 import tempfile
 import time
 
@@ -71,10 +72,16 @@ def part3_persistence_and_invalidation() -> None:
         fresh = CompileService(cache_dir=cache_dir)
         report = fresh.compile(circuit, backend=backend, mode="min_swap")
         print(f"new service, same snapshot : from_cache={report.from_cache}")
-        # drift one CX error: the backend digest — and the key — change
-        edge = next(iter(backend.calibration.cx_error))
-        backend.calibration.cx_error[edge] *= 1.05
-        drifted = fresh.compile(circuit, backend=backend, mode="min_swap")
+        # drift one CX error: the backend digest — and the key — change.
+        # A used backend is sealed, so drift is a new snapshot
+        cx_error = backend.calibration.cx_error.copy()
+        edge = next(iter(cx_error))
+        cx_error[edge] *= 1.05
+        drifted_backend = dataclasses.replace(
+            backend,
+            calibration=dataclasses.replace(backend.calibration, cx_error=cx_error),
+        )
+        drifted = fresh.compile(circuit, backend=drifted_backend, mode="min_swap")
         print(f"after calibration drift    : from_cache={drifted.from_cache}")
         print(f"stats: {fresh.stats.summary()}")
 

@@ -270,7 +270,7 @@ def gate_spec(name: str) -> GateSpec:
         raise CircuitError(f"unknown gate: {name!r}") from None
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _cached_matrix(name: str, params: Tuple[float, ...]) -> np.ndarray:
     """Build (once) and freeze the matrix for a (gate, params) binding.
 

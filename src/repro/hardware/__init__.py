@@ -6,6 +6,7 @@ from repro.hardware.coupling import CouplingMap
 from repro.hardware.drift import DriftSimulator, drift_series
 from repro.hardware.mumbai import MUMBAI_SEED, ibm_mumbai
 from repro.hardware.serialization import (
+    backend_from_dict,
     backend_from_json,
     backend_to_json,
     calibration_from_dict,
@@ -59,6 +60,7 @@ __all__ = [
     "device_profile",
     "get_device",
     "backend_to_json",
+    "backend_from_dict",
     "backend_from_json",
     "calibration_to_dict",
     "calibration_from_dict",

@@ -17,17 +17,47 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.circuit import gates
 from repro.exceptions import HardwareError
 from repro.hardware.coupling import CouplingMap
 
-__all__ = ["Calibration", "synthetic_calibration"]
+__all__ = ["Calibration", "SealedMap", "synthetic_calibration"]
+
+#: The calibration fields that are maps (sealed as :class:`SealedMap`).
+MAP_FIELDS = ("cx_error", "cx_duration", "readout_error", "sq_error", "t1_dt", "t2_dt")
 
 
 def _edge_key(a: int, b: int) -> FrozenSet[int]:
     return frozenset((a, b))
+
+
+def sealed_error(what: str) -> HardwareError:
+    """The error every write to a sealed hardware snapshot raises."""
+    return HardwareError(
+        f"{what} is sealed: it was encoded, so its digest is fixed; "
+        "derive a new snapshot with dataclasses.replace instead"
+    )
+
+
+class SealedMap(dict):
+    """A sealed calibration's map: reads as a ``dict``, refuses writes.
+
+    ``copy()`` gives an editable plain ``dict``; pickling and ``copy``
+    give a ``SealedMap`` again (pool workers receive sealed backends).
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise sealed_error("calibration")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return SealedMap, (dict(self),)
 
 
 @dataclass
@@ -35,6 +65,8 @@ class Calibration:
     """Error/timing data for one device snapshot.
 
     All durations are in ``dt`` (0.22 ns); all errors are probabilities.
+    Edit it freely until :meth:`seal` (a backend's first encode) makes
+    it read-only.
     """
 
     cx_error: Dict[FrozenSet[int], float] = field(default_factory=dict)
@@ -46,6 +78,26 @@ class Calibration:
     measure_duration: int = gates.DEFAULT_DURATIONS["measure"]
     reset_duration: int = gates.DEFAULT_DURATIONS["reset"]
     sq_duration: int = gates.DEFAULT_DURATIONS["x"]
+
+    _sealed = False
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._sealed:
+            raise sealed_error("calibration")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._sealed:
+            raise sealed_error("calibration")
+        object.__delattr__(self, name)
+
+    def seal(self) -> None:
+        """Make this snapshot read-only: every map and scalar (idempotent)."""
+        for name in MAP_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not SealedMap:
+                object.__setattr__(self, name, SealedMap(value))
+        object.__setattr__(self, "_sealed", True)
 
     # -- accessors with validation -------------------------------------------
 

@@ -21,6 +21,8 @@ __all__ = ["CouplingMap"]
 class CouplingMap:
     """Undirected connectivity graph over ``num_qubits`` physical qubits."""
 
+    _sealed = False
+
     def __init__(self, num_qubits: int, edges: Iterable[Tuple[int, int]]):
         if num_qubits <= 0:
             raise HardwareError("coupling map needs at least one qubit")
@@ -33,6 +35,11 @@ class CouplingMap:
 
     def add_edge(self, a: int, b: int) -> None:
         """Register the undirected link (a, b)."""
+        if self._sealed:
+            raise HardwareError(
+                "coupling map is sealed: its backend was encoded; "
+                "build a new one instead"
+            )
         if a == b:
             raise HardwareError("self-coupling is not allowed")
         for q in (a, b):
@@ -42,6 +49,10 @@ class CouplingMap:
         self._adjacency[b].add(a)
         self._edges.add(frozenset((a, b)))
         self._distance = None
+
+    def seal(self) -> None:
+        """Refuse further :meth:`add_edge` calls (a backend's first encode)."""
+        self._sealed = True
 
     # -- queries ----------------------------------------------------------------
 

@@ -3,12 +3,16 @@
 Real experiments pin a *calibration snapshot* (the paper exports IBM
 Mumbai's CNOT durations/errors and readout errors); these helpers let a
 snapshot be stored with the experiment results and reloaded bit-exactly.
+
+A backend is encoded once: :func:`backend_snapshot` seals it at its
+first encode and keeps the canonical text and the compact fragment that
+request bodies splice in.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 from repro.exceptions import HardwareError
 from repro.hardware.backends import Backend
@@ -18,7 +22,10 @@ from repro.hardware.coupling import CouplingMap
 __all__ = [
     "calibration_to_dict",
     "calibration_from_dict",
+    "Snapshot",
+    "backend_snapshot",
     "backend_to_json",
+    "backend_from_dict",
     "backend_from_json",
 ]
 
@@ -75,8 +82,16 @@ def calibration_from_dict(payload: Dict[str, Any]) -> Calibration:
         raise HardwareError(f"malformed calibration payload: {exc}") from exc
 
 
-def backend_to_json(backend: Backend) -> str:
-    """Serialize a full backend (name, coupling, calibration, flags)."""
+class Snapshot(NamedTuple):
+    """A sealed backend's encodings, computed once at its first encode."""
+
+    #: the canonical text :func:`backend_to_json` returns
+    text: str
+    #: the same payload as compact JSON, spliced into request bodies
+    fragment: bytes
+
+
+def _encode(backend: Backend) -> Snapshot:
     payload = {
         "version": _FORMAT_VERSION,
         "name": backend.name,
@@ -85,15 +100,24 @@ def backend_to_json(backend: Backend) -> str:
         "supports_dynamic_circuits": backend.supports_dynamic_circuits,
         "calibration": calibration_to_dict(backend.calibration),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return Snapshot(
+        text=json.dumps(payload, indent=2, sort_keys=True),
+        fragment=json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(),
+    )
 
 
-def backend_from_json(text: str) -> Backend:
-    """Inverse of :func:`backend_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HardwareError(f"invalid backend JSON: {exc}") from exc
+def backend_snapshot(backend: Backend) -> Snapshot:
+    """The backend's encodings; the first call seals the backend."""
+    return backend.seal(_encode)
+
+
+def backend_to_json(backend: Backend) -> str:
+    """Serialize a full backend (name, coupling, calibration, flags)."""
+    return backend_snapshot(backend).text
+
+
+def backend_from_dict(payload: Any) -> Backend:
+    """Inverse of ``json.loads(backend_to_json(backend))``."""
     if not isinstance(payload, dict):
         raise HardwareError("backend JSON must be an object")
     if payload.get("version") != _FORMAT_VERSION:
@@ -112,3 +136,12 @@ def backend_from_json(text: str) -> Backend:
         )
     except KeyError as exc:
         raise HardwareError(f"malformed backend payload: missing {exc}") from exc
+
+
+def backend_from_json(text: str) -> Backend:
+    """Inverse of :func:`backend_to_json`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise HardwareError(f"invalid backend JSON: {exc}") from exc
+    return backend_from_dict(payload)

@@ -14,6 +14,8 @@ compiled result.  This module derives that digest:
 * :func:`backend_digest` — SHA-256 over the sorted-key backend JSON
   snapshot (:func:`repro.hardware.serialization.backend_to_json`), so any
   calibration drift — a single CX error changing — yields a new digest.
+  A backend is sealed at its first encode and keeps that text, so a
+  digest reads the kept text, and repeat digests of one text are memoised.
 * :func:`banded_backend_digest` — the drift-tolerant variant: error rates
   and coherence times are quantised into *calib_bands* bands per decade
   (log10 scale) before hashing, so snapshots that differ only by in-band
@@ -41,6 +43,7 @@ import hashlib
 import json
 import math
 import os
+from functools import lru_cache
 from typing import Any, Dict, Optional, Union
 
 import networkx as nx
@@ -126,9 +129,7 @@ def backend_digest(backend: Optional[Backend]) -> Optional[str]:
     single changed CX error or readout probability — invalidates every key
     derived from the previous one.
     """
-    if backend is None:
-        return None
-    return hashlib.sha256(backend_to_json(backend).encode()).hexdigest()
+    return banded_backend_digest(backend, None)
 
 
 def resolve_calib_bands(calib_bands: Optional[int] = None) -> Optional[int]:
@@ -185,16 +186,23 @@ def banded_backend_digest(
     """
     if backend is None:
         return None
-    if not calib_bands:
-        return backend_digest(backend)
-    payload = json.loads(backend_to_json(backend))
+    return _text_digest(backend_to_json(backend), int(calib_bands or 0))
+
+
+@lru_cache(maxsize=32)
+def _text_digest(text: str, bands: int) -> str:
+    """The digest of one backend snapshot text (a sealed backend hands
+    out the same text object, so a repeat is one hash lookup)."""
+    if not bands:
+        return hashlib.sha256(text.encode()).hexdigest()
+    payload = json.loads(text)
     calibration = payload["calibration"]
     for name in BANDED_CALIBRATION_FIELDS:
         calibration[name] = {
-            key: band_value(value, calib_bands)
+            key: band_value(value, bands)
             for key, value in calibration.get(name, {}).items()
         }
-    payload["calib_bands"] = int(calib_bands)
+    payload["calib_bands"] = bands
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

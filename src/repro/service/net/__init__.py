@@ -44,10 +44,12 @@ from repro.service.net.wire import (
     ERROR_CODES,
     WIRE_SCHEMA_VERSION,
     WireError,
+    batch_body,
     error_from_wire,
     error_to_wire,
     graph_from_dict,
     graph_to_dict,
+    request_body,
     request_from_wire,
     request_to_wire,
     response_from_wire,
@@ -73,8 +75,10 @@ __all__ = [
     "start_gateway_thread",
     "graph_to_dict",
     "graph_from_dict",
+    "request_body",
     "request_to_wire",
     "request_from_wire",
+    "batch_body",
     "response_to_wire",
     "response_from_wire",
     "error_to_wire",

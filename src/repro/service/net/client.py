@@ -47,10 +47,10 @@ from repro.compile_api import CompileReport
 from repro.exceptions import RemoteServiceError
 from repro.hardware.backends import Backend
 from repro.service.net.wire import (
-    WIRE_SCHEMA_VERSION,
     WireError,
+    batch_body,
     error_from_wire,
-    request_to_wire,
+    request_body,
     response_from_wire,
 )
 from repro.service.service import CompileRequest
@@ -205,10 +205,9 @@ class RemoteCompileService:
         return response.status, resp_headers, payload
 
     def _exchange(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
+        self, method: str, path: str, body: Optional[bytes] = None
     ) -> Tuple[int, Dict[str, str], Any]:
         """Request with retry policy applied; returns the first final answer."""
-        body = json.dumps(payload).encode() if payload is not None else None
         last: Optional[RemoteServiceError] = None
         for attempt in range(self.retries + 1):
             if attempt:
@@ -256,9 +255,7 @@ class RemoteCompileService:
         self, request: CompileRequest
     ) -> Tuple[CompileReport, str, str]:
         """Remote twin of ``CompileService.compile_classified``."""
-        _, _, payload = self._exchange(
-            "POST", "/v1/compile", request_to_wire(request)
-        )
+        _, _, payload = self._exchange("POST", "/v1/compile", request_body(request))
         try:
             report, fingerprint, status = response_from_wire(payload)
         except WireError as exc:
@@ -272,12 +269,9 @@ class RemoteCompileService:
         self, requests: Sequence[CompileRequest], parallel: bool = True
     ) -> List[CompileReport]:
         """Remote batch compile; results in input order (like the local one)."""
-        envelope = {
-            "schema": WIRE_SCHEMA_VERSION,
-            "requests": [request_to_wire(request) for request in requests],
-            "parallel": bool(parallel),
-        }
-        _, _, payload = self._exchange("POST", "/v1/compile_batch", envelope)
+        _, _, payload = self._exchange(
+            "POST", "/v1/compile_batch", batch_body(requests, parallel)
+        )
         results = payload.get("results") if isinstance(payload, dict) else None
         if not isinstance(results, list) or len(results) != len(requests):
             raise RemoteServiceError(
@@ -322,10 +316,12 @@ class RemoteCompileService:
     def invalidate(self, fingerprint: str) -> bool:
         """Drop one fingerprint server-side; True if an entry existed."""
         _, _, payload = self._exchange(
-            "POST", "/v1/cache/invalidate", {"fingerprint": fingerprint}
+            "POST",
+            "/v1/cache/invalidate",
+            json.dumps({"fingerprint": fingerprint}).encode(),
         )
         return bool(isinstance(payload, dict) and payload.get("invalidated"))
 
     def clear(self) -> None:
         """Drop every server-side cache entry (both tiers)."""
-        self._exchange("POST", "/v1/cache/invalidate", {"all": True})
+        self._exchange("POST", "/v1/cache/invalidate", b'{"all":true}')

@@ -8,9 +8,12 @@ stale peer fails loudly instead of guessing:
 * request envelope — a :class:`~repro.service.service.CompileRequest`
   as data: the target (lossless ``circuit_to_dict`` record, or an
   explicit node/edge list for QAOA graphs), the backend snapshot
-  (``backend_to_json`` payload, bit-exact floats), and every knob.  The
-  server re-fingerprints the decoded request, so client and server
-  always agree on the cache key by construction;
+  (``backend_to_json`` payload, bit-exact floats), and every knob.
+  :func:`request_body` is its one encoder: it splices in the backend's
+  pre-encoded fragment, so a backend is serialised once per process,
+  and one request always encodes to the same bytes.  The server
+  re-fingerprints the decoded request, so client and server always
+  agree on the cache key by construction;
 * response envelope — the fingerprint, the cache status
   (``hit`` / ``miss`` / ``inflight``), and the lossless
   ``report_to_dict`` record from :mod:`repro.service.serialization`;
@@ -26,13 +29,13 @@ Anything malformed raises :class:`WireError` — the server maps it to a
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.compile_api import MODES, CompileReport
 from repro.exceptions import ReproError, ServiceError
-from repro.hardware.serialization import backend_from_json, backend_to_json
+from repro.hardware.serialization import backend_from_dict, backend_snapshot
 from repro.service.serialization import (
     circuit_from_dict,
     circuit_to_dict,
@@ -48,8 +51,10 @@ __all__ = [
     "WireError",
     "graph_to_dict",
     "graph_from_dict",
+    "request_body",
     "request_to_wire",
     "request_from_wire",
+    "batch_body",
     "batch_from_wire",
     "response_to_wire",
     "response_from_wire",
@@ -137,24 +142,18 @@ def graph_from_dict(payload: Dict[str, Any]) -> nx.Graph:
         raise WireError(f"malformed graph payload: {exc}") from exc
 
 
-def request_to_wire(request: CompileRequest) -> Dict[str, Any]:
-    """``CompileRequest`` -> request envelope (JSON-compatible dict)."""
+def request_body(request: CompileRequest) -> bytes:
+    """``CompileRequest`` -> request envelope as compact JSON bytes."""
     if isinstance(request.target, nx.Graph):
         target_kind: str = "graph"
         target: Dict[str, Any] = graph_to_dict(request.target)
     else:
         target_kind = "circuit"
         target = circuit_to_dict(request.target)
-    backend = (
-        json.loads(backend_to_json(request.backend))
-        if request.backend is not None
-        else None
-    )
-    return {
+    rest = {
         "schema": WIRE_SCHEMA_VERSION,
         "target_kind": target_kind,
         "target": target,
-        "backend": backend,
         "knobs": {
             "mode": request.mode,
             "qubit_limit": request.qubit_limit,
@@ -171,6 +170,22 @@ def request_to_wire(request: CompileRequest) -> Dict[str, Any]:
             "calib_bands": request.resolved_calib_bands(),
         },
     }
+    backend = (
+        backend_snapshot(request.backend).fragment
+        if request.backend is not None
+        else b"null"
+    )
+    # ``rest`` encodes as "{...}": open the object with the backend instead
+    return b'{"backend":' + backend + b"," + _compact(rest)[1:]
+
+
+def request_to_wire(request: CompileRequest) -> Dict[str, Any]:
+    """``CompileRequest`` -> request envelope: :func:`request_body`, decoded."""
+    return json.loads(request_body(request))
+
+
+def _compact(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode()
 
 
 def _knob_bool(knobs: Dict[str, Any], name: str, default: bool) -> bool:
@@ -211,7 +226,7 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
         else:
             raise WireError(f"unknown target_kind {kind!r}")
         backend = (
-            backend_from_json(json.dumps(payload["backend"]))
+            backend_from_dict(payload["backend"])
             if payload.get("backend") is not None
             else None
         )
@@ -248,6 +263,13 @@ def request_from_wire(payload: Dict[str, Any]) -> CompileRequest:
     # records; anything else is a decoder bug and answers a counted 500
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise WireError(f"malformed request envelope: {exc}") from exc
+
+
+def batch_body(requests: Sequence[CompileRequest], parallel: bool = True) -> bytes:
+    """Requests -> batch envelope bytes, each member a :func:`request_body`."""
+    members = b",".join(request_body(request) for request in requests)
+    head = _compact({"schema": WIRE_SCHEMA_VERSION, "parallel": bool(parallel)})
+    return head[:-1] + b',"requests":[' + members + b"]}"
 
 
 def batch_from_wire(payload: Any) -> Tuple[List[Any], bool]:

@@ -1,5 +1,7 @@
 """Cache-key contract: what keeps a fingerprint stable, what invalidates it."""
 
+import dataclasses
+
 import networkx as nx
 import pytest
 
@@ -95,11 +97,18 @@ class TestBackendDigest:
         assert backend_digest(ibm_mumbai()) == backend_digest(ibm_mumbai())
 
     def test_calibration_drift_invalidates(self):
+        # a digested backend is sealed: drift is a new snapshot
         fresh = ibm_mumbai()
         before = backend_digest(fresh)
-        edge = next(iter(fresh.calibration.cx_error))
-        fresh.calibration.cx_error[edge] *= 1.001
-        assert backend_digest(fresh) != before
+        cx_error = dict(fresh.calibration.cx_error)
+        edge = next(iter(cx_error))
+        cx_error[edge] *= 1.001
+        drifted = dataclasses.replace(
+            fresh,
+            calibration=dataclasses.replace(fresh.calibration, cx_error=cx_error),
+        )
+        assert backend_digest(drifted) != before
+        assert backend_digest(fresh) == before
 
     def test_different_topology_invalidates(self):
         assert backend_digest(ibm_mumbai()) != backend_digest(
